@@ -52,9 +52,6 @@ from .operators import (
     Word,
     WordPower,
     XPower,
-    act_on_monomial,
-    adjoint,
-    excess,
 )
 from .boson import MAX_STRING_LENGTH, normal_order_oracle
 from .identities import (
@@ -71,8 +68,6 @@ from .identities import (
     hermite_identity_check,
     ttv_check,
     adjoint_pairing_check,
-    WC_PROBES,
-    WTC_PROBES,
 )
 from .fixtures import FIXTURES, Fixture, fixture_triangle, check_fixture
 

@@ -39,6 +39,10 @@ _TRIANGLE_CAP = 64
 _VERIFY_CAP = 10
 
 
+class UsageError(Exception):
+    """Usage or parameter error; :func:`main` prints it and exits 2."""
+
+
 def _cap(default: int) -> int:
     env = os.environ.get("WEYLSTIR_MAX_N")
     if env is None:
@@ -46,7 +50,18 @@ def _cap(default: int) -> int:
     try:
         return int(env)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"WEYLSTIR_MAX_N is not an integer: {env!r}")
+        raise UsageError(f"WEYLSTIR_MAX_N is not an integer: {env!r}")
+
+
+def _check_n(n: int, default_cap: Optional[int]) -> None:
+    """Reject a negative ``--n`` and, given a cap, one above it."""
+    if n < 0:
+        raise UsageError(f"--n must be nonnegative, got {n}")
+    if default_cap is not None:
+        cap = _cap(default_cap)
+        if n > cap:
+            raise UsageError(f"--n {n} exceeds the cap {cap} "
+                             "(override with WEYLSTIR_MAX_N)")
 
 
 def _rational(text: str) -> Fraction:
@@ -74,21 +89,13 @@ def _int_range(text: str) -> Tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integer bounds in {text!r}")
 
 
-def _probe_list(text: str) -> Tuple[Fraction, ...]:
-    return tuple(_rational(chunk) for chunk in text.split(","))
-
-
 # ---------------------------------------------------------------------------
 # triangle
 # ---------------------------------------------------------------------------
 
 
 def cmd_triangle(args) -> int:
-    cap = _cap(_TRIANGLE_CAP)
-    if args.n > cap:
-        print(f"error: --n {args.n} exceeds the cap {cap} "
-              "(override with WEYLSTIR_MAX_N)", file=sys.stderr)
-        return 2
+    _check_n(args.n, _TRIANGLE_CAP)
     if args.symbolic:
         tri = symbolic_triangle(args.kind, args.n)
     else:
@@ -114,27 +121,22 @@ def _sorted_cells(cells: Sequence[Dict[str, Fraction]]) -> List[Dict[str, Fracti
 
 
 def _verify_worker(job) -> VerifyReport:
-    tid, cell, n_max, s_values = job
-    return verify_identity(TEMPLATES[tid], cells=[cell], n_max=n_max, s_values=s_values)
+    tid, cell, n_max = job
+    return verify_identity(TEMPLATES[tid], cells=[cell], n_max=n_max)
 
 
 def cmd_verify(args) -> int:
-    cap = _cap(_VERIFY_CAP)
-    if args.n is not None and args.n > cap:
-        print(f"error: --n {args.n} exceeds the cap {cap} "
-              "(override with WEYLSTIR_MAX_N)", file=sys.stderr)
-        return 2
+    if args.n is not None:
+        _check_n(args.n, _VERIFY_CAP)
     if args.all:
         selected = [TEMPLATES[tid] for tid in TEMPLATE_ORDER]
     elif args.template:
         selected = templates_matching(args.template)
         if not selected:
-            print(f"error: no template matches {args.template!r}; known ids: "
-                  + ", ".join(TEMPLATE_ORDER), file=sys.stderr)
-            return 2
+            raise UsageError(f"no template matches {args.template!r}; known ids: "
+                             + ", ".join(TEMPLATE_ORDER))
     else:
-        print("error: pass --template ID (or a prefix) or --all", file=sys.stderr)
-        return 2
+        raise UsageError("pass --template ID (or a prefix) or --all")
 
     reports: List[VerifyReport] = []
     for template in selected:
@@ -147,7 +149,7 @@ def cmd_verify(args) -> int:
         else:
             cells = template.grid()
         cells = _sorted_cells(cells)
-        jobs = [(template.id, cell, args.n, args.s) for cell in cells]
+        jobs = [(template.id, cell, args.n) for cell in cells]
         if args.parallel and len(jobs) > 1:
             with multiprocessing.Pool() as pool:
                 partials = pool.map(_verify_worker, jobs)
@@ -158,6 +160,10 @@ def cmd_verify(args) -> int:
             merged.merge(part)
         reports.append(merged)
 
+    vacuous = [r.template_id for r in reports if not r.instances]
+    if vacuous:
+        raise UsageError(f"nothing to verify for {', '.join(vacuous)} "
+                         "(0 instances; check --range and --n)")
     ok = all(r.ok for r in reports)
     if args.format == "json":
         payload = {
@@ -169,6 +175,7 @@ def cmd_verify(args) -> int:
                     "cells": r.cells,
                     "instances": r.instances,
                     "action_probes": r.action_probes,
+                    "action_degree": r.action_degree,
                     "string_probes": r.string_probes,
                     "failures": r.failures,
                 }
@@ -190,6 +197,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
+    _check_n(args.n, None)
     report = conjecture_check(n_max=args.n, r_min=args.r_min, r_max=args.r_max)
     stated = report.mismatches_stated
     trunc = report.mismatches_truncated
@@ -267,58 +275,42 @@ def _collect_params(template, args) -> Dict[str, Fraction]:
             flag, idx = _PARAM_SOURCES[name]
             source = args.word if flag == "--word" else args.wordp
             if source is None:
-                raise SystemExit2(f"template {template.id!r} needs {flag} L,R")
+                raise UsageError(f"template {template.id!r} needs {flag} L,R")
             cell[name] = source[idx]
         elif name == "alpha":
             if args.alpha is None:
-                raise SystemExit2(f"template {template.id!r} needs --alpha")
+                raise UsageError(f"template {template.id!r} needs --alpha")
             cell[name] = args.alpha
         elif name == "r":
             if args.r is None:
-                raise SystemExit2(f"template {template.id!r} needs --r")
+                raise UsageError(f"template {template.id!r} needs --r")
             cell[name] = args.r
         elif name == "case":
             if args.case is None:
-                raise SystemExit2(f"template {template.id!r} needs --case")
+                raise UsageError(f"template {template.id!r} needs --case")
             cell[name] = Fraction(args.case)
         elif name == "m":
             if args.m is None:
-                raise SystemExit2(f"template {template.id!r} needs --m")
+                raise UsageError(f"template {template.id!r} needs --m")
             cell[name] = Fraction(args.m)
     return cell
 
 
-class SystemExit2(Exception):
-    """Usage error carrying its message (mapped to exit code 2)."""
-
-
 def cmd_expand(args) -> int:
-    cap = _cap(_TRIANGLE_CAP)
-    if args.n > cap:
-        print(f"error: --n {args.n} exceeds the cap {cap} "
-              "(override with WEYLSTIR_MAX_N)", file=sys.stderr)
-        return 2
+    _check_n(args.n, _TRIANGLE_CAP)
     matches = templates_matching(args.template)
     if len(matches) != 1:
-        print(f"error: --template must name exactly one template "
-              f"(got {len(matches)} matches for {args.template!r})", file=sys.stderr)
-        return 2
+        raise UsageError(f"--template must name exactly one template "
+                         f"(got {len(matches)} matches for {args.template!r})")
     template = matches[0]
-    try:
-        cell = _collect_params(template, args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    cell = _collect_params(template, args)
     if template.domain == "WC":
         for name, value in cell.items():
             if name in _PARAM_SOURCES and (value.denominator != 1 or value < 0):
-                print(f"error: template {template.id!r} requires natural word "
-                      f"parameters; {name}={value} is not admissible", file=sys.stderr)
-                return 2
+                raise UsageError(f"template {template.id!r} requires natural word "
+                                 f"parameters; {name}={value} is not admissible")
     if args.n < template.n_min:
-        print(f"error: template {template.id!r} requires n >= {template.n_min}",
-              file=sys.stderr)
-        return 2
+        raise UsageError(f"template {template.id!r} requires n >= {template.n_min}")
 
     instances = template.build(cell, args.n)
     style = "adag" if template.domain == "WC" else "x"
@@ -383,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--range", type=_int_range, default=None, metavar="A..B",
                        help="override the parameter grid with integers A..B")
     p_ver.add_argument("--n", type=int, default=None, help="maximum power n")
-    p_ver.add_argument("--s", type=_probe_list, default=None, metavar="S1,S2,...",
-                       help="override the monomial probe exponents")
     p_ver.add_argument("--parallel", action="store_true",
                        help="fan cells out across worker processes")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
@@ -418,7 +408,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

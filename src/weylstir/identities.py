@@ -5,8 +5,9 @@ of operator identities as :class:`OperatorExpr` values, given rational word
 parameters and a power ``n``.  Verification is semantic and exact, through
 two independent channels:
 
-1. *monomial action*: both sides are applied to ``x^s`` for enough rational
-   probe values ``s`` to certify polynomial equality of the actions;
+1. *monomial action*: the action of each side on ``x^s`` is computed
+   symbolically as ``{exponent shift: polynomial in s}``, and the two maps
+   are compared, which certifies the identity at every ``s`` and any degree;
 2. *string rewriting*: whenever a side lives in the creation/annihilation
    dialect (all exponents natural) and is short enough, both sides are
    spelled as boson strings and normally ordered by the independent
@@ -47,8 +48,6 @@ __all__ = [
     "hermite_identity_check",
     "ttv_check",
     "adjoint_pairing_check",
-    "WC_PROBES",
-    "WTC_PROBES",
 ]
 
 
@@ -119,19 +118,6 @@ class IdentityTemplate:
     n_min: int = 0
     description: str = ""
 
-
-WC_PROBES: Tuple[Fraction, ...] = tuple(F(i) for i in range(9))
-WTC_PROBES: Tuple[Fraction, ...] = (
-    F(0),
-    F(1, 3),
-    F(1),
-    F(2),
-    F(7, 2),
-    F(-1, 2),
-    F(5),
-    F(-3),
-    F(10, 3),
-)
 
 _Q7 = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
 _Q3 = (F(-1), F(1, 2), F(2))
@@ -741,7 +727,8 @@ class VerifyReport:
     template_id: str
     cells: int = 0
     instances: int = 0
-    action_probes: int = 0
+    action_probes: int = 0  # action certificates: one per compared instance
+    action_degree: int = 0  # highest s-degree among the compared actions
     string_probes: int = 0
     failures: List[str] = field(default_factory=list)
 
@@ -753,6 +740,7 @@ class VerifyReport:
         self.cells += other.cells
         self.instances += other.instances
         self.action_probes += other.action_probes
+        self.action_degree = max(self.action_degree, other.action_degree)
         self.string_probes += other.string_probes
         self.failures.extend(other.failures)
 
@@ -761,7 +749,9 @@ class VerifyReport:
         line = (
             f"{self.template_id}: {status} "
             f"(cells={self.cells}, instances={self.instances}, "
-            f"action probes={self.action_probes}, string probes={self.string_probes})"
+            f"action certificates={self.action_probes}, "
+            f"action degree={self.action_degree}, "
+            f"string probes={self.string_probes})"
         )
         if self.failures:
             line += "\n  " + "\n  ".join(self.failures[:10])
@@ -774,25 +764,27 @@ def _cell_label(cell: Dict[str, Fraction]) -> str:
     return "(" + ", ".join(f"{k}={v}" for k, v in cell.items()) + ")"
 
 
+def _degree(action: Dict[Fraction, Tuple[Fraction, ...]]) -> int:
+    return max((len(poly) - 1 for poly in action.values()), default=0)
+
+
 def verify_identity(
     template: IdentityTemplate,
     cells: Optional[Sequence[Dict[str, Fraction]]] = None,
     n_max: Optional[int] = None,
-    s_values: Optional[Sequence[Fraction]] = None,
     use_strings: bool = True,
     string_cap: int = 20,
 ) -> VerifyReport:
     """Exactly verify a template over a parameter grid.
 
-    Checks, per instance: uniform excess on both sides, equal monomial
-    action at every probe, and (for admissible sides short enough) equal
-    normal forms under the independent string-rewriting oracle.
+    Checks, per instance: uniform excess on both sides, equal symbolic
+    monomial action (one certificate in ``s``), and (for admissible sides
+    short enough) equal normal forms under the independent string-rewriting
+    oracle.
     """
     report = VerifyReport(template_id=template.id)
     if cells is None:
         cells = template.grid()
-    if s_values is None:
-        s_values = WC_PROBES if template.domain == "WC" else WTC_PROBES
     top = template.n_default if n_max is None else n_max
     n_values = range(template.n_min, top + 1) if template.uses_n else [template.n_default]
 
@@ -815,11 +807,14 @@ def verify_identity(
                         f"{where}: excess mismatch {el} vs {er}"
                     )
                     continue
-                for s in s_values:
-                    report.action_probes += 1
-                    if inst.lhs.act_on_monomial(s) != inst.rhs.act_on_monomial(s):
-                        report.failures.append(f"{where}: action differs at s={s}")
-                        break
+                left = inst.lhs.action_polynomials()
+                right = inst.rhs.action_polynomials()
+                report.action_probes += 1
+                report.action_degree = max(
+                    report.action_degree, _degree(left), _degree(right)
+                )
+                if left != right:
+                    report.failures.append(f"{where}: action differs")
                 if use_strings:
                     llen = inst.lhs.max_string_length()
                     rlen = inst.rhs.max_string_length()
@@ -884,12 +879,9 @@ def wc_admissibility_check(
 # ---------------------------------------------------------------------------
 
 
-def ttv_check(n_max: int = 8, s_values: Optional[Sequence[Fraction]] = None) -> bool:
+def ttv_check(n_max: int = 8) -> bool:
     """Exact check of the triple product power identity up to n_max."""
-    report = verify_identity(
-        TEMPLATES["ttv"], n_max=n_max, s_values=s_values or WTC_PROBES
-    )
-    return report.ok
+    return verify_identity(TEMPLATES["ttv"], n_max=n_max).ok
 
 
 def _he_polynomials(top: int) -> List[List[Fraction]]:
@@ -939,15 +931,10 @@ def hermite_identity_check(n_max: int = 12) -> bool:
     return True
 
 
-def adjoint_pairing_check(
-    cell: Dict[str, Fraction],
-    n_max: int = 4,
-    s_values: Optional[Sequence[Fraction]] = None,
-) -> bool:
+def adjoint_pairing_check(cell: Dict[str, Fraction], n_max: int = 4) -> bool:
     """The adjoint of both sides of the first re-expansion variant, at
     word parameters renamed by the swap L<->R, L'<->R', acts exactly like
     the fourth variant (up to the global sign (-1)^n)."""
-    probes = s_values or WTC_PROBES
     swapped = {"L": cell["R"], "R": cell["L"], "Lp": cell["Rp"], "Rp": cell["Lp"]}
     for n in range(n_max + 1):
         (inst_a,) = TEMPLATES["firstmain.2a"].build(cell, n)
@@ -958,7 +945,6 @@ def adjoint_pairing_check(
             (inst_a.rhs.adjoint(), inst_d.rhs.scaled(sign)),
         )
         for left, right in pairs:
-            for s in probes:
-                if left.act_on_monomial(s) != right.act_on_monomial(s):
-                    return False
+            if left.action_polynomials() != right.action_polynomials():
+                return False
     return True

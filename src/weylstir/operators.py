@@ -12,15 +12,18 @@ formal monomial ``x^s`` exactly:
 
     (x^L D x^R)^m : x^s  |->  prod_{j=0}^{m-1} (s + R + j e) * x^{s + m e}
 
-with ``e`` the excess, so identities between expressions can be certified by
-probing finitely many rational ``s`` (the action coefficients are polynomials
-in ``s`` of degree bounded by the word powers involved).
+with ``e`` the excess.  An expression's action is therefore a finite map
+``{exponent shift: polynomial in s}`` (:meth:`OperatorExpr.action_polynomials`),
+and two expressions are equal as operators on monomials exactly when these
+maps are equal: comparing them certifies an identity at every ``s``, at any
+degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .kernels import as_rational
@@ -32,9 +35,6 @@ __all__ = [
     "Factor",
     "OperatorExpr",
     "MixedExcessError",
-    "act_on_monomial",
-    "excess",
-    "adjoint",
 ]
 
 
@@ -131,7 +131,8 @@ class OperatorExpr:
         """Apply to ``x^s``; returns {exponent: coefficient}, zeros dropped.
 
         Factors apply right to left (the rightmost factor hits ``x^s``
-        first), matching operator composition.
+        first), matching operator composition.  This is the pointwise
+        reference for :meth:`action_polynomials`.
         """
         s = as_rational(s)
         collected: Dict[Fraction, Fraction] = {}
@@ -152,6 +153,66 @@ class OperatorExpr:
             if c:
                 collected[exp] = collected.get(exp, Fraction(0)) + c
         return {e: v for e, v in collected.items() if v}
+
+    def action_polynomials(self) -> Dict[Fraction, Tuple[Fraction, ...]]:
+        """Symbolic action on ``x^s``: {exponent shift: coefficients of a
+        polynomial in ``s``, constant term first}, zero polynomials dropped.
+
+        For every ``s``, ``act_on_monomial(s)`` sends ``x^s`` to the sum of
+        each polynomial's value at ``s`` times ``x^(s + shift)``, so equal
+        maps prove that two expressions act alike on every monomial.  The
+        arithmetic is fraction-free: with ``q`` the lcm of the exponent
+        denominators, a word power contributes integer linear factors
+        ``u + c`` in ``u = q s``; terms of one shift are summed over a
+        common denominator, and only the final coefficients are divided.
+        """
+        q = d = 1  # lcm of the exponent / coefficient denominators
+        top = 0  # highest degree of any term
+        for coeff, factors in self.terms:
+            d = lcm(d, coeff.denominator)
+            degree = 0
+            for factor in factors:
+                if isinstance(factor, XPower):
+                    q = lcm(q, factor.exp.denominator)
+                else:
+                    q = lcm(q, factor.word.L.denominator, factor.word.R.denominator)
+                    degree += factor.power
+            top = max(top, degree)
+
+        def scaled(x: Fraction) -> int:
+            return x.numerator * (q // x.denominator)
+
+        # shift (in units of 1/q) -> d q^top times the polynomial in u
+        sums: Dict[int, List[int]] = {}
+        for coeff, factors in self.terms:
+            shift = 0
+            poly = [coeff.numerator * (d // coeff.denominator)]
+            for factor in reversed(factors):
+                if isinstance(factor, XPower):
+                    shift += scaled(factor.exp)
+                    continue
+                r = scaled(factor.word.R)
+                e = scaled(factor.word.L) + r - q
+                c = shift + r
+                for _ in range(factor.power):
+                    poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+                    c += e
+                shift += factor.power * e
+            lift = q ** (top - len(poly) + 1)
+            acc = sums.setdefault(shift, [])
+            acc.extend([0] * (len(poly) - len(acc)))
+            for k, a in enumerate(poly):
+                acc[k] += lift * a
+        out: Dict[Fraction, Tuple[Fraction, ...]] = {}
+        denom = d * q**top
+        for shift, acc in sums.items():
+            while acc and not acc[-1]:
+                acc.pop()
+            if acc:
+                out[Fraction(shift, q)] = tuple(
+                    Fraction(a * q**k, denom) for k, a in enumerate(acc)
+                )
+        return out
 
     def excess(self) -> Optional[Fraction]:
         """Common excess of all terms (None for the zero expression);
@@ -270,21 +331,17 @@ def _is_unit(factor: Factor) -> bool:
     return factor.power == 0
 
 
-def _sup(value) -> str:
-    return str(value)
-
-
 def _render_factor(factor: Factor, style: str) -> str:
     if style == "adag":
         if isinstance(factor, XPower):
-            return "a†" if factor.exp == 1 else f"a†^{_sup(factor.exp)}"
+            return "a†" if factor.exp == 1 else f"a†^{factor.exp}"
         w = factor.word
         inner = []
         if w.L:
-            inner.append("a†" if w.L == 1 else f"a†^{_sup(w.L)}")
+            inner.append("a†" if w.L == 1 else f"a†^{w.L}")
         inner.append("a")
         if w.R:
-            inner.append("a†" if w.R == 1 else f"a†^{_sup(w.R)}")
+            inner.append("a†" if w.R == 1 else f"a†^{w.R}")
         body = " ".join(inner)
         if factor.power == 1:
             return f"({body})"
@@ -293,18 +350,3 @@ def _render_factor(factor: Factor, style: str) -> str:
         return "x" if factor.exp == 1 else f"x^{factor.exp}"
     w = factor.word
     return f"(x^{w.L} D x^{w.R})^{factor.power}"
-
-
-# -- module-level wrappers matching the operation names ----------------------
-
-
-def act_on_monomial(expr: OperatorExpr, s) -> Dict[Fraction, Fraction]:
-    return expr.act_on_monomial(s)
-
-
-def excess(expr: OperatorExpr) -> Optional[Fraction]:
-    return expr.excess()
-
-
-def adjoint(expr: OperatorExpr) -> OperatorExpr:
-    return expr.adjoint()

@@ -534,20 +534,6 @@ CLOSED_FORM_FAMILIES = (
     "E_vi",
 )
 
-# families where the free rational r (and possibly the stride beta) matters
-_R_FREE = {
-    "S_8F_iprime",
-    "S_8F_iiprime",
-    "S_8F_iiiprime",
-    "S_8F_ivprime",
-    "S_4F_v",
-    "S_4F_vi",
-    "E_i",
-    "E_ii",
-    "E_vi",
-}
-_BETA_FREE = {"S_8F_iprime", "S_8F_iiprime", "E_i", "E_ii"}
-
 
 def closed_form_params(family: str, r=0, beta=1):
     """The (kind, alpha, beta, r) tuple a family's closed form evaluates."""

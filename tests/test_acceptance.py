@@ -173,19 +173,20 @@ def test_criterion_4_egf_conformance():
 
 def test_criterion_5_operator_identity_catalog():
     failing = []
-    cells = instances = action = strings = 0
+    cells = instances = action = degree = strings = 0
     for tid in TEMPLATE_ORDER:
         report = verify_identity(TEMPLATES[tid])
         cells += report.cells
         instances += report.instances
         action += report.action_probes
+        degree = max(degree, report.action_degree)
         strings += report.string_probes
         if not report.ok:
             failing.append((tid, report.failures[:2]))
     ok = not failing
     _report(5, ok, f"all {len(TEMPLATE_ORDER)} identity templates pass "
                    f"({cells} cells, {instances} instances, {action} action "
-                   f"probes, {strings} string probes)")
+                   f"certificates up to degree {degree}, {strings} string probes)")
     assert ok, f"templates with counterexamples: {failing}"
 
 

@@ -118,6 +118,33 @@ def test_verify_counterexample_exit_one(capsys):
         del TEMPLATES["selftest.broken"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--template", "normord", "--range", "3..1"),
+    ("verify", "--template", "katriel.norm", "--n", "-3"),
+    ("verify", "--template", "sampleappl", "--n", "0"),
+    ("triangle", "--n", "-1"),
+    ("conjecture", "--n", "-2"),
+])
+def test_vacuous_or_negative_runs_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_bad_max_n_environment_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLSTIR_MAX_N", "abc")
+    code, _, err = run(capsys, "triangle", "--n", "3")
+    assert code == 2
+    assert err == "error: WEYLSTIR_MAX_N is not an integer: 'abc'\n"
+
+
+def test_verify_has_no_probe_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--template", "katriel.norm", "--s", "0"])
+    assert exc.value.code == 2
+
+
 def test_verify_json_and_range(capsys):
     code, out, _ = run(capsys, "verify", "--template", "lah_triple",
                        "--range", "0..2", "--n", "4", "--format", "json")
@@ -126,6 +153,8 @@ def test_verify_json_and_range(capsys):
     assert payload["ok"] is True
     assert payload["reports"][0]["template"] == "lah_triple"
     assert payload["reports"][0]["cells"] == 3
+    assert payload["reports"][0]["action_probes"] == payload["reports"][0]["instances"]
+    assert payload["reports"][0]["action_degree"] == 4
 
 
 def test_expand_coefficients(capsys):

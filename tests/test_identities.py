@@ -8,6 +8,7 @@ from weylstir.identities import (
     TEMPLATES,
     TEMPLATE_ORDER,
     IdentityTemplate,
+    TemplateInstance,
     adjoint_pairing_check,
     hermite_identity_check,
     normal_form,
@@ -68,8 +69,56 @@ def test_verify_identity_counts_probes():
     rep = verify_identity(TEMPLATES["katriel.norm"], n_max=5)
     assert rep.ok
     assert rep.instances == 6
-    assert rep.action_probes == 6 * 9
+    assert rep.action_probes == 6  # one symbolic certificate per instance
+    assert rep.action_degree == 5
     assert rep.string_probes == 6  # fully admissible and short
+
+
+def test_action_certificate_catches_a_term_the_old_probes_missed():
+    """x^10 D^10 sends x^s to s (s-1) ... (s-9) x^s, which vanishes at
+    s = 0..9; the action channel alone must still reject it at n = 10."""
+    base = TEMPLATES["katriel.norm"]
+
+    def bogus(p, n):
+        (inst,) = base.build(p, n)
+        extra = OperatorExpr.single(1, XPower(F(10)), WordPower(Word(F(0), F(0)), 10))
+        return [TemplateInstance(inst.lhs, inst.rhs + extra)]
+
+    template = IdentityTemplate(
+        id="katriel.bogus", domain="WC", params=(), build=bogus, grid=lambda: [{}],
+        n_min=10,
+    )
+    rep = verify_identity(template, n_max=10, use_strings=False)
+    assert not rep.ok
+    assert rep.failures == ["katriel.bogus() n=10: action differs"]
+    assert rep.action_degree == 10
+
+
+# the probe exponents of the former sampled action channel
+_WC_S = tuple(F(i) for i in range(9))
+_WTC_S = (F(0), F(1, 3), F(1), F(2), F(7, 2), F(-1, 2), F(5), F(-3), F(10, 3))
+
+
+def _evaluate(action, s):
+    out = {}
+    for shift, poly in action.items():
+        value = sum(c * s**k for k, c in enumerate(poly))
+        if value:
+            out[s + shift] = value
+    return out
+
+
+@pytest.mark.parametrize("tid", EXPECTED_IDS)
+def test_action_polynomials_match_pointwise_action(tid):
+    template = TEMPLATES[tid]
+    n = 4 if template.uses_n else template.n_default
+    probes = _WC_S if template.domain == "WC" else _WTC_S
+    for inst in template.build(template.grid()[0], n):
+        for side in (inst.lhs, inst.rhs):
+            action = side.action_polynomials()
+            assert all(poly and poly[-1] for poly in action.values())
+            for s in probes:
+                assert _evaluate(action, s) == side.act_on_monomial(s)
 
 
 def test_verify_spots_a_false_identity():

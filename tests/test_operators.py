@@ -118,3 +118,32 @@ def test_scaled():
     e = _expr(XPower(F(1)))
     assert e.scaled(F(2)).act_on_monomial(F(1)) == {F(2): F(2)}
     assert e.scaled(0).terms == ()
+
+
+def test_action_polynomials_simple_word():
+    # (x^3 D)^2 x^s = s (s + 2) x^(s + 4)
+    e = _expr(WordPower(Word(F(3), F(0)), 2))
+    assert e.action_polynomials() == {F(4): (F(0), F(2), F(1))}
+    assert (e + e.scaled(-1)).action_polynomials() == {}
+    assert OperatorExpr.zero().action_polynomials() == {}
+
+
+def test_action_polynomials_mixed_denominators_and_degrees():
+    """Terms of degree 2, 2, 1 and 0 share the shift -1/3; one more term has
+    its own shift.  Exponent and coefficient denominators all differ."""
+    e = OperatorExpr([
+        (F(3, 7), (WordPower(Word(F(1, 2), F(1, 3)), 2),)),
+        (F(-5, 2), (XPower(F(1, 3)), WordPower(Word(F(2, 3), F(0)), 2))),
+        (F(4, 9), (WordPower(Word(F(1, 2), F(1, 6)), 1),)),
+        (F(5), (XPower(F(-1, 3)),)),
+        (F(2, 5), (WordPower(Word(F(3, 4), F(-1, 4)), 3), XPower(F(1, 5)))),
+    ])
+    action = e.action_polynomials()
+    assert set(action) == {F(-1, 3), F(-13, 10)}
+    for s in (F(0), F(1, 3), F(-1, 2), F(7, 2), F(-3), F(10, 3), F(11, 6)):
+        pointwise = {}
+        for shift, poly in action.items():
+            value = sum(c * s**k for k, c in enumerate(poly))
+            if value:
+                pointwise[s + shift] = value
+        assert pointwise == e.act_on_monomial(s)
