@@ -10,8 +10,8 @@ Subcommands:
 
 Exit codes: 0 = all checks pass, 1 = mathematical counterexample found,
 2 = usage or parameter error.  The environment variable WEYLSTIR_MAX_N
-overrides the hard caps on ``--n`` (default 64 for triangle/expand work,
-10 for verification sweeps).
+overrides the hard caps on ``--n`` (default 64 for triangle/expand/conjecture
+work, 10 for verification sweeps).
 """
 
 from __future__ import annotations
@@ -197,7 +197,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_conjecture(args) -> int:
-    _check_n(args.n, None)
+    _check_n(args.n, _TRIANGLE_CAP)
+    if args.r_min > args.r_max:
+        raise UsageError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}: "
+                         "no cells to check")
     report = conjecture_check(n_max=args.n, r_min=args.r_min, r_max=args.r_max)
     stated = report.mismatches_stated
     trunc = report.mismatches_truncated

@@ -4,96 +4,42 @@ The bivariate EGFs are expanded as exact truncated power series in ``t``
 (marking the column) and ``z`` (marking the row, exponentially scaled):
 the coefficient of ``t^k z^n / n!`` reproduces the triangle entry.
 
-Rational exponents ``r/alpha`` and ``beta/alpha`` are expanded through the
-generalized binomial series; in the ``alpha -> 0`` limit the binomial power
-``(1 + alpha z)^{c/alpha}`` is replaced by ``exp(c z)``.  Everything is a
-Fraction; the expansions are exact to the requested truncation order.
+Every series in ``z`` is stored EGF-normalised and fraction-free: with the
+parameters scaled to integers ``(A, B, R) = q (alpha, beta, r)`` over their
+common denominator ``q``, entry ``m`` holds the integer ``m! q^m [z^m]``.
+The binomial power ``(1 + alpha z)^{c/alpha}`` is then
+``strided_falling(q c, m, A)`` at ``z^m``, which is also its ``alpha -> 0``
+limit ``exp(c z)``; a product of two series is their binomial convolution.
+Each entry is divided by ``q^n`` once, at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import comb
 from typing import List
 
-from .kernels import as_rational, binomial_general
+from .kernels import scale_params, strided_falling
 
 __all__ = ["egf_coefficients"]
 
 
-def _zpoly_mul(p: List[Fraction], q: List[Fraction], deg: int) -> List[Fraction]:
-    out = [Fraction(0)] * (deg + 1)
-    for i, a in enumerate(p):
-        if not a or i > deg:
-            continue
-        for j, b in enumerate(q):
-            if i + j > deg:
-                break
-            if b:
-                out[i + j] += a * b
-    return out
+def _binomial_power(c: int, a: int, deg: int) -> List[int]:
+    """``(1 + a z)^{c/a}`` (``exp(c z)`` at ``a = 0``), EGF-normalised."""
+    return [strided_falling(c, m, a) for m in range(deg + 1)]
 
 
-def _binomial_power_z(c: Fraction, scale: Fraction, deg: int) -> List[Fraction]:
-    """(1 + scale*z)^c as a z-polynomial mod z^(deg+1)."""
-    return [binomial_general(c, m) * scale**m for m in range(deg + 1)]
+def _egf_mul(f: List[int], g: List[int]) -> List[int]:
+    """Product of two EGF-normalised series of one length."""
+    return [
+        sum(comb(m, j) * f[j] * g[m - j] for j in range(m + 1))
+        for m in range(len(f))
+    ]
 
 
-def _exp_z(c: Fraction, deg: int) -> List[Fraction]:
-    """exp(c*z) mod z^(deg+1)."""
-    return [Fraction(c**m, factorial(m)) for m in range(deg + 1)]
-
-
-# -- bivariate helpers: coeffs[i][m] is the coefficient of t^i z^m ----------
-
-
-def _biv_zero(deg_t: int, deg_z: int):
-    return [[Fraction(0)] * (deg_z + 1) for _ in range(deg_t + 1)]
-
-
-def _biv_mul(p, q, deg_t: int, deg_z: int):
-    out = _biv_zero(deg_t, deg_z)
-    for i in range(deg_t + 1):
-        prow = p[i]
-        for m in range(deg_z + 1):
-            a = prow[m]
-            if not a:
-                continue
-            for i2 in range(deg_t + 1 - i):
-                qrow = q[i2]
-                orow = out[i + i2]
-                for m2 in range(deg_z + 1 - m):
-                    b = qrow[m2]
-                    if b:
-                        orow[m + m2] += a * b
-    return out
-
-
-def _biv_power_of_one_plus_u(c: Fraction, alpha: Fraction, deg_t: int, deg_z: int):
-    """(1 + alpha z (1 - t))^c, using u^m = alpha^m z^m (1-t)^m directly;
-    for alpha == 0 pass c already divided out, see _biv_exp_z_one_minus_t."""
-    out = _biv_zero(deg_t, deg_z)
-    for m in range(deg_z + 1):
-        coeff = binomial_general(c, m) * alpha**m
-        if not coeff:
-            continue
-        for i in range(min(m, deg_t) + 1):
-            sign = -1 if i % 2 else 1
-            out[i][m] += coeff * sign * binomial_general(Fraction(m), i)
-    return out
-
-
-def _biv_exp_z_one_minus_t(c: Fraction, deg_t: int, deg_z: int):
-    """exp(c z (1 - t)) expanded exactly."""
-    out = _biv_zero(deg_t, deg_z)
-    for m in range(deg_z + 1):
-        coeff = Fraction(c**m, factorial(m))
-        if not coeff:
-            continue
-        for i in range(min(m, deg_t) + 1):
-            sign = -1 if i % 2 else 1
-            out[i][m] += coeff * sign * binomial_general(Fraction(m), i)
-    return out
+def _in_one_minus_t(f: List[int], i: int) -> List[int]:
+    """The ``t^i`` coefficient of ``f(z (1 - t))``, a series in ``z``."""
+    return [(-1) ** i * comb(m, i) * c for m, c in enumerate(f)]
 
 
 def egf_coefficients(kind: str, alpha, beta, r, deg_t: int, deg_z: int):
@@ -106,61 +52,30 @@ def egf_coefficients(kind: str, alpha, beta, r, deg_t: int, deg_z: int):
     """
     if kind not in ("Shat", "E"):
         raise ValueError("egf_coefficients supports kinds 'Shat' and 'E'")
-    a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    if b == 0:
+    q, (A, B, R) = scale_params(alpha, beta, r)
+    if B == 0:
         raise ValueError("egf_coefficients requires beta != 0")
+    F = _binomial_power(R, A, deg_z)
+    G = _binomial_power(B, A, deg_z)
 
     if kind == "Shat":
-        # A(z) / (1 - t (B(z) - 1)) with A = (1+az)^{r/a}, B = (1+az)^{b/a}
-        if a == 0:
-            A = _exp_z(rr, deg_z)
-            B = _exp_z(b, deg_z)
-        else:
-            A = _binomial_power_z(rr / a, a, deg_z)
-            B = _binomial_power_z(b / a, a, deg_z)
-        B1 = list(B)
-        B1[0] -= 1  # B - 1 has zero constant term, so powers gain z-order
-        cols = []
-        cur = A
-        for _ in range(deg_t + 1):
-            cols.append(cur)
-            cur = _zpoly_mul(cur, B1, deg_z)
-        return [
-            [factorial(n) * cols[k][n] for k in range(deg_t + 1)]
-            for n in range(deg_z + 1)
-        ]
-
-    # E kind: (1 - t) F / (1 - t G), F = (1+az(1-t))^{r/a}, G = (...)^{b/a}
-    if a == 0:
-        F = _biv_exp_z_one_minus_t(rr, deg_t, deg_z)
-        G = _biv_exp_z_one_minus_t(b, deg_t, deg_z)
+        # [t^k] of F / (1 - t (G - 1)) is F (G - 1)^k
+        G[0] -= 1
+        cols = [F]
+        for _ in range(deg_t):
+            cols.append(_egf_mul(cols[-1], G))
     else:
-        F = _biv_power_of_one_plus_u(rr / a, a, deg_t, deg_z)
-        G = _biv_power_of_one_plus_u(b / a, a, deg_t, deg_z)
-
-    # geometric sum H = sum_k (t G)^k; t-degree of (tG)^k is at least k
-    tG = _biv_zero(deg_t, deg_z)
-    for i in range(deg_t):
-        for m in range(deg_z + 1):
-            tG[i + 1][m] = G[i][m]
-    H = _biv_zero(deg_t, deg_z)
-    term = _biv_zero(deg_t, deg_z)
-    term[0][0] = Fraction(1)
-    for _ in range(deg_t + 1):
+        # T = (1 - t) F(z (1 - t)) / (1 - t G(z (1 - t))) solves
+        # T = (1 - t) F(z (1 - t)) + t G(z (1 - t)) T, one t-degree at a time
+        Fs = [_in_one_minus_t(F, i) for i in range(deg_t + 1)]
+        Gs = [_in_one_minus_t(G, i) for i in range(deg_t)]
+        cols = []
         for i in range(deg_t + 1):
-            for m in range(deg_z + 1):
-                H[i][m] += term[i][m]
-        term = _biv_mul(term, tG, deg_t, deg_z)
-
-    FH = _biv_mul(F, H, deg_t, deg_z)
-    # multiply by (1 - t)
-    total = _biv_zero(deg_t, deg_z)
-    for i in range(deg_t + 1):
-        for m in range(deg_z + 1):
-            total[i][m] += FH[i][m]
-            if i + 1 <= deg_t:
-                total[i + 1][m] -= FH[i][m]
+            col = Fs[i] if i == 0 else [x - y for x, y in zip(Fs[i], Fs[i - 1])]
+            for j in range(i):
+                col = [x + y for x, y in zip(col, _egf_mul(Gs[i - 1 - j], cols[j]))]
+            cols.append(col)
     return [
-        [factorial(n) * total[k][n] for k in range(deg_t + 1)]
+        [Fraction(cols[k][n], q**n) for k in range(deg_t + 1)]
         for n in range(deg_z + 1)
     ]

@@ -1,20 +1,27 @@
 """Exact scalar kernels: strided factorial powers, generalized binomials,
-and a desingularized terminating Gauss sum.
+a desingularized terminating Gauss sum, and the common-denominator scaling
+of rational parameters.
 
-Everything here is pure and exact.  "Scalar" means a :class:`fractions.Fraction`
-or any commutative-ring element supporting ``+``, ``-`` and ``*`` with itself
-and with ``int`` (in particular :class:`weylstir.poly.ParamPoly`).  No floats,
-ever.
+Everything here is pure and exact.  "Scalar" means an ``int``, a
+:class:`fractions.Fraction` or any commutative-ring element supporting ``+``,
+``-`` and ``*`` with itself and with ``int`` (in particular
+:class:`weylstir.poly.ParamPoly`).  No floats, ever.
+
+The numeric schemes call these kernels on integers: :func:`scale_params`
+turns rational parameters into integers over one common denominator ``q``,
+and a quantity homogeneous of degree ``d`` in the parameters is then an
+integer over ``q^d``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
-from typing import Union
+from math import comb, factorial, lcm
+from typing import Tuple, Union
 
 __all__ = [
     "as_rational",
+    "scale_params",
     "binomial",
     "binomial_general",
     "factorial",
@@ -37,11 +44,28 @@ def as_rational(value: Union[int, str, Fraction]) -> Fraction:
         as_rational("3/4")  -> Fraction(3, 4)
         as_rational(-2)     -> Fraction(-2, 1)
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted; use 'p/q' strings or Fraction")
     if isinstance(value, str) and ("." in value or "e" in value.lower()):
         raise ValueError(f"not an exact rational literal: {value!r}")
     return Fraction(value)
+
+
+def scale_params(*params) -> Tuple[int, Tuple[int, ...]]:
+    """The common denominator ``q`` of rational ``params`` and the integers
+    ``q * p``::
+
+        scale_params("1/2", 3, "-2/3")  -> (6, (3, 18, -4))
+
+    A polynomial with integer coefficients that is homogeneous of degree
+    ``d`` in the parameters takes the value ``P(q * params) / q^d``; the
+    numeric schemes evaluate ``P`` on these integers and divide once.
+    """
+    rationals = [as_rational(p) for p in params]
+    q = lcm(*(p.denominator for p in rationals))
+    return q, tuple(p.numerator * (q // p.denominator) for p in rationals)
 
 
 def binomial(n: int, k: int) -> int:
@@ -116,7 +140,7 @@ def rising(r, m: int):
     return strided_rising(r, m, 1)
 
 
-def hyp2f1_hat(N: int, b, c, z):
+def hyp2f1_hat(N: int, b, c, z, stride=1):
     """Desingularized terminating Gauss sum.
 
     For natural ``N`` and scalars ``b``, ``c``, ``z``::
@@ -128,14 +152,18 @@ def hyp2f1_hat(N: int, b, c, z):
     including the nonpositive integers where 2F1 itself is singular.  The
     ``k``-th numerator ``rising(-N, k) / k!`` has been folded into the signed
     binomial, so no division occurs and the result stays in the scalar ring.
+
+    With a ``stride`` ``q``, ``b`` is taken as scaled by ``q``: the result is
+    ``q^N`` times the sum at ``b / q``, computed without division through
+    ``q^k rising(b / q, k) == strided_rising(b, k, q)``.
     """
     if N < 0:
         raise ValueError(f"series order must be a natural number, got {N}")
     total = 0
     zk = 1
     for k in range(N + 1):
-        term = ((-1) ** k * binomial(N, k)) * rising(b, k)
-        term = term * rising(c + k, N - k)
+        term = ((-1) ** k * binomial(N, k)) * strided_rising(b, k, stride)
+        term = term * stride ** (N - k) * rising(c + k, N - k)
         total = total + term * zk
         zk = zk * z
     return total

@@ -15,18 +15,18 @@ Tags:
 - ``SignedDescents``: signed permutations with k descents, where position 0
   carries a virtual 0 (the hyperoctahedral convention).
 
-The signed enumeration walks all ``2^n n!`` signed words; numpy is used only
-to vectorize that walk with exact int64 counts.
+The signed count does not walk the ``2^n n!`` signed words one by one: it
+counts them exactly, letter by letter, over the states (letters used, last
+signed letter, descents so far).  Like the others it never touches the
+triangle recurrence.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import permutations
 from math import factorial
 from typing import Dict, Tuple
-
-import numpy as np
 
 COMBINATORIAL_TAGS = (
     "SubsetPartitions",
@@ -109,17 +109,23 @@ def _descent_dist(n: int) -> Tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _signed_descent_dist(n: int) -> Tuple[int, ...]:
-    counts = np.zeros(n + 1, dtype=np.int64)
-    if n == 0:
-        return (1,)
-    perms = np.array(list(permutations(range(1, n + 1))), dtype=np.int64)
-    for signs in product((1, -1), repeat=n):
-        signed = perms * np.array(signs, dtype=np.int64)
-        des = (signed[:, 0] < 0).astype(np.int64)
-        if n > 1:
-            des += np.sum(signed[:, 1:] < signed[:, :-1], axis=1)
-        counts += np.bincount(des, minlength=n + 1)
-    return tuple(int(c) for c in counts)
+    # words[(used, last, descents)]: signed words on the letter set ``used``
+    # (a bit mask) ending in ``last``, after the virtual leading 0
+    words: Dict[Tuple[int, int, int], int] = {(0, 0, 0): 1}
+    for _ in range(n):
+        longer: Dict[Tuple[int, int, int], int] = {}
+        for (used, last, des), count in words.items():
+            for v in range(1, n + 1):
+                if used >> v & 1:
+                    continue
+                for w in (v, -v):
+                    key = (used | 1 << v, w, des + (last > w))
+                    longer[key] = longer.get(key, 0) + count
+        words = longer
+    counts = [0] * (n + 1)
+    for (_, _, des), count in words.items():
+        counts[des] += count
+    return tuple(counts)
 
 
 _DISPATCH = {

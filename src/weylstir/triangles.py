@@ -17,8 +17,15 @@ Three triangle kinds are supported, all indexed by row ``n`` and column
 Several independent construction schemes are provided (triangular recurrence,
 explicit alternating sums, binomial transforms between ``Shat`` and ``E``
 rows, and a decomposition through the classical Stirling triangles) so they
-can be cross-checked against each other exactly.  All arithmetic is exact:
-entries are ``fractions.Fraction`` values, or ``ParamPoly`` in symbolic mode.
+can be cross-checked against each other exactly.  All arithmetic is exact.
+
+Every entry is a polynomial with integer coefficients in ``(alpha, beta, r)``,
+homogeneous of degree ``n - k`` for ``S`` and of degree ``n`` for ``Shat`` and
+``E``.  The numeric schemes therefore scale the parameters to integers over
+one common denominator ``q`` (:func:`weylstir.kernels.scale_params`), compute
+in Python ``int``, and divide each entry by ``q^degree`` once at the end.
+``Triangle`` entries are exact ``fractions.Fraction`` values, or ``ParamPoly``
+in symbolic mode.
 """
 
 from __future__ import annotations
@@ -35,6 +42,7 @@ from .kernels import (
     binomial,
     hyp2f1_hat,
     rising,
+    scale_params,
     strided_falling,
     strided_rising,
 )
@@ -175,6 +183,40 @@ def _freeze(rows: Iterable[Iterable[Scalar]]) -> Tuple[Tuple[Scalar, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def _unscale(kind: str, q: int, rows) -> Tuple[Tuple[Fraction, ...], ...]:
+    """Integer rows of ``kind`` computed at the parameters scaled by ``q``,
+    divided back: entry (n, k) by ``q^(n-k)`` for S, by ``q^n`` otherwise."""
+    qpow = [q**d for d in range(len(rows))]
+    if kind == "S":
+        return tuple(
+            tuple(Fraction(v, qpow[n - k]) for k, v in enumerate(row))
+            for n, row in enumerate(rows)
+        )
+    return tuple(tuple(Fraction(v, qpow[n]) for v in row) for n, row in enumerate(rows))
+
+
+def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
+    """The inverse of :func:`_unscale`: the entries of a numeric triangle
+    times ``q^degree``, as ints whenever they are (always, for a triangle
+    built by this module at parameters whose denominators divide ``q``)."""
+    out = []
+    for n, row in enumerate(tri.rows):
+        scaled = []
+        for k, v in enumerate(row):
+            num, den = v.numerator * q ** (n - k if tri.kind == "S" else n), v.denominator
+            scaled.append(num // den if num % den == 0 else Fraction(num, den))
+        out.append(scaled)
+    return out
+
+
+def _scaled_triple(alpha, beta, r):
+    """``(a, b, r)`` as rationals, their common denominator ``q`` and the
+    integers ``q * (a, b, r)``."""
+    a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
+    q, ints = scale_params(a, b, rr)
+    return (a, b, rr), q, ints
+
+
 # ---------------------------------------------------------------------------
 # scheme 1: triangular recurrence
 # ---------------------------------------------------------------------------
@@ -204,7 +246,8 @@ def _recurrence_rows(kind: str, a, b, r, N: int, one) -> List[List[Scalar]]:
 
 @lru_cache(maxsize=4096)
 def _recurrence_rows_cached(kind: str, a: Fraction, b: Fraction, r: Fraction, N: int):
-    return _freeze(_recurrence_rows(kind, a, b, r, N, Fraction(1)))
+    q, (A, B, R) = scale_params(a, b, r)
+    return _unscale(kind, q, _recurrence_rows(kind, A, B, R, N, 1))
 
 
 def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
@@ -248,7 +291,24 @@ def _falling_power_table(alpha, beta, r, X: int, N: int):
     return table
 
 
-def entry_by_sum(kind: str, n: int, k: int, alpha, beta, r) -> Scalar:
+def _alternating_sum(kind: str, n: int, k: int, table) -> int:
+    """Entry (n, k) of ``Shat`` or ``E`` from the falling-power table:
+    ``sum_x (-1)^(k-x) w(x) table[x][n]`` with ``w = C(k, x)`` for ``Shat``
+    and ``w = C(n+1, k-x)`` for ``E``."""
+    total = 0
+    for x in range(k + 1):
+        weight = binomial(k, x) if kind == "Shat" else binomial(n + 1, k - x)
+        total += (-weight if (k - x) % 2 else weight) * table[x][n]
+    return total
+
+
+def _sum_rows(kind: str, A: int, B: int, R: int, N: int) -> List[List[int]]:
+    """Integer rows 0..N by the explicit sums at the scaled parameters."""
+    table = _falling_power_table(A, B, R, N, N)
+    return [[_alternating_sum(kind, n, k, table) for k in range(n + 1)] for n in range(N + 1)]
+
+
+def entry_by_sum(kind: str, n: int, k: int, alpha, beta, r) -> Fraction:
     """Single entry from the explicit alternating sum.
 
     ``kind`` must be ``"Shat"`` or ``"E"`` (the unmodified ``S`` entries
@@ -258,33 +318,17 @@ def entry_by_sum(kind: str, n: int, k: int, alpha, beta, r) -> Scalar:
         raise ValueError("entry_by_sum supports kinds 'Shat' and 'E'")
     if k < 0 or k > n:
         raise ValueError(f"index (n, k) = ({n}, {k}) outside 0 <= k <= n")
-    table = _falling_power_table(alpha, beta, r, k, n)
-    total = 0
-    for x in range(k + 1):
-        sign = -1 if (k - x) % 2 else 1
-        weight = binomial(k, x) if kind == "Shat" else binomial(n + 1, k - x)
-        total = total + (sign * weight) * table[x][n]
-    return total
+    _, q, (A, B, R) = _scaled_triple(alpha, beta, r)
+    table = _falling_power_table(A, B, R, k, n)
+    return Fraction(_alternating_sum(kind, n, k, table), q**n)
 
 
 def triangle_by_sum(kind: str, alpha, beta, r, N: int) -> Triangle:
     """All rows 0..N from the explicit sums, sharing one falling-power table."""
     if kind not in ("Shat", "E"):
         raise ValueError("triangle_by_sum supports kinds 'Shat' and 'E'")
-    a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    table = _falling_power_table(a, b, rr, N, N)
-    rows = []
-    for n in range(N + 1):
-        row = []
-        for k in range(n + 1):
-            total = Fraction(0)
-            for x in range(k + 1):
-                sign = -1 if (k - x) % 2 else 1
-                weight = binomial(k, x) if kind == "Shat" else binomial(n + 1, k - x)
-                total += (sign * weight) * table[x][n]
-            row.append(total)
-        rows.append(row)
-    return Triangle(kind, a, b, rr, _freeze(rows))
+    params, q, ints = _scaled_triple(alpha, beta, r)
+    return Triangle(kind, *params, _unscale(kind, q, _sum_rows(kind, *ints, N)))
 
 
 def shat_from_s_row(row: Sequence[Scalar], beta) -> List[Scalar]:
@@ -330,9 +374,9 @@ def triangle_by_transform(kind: str, alpha, beta, r, N: int) -> Triangle:
         raise ValueError("triangle_by_transform supports kinds 'Shat' and 'E'")
     dual_kind = "E" if kind == "Shat" else "Shat"
     direction = "EToShat" if kind == "Shat" else "ShatToE"
-    dual = triangle_by_sum(dual_kind, alpha, beta, r, N)
-    rows = [binomial_transform(dual.rows[n], direction) for n in range(N + 1)]
-    return Triangle(kind, dual.alpha, dual.beta, dual.r, _freeze(rows))
+    params, q, ints = _scaled_triple(alpha, beta, r)
+    rows = [binomial_transform(row, direction) for row in _sum_rows(dual_kind, *ints, N)]
+    return Triangle(kind, *params, _unscale(kind, q, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +392,8 @@ def triangle_product(left: Triangle, right: Triangle) -> Triangle:
     """
     if left.kind != "S" or right.kind != "S":
         raise ValueError("triangle_product is defined for S-kind triangles")
+    if left.is_symbolic or right.is_symbolic:
+        raise ValueError("triangle_product is defined for numeric triangles")
     if left.beta != right.alpha:
         raise ValueError(
             f"inner parameters disagree: {left.beta} (left beta) vs "
@@ -355,17 +401,15 @@ def triangle_product(left: Triangle, right: Triangle) -> Triangle:
         )
     if left.N != right.N:
         raise ValueError("triangle sections must have matching size")
-    N = left.N
-    rows = []
-    for n in range(N + 1):
-        row = []
-        for k in range(n + 1):
-            total = 0
-            for j in range(k, n + 1):
-                total = total + left.rows[n][j] * right.rows[j][k]
-            row.append(total)
-        rows.append(row)
-    return Triangle("S", left.alpha, right.beta, left.r + right.r, _freeze(rows))
+    # entry (n, j) of left times q^(n-j) and (j, k) of right times q^(j-k)
+    # make each term of the product entry (n, k) q^(n-k) times its value
+    q, _ = scale_params(left.alpha, left.beta, left.r, right.beta, right.r)
+    lrows, rrows = _scaled_rows(left, q), _scaled_rows(right, q)
+    rows = [
+        [sum(lrows[n][j] * rrows[j][k] for j in range(k, n + 1)) for k in range(n + 1)]
+        for n in range(left.N + 1)
+    ]
+    return Triangle("S", left.alpha, right.beta, left.r + right.r, _unscale("S", q, rows))
 
 
 def identity_triangle(alpha, N: int) -> Triangle:
@@ -383,16 +427,15 @@ def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
     ``V[n][x] = (beta x + r)^{falling n, alpha}`` as L * D * U with
     L the S triangle, D = diag(beta^k k!) and U the transposed Pascal matrix.
     """
-    a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    tri = build_recurrence("S", a, b, rr, N)
-    table = _falling_power_table(a, b, rr, N, N)
+    # at the parameters scaled by q both sides are q^n times their value
+    params, q, (A, B, R) = _scaled_triple(alpha, beta, r)
+    rows = _scaled_rows(build_recurrence("S", *params, N), q)
+    table = _falling_power_table(A, B, R, N, N)
+    diag = [B**k * factorial(k) for k in range(N + 1)]
     for n in range(N + 1):
         for x in range(N + 1):
-            lhs = table[x][n]
-            rhs = Fraction(0)
-            for k in range(min(n, x) + 1):
-                rhs += tri.rows[n][k] * b**k * factorial(k) * binomial(x, k)
-            if lhs != rhs:
+            rhs = sum(rows[n][k] * diag[k] * binomial(x, k) for k in range(min(n, x) + 1))
+            if table[x][n] != rhs:
                 return False
     return True
 
@@ -416,44 +459,56 @@ def reflection_check(alpha, beta, r, N: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _subset_rows(N: int):
-    rows = [[1]]
+def _classical_rows(N: int, cycles: bool):
+    """Rows 0..N of the classical subset (``cycles=False``) or unsigned cycle
+    (``cycles=True``) Stirling triangle, by
+    ``row[k] = prev[k-1] + w prev[k]`` with ``w = k`` or ``w = n``."""
+    rows = [(1,)]
     for n in range(N):
-        prev = rows[-1]
-        row = [0] * (n + 2)
-        for k in range(n + 2):
-            row[k] = (prev[k - 1] if 1 <= k else 0) + k * (prev[k] if k <= n else 0)
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
-
-
-@lru_cache(maxsize=None)
-def _cycle_rows(N: int):
-    rows = [[1]]
-    for n in range(N):
-        prev = rows[-1]
-        row = [0] * (n + 2)
-        for k in range(n + 2):
-            row[k] = (prev[k - 1] if 1 <= k else 0) + n * (prev[k] if k <= n else 0)
-        rows.append(row)
-    return tuple(tuple(r) for r in rows)
+        prev = rows[-1] + (0,)
+        rows.append(tuple(
+            (prev[k - 1] if k else 0) + (n if cycles else k) * prev[k] for k in range(n + 2)
+        ))
+    return tuple(rows)
 
 
 def stirling_subset(n: int, k: int) -> int:
     """Classical subset-partition Stirling number (second kind)."""
     if k < 0 or k > n:
         return 0
-    return _subset_rows(n)[n][k]
+    return _classical_rows(n, False)[n][k]
 
 
 def stirling_cycle(n: int, k: int) -> int:
     """Classical unsigned cycle Stirling number (first kind)."""
     if k < 0 or k > n:
         return 0
-    return _cycle_rows(n)[n][k]
+    return _classical_rows(n, True)[n][k]
 
 
-def decompose_classical(n: int, k: int, alpha, beta, r) -> Scalar:
+def _decomposition_entry(n: int, k: int, apow, bpow, rpow, cyc, sub) -> int:
+    """The double sum of :func:`decompose_classical` from power tables
+    ``apow[i] = (-alpha)^i``, ``bpow[i] = beta^i``, ``rpow[i] = r^i`` (so
+    ``0^0 = 1``) and classical rows ``cyc``/``sub`` reaching row ``n``."""
+    total = 0
+    for j in range(k, n + 1):
+        c = cyc[n][j]
+        if not c:
+            continue
+        for p in range(k, j + 1):
+            s = sub[p][k]
+            if s:
+                total += c * binomial(j, p) * s * apow[n - j] * rpow[j - p] * bpow[p - k]
+    return total
+
+
+def _decomposition_tables(A: int, B: int, R: int, N: int):
+    """The integer power tables and classical rows for rows up to ``N``."""
+    return ([(-A) ** i for i in range(N + 1)], [B**i for i in range(N + 1)],
+            [R**i for i in range(N + 1)], _classical_rows(N, True), _classical_rows(N, False))
+
+
+def decompose_classical(n: int, k: int, alpha, beta, r) -> Fraction:
     """Single S entry through the classical cycle/subset triangles:
 
     ``sum_{j=k}^{n} sum_{p=k}^{j} (-alpha)^{n-j} c(n,j) r^{j-p} C(j,p)
@@ -464,51 +519,16 @@ def decompose_classical(n: int, k: int, alpha, beta, r) -> Scalar:
     """
     if k < 0 or k > n:
         raise ValueError(f"index (n, k) = ({n}, {k}) outside 0 <= k <= n")
-    total = 0
-    for j in range(k, n + 1):
-        cyc = stirling_cycle(n, j)
-        if not cyc:
-            continue
-        apow = (-alpha) ** (n - j) if n - j else 1
-        for p in range(k, j + 1):
-            sub = stirling_subset(p, k)
-            if not sub:
-                continue
-            rpow = r ** (j - p) if j - p else 1
-            bpow = beta ** (p - k) if p - k else 1
-            total = total + (cyc * binomial(j, p) * sub) * apow * rpow * bpow
-    return total
+    _, q, (A, B, R) = _scaled_triple(alpha, beta, r)
+    return Fraction(_decomposition_entry(n, k, *_decomposition_tables(A, B, R, n)), q ** (n - k))
 
 
 def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
     """All S rows 0..N via the classical decomposition, with power caches."""
-    a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    apow = [Fraction(1)]
-    bpow = [Fraction(1)]
-    rpow = [Fraction(1)]
-    for _ in range(N):
-        apow.append(apow[-1] * -a)
-        bpow.append(bpow[-1] * b)
-        rpow.append(rpow[-1] * rr)
-    cyc = _cycle_rows(N)
-    sub = _subset_rows(N)
-    rows = []
-    for n in range(N + 1):
-        row = []
-        for k in range(n + 1):
-            total = Fraction(0)
-            for j in range(k, n + 1):
-                c = cyc[n][j]
-                if not c:
-                    continue
-                for p in range(k, j + 1):
-                    s = sub[p][k]
-                    if not s:
-                        continue
-                    total += (c * binomial(j, p) * s) * apow[n - j] * rpow[j - p] * bpow[p - k]
-            row.append(total)
-        rows.append(row)
-    return Triangle("S", a, b, rr, _freeze(rows))
+    params, q, (A, B, R) = _scaled_triple(alpha, beta, r)
+    tables = _decomposition_tables(A, B, R, N)
+    rows = [[_decomposition_entry(n, k, *tables) for k in range(n + 1)] for n in range(N + 1)]
+    return Triangle("S", *params, _unscale("S", q, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -571,13 +591,16 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
     fixed-parameter ones; ``beta`` is honored only by the four families with
     a free stride (S_8F_iprime, S_8F_iiprime, E_i, E_ii).  The (zeta, p)
     Eulerian family ``E_vi`` requires an integer ``r >= 1``.
+
+    The families with a free parameter compute one integer numerator at
+    ``(R, B) = q (r, beta)`` over ``q^d`` (``d = n - k``), ``(2q)^d`` or
+    ``q^n``.
     """
     if family not in CLOSED_FORM_FAMILIES:
         raise ValueError(f"unknown closed-form family {family!r}")
     if k < 0 or k > n:
         return Fraction(0)
-    rr = as_rational(r)
-    b = as_rational(beta)
+    q, (R, B) = scale_params(r, beta)
     d = n - k
 
     if family == "S_8F_i":
@@ -589,21 +612,27 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
     if family == "S_8F_iv":
         return Fraction(rising(n, d) * rising(k, d), factorial(d) * 2**d)
     if family == "S_8F_iprime":
-        return binomial(n, k) * strided_falling(rr, d, b)
+        return Fraction(binomial(n, k) * strided_falling(R, d, B), q**d)
     if family == "S_8F_iiprime":
-        return binomial(n, k) * strided_rising(b * k + rr, d, b)
+        return Fraction(binomial(n, k) * strided_rising(B * k + R, d, B), q**d)
     if family == "S_8F_iiiprime":
-        return Fraction(binomial(n, k), 2**d) * hyp2f1_hat(d, -rr, -n + 2 * k + 1, 2)
+        num = hyp2f1_hat(d, -R, -n + 2 * k + 1, 2, q)
+        return Fraction(binomial(n, k) * num, (2 * q) ** d)
     if family == "S_8F_ivprime":
-        return Fraction(binomial(n, k), (-2) ** d) * hyp2f1_hat(d, rr - 1, -2 * n + k, 2)
+        num = hyp2f1_hat(d, R - q, -2 * n + k, 2, q)
+        return Fraction(binomial(n, k) * num, (-2 * q) ** d)
     if family == "S_4F_v":
-        return Fraction(binomial(n, k), 2**d) * hyp2f1_hat(d, -n - rr + 1, -n + 2 * k + 1, 2)
+        num = hyp2f1_hat(d, (1 - n) * q - R, -n + 2 * k + 1, 2, q)
+        return Fraction(binomial(n, k) * num, (2 * q) ** d)
     if family == "S_4F_vi":
-        return Fraction(binomial(n, k), 2**d) * hyp2f1_hat(d, -2 * n - rr + 1, -2 * n + k, 2)
+        num = hyp2f1_hat(d, (1 - 2 * n) * q - R, -2 * n + k, 2, q)
+        return Fraction(binomial(n, k) * num, (2 * q) ** d)
     if family == "E_i":
-        return binomial(n, k) * strided_falling(rr, d, b) * strided_falling(b * n - rr, k, b)
+        num = strided_falling(R, d, B) * strided_falling(B * n - R, k, B)
+        return Fraction(binomial(n, k) * num, q**n)
     if family == "E_ii":
-        return binomial(n, k) * strided_rising(b * k + rr, d, b) * strided_falling(b - rr, k, b)
+        num = strided_rising(B * k + R, d, B) * strided_falling(B - R, k, B)
+        return Fraction(binomial(n, k) * num, q**n)
     if family == "E_iii":
         if k == 0:
             return Fraction(1 if n == 0 else 0)
@@ -613,19 +642,20 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
     if family == "E_v":
         return Fraction(factorial(n) * binomial(n + 1, 2 * k + 1))
     # E_vi: r = 2 - zeta + 2 p with zeta in {0, 1}, p natural, i.e. integer r >= 1
+    rr = as_rational(r)
     if rr.denominator != 1 or rr < 1:
         raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
     rint = int(rr)
     zeta = 1 if rint % 2 else 0
     p = (rint - 2 + zeta) // 2
-    value = Fraction(factorial(n) * binomial(n + 1, 2 * k + 2 * p + 1 - zeta))
-    corr = Fraction(0)
+    value = factorial(n) * binomial(n + 1, 2 * k + 2 * p + 1 - zeta)
+    corr = 0
     for ell in range(p):
         sign = -1 if ell % 2 else 1
         corr += sign * rising(2 - zeta + 2 * ell, n) * binomial(n + 1, k + p - ell)
     if (k + p) % 2:
         corr = -corr
-    return value - corr
+    return Fraction(value - corr)
 
 
 # ---------------------------------------------------------------------------
@@ -642,18 +672,17 @@ def row_polynomial_euler(n: int, alpha, beta, r, extra_order: int = 5) -> List[F
     ``t^{n+1} .. t^{n+extra_order}`` are computed and must vanish, otherwise
     an ArithmeticError is raised.
     """
-    a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
+    _, q, (A, B, R) = _scaled_triple(alpha, beta, r)
     top = n + extra_order
-    table = _falling_power_table(a, b, rr, top, n)
-    coeffs = []
-    for m in range(top + 1):
-        total = Fraction(0)
-        for j in range(m + 1):
-            if m - j > n + 1:
-                continue
-            sign = -1 if (m - j) % 2 else 1
-            total += sign * binomial(n + 1, m - j) * table[j][n]
-        coeffs.append(total)
+    table = _falling_power_table(A, B, R, top, n)  # q^n times the values
+    coeffs = [
+        sum(
+            (-1) ** (m - j) * binomial(n + 1, m - j) * table[j][n]
+            for j in range(max(0, m - n - 1), m + 1)
+        )
+        for m in range(top + 1)
+    ]
+    coeffs = [Fraction(c, q**n) for c in coeffs]
     tail = coeffs[n + 1 :]
     if any(tail):
         raise ArithmeticError(
@@ -685,42 +714,43 @@ def shift_r(base: Triangle, target_r, scheme: str) -> Triangle:
         raise ValueError("base triangle must sit at r = 0")
     rho = as_rational(target_r)
     a, b = base.alpha, base.beta
-    N = base.N
-    rows: List[List[Fraction]] = []
+    q, (A, B, RHO) = scale_params(a, b, rho)
     if scheme == "NewtonAlpha":
         if a == 0:
             raise ValueError("NewtonAlpha requires alpha != 0")
-        fall = [Fraction(1)]
-        for m in range(N):
-            fall.append(fall[-1] * (rho - m * a))
-        for n in range(N + 1):
-            row = []
-            for k in range(n + 1):
-                total = Fraction(0)
-                for m in range(n - k + 1):
-                    total += binomial(n, m) * base.rows[n - m][k] * fall[m]
-                row.append(total)
-            rows.append(row)
+        stride = A
     elif scheme == "NewtonBeta":
         if b == 0:
             raise ValueError("NewtonBeta requires beta != 0")
-        fall = [Fraction(1)]
-        for m in range(N):
-            fall.append(fall[-1] * (rho - m * b))
-        for n in range(N + 1):
-            row = []
-            for k in range(n + 1):
-                total = Fraction(0)
-                for m in range(n - k + 1):
-                    if base.kind == "S":
-                        total += binomial(k + m, m) * base.rows[n][k + m] * fall[m]
-                    else:
-                        total += base.rows[n][k + m] * fall[m] / (b**m * factorial(m))
-                row.append(total)
-            rows.append(row)
+        stride = B
     else:
         raise ValueError(f"unknown shift scheme {scheme!r}")
-    return Triangle(base.kind, a, b, rho, _freeze(rows))
+    # at the parameters scaled by q, base entries and the falling powers of
+    # rho (degree m) carry q^degree, so every Newton term of entry (n, k)
+    # carries the entry's own q^degree
+    fall = [strided_falling(RHO, m, stride) for m in range(base.N + 1)]
+    base_rows = _scaled_rows(base, q)
+    rows = []
+    for n in range(base.N + 1):
+        row = []
+        for k in range(n + 1):
+            d = n - k
+            if scheme == "NewtonAlpha":
+                total = sum(binomial(n, m) * base_rows[n - m][k] * fall[m] for m in range(d + 1))
+            elif base.kind == "S":
+                total = sum(
+                    binomial(k + m, m) * base_rows[n][k + m] * fall[m] for m in range(d + 1)
+                )
+            else:
+                # the Shat terms divide by B^m m!; sum them over B^d d!
+                total = Fraction(
+                    sum(base_rows[n][k + m] * fall[m] * B ** (d - m)
+                        * (factorial(d) // factorial(m)) for m in range(d + 1)),
+                    B**d * factorial(d),
+                )
+            row.append(total)
+        rows.append(row)
+    return Triangle(base.kind, a, b, rho, _unscale(base.kind, q, rows))
 
 
 # ---------------------------------------------------------------------------

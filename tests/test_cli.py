@@ -124,6 +124,8 @@ def test_verify_counterexample_exit_one(capsys):
     ("verify", "--template", "sampleappl", "--n", "0"),
     ("triangle", "--n", "-1"),
     ("conjecture", "--n", "-2"),
+    ("conjecture", "--r-min", "5", "--r-max", "1"),
+    ("conjecture", "--n", "200"),
 ])
 def test_vacuous_or_negative_runs_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -210,6 +212,15 @@ def test_conjecture_runs_and_reports(capsys):
                        "--r-max", "4")
     assert code == 0
     assert "mismatches (stated range):    0" in out
+
+
+def test_conjecture_cap_follows_the_override(capsys, monkeypatch):
+    monkeypatch.setenv("WEYLSTIR_MAX_N", "3")
+    code, _, err = run(capsys, "conjecture", "--n", "4")
+    assert code == 2 and "cap" in err
+    code, out, _ = run(capsys, "conjecture", "--n", "3", "--r-min", "0", "--r-max", "0")
+    assert code == 0
+    assert "cells checked:                10" in out
 
 
 def test_conjecture_json(capsys):

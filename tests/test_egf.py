@@ -31,7 +31,7 @@ def test_egf_matches_recurrence(kind):
 
 
 def test_zero_alpha_branch_is_the_exponential_limit():
-    """alpha = 0 exercises the exp/exp-limit form of both series."""
+    """At alpha = 0 both binomial powers are their exponential limits."""
     for kind in ("Shat", "E"):
         rec = build_recurrence(kind, 0, F(2), F(3), 7)
         C = egf_coefficients(kind, 0, F(2), F(3), 7, 7)

@@ -12,6 +12,7 @@ from weylstir.kernels import (
     binomial_general,
     falling,
     rising,
+    scale_params,
     strided_falling,
     strided_rising,
     hyp2f1_hat,
@@ -33,6 +34,14 @@ def test_as_rational_rejects_inexact_forms():
         as_rational("0.5")
     with pytest.raises(ValueError):
         as_rational("1e3")
+
+
+def test_scale_params_clears_denominators():
+    assert scale_params("1/2", 3, "-2/3") == (6, (3, 18, -4))
+    assert scale_params(F(0), -5) == (1, (0, -5))
+    assert scale_params(F(3, 4)) == (4, (3,))
+    with pytest.raises(TypeError):
+        scale_params(0.5)
 
 
 def test_binomial_small_table():
@@ -105,6 +114,15 @@ def test_hyp2f1_hat_factors_through_classical_series():
                         for k in range(N + 1)
                     )
                     assert hyp2f1_hat(N, b, c, z) == rising(c, N) * classical
+
+
+def test_hyp2f1_hat_stride_scales_b():
+    """With stride q, b is read as b / q and the sum comes back times q^N."""
+    for N in range(6):
+        for q in (1, 2, 3, 7):
+            for B in (-5, 0, 4, 9):
+                for c, z in ((F(-3), 2), (F(1, 2), F(-1, 3))):
+                    assert hyp2f1_hat(N, B, c, z, q) == q**N * hyp2f1_hat(N, F(B, q), c, z)
 
 
 def test_hyp2f1_hat_at_z_zero():

@@ -1,5 +1,7 @@
 """Brute-force combinatorial enumerations versus the triangles."""
 
+from itertools import permutations, product
+
 import pytest
 
 from weylstir.oracles import COMBINATORIAL_TAGS, combinatorial_oracle
@@ -50,6 +52,16 @@ def test_enumeration_matches_triangle(tag, kind, a, b, r):
     for n in range(8):
         for k in range(n + 1):
             assert combinatorial_oracle(tag, n, k) == tri.entry(n, k), (tag, n, k)
+
+
+def test_signed_descent_count_matches_a_walk_of_every_signed_word():
+    for n in range(7):
+        counts = [0] * (n + 1)
+        for perm in permutations(range(1, n + 1)):
+            for signs in product((1, -1), repeat=n):
+                word = (0,) + tuple(s * v for s, v in zip(signs, perm))
+                counts[sum(word[i] > word[i + 1] for i in range(n))] += 1
+        assert [combinatorial_oracle("SignedDescents", n, k) for k in range(n + 1)] == counts
 
 
 def test_out_of_range_k_is_zero():

@@ -15,6 +15,7 @@ from weylstir.triangles import (
     entry_by_sum,
     identity_triangle,
     reflection_check,
+    row_polynomial_euler,
     shat_from_s_row,
     shift_r,
     stirling_cycle,
@@ -103,6 +104,15 @@ def test_single_entry_by_sum():
         entry_by_sum("Shat", 3, 5, 0, 1, 0)
     with pytest.raises(ValueError):
         entry_by_sum("S", 3, 2, 0, 1, 0)
+
+
+def test_row_polynomial_euler_matches_recurrence():
+    grid = (F(0), F(1), F(-2), F(1, 2), F(-3, 4), F(5, 3))
+    for a in grid:
+        for b, r in ((F(1), F(0)), (F(-2), F(1, 3)), (F(3, 2), F(-5, 6)), (F(2, 7), F(0))):
+            e = build_recurrence("E", a, b, r, 6)
+            for n in range(7):
+                assert row_polynomial_euler(n, a, b, r) == e.row(n), (a, b, r, n)
 
 
 def test_transform_scheme_matches_recurrence():
