@@ -9,7 +9,9 @@ Subcommands:
 * ``expand``     — pretty-print one instantiated identity with coefficients.
 
 Exit codes: 0 = all checks pass, 1 = mathematical counterexample found,
-2 = usage or parameter error.  The environment variable WEYLSTIR_MAX_N
+2 = usage or parameter error, including a template parameter outside its
+domain (an ``expand --case`` or ``verify --range`` value outside the case
+table, a negative ``--m``).  The environment variable WEYLSTIR_MAX_N
 overrides the hard caps on ``--n`` (default 64 for triangle/expand/conjecture
 work, 10 for verification sweeps).
 """
@@ -120,6 +122,13 @@ def _sorted_cells(cells: Sequence[Dict[str, Fraction]]) -> List[Dict[str, Fracti
     return sorted(cells, key=lambda c: tuple(sorted(c.items())))
 
 
+def _check_domain(template, cell: Dict[str, Fraction]) -> None:
+    """Reject parameter values outside the template's domain."""
+    problem = template.domain_error(cell)
+    if problem is not None:
+        raise UsageError(f"template {template.id!r}: {problem}")
+
+
 def _verify_worker(job) -> VerifyReport:
     tid, cell, n_max = job
     return verify_identity(TEMPLATES[tid], cells=[cell], n_max=n_max)
@@ -138,7 +147,7 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError("pass --template ID (or a prefix) or --all")
 
-    reports: List[VerifyReport] = []
+    jobs = []
     for template in selected:
         if args.range is not None:
             lo, hi = args.range
@@ -148,17 +157,20 @@ def cmd_verify(args) -> int:
                 cells = [dict(c, **{name: v}) for c in cells for v in values]
         else:
             cells = template.grid()
-        cells = _sorted_cells(cells)
-        jobs = [(template.id, cell, args.n) for cell in cells]
-        if args.parallel and len(jobs) > 1:
-            with multiprocessing.Pool() as pool:
-                partials = pool.map(_verify_worker, jobs)
-        else:
-            partials = [_verify_worker(job) for job in jobs]
-        merged = VerifyReport(template_id=template.id)
-        for part in partials:
-            merged.merge(part)
-        reports.append(merged)
+        for cell in cells:
+            _check_domain(template, cell)
+        jobs.extend((template.id, cell, args.n) for cell in _sorted_cells(cells))
+    if args.parallel and len(jobs) > 1:
+        # one pool of spawned workers for the whole run; map hands the
+        # (template, cell) jobs out in chunks of about len(jobs) / (4 * workers)
+        with multiprocessing.get_context("spawn").Pool() as pool:
+            partials = pool.map(_verify_worker, jobs)
+    else:
+        partials = [_verify_worker(job) for job in jobs]
+    merged: Dict[str, VerifyReport] = {t.id: VerifyReport(template_id=t.id) for t in selected}
+    for (tid, _, _), part in zip(jobs, partials):
+        merged[tid].merge(part)
+    reports = list(merged.values())
 
     vacuous = [r.template_id for r in reports if not r.instances]
     if vacuous:
@@ -178,6 +190,11 @@ def cmd_verify(args) -> int:
                     "action_degree": r.action_degree,
                     "string_probes": r.string_probes,
                     "failures": r.failures,
+                    "seconds": {
+                        "build": round(r.build_s, 6),
+                        "action": round(r.action_s, 6),
+                        "strings": round(r.string_s, 6),
+                    },
                 }
                 for r in reports
             ],
@@ -307,6 +324,7 @@ def cmd_expand(args) -> int:
                          f"(got {len(matches)} matches for {args.template!r})")
     template = matches[0]
     cell = _collect_params(template, args)
+    _check_domain(template, cell)
     if template.domain == "WC":
         for name, value in cell.items():
             if name in _PARAM_SOURCES and (value.denominator != 1 or value < 0):

@@ -8,10 +8,11 @@ two independent channels:
 1. *monomial action*: the action of each side on ``x^s`` is computed
    symbolically as ``{exponent shift: polynomial in s}``, and the two maps
    are compared, which certifies the identity at every ``s`` and any degree;
+   the same pass checks that all terms of a side share one excess;
 2. *string rewriting*: whenever a side lives in the creation/annihilation
    dialect (all exponents natural) and is short enough, both sides are
-   spelled as boson strings and normally ordered by the independent
-   rewriting oracle, and the normal forms are compared.
+   spelled as boson strings in one walk each and normally ordered by the
+   independent rewriting oracle, and the normal forms are compared.
 
 Identity coefficients come from the triangle module (recurrence scheme), so
 a verification failure would implicate either the triangles, the operator
@@ -24,12 +25,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, lcm
+from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .boson import normal_order_oracle
 from .kernels import as_rational, binomial, rising
-from .operators import OperatorExpr, Word, WordPower, XPower
+from .operators import MixedExcessError, OperatorExpr, Word, WordPower, XPower
 from .triangles import build_recurrence, closed_form
 
 F = Fraction
@@ -82,12 +84,28 @@ def _poly_in_word(word: Word, shifts: Sequence[Fraction]) -> OperatorExpr:
     )
 
 
-def _s_entry(alpha, beta, r, n: int, k: int) -> Fraction:
-    return build_recurrence("S", alpha, beta, r, n).entry(n, k)
+def _row(kind: str, alpha, beta, r, n: int) -> Tuple[Fraction, ...]:
+    """Row ``n`` of a recurrence triangle: the coefficients ``k = 0..n``."""
+    return build_recurrence(kind, alpha, beta, r, n).rows[n]
 
 
-def _e_entry(alpha, beta, r, n: int, k: int) -> Fraction:
-    return build_recurrence("E", alpha, beta, r, n).entry(n, k)
+def _variant_row(kind: str, variant: str, p, n: int) -> Tuple[Fraction, ...]:
+    """Row ``n`` of the coefficient triangle (``kind`` S or E) of the word
+    re-expansion variant ``a``, ``b``, ``c`` or ``d`` at word parameters
+    ``p``: firstmain/secondmain 2a..2d and the prefactored powerful
+    main1a..main2b / 2main1a..2main2b, in that order."""
+    L, R, Lp, Rp = p["L"], p["R"], p["Lp"], p["Rp"]
+    e = L + R - 1
+    ep = Lp + Rp - 1
+    if variant == "a":
+        params = (-e, -ep, R - Rp)
+    elif variant == "b":
+        params = (-e, ep, R + Lp - 1)
+    elif variant == "c":
+        params = (e, -ep, 1 - L - Rp)
+    else:
+        params = (e, ep, Lp - L)
+    return _row(kind, *params, n)
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +135,19 @@ class IdentityTemplate:
     n_default: int = 6
     n_min: int = 0
     description: str = ""
+    cases: int = 0  # rows of the template's case table (its "case" values)
+
+    def domain_error(self, cell: Dict[str, Fraction]) -> Optional[str]:
+        """Why ``cell`` lies outside the template's parameter domain (a
+        ``case`` not in its case table, an ``m`` that is not natural), or
+        None if it does not."""
+        case = cell.get("case")
+        if case is not None and (case.denominator != 1 or not 0 <= case < self.cases):
+            return f"case must be one of 0..{self.cases - 1}, got {case}"
+        m = cell.get("m")
+        if m is not None and (m.denominator != 1 or m < 0):
+            return f"m must be a natural number, got {m}"
+        return None
 
 
 _Q7 = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
@@ -233,46 +264,46 @@ def _normal_sum(coeffs: Sequence[Fraction], prefactors: Sequence) -> OperatorExp
 
 
 def _b_katriel_norm(p, n):
-    coeffs = [_s_entry(0, 1, 0, n, k) for k in range(n + 1)]
+    coeffs = _row("S", 0, 1, 0, n)
     lhs = _one(_wp(1, 0, n))
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
 
 
 def _b_katriel_anti(p, n):
-    coeffs = [_s_entry(0, 1, 1, n, k) for k in range(n + 1)]
+    coeffs = _row("S", 0, 1, 1, n)
     lhs = _one(_wp(0, 1, n))
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
 
 
 def _b_katrielplus_norm(p, n):
     a = p["alpha"]
-    coeffs = [_s_entry(a, 1, 0, n, k) for k in range(n + 1)]
+    coeffs = _row("S", a, 1, 0, n)
     lhs = _poly_in_word(Word(F(1), F(0)), [-j * a for j in range(n)])
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
 
 
 def _b_katrielplus_anti(p, n):
     a = p["alpha"]
-    coeffs = [_s_entry(a, 1, 1, n, k) for k in range(n + 1)]
+    coeffs = _row("S", a, 1, 1, n)
     lhs = _poly_in_word(Word(F(0), F(1)), [-j * a for j in range(n)])
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
 
 
 def _b_normord(p, n):
     L, R = p["L"], p["R"]
     e = L + R - 1
-    coeffs = [_s_entry(-e, 1, R, n, k) for k in range(n + 1)]
+    coeffs = _row("S", -e, 1, R, n)
     lhs = _one(_xp(-e * n), _wp(L, R, n))
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
 
 
 def _b_cor1(p, n):
     L, R = p["L"], p["R"]
     e = L + R - 1
-    coeffs = [_s_entry(-e, 1, R, n, k) for k in range(n + 1)]
+    coeffs = _row("S", -e, 1, R, n)
     lhs = _one(_wp(L, R, n))
     rhs = _normal_sum(coeffs, (_xp(e * n),))
-    return [TemplateInstance(lhs, rhs, coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, rhs, coeffs=coeffs)]
 
 
 def _b_special_corollary(p, n):
@@ -283,41 +314,33 @@ def _b_special_corollary(p, n):
         lhs_terms.append((1, tuple(WordPower(w, 1) for w in combo)))
     lhs = OperatorExpr(lhs_terms)
     e = L + R - 1
-    coeffs = [
-        2**k * _s_entry(2 - 2 * (L + R), 2, L + R, n, k) for k in range(n + 1)
-    ]
+    row = _row("S", 2 - 2 * (L + R), 2, L + R, n)
+    coeffs = [2**k * c for k, c in enumerate(row)]
     rhs = _normal_sum(coeffs, (_xp(e * n),))
     return [TemplateInstance(lhs, rhs, coeffs=tuple(coeffs))]
 
 
 def _b_firstmain(variant: str):
+    v = variant[1]  # "2a" -> "a"
+
     def build(p, n):
         L, R, Lp, Rp = p["L"], p["R"], p["Lp"], p["Rp"]
         e = L + R - 1
         ep = Lp + Rp - 1
-        if variant in ("2a", "2b"):
+        if v in "ab":
             lhs = _one(_xp(-e * n), _wp(L, R, n))
         else:
             lhs = _one(_wp(L, R, n), _xp(-e * n))
-        coeffs = []
+        coeffs = _variant_row("S", v, p, n)
         terms = []
-        for k in range(n + 1):
-            if variant == "2a":
-                c = _s_entry(-e, -ep, R - Rp, n, k)
-                factors = (_xp(-ep * k), _wp(Lp, Rp, k))
-            elif variant == "2b":
-                c = _s_entry(-e, ep, R + Lp - 1, n, k)
-                factors = (_wp(Lp, Rp, k), _xp(-ep * k))
-            elif variant == "2c":
-                c = _s_entry(e, -ep, 1 - L - Rp, n, k)
-                factors = (_xp(-ep * k), _wp(Lp, Rp, k))
-            else:  # 2d
-                c = _s_entry(e, ep, Lp - L, n, k)
-                factors = (_wp(Lp, Rp, k), _xp(-ep * k))
-            coeffs.append(c)
-            if c:
-                terms.append((c, factors))
-        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+        for k, c in enumerate(coeffs):
+            if not c:
+                continue
+            if v in "ac":
+                terms.append((c, (_xp(-ep * k), _wp(Lp, Rp, k))))
+            else:
+                terms.append((c, (_wp(Lp, Rp, k), _xp(-ep * k))))
+        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)]
 
     return build
 
@@ -333,6 +356,9 @@ _POWERFUL_TABLES = {
     "powerful2.2main2b": lambda e, ep: (max(ep, F(0)), max(e, ep, 0)),
 }
 
+# re-expansion variant of each prefactored form (see _variant_row)
+_POWERFUL_VARIANTS = {"1a": "a", "1b": "b", "2a": "c", "2b": "d"}
+
 
 def _powerful_sides(tid: str, p, n, EL=None, ER=None) -> TemplateInstance:
     """Construct both sides of one of the prefactored (all-natural) identity
@@ -344,95 +370,56 @@ def _powerful_sides(tid: str, p, n, EL=None, ER=None) -> TemplateInstance:
     EL = tEL if EL is None else as_rational(EL)
     ER = tER if ER is None else as_rational(ER)
     variant = tid.split(".")[1]
-    coeffs = []
+    kind = "E" if variant.startswith("2") else "S"
+    coeffs = _variant_row(kind, _POWERFUL_VARIANTS[variant[-2:]], p, n)
     terms = []
     if variant == "main1a":
         lhs = _one(_xp((EL - e) * n), _wp(L, R, n))
-        for k in range(n + 1):
-            c = _s_entry(-e, -ep, R - Rp, n, k)
-            coeffs.append(c)
+        for k, c in enumerate(coeffs):
             if c:
                 terms.append((c, (_xp(EL * (n - k)), _xp((EL - ep) * k), _wp(Lp, Rp, k))))
     elif variant == "main1b":
         lhs = _one(_xp((EL - e) * n), _wp(L, R, n), _xp(ER * n))
-        for k in range(n + 1):
-            c = _s_entry(-e, ep, R + Lp - 1, n, k)
-            coeffs.append(c)
+        for k, c in enumerate(coeffs):
             if c:
                 terms.append(
                     (c, (_xp(EL * n), _wp(Lp, Rp, k), _xp((ER - ep) * k), _xp(ER * (n - k))))
                 )
     elif variant == "main2a":
         lhs = _one(_xp(EL * n), _wp(L, R, n), _xp((ER - e) * n))
-        for k in range(n + 1):
-            c = _s_entry(e, -ep, 1 - L - Rp, n, k)
-            coeffs.append(c)
+        for k, c in enumerate(coeffs):
             if c:
                 terms.append(
                     (c, (_xp(EL * (n - k)), _xp((EL - ep) * k), _wp(Lp, Rp, k), _xp(ER * n)))
                 )
     elif variant == "main2b":
         lhs = _one(_wp(L, R, n), _xp((ER - e) * n))
-        for k in range(n + 1):
-            c = _s_entry(e, ep, Lp - L, n, k)
-            coeffs.append(c)
+        for k, c in enumerate(coeffs):
             if c:
                 terms.append((c, (_wp(Lp, Rp, k), _xp((ER - ep) * k), _xp(ER * (n - k)))))
-    elif variant in ("2main1a", "2main2a"):
-        if variant == "2main1a":
-            lhs = OperatorExpr.single(
-                factorial(n) * (-ep) ** n, _xp((EL - e) * n), _wp(L, R, n), _xp(ER * n)
-            )
-            cfun = lambda k: _e_entry(-e, -ep, R - Rp, n, k)
+    else:  # 2main1a / 2main2a (sign -ep), 2main1b / 2main2b (sign ep)
+        scale = factorial(n) * (-ep if variant.endswith("a") else ep) ** n
+        if variant in ("2main1a", "2main1b"):
+            lhs = OperatorExpr.single(scale, _xp((EL - e) * n), _wp(L, R, n), _xp(ER * n))
         else:
-            lhs = OperatorExpr.single(
-                factorial(n) * (-ep) ** n, _xp(EL * n), _wp(L, R, n), _xp((ER - e) * n)
-            )
-            cfun = lambda k: _e_entry(e, -ep, 1 - L - Rp, n, k)
-        for k in range(n + 1):
-            c = cfun(k)
-            coeffs.append(c)
-            if c:
-                terms.append(
+            lhs = OperatorExpr.single(scale, _xp(EL * n), _wp(L, R, n), _xp((ER - e) * n))
+        for k, c in enumerate(coeffs):
+            if not c:
+                continue
+            j = k if variant.endswith("a") else n - k
+            terms.append(
+                (
+                    c,
                     (
-                        c,
-                        (
-                            _xp(EL * (n - k)),
-                            _xp((EL - ep) * k),
-                            _wp(Lp, Rp, n),
-                            _xp((ER - ep) * (n - k)),
-                            _xp(ER * k),
-                        ),
-                    )
+                        _xp(EL * (n - j)),
+                        _xp((EL - ep) * j),
+                        _wp(Lp, Rp, n),
+                        _xp((ER - ep) * (n - j)),
+                        _xp(ER * j),
+                    ),
                 )
-    else:  # 2main1b / 2main2b
-        if variant == "2main1b":
-            lhs = OperatorExpr.single(
-                factorial(n) * ep**n, _xp((EL - e) * n), _wp(L, R, n), _xp(ER * n)
             )
-            cfun = lambda k: _e_entry(-e, ep, R + Lp - 1, n, k)
-        else:
-            lhs = OperatorExpr.single(
-                factorial(n) * ep**n, _xp(EL * n), _wp(L, R, n), _xp((ER - e) * n)
-            )
-            cfun = lambda k: _e_entry(e, ep, Lp - L, n, k)
-        for k in range(n + 1):
-            c = cfun(k)
-            coeffs.append(c)
-            if c:
-                terms.append(
-                    (
-                        c,
-                        (
-                            _xp(EL * k),
-                            _xp((EL - ep) * (n - k)),
-                            _wp(Lp, Rp, n),
-                            _xp((ER - ep) * k),
-                            _xp(ER * (n - k)),
-                        ),
-                    )
-                )
-    return TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))
+    return TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)
 
 
 def _b_powerful(tid: str):
@@ -507,14 +494,12 @@ _S211_CASES = (
 def _b_s211_triple(p, n):
     L, R, Lp, Rp = _S211_CASES[int(p["case"])]
     lhs = _one(_wp(L, R, n), _xp(n))
-    coeffs = []
+    coeffs = _row("S", -2, 1, 1, n)
     terms = []
-    for k in range(n + 1):
-        c = _s_entry(-2, 1, 1, n, k)
-        coeffs.append(c)
+    for k, c in enumerate(coeffs):
         if c:
             terms.append((c, (_xp(2 * n), _wp(Lp, Rp, k), _xp(n - k))))
-    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)]
 
 
 def _b_euleriank(which: int):
@@ -525,47 +510,36 @@ def _b_euleriank(which: int):
         else:
             lhs = OperatorExpr.single(factorial(n), _wp(0, 1, n))
             r = 1
-        coeffs = []
+        coeffs = _row("E", 0, 1, r, n)
         terms = []
-        for k in range(n + 1):
-            c = _e_entry(0, 1, r, n, k)
-            coeffs.append(c)
+        for k, c in enumerate(coeffs):
             if c:
                 terms.append((c, (_xp(k), _wp(0, 0, n), _xp(n - k))))
-        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)]
 
     return build
 
 
 def _b_secondmain(variant: str):
+    v = variant[1]  # "2a" -> "a"
+
     def build(p, n):
         L, R, Lp, Rp = p["L"], p["R"], p["Lp"], p["Rp"]
         e = L + R - 1
         ep = Lp + Rp - 1
-        sign_factor = (-ep) ** n if variant in ("2a", "2c") else ep**n
-        if variant in ("2a", "2b"):
-            lhs = OperatorExpr.single(factorial(n) * sign_factor, _xp(-e * n), _wp(L, R, n))
+        scale = factorial(n) * (-ep if v in "ac" else ep) ** n
+        if v in "ab":
+            lhs = OperatorExpr.single(scale, _xp(-e * n), _wp(L, R, n))
         else:
-            lhs = OperatorExpr.single(factorial(n) * sign_factor, _wp(L, R, n), _xp(-e * n))
-        coeffs = []
+            lhs = OperatorExpr.single(scale, _wp(L, R, n), _xp(-e * n))
+        coeffs = _variant_row("E", v, p, n)
         terms = []
-        for k in range(n + 1):
-            if variant == "2a":
-                c = _e_entry(-e, -ep, R - Rp, n, k)
-                factors = (_xp(-ep * k), _wp(Lp, Rp, n), _xp(-ep * (n - k)))
-            elif variant == "2b":
-                c = _e_entry(-e, ep, R + Lp - 1, n, k)
-                factors = (_xp(-ep * (n - k)), _wp(Lp, Rp, n), _xp(-ep * k))
-            elif variant == "2c":
-                c = _e_entry(e, -ep, 1 - L - Rp, n, k)
-                factors = (_xp(-ep * k), _wp(Lp, Rp, n), _xp(-ep * (n - k)))
-            else:
-                c = _e_entry(e, ep, Lp - L, n, k)
-                factors = (_xp(-ep * (n - k)), _wp(Lp, Rp, n), _xp(-ep * k))
-            coeffs.append(c)
-            if c:
-                terms.append((c, factors))
-        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+        for k, c in enumerate(coeffs):
+            if not c:
+                continue
+            j = k if v in "ac" else n - k
+            terms.append((c, (_xp(-ep * j), _wp(Lp, Rp, n), _xp(-ep * (n - j)))))
+        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)]
 
     return build
 
@@ -666,10 +640,12 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
     add(IdentityTemplate("companion", "WC", (), _b_companion, _no_params,
                          description="balanced cubic word through the quadratic word"))
     add(IdentityTemplate("lah_triple", "WC", ("case",), _b_lah_triple,
-                         _grid(("case",), (F(0), F(1), F(2))),
+                         _grid(("case",), tuple(F(i) for i in range(len(_LAH_CASES)))),
+                         cases=len(_LAH_CASES),
                          description="excess-one triple with binomial coefficients"))
     add(IdentityTemplate("s211_triple", "WC", ("case",), _b_s211_triple,
-                         _grid(("case",), (F(0), F(1), F(2))),
+                         _grid(("case",), tuple(F(i) for i in range(len(_S211_CASES)))),
+                         cases=len(_S211_CASES),
                          description="excess-two triple sharing one triangle"))
     add(IdentityTemplate("euleriank.1", "WC", (), _b_euleriank(1), _no_params,
                          description="Eulerian twisted ordering of (x D)^n"))
@@ -711,15 +687,19 @@ def templates_matching(prefix: str) -> List[IdentityTemplate]:
 
 def normal_form(expr: OperatorExpr) -> Dict[Tuple[int, int], Fraction]:
     """Normal form of an admissible expression via the string oracle."""
-    out: Dict[Tuple[int, int], Fraction] = {}
-    for coeff, string in expr.to_boson_strings():
+    return _normal_form(expr.to_boson_strings())
+
+
+def _normal_form(strings: Sequence[Tuple[Fraction, str]]) -> Dict[Tuple[int, int], Fraction]:
+    """Sum of the oracle's normal forms of weighted strings, zeros dropped;
+    accumulated in integers over the lcm of the weights' denominators."""
+    d = lcm(*(coeff.denominator for coeff, _ in strings))
+    out: Dict[Tuple[int, int], int] = {}
+    for coeff, string in strings:
+        c = coeff.numerator * (d // coeff.denominator)
         for key, count in normal_order_oracle(string).items():
-            val = out.get(key, F(0)) + coeff * count
-            if val:
-                out[key] = val
-            else:
-                out.pop(key, None)
-    return out
+            out[key] = out.get(key, 0) + c * count
+    return {key: Fraction(value, d) for key, value in out.items() if value}
 
 
 @dataclass
@@ -731,6 +711,11 @@ class VerifyReport:
     action_degree: int = 0  # highest s-degree among the compared actions
     string_probes: int = 0
     failures: List[str] = field(default_factory=list)
+    # wall seconds per channel: building the instances, the action
+    # certificates (excess included) and the string channel
+    build_s: float = 0.0
+    action_s: float = 0.0
+    string_s: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -743,6 +728,9 @@ class VerifyReport:
         self.action_degree = max(self.action_degree, other.action_degree)
         self.string_probes += other.string_probes
         self.failures.extend(other.failures)
+        self.build_s += other.build_s
+        self.action_s += other.action_s
+        self.string_s += other.string_s
 
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
@@ -777,10 +765,10 @@ def verify_identity(
 ) -> VerifyReport:
     """Exactly verify a template over a parameter grid.
 
-    Checks, per instance: uniform excess on both sides, equal symbolic
-    monomial action (one certificate in ``s``), and (for admissible sides
-    short enough) equal normal forms under the independent string-rewriting
-    oracle.
+    Checks, per instance: uniform excess on both sides and equal symbolic
+    monomial action (one certificate in ``s``, read off one pass per side),
+    and (for admissible sides short enough) equal normal forms under the
+    independent string-rewriting oracle.
     """
     report = VerifyReport(template_id=template.id)
     if cells is None:
@@ -790,25 +778,30 @@ def verify_identity(
 
     for cell in cells:
         report.cells += 1
+        label = template.id + _cell_label(cell)
         for n in n_values:
-            for inst in template.build(cell, n):
+            t0 = perf_counter()
+            instances = template.build(cell, n)
+            report.build_s += perf_counter() - t0
+            for inst in instances:
                 report.instances += 1
-                where = f"{template.id}{_cell_label(cell)} n={n}"
+                where = f"{label} n={n}"
                 if inst.label:
                     where += f" [{inst.label}]"
+                t0 = perf_counter()
                 try:
-                    el = inst.lhs.excess()
-                    er = inst.rhs.excess()
-                except Exception as exc:  # mixed excess is a real failure
+                    el, left = inst.lhs.action_certificate()
+                    er, right = inst.rhs.action_certificate()
+                except MixedExcessError as exc:  # mixed excess is a real failure
                     report.failures.append(f"{where}: excess error: {exc}")
                     continue
+                finally:
+                    report.action_s += perf_counter() - t0
                 if el is not None and er is not None and el != er:
                     report.failures.append(
                         f"{where}: excess mismatch {el} vs {er}"
                     )
                     continue
-                left = inst.lhs.action_polynomials()
-                right = inst.rhs.action_polynomials()
                 report.action_probes += 1
                 report.action_degree = max(
                     report.action_degree, _degree(left), _degree(right)
@@ -816,12 +809,16 @@ def verify_identity(
                 if left != right:
                     report.failures.append(f"{where}: action differs")
                 if use_strings:
-                    llen = inst.lhs.max_string_length()
-                    rlen = inst.rhs.max_string_length()
-                    if llen is not None and rlen is not None and max(llen, rlen) <= string_cap:
+                    t0 = perf_counter()
+                    lstr = inst.lhs.boson_strings()
+                    rstr = inst.rhs.boson_strings() if lstr is not None else None
+                    if rstr is not None and max(
+                        (len(string) for _, string in lstr + rstr), default=0
+                    ) <= string_cap:
                         report.string_probes += 1
-                        if normal_form(inst.lhs) != normal_form(inst.rhs):
+                        if _normal_form(lstr) != _normal_form(rstr):
                             report.failures.append(f"{where}: normal forms differ")
+                    report.string_s += perf_counter() - t0
     return report
 
 

@@ -16,7 +16,8 @@ with ``e`` the excess.  An expression's action is therefore a finite map
 ``{exponent shift: polynomial in s}`` (:meth:`OperatorExpr.action_polynomials`),
 and two expressions are equal as operators on monomials exactly when these
 maps are equal: comparing them certifies an identity at every ``s``, at any
-degree.
+degree.  A term's shift is its excess, so :meth:`OperatorExpr.action_certificate`
+returns the common excess from the same pass.
 """
 
 from __future__ import annotations
@@ -64,8 +65,8 @@ class Word:
         return (
             self.L.denominator == 1
             and self.R.denominator == 1
-            and self.L >= 0
-            and self.R >= 0
+            and self.L.numerator >= 0
+            and self.R.numerator >= 0
         )
 
 
@@ -93,6 +94,7 @@ class WordPower:
 
 Factor = Union[XPower, WordPower]
 Term = Tuple[Fraction, Tuple[Factor, ...]]
+Action = Dict[Fraction, Tuple[Fraction, ...]]
 
 
 class OperatorExpr:
@@ -154,17 +156,44 @@ class OperatorExpr:
                 collected[exp] = collected.get(exp, Fraction(0)) + c
         return {e: v for e, v in collected.items() if v}
 
-    def action_polynomials(self) -> Dict[Fraction, Tuple[Fraction, ...]]:
+    def action_certificate(self) -> Tuple[Optional[Fraction], Action]:
+        """The common excess of all terms (None for the zero expression)
+        and the symbolic action :meth:`action_polynomials`, in one pass.
+
+        A term's exponent shift is its excess, so the uniform-excess check
+        is read off the same walk; raises MixedExcessError if two terms
+        disagree.
+        """
+        excess, mixed, action = self._action()
+        if mixed is not None:
+            raise MixedExcessError(f"terms of mixed excess: {excess} vs {mixed}")
+        return excess, action
+
+    def action_polynomials(self) -> Action:
         """Symbolic action on ``x^s``: {exponent shift: coefficients of a
         polynomial in ``s``, constant term first}, zero polynomials dropped.
 
         For every ``s``, ``act_on_monomial(s)`` sends ``x^s`` to the sum of
         each polynomial's value at ``s`` times ``x^(s + shift)``, so equal
-        maps prove that two expressions act alike on every monomial.  The
-        arithmetic is fraction-free: with ``q`` the lcm of the exponent
+        maps prove that two expressions act alike on every monomial.  Terms
+        of mixed excess are allowed here.
+        """
+        return self._action()[2]
+
+    def excess(self) -> Optional[Fraction]:
+        """Common excess of all terms (None for the zero expression);
+        raises MixedExcessError if terms disagree."""
+        return self.action_certificate()[0]
+
+    def _action(self) -> Tuple[Optional[Fraction], Optional[Fraction], Action]:
+        """The first term's excess, the first excess that differs from it
+        (None if every term agrees) and the symbolic action.
+
+        The arithmetic is fraction-free: with ``q`` the lcm of the exponent
         denominators, a word power contributes integer linear factors
-        ``u + c`` in ``u = q s``; terms of one shift are summed over a
-        common denominator, and only the final coefficients are divided.
+        ``u + c`` in ``u = q s`` and every exponent shift is an integer in
+        units of ``1/q``; terms of one shift are summed over a common
+        denominator, and only the final coefficients are divided.
         """
         q = d = 1  # lcm of the exponent / coefficient denominators
         top = 0  # highest degree of any term
@@ -182,7 +211,8 @@ class OperatorExpr:
         def scaled(x: Fraction) -> int:
             return x.numerator * (q // x.denominator)
 
-        # shift (in units of 1/q) -> d q^top times the polynomial in u
+        first = mixed = None  # term shifts, in units of 1/q
+        # shift -> d q^top times the polynomial in u
         sums: Dict[int, List[int]] = {}
         for coeff, factors in self.terms:
             shift = 0
@@ -198,12 +228,16 @@ class OperatorExpr:
                     poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
                     c += e
                 shift += factor.power * e
+            if first is None:
+                first = shift
+            elif mixed is None and shift != first:
+                mixed = shift
             lift = q ** (top - len(poly) + 1)
             acc = sums.setdefault(shift, [])
             acc.extend([0] * (len(poly) - len(acc)))
             for k, a in enumerate(poly):
                 acc[k] += lift * a
-        out: Dict[Fraction, Tuple[Fraction, ...]] = {}
+        out: Action = {}
         denom = d * q**top
         for shift, acc in sums.items():
             while acc and not acc[-1]:
@@ -212,26 +246,8 @@ class OperatorExpr:
                 out[Fraction(shift, q)] = tuple(
                     Fraction(a * q**k, denom) for k, a in enumerate(acc)
                 )
-        return out
-
-    def excess(self) -> Optional[Fraction]:
-        """Common excess of all terms (None for the zero expression);
-        raises MixedExcessError if terms disagree."""
-        value: Optional[Fraction] = None
-        for _, factors in self.terms:
-            total = Fraction(0)
-            for factor in factors:
-                if isinstance(factor, XPower):
-                    total += factor.exp
-                else:
-                    total += factor.power * factor.word.excess
-            if value is None:
-                value = total
-            elif value != total:
-                raise MixedExcessError(
-                    f"terms of mixed excess: {value} vs {total}"
-                )
-        return value
+        excess = None if first is None else Fraction(first, q)
+        return excess, None if mixed is None else Fraction(mixed, q), out
 
     def adjoint(self) -> "OperatorExpr":
         """Formal adjoint: reverses factor order, fixes pure powers, and
@@ -256,45 +272,48 @@ class OperatorExpr:
         for _, factors in self.terms:
             for factor in factors:
                 if isinstance(factor, XPower):
-                    if factor.exp.denominator != 1 or factor.exp < 0:
+                    if factor.exp.denominator != 1 or factor.exp.numerator < 0:
                         return False
-                else:
-                    if not factor.word.is_natural():
-                        return False
+                elif not factor.word.is_natural():
+                    return False
         return True
 
-    def max_string_length(self) -> Optional[int]:
-        """Letters in the longest term once spelled as a creation /
-        annihilation string; None if not admissible."""
-        if not self.is_wc_admissible():
-            return None
-        best = 0
-        for _, factors in self.terms:
-            length = 0
-            for factor in factors:
-                if isinstance(factor, XPower):
-                    length += int(factor.exp)
-                else:
-                    length += factor.power * (int(factor.word.L) + int(factor.word.R) + 1)
-            best = max(best, length)
-        return best
-
-    def to_boson_strings(self) -> List[Tuple[Fraction, str]]:
+    def boson_strings(self) -> Optional[List[Tuple[Fraction, str]]]:
         """Spell each term as a string over '+', '-' ('+' the creation
-        letter); requires admissibility."""
-        if not self.is_wc_admissible():
-            raise ValueError("expression has non-natural exponents")
+        letter) in one walk; None if the expression is not admissible
+        (:meth:`is_wc_admissible`)."""
         out = []
         for coeff, factors in self.terms:
             chunks = []
             for factor in factors:
                 if isinstance(factor, XPower):
-                    chunks.append("+" * int(factor.exp))
+                    exp = factor.exp
+                    if exp.denominator != 1 or exp.numerator < 0:
+                        return None
+                    chunks.append("+" * exp.numerator)
                 else:
-                    unit = "+" * int(factor.word.L) + "-" + "+" * int(factor.word.R)
+                    word = factor.word
+                    if not word.is_natural():
+                        return None
+                    unit = "+" * word.L.numerator + "-" + "+" * word.R.numerator
                     chunks.append(unit * factor.power)
             out.append((coeff, "".join(chunks)))
         return out
+
+    def max_string_length(self) -> Optional[int]:
+        """Letters in the longest term once spelled as a creation /
+        annihilation string; None if not admissible."""
+        strings = self.boson_strings()
+        if strings is None:
+            return None
+        return max((len(string) for _, string in strings), default=0)
+
+    def to_boson_strings(self) -> List[Tuple[Fraction, str]]:
+        """:meth:`boson_strings`, for an expression known to be admissible."""
+        strings = self.boson_strings()
+        if strings is None:
+            raise ValueError("expression has non-natural exponents")
+        return strings
 
     # -- display ----------------------------------------------------------
 

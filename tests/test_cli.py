@@ -126,6 +126,11 @@ def test_verify_counterexample_exit_one(capsys):
     ("conjecture", "--n", "-2"),
     ("conjecture", "--r-min", "5", "--r-max", "1"),
     ("conjecture", "--n", "200"),
+    ("expand", "--template", "lah_triple", "--case", "5", "--n", "3"),
+    ("expand", "--template", "difflr", "--m", "-1", "--n", "3"),
+    ("verify", "--template", "lah_triple", "--range", "3..5"),
+    ("verify", "--template", "s211_triple", "--range", "3..5"),
+    ("verify", "--template", "difflr", "--range=-1..1"),
 ])
 def test_vacuous_or_negative_runs_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -157,6 +162,22 @@ def test_verify_json_and_range(capsys):
     assert payload["reports"][0]["cells"] == 3
     assert payload["reports"][0]["action_probes"] == payload["reports"][0]["instances"]
     assert payload["reports"][0]["action_degree"] == 4
+
+
+def test_verify_json_is_the_same_with_a_worker_pool(capsys):
+    reports = []
+    for extra in ((), ("--parallel",)):
+        code, out, _ = run(capsys, "verify", "--template", "powerful.main1a",
+                           "--format", "json", *extra)
+        assert code == 0
+        payload = json.loads(out)
+        (report,) = payload["reports"]
+        seconds = report.pop("seconds")
+        assert set(seconds) == {"build", "action", "strings"}
+        assert all(v >= 0 for v in seconds.values())
+        reports.append(payload)
+    assert reports[0] == reports[1]
+    assert reports[0]["reports"][0]["cells"] == 256
 
 
 def test_expand_coefficients(capsys):

@@ -202,3 +202,101 @@ def test_builders_respect_n_min():
 def test_instance_coefficients_expose_triangle_rows():
     (inst,) = TEMPLATES["cor1"].build({"L": F(1), "R": F(1)}, 2)
     assert inst.coeffs == (F(2), F(4), F(1))
+
+
+def _one_instance_template(tid, lhs, rhs):
+    return IdentityTemplate(
+        id=tid, domain="WC", params=(), grid=lambda: [{}], uses_n=False,
+        build=lambda p, n: [TemplateInstance(lhs, rhs)],
+    )
+
+
+def test_mixed_excess_fails_even_when_the_actions_agree():
+    # x + x^2 - x^2 acts like x, but its terms have excess 1, 2 and 2
+    mixed = OperatorExpr([(1, (XPower(F(1)),)), (1, (XPower(F(2)),)),
+                          (-1, (XPower(F(2)),))])
+    plain = OperatorExpr.single(1, XPower(F(1)))
+    assert mixed.action_polynomials() == plain.action_polynomials()
+    rep = verify_identity(_one_instance_template("mixed", mixed, plain))
+    assert rep.failures == ["mixed() n=6: excess error: terms of mixed excess: 1 vs 2"]
+    assert rep.action_probes == 0
+
+
+def test_sides_of_different_excess_mismatch():
+    lhs = OperatorExpr.single(1, XPower(F(1)))
+    rhs = OperatorExpr.single(1, XPower(F(2)))
+    rep = verify_identity(_one_instance_template("apart", lhs, rhs))
+    assert rep.failures == ["apart() n=6: excess mismatch 1 vs 2"]
+
+
+def test_engine_errors_are_not_counterexamples():
+    class Faulty(OperatorExpr):
+        def action_certificate(self):
+            raise TypeError("engine fault")
+
+    side = OperatorExpr.single(1, XPower(F(1)))
+    faulty = Faulty([(1, (XPower(F(1)),))])
+    with pytest.raises(TypeError, match="engine fault"):
+        verify_identity(_one_instance_template("faulty", side, faulty))
+
+
+def _spell(expr):
+    """Reference spelling, factor by factor, of an admissible expression."""
+    out = []
+    for coeff, factors in expr.terms:
+        text = ""
+        for f in factors:
+            if isinstance(f, XPower):
+                text += "+" * int(f.exp)
+            else:
+                text += ("+" * int(f.word.L) + "-" + "+" * int(f.word.R)) * f.power
+        out.append((coeff, text))
+    return out
+
+
+def test_one_walk_spelling_matches_the_admissibility_helpers():
+    """Every side of every catalog instance at n <= 4: the walk spells it
+    exactly when ``is_wc_admissible`` holds, as the reference speller does;
+    the totals are those of the former separate helpers."""
+    sides = admissible = letters = longest = 0
+    for tid in TEMPLATE_ORDER:
+        template = TEMPLATES[tid]
+        n_values = range(template.n_min, 5) if template.uses_n else [template.n_default]
+        for cell in template.grid():
+            for n in n_values:
+                for inst in template.build(cell, n):
+                    for side in (inst.lhs, inst.rhs):
+                        sides += 1
+                        strings = side.boson_strings()
+                        if not side.is_wc_admissible():
+                            assert strings is None
+                            assert side.max_string_length() is None
+                            with pytest.raises(ValueError):
+                                side.to_boson_strings()
+                            continue
+                        admissible += 1
+                        assert strings == _spell(side) == side.to_boson_strings()
+                        length = max((len(s) for _, s in strings), default=0)
+                        assert side.max_string_length() == length
+                        letters += sum(len(s) for _, s in strings)
+                        longest = max(longest, length)
+    assert (sides, admissible, letters, longest) == (34646, 23698, 559620, 48)
+
+
+def test_verify_report_times_each_channel():
+    a = verify_identity(TEMPLATES["katriel.norm"], n_max=4)
+    b = verify_identity(TEMPLATES["katriel.anti"], n_max=4)
+    assert a.build_s > 0 and a.action_s > 0 and a.string_s > 0
+    seconds = (a.build_s + b.build_s, a.action_s + b.action_s, a.string_s + b.string_s)
+    a.merge(b)
+    assert (a.build_s, a.action_s, a.string_s) == seconds
+
+
+def test_domain_errors_name_out_of_range_parameters():
+    lah, difflr = TEMPLATES["lah_triple"], TEMPLATES["difflr"]
+    assert lah.cases == 3
+    assert all(lah.domain_error(cell) is None for cell in lah.grid())
+    assert lah.domain_error({"case": F(3)}) == "case must be one of 0..2, got 3"
+    assert lah.domain_error({"case": F(-1)}) is not None
+    assert difflr.domain_error({"m": F(0)}) is None
+    assert difflr.domain_error({"m": F(-1)}) == "m must be a natural number, got -1"

@@ -68,6 +68,22 @@ def test_excess_grading():
         mixed.excess()
 
 
+def test_action_certificate_reads_the_excess_off_the_action():
+    e = OperatorExpr([
+        (F(2), (XPower(F(3, 2)), WordPower(Word(F(3, 2), F(0)), 2))),
+        (F(-1), (WordPower(Word(F(1), F(1)), 1), XPower(F(3, 2)))),
+    ])
+    excess, action = e.action_certificate()
+    assert excess == F(5, 2) == e.excess()
+    assert action == e.action_polynomials()
+    assert set(action) == {excess}
+    assert OperatorExpr.zero().action_certificate() == (None, {})
+    mixed = OperatorExpr([(1, (XPower(F(1)),)), (1, (XPower(F(1, 3)),))])
+    with pytest.raises(MixedExcessError, match="1 vs 1/3"):
+        mixed.action_certificate()
+    assert set(mixed.action_polynomials()) == {F(1), F(1, 3)}
+
+
 def test_adjoint_involution_and_sign():
     e = OperatorExpr(
         [(F(3), (XPower(F(2)), WordPower(Word(F(1), F(2)), 3))),
@@ -98,6 +114,18 @@ def test_admissibility_and_string_length():
     assert not bad_exp.is_wc_admissible()
     bad_word = _expr(WordPower(Word(F(1, 2), F(1)), 1))
     assert not bad_word.is_wc_admissible()
+
+
+def test_boson_strings_is_none_unless_admissible():
+    e = OperatorExpr([(F(3), (XPower(F(1)), WordPower(Word(F(0), F(2)), 2))),
+                      (F(-1, 2), (WordPower(Word(F(1), F(0)), 0),))])
+    assert e.boson_strings() == [(F(3), "+-++-++"), (F(-1, 2), "")]
+    for bad in (_expr(XPower(F(-1))), _expr(XPower(F(1, 2))),
+                _expr(XPower(F(1)), WordPower(Word(F(-1), F(2)), 0))):
+        assert bad.boson_strings() is None
+        assert bad.max_string_length() is None
+        with pytest.raises(ValueError):
+            bad.to_boson_strings()
 
 
 def test_to_boson_strings():
