@@ -14,6 +14,11 @@ two independent channels:
    spelled as boson strings in one walk each and normally ordered by the
    independent rewriting oracle, and the normal forms are compared.
 
+The sixteen word re-expansion templates (``firstmain``, ``secondmain`` and
+their all-natural prefactored forms ``powerful``, ``powerful2``) come from one
+builder, ``_reexpansion``, driven by a table of (kind, variant) and one
+prefactor table; every sum over a coefficient row is built by ``_expansion``.
+
 Identity coefficients come from the triangle module (recurrence scheme), so
 a verification failure would implicate either the triangles, the operator
 engine, or the identity itself; their mutual agreement is the point.
@@ -89,23 +94,10 @@ def _row(kind: str, alpha, beta, r, n: int) -> Tuple[Fraction, ...]:
     return build_recurrence(kind, alpha, beta, r, n).rows[n]
 
 
-def _variant_row(kind: str, variant: str, p, n: int) -> Tuple[Fraction, ...]:
-    """Row ``n`` of the coefficient triangle (``kind`` S or E) of the word
-    re-expansion variant ``a``, ``b``, ``c`` or ``d`` at word parameters
-    ``p``: firstmain/secondmain 2a..2d and the prefactored powerful
-    main1a..main2b / 2main1a..2main2b, in that order."""
-    L, R, Lp, Rp = p["L"], p["R"], p["Lp"], p["Rp"]
-    e = L + R - 1
-    ep = Lp + Rp - 1
-    if variant == "a":
-        params = (-e, -ep, R - Rp)
-    elif variant == "b":
-        params = (-e, ep, R + Lp - 1)
-    elif variant == "c":
-        params = (e, -ep, 1 - L - Rp)
-    else:
-        params = (e, ep, Lp - L)
-    return _row(kind, *params, n)
+def _xs(*pairs) -> Tuple[XPower, ...]:
+    """The factors ``x^(a m)`` of the ``(a, m)`` pairs, in order; a pair
+    with ``a`` or ``m`` zero is a unit factor and is left out."""
+    return tuple(_xp(a * m) for a, m in pairs if a and m)
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +159,9 @@ def _grid_wtc4(names: Sequence[str]) -> Callable[[], List[Dict[str, Fraction]]]:
     7-value rational set, deduplicated, in deterministic order."""
 
     def make():
-        cells = list(product(_Q3, repeat=4))
         rng = random.Random(97531)
-        pool = list(product(_Q7, repeat=4))
-        for combo in rng.sample(pool, 48):
-            if combo not in cells:
-                cells.append(combo)
+        sample = rng.sample(list(product(_Q7, repeat=4)), 48)
+        cells = dict.fromkeys([*product(_Q3, repeat=4), *sample])
         return [dict(zip(names, combo)) for combo in cells]
 
     return make
@@ -254,56 +243,51 @@ def _b_difflr(p, n):
     return [TemplateInstance(lhs, OperatorExpr(terms))]
 
 
-def _normal_sum(coeffs: Sequence[Fraction], prefactors: Sequence) -> OperatorExpr:
-    """sum_k coeffs[k] * prefactors... a†^k a^k (the usual normal RHS)."""
-    terms = []
-    for k, c in enumerate(coeffs):
-        if c:
-            terms.append((c, tuple(prefactors) + (_xp(k), _wp(0, 0, k))))
-    return OperatorExpr(terms)
+def _expansion(
+    lhs: OperatorExpr, coeffs: Sequence[Fraction], factors_of_k
+) -> List[TemplateInstance]:
+    """The one instance ``lhs = sum_k coeffs[k] * factors_of_k(k)``, with the
+    terms of zero coefficients left out."""
+    terms = [(c, factors_of_k(k)) for k, c in enumerate(coeffs) if c]
+    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+
+
+def _normal(*prefactors):
+    """Term ``k`` of the usual normal RHS: prefactors... a†^k a^k."""
+    return lambda k: (*prefactors, _xp(k), _wp(0, 0, k))
 
 
 def _b_katriel_norm(p, n):
-    coeffs = _row("S", 0, 1, 0, n)
-    lhs = _one(_wp(1, 0, n))
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
+    return _expansion(_one(_wp(1, 0, n)), _row("S", 0, 1, 0, n), _normal())
 
 
 def _b_katriel_anti(p, n):
-    coeffs = _row("S", 0, 1, 1, n)
-    lhs = _one(_wp(0, 1, n))
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
+    return _expansion(_one(_wp(0, 1, n)), _row("S", 0, 1, 1, n), _normal())
 
 
 def _b_katrielplus_norm(p, n):
     a = p["alpha"]
-    coeffs = _row("S", a, 1, 0, n)
     lhs = _poly_in_word(Word(F(1), F(0)), [-j * a for j in range(n)])
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
+    return _expansion(lhs, _row("S", a, 1, 0, n), _normal())
 
 
 def _b_katrielplus_anti(p, n):
     a = p["alpha"]
-    coeffs = _row("S", a, 1, 1, n)
     lhs = _poly_in_word(Word(F(0), F(1)), [-j * a for j in range(n)])
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
+    return _expansion(lhs, _row("S", a, 1, 1, n), _normal())
 
 
 def _b_normord(p, n):
     L, R = p["L"], p["R"]
     e = L + R - 1
-    coeffs = _row("S", -e, 1, R, n)
     lhs = _one(_xp(-e * n), _wp(L, R, n))
-    return [TemplateInstance(lhs, _normal_sum(coeffs, ()), coeffs=coeffs)]
+    return _expansion(lhs, _row("S", -e, 1, R, n), _normal())
 
 
 def _b_cor1(p, n):
     L, R = p["L"], p["R"]
     e = L + R - 1
-    coeffs = _row("S", -e, 1, R, n)
-    lhs = _one(_wp(L, R, n))
-    rhs = _normal_sum(coeffs, (_xp(e * n),))
-    return [TemplateInstance(lhs, rhs, coeffs=coeffs)]
+    return _expansion(_one(_wp(L, R, n)), _row("S", -e, 1, R, n), _normal(_xp(e * n)))
 
 
 def _b_special_corollary(p, n):
@@ -316,161 +300,128 @@ def _b_special_corollary(p, n):
     e = L + R - 1
     row = _row("S", 2 - 2 * (L + R), 2, L + R, n)
     coeffs = [2**k * c for k, c in enumerate(row)]
-    rhs = _normal_sum(coeffs, (_xp(e * n),))
-    return [TemplateInstance(lhs, rhs, coeffs=tuple(coeffs))]
+    return _expansion(lhs, coeffs, _normal(_xp(e * n)))
 
 
-def _b_firstmain(variant: str):
-    v = variant[1]  # "2a" -> "a"
-
-    def build(p, n):
-        L, R, Lp, Rp = p["L"], p["R"], p["Lp"], p["Rp"]
-        e = L + R - 1
-        ep = Lp + Rp - 1
-        if v in "ab":
-            lhs = _one(_xp(-e * n), _wp(L, R, n))
-        else:
-            lhs = _one(_wp(L, R, n), _xp(-e * n))
-        coeffs = _variant_row("S", v, p, n)
-        terms = []
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            if v in "ac":
-                terms.append((c, (_xp(-ep * k), _wp(Lp, Rp, k))))
-            else:
-                terms.append((c, (_wp(Lp, Rp, k), _xp(-ep * k))))
-        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)]
-
-    return build
-
-
-_POWERFUL_TABLES = {
-    "powerful.main1a": lambda e, ep: (max(e, ep, 0), F(0)),
-    "powerful.main1b": lambda e, ep: (max(e, F(0)), max(ep, F(0))),
-    "powerful.main2a": lambda e, ep: (max(ep, F(0)), max(e, F(0))),
-    "powerful.main2b": lambda e, ep: (F(0), max(e, ep, 0)),
-    "powerful2.2main1a": lambda e, ep: (max(e, ep, 0), max(ep, F(0))),
-    "powerful2.2main1b": lambda e, ep: (max(e, ep, 0), max(ep, F(0))),
-    "powerful2.2main2a": lambda e, ep: (max(ep, F(0)), max(e, ep, 0)),
-    "powerful2.2main2b": lambda e, ep: (max(ep, F(0)), max(e, ep, 0)),
+# Template id -> (kind, variant, prefactored) of the 16 word re-expansions.
+# Kind S expands a power of the word w = x^L D x^R in powers of w' = x^L' D x^R'
+# (generalized Stirling coefficients), kind E in twisted copies of w'^n
+# (generalized Eulerian coefficients).  In variants a and b the excess
+# prefactor of w^n stands left, in c and d right; in a and c the k-dependent
+# twist of w' is counted on its left, in b and d on its right.  The
+# prefactored forms (powerful, powerful2) multiply both sides by the
+# x^(E_L n), x^(E_R n) of _PREFACTORS, which makes every exponent natural.
+_REEXPANSIONS = {
+    f"{family}{suffix}": (kind, v, prefactored)
+    for family, kind, prefactored, suffixes in (
+        ("firstmain.2", "S", False, "abcd"),
+        ("powerful.main", "S", True, ("1a", "1b", "2a", "2b")),
+        ("secondmain.2", "E", False, "abcd"),
+        ("powerful2.2main", "E", True, ("1a", "1b", "2a", "2b")),
+    )
+    for v, suffix in zip("abcd", suffixes)
 }
 
-# re-expansion variant of each prefactored form (see _variant_row)
-_POWERFUL_VARIANTS = {"1a": "a", "1b": "b", "2a": "c", "2b": "d"}
+# (kind, variant) -> (E_L, E_R) as functions of the excesses (e, e')
+_PREFACTORS = {
+    ("S", "a"): lambda e, ep: (max(e, ep, 0), F(0)),
+    ("S", "b"): lambda e, ep: (max(e, F(0)), max(ep, F(0))),
+    ("S", "c"): lambda e, ep: (max(ep, F(0)), max(e, F(0))),
+    ("S", "d"): lambda e, ep: (F(0), max(e, ep, 0)),
+    **dict.fromkeys((("E", "a"), ("E", "b")), lambda e, ep: (max(e, ep, 0), max(ep, F(0)))),
+    **dict.fromkeys((("E", "c"), ("E", "d")), lambda e, ep: (max(ep, F(0)), max(e, ep, 0))),
+}
 
 
-def _powerful_sides(tid: str, p, n, EL=None, ER=None) -> TemplateInstance:
-    """Construct both sides of one of the prefactored (all-natural) identity
-    variants; EL/ER may be overridden for the admissibility probes."""
+def _prefactors(kind: str, variant: str, p) -> Tuple[Fraction, Fraction]:
+    return _PREFACTORS[kind, variant](p["L"] + p["R"] - 1, p["Lp"] + p["Rp"] - 1)
+
+
+def _reexpansion(kind: str, variant: str, p, n: int, EL=0, ER=0) -> List[TemplateInstance]:
+    """Both sides of the re-expansion ``(kind, variant)`` at word parameters
+    ``p``, multiplied by the prefactors ``x^(EL n)`` (left) and ``x^(ER n)``
+    (right); kind S variant a has no right prefactor and variant d no left
+    one.  Unit factors ``x^0`` are left out."""
     L, R, Lp, Rp = p["L"], p["R"], p["Lp"], p["Rp"]
     e = L + R - 1
     ep = Lp + Rp - 1
-    tEL, tER = _POWERFUL_TABLES[tid](e, ep)
-    EL = tEL if EL is None else as_rational(EL)
-    ER = tER if ER is None else as_rational(ER)
-    variant = tid.split(".")[1]
-    kind = "E" if variant.startswith("2") else "S"
-    coeffs = _variant_row(kind, _POWERFUL_VARIANTS[variant[-2:]], p, n)
-    terms = []
-    if variant == "main1a":
-        lhs = _one(_xp((EL - e) * n), _wp(L, R, n))
-        for k, c in enumerate(coeffs):
-            if c:
-                terms.append((c, (_xp(EL * (n - k)), _xp((EL - ep) * k), _wp(Lp, Rp, k))))
-    elif variant == "main1b":
-        lhs = _one(_xp((EL - e) * n), _wp(L, R, n), _xp(ER * n))
-        for k, c in enumerate(coeffs):
-            if c:
-                terms.append(
-                    (c, (_xp(EL * n), _wp(Lp, Rp, k), _xp((ER - ep) * k), _xp(ER * (n - k))))
-                )
-    elif variant == "main2a":
-        lhs = _one(_xp(EL * n), _wp(L, R, n), _xp((ER - e) * n))
-        for k, c in enumerate(coeffs):
-            if c:
-                terms.append(
-                    (c, (_xp(EL * (n - k)), _xp((EL - ep) * k), _wp(Lp, Rp, k), _xp(ER * n)))
-                )
-    elif variant == "main2b":
-        lhs = _one(_wp(L, R, n), _xp((ER - e) * n))
-        for k, c in enumerate(coeffs):
-            if c:
-                terms.append((c, (_wp(Lp, Rp, k), _xp((ER - ep) * k), _xp(ER * (n - k)))))
-    else:  # 2main1a / 2main2a (sign -ep), 2main1b / 2main2b (sign ep)
-        scale = factorial(n) * (-ep if variant.endswith("a") else ep) ** n
-        if variant in ("2main1a", "2main1b"):
-            lhs = OperatorExpr.single(scale, _xp((EL - e) * n), _wp(L, R, n), _xp(ER * n))
-        else:
-            lhs = OperatorExpr.single(scale, _xp(EL * n), _wp(L, R, n), _xp((ER - e) * n))
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            j = k if variant.endswith("a") else n - k
-            terms.append(
-                (
-                    c,
-                    (
-                        _xp(EL * (n - j)),
-                        _xp((EL - ep) * j),
-                        _wp(Lp, Rp, n),
-                        _xp((ER - ep) * (n - j)),
-                        _xp(ER * j),
-                    ),
-                )
-            )
-    return TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)
+    lhs_left, twist_left = variant in "ab", variant in "ac"
+    # coefficient triangle (alpha, beta, r) of the variant
+    alpha = -e if lhs_left else e
+    beta = -ep if twist_left else ep
+    r = R - Rp + (0 if twist_left else ep) - (0 if lhs_left else e)
+    coeffs = _row(kind, alpha, beta, r, n)
+    if kind == "S":
+        EL, ER = (0 if variant == "d" else EL), (0 if variant == "a" else ER)
+        scale = 1
+    else:
+        scale = factorial(n) * beta**n
+    xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
+    lhs = OperatorExpr.single(scale, *_xs((xl, n)), _wp(L, R, n), *_xs((xr, n)))
+    dL, dR = EL - ep, ER - ep
+    word = Word(Lp, Rp)
+    if kind == "E":
+        word_n = WordPower(word, n)
+
+        def factors(k):
+            j = k if twist_left else n - k
+            return (*_xs((EL, n - j), (dL, j)), word_n, *_xs((dR, n - j), (ER, j)))
+
+    elif twist_left:
+        tail = _xs((ER, n))
+
+        def factors(k):
+            return (*_xs((EL, n - k), (dL, k)), WordPower(word, k), *tail)
+
+    else:
+        head = _xs((EL, n))
+
+        def factors(k):
+            return (*head, WordPower(word, k), *_xs((dR, k), (ER, n - k)))
+
+    return _expansion(lhs, coeffs, factors)
 
 
-def _b_powerful(tid: str):
+def _b_reexpansion(tid: str) -> Builder:
+    kind, variant, prefactored = _REEXPANSIONS[tid]
+
     def build(p, n):
-        return [_powerful_sides(tid, p, n)]
+        EL, ER = _prefactors(kind, variant, p) if prefactored else (0, 0)
+        return _reexpansion(kind, variant, p, n, EL, ER)
 
     return build
 
 
 def _b_proposition(p, n):
-    lhs = _one(_wp(3, 0, n))
     coeffs = [closed_form("S_4F_vi", n, k, r=0) for k in range(n + 1)]
-    rhs = _normal_sum(coeffs, (_xp(2 * n),))
-    return [TemplateInstance(lhs, rhs, coeffs=tuple(coeffs))]
+    return _expansion(_one(_wp(3, 0, n)), coeffs, _normal(_xp(2 * n)))
 
 
 def _b_sampleappl(p, n):
     if n == 0:
         return []
-    lhs = _one(_wp(3, 0, n))
-    coeffs = []
-    terms = []
-    for k in range(n + 1):
-        c = F(k * binomial(n, k) * factorial(2 * n - k - 1), factorial(n) * 2 ** (n - k))
-        coeffs.append(c)
-        if c:
-            terms.append((c, (_xp(n), _xp(n - k), _wp(2, 0, k))))
-    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+    coeffs = [
+        F(k * binomial(n, k) * factorial(2 * n - k - 1), factorial(n) * 2 ** (n - k))
+        for k in range(n + 1)
+    ]
+    return _expansion(_one(_wp(3, 0, n)), coeffs, lambda k: (_xp(n), _xp(n - k), _wp(2, 0, k)))
 
 
 def _b_viewedas(p, n):
+    coeffs = [
+        F(factorial(n) * binomial(k, n - k), factorial(k)) * F(1, (-2) ** (n - k))
+        for k in range(n + 1)
+    ]
     lhs = _one(_xp(n), _wp(2, 0, n))
-    coeffs = []
-    terms = []
-    for k in range(n + 1):
-        c = F(factorial(n) * binomial(k, n - k), factorial(k)) * F(1, (-2) ** (n - k))
-        coeffs.append(c)
-        if c:
-            terms.append((c, (_xp(2 * (n - k)), _wp(3, 0, k))))
-    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+    return _expansion(lhs, coeffs, lambda k: (_xp(2 * (n - k)), _wp(3, 0, k)))
 
 
 def _b_companion(p, n):
-    lhs = _one(_wp(2, 1, n))
-    coeffs = []
-    terms = []
-    for k in range(n + 1):
-        c = F(factorial(2 * n - k), factorial(k) * factorial(n - k) * 2 ** (n - k))
-        coeffs.append(c)
-        terms.append((c, (_xp(n), _xp(n - k), _wp(2, 0, k))))
-    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+    coeffs = [
+        F(factorial(2 * n - k), factorial(k) * factorial(n - k) * 2 ** (n - k))
+        for k in range(n + 1)
+    ]
+    return _expansion(_one(_wp(2, 1, n)), coeffs, lambda k: (_xp(n), _xp(n - k), _wp(2, 0, k)))
 
 
 _LAH_CASES = ((F(0), F(2)), (F(1), F(1)), (F(2), F(0)))
@@ -478,10 +429,8 @@ _LAH_CASES = ((F(0), F(2)), (F(1), F(1)), (F(2), F(0)))
 
 def _b_lah_triple(p, n):
     L, R = _LAH_CASES[int(p["case"])]
-    lhs = _one(_wp(L, R, n))
     coeffs = [F(binomial(n, k) * rising(k + R, n - k)) for k in range(n + 1)]
-    rhs = _normal_sum(coeffs, (_xp(n),))
-    return [TemplateInstance(lhs, rhs, coeffs=tuple(coeffs))]
+    return _expansion(_one(_wp(L, R, n)), coeffs, _normal(_xp(n)))
 
 
 _S211_CASES = (
@@ -494,78 +443,33 @@ _S211_CASES = (
 def _b_s211_triple(p, n):
     L, R, Lp, Rp = _S211_CASES[int(p["case"])]
     lhs = _one(_wp(L, R, n), _xp(n))
-    coeffs = _row("S", -2, 1, 1, n)
-    terms = []
-    for k, c in enumerate(coeffs):
-        if c:
-            terms.append((c, (_xp(2 * n), _wp(Lp, Rp, k), _xp(n - k))))
-    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)]
+    return _expansion(
+        lhs, _row("S", -2, 1, 1, n), lambda k: (_xp(2 * n), _wp(Lp, Rp, k), _xp(n - k))
+    )
 
 
-def _b_euleriank(which: int):
-    def build(p, n):
-        if which == 1:
-            lhs = OperatorExpr.single(factorial(n), _wp(1, 0, n))
-            r = 0
-        else:
-            lhs = OperatorExpr.single(factorial(n), _wp(0, 1, n))
-            r = 1
-        coeffs = _row("E", 0, 1, r, n)
-        terms = []
-        for k, c in enumerate(coeffs):
-            if c:
-                terms.append((c, (_xp(k), _wp(0, 0, n), _xp(n - k))))
-        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)]
-
-    return build
-
-
-def _b_secondmain(variant: str):
-    v = variant[1]  # "2a" -> "a"
+def _b_euleriank(R: int):
+    """n! (x^(1-R) D x^R)^n, twisted by the Eulerian row at r = R."""
 
     def build(p, n):
-        L, R, Lp, Rp = p["L"], p["R"], p["Lp"], p["Rp"]
-        e = L + R - 1
-        ep = Lp + Rp - 1
-        scale = factorial(n) * (-ep if v in "ac" else ep) ** n
-        if v in "ab":
-            lhs = OperatorExpr.single(scale, _xp(-e * n), _wp(L, R, n))
-        else:
-            lhs = OperatorExpr.single(scale, _wp(L, R, n), _xp(-e * n))
-        coeffs = _variant_row("E", v, p, n)
-        terms = []
-        for k, c in enumerate(coeffs):
-            if not c:
-                continue
-            j = k if v in "ac" else n - k
-            terms.append((c, (_xp(-ep * j), _wp(Lp, Rp, n), _xp(-ep * (n - j)))))
-        return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=coeffs)]
+        lhs = OperatorExpr.single(factorial(n), _wp(1 - R, R, n))
+        return _expansion(
+            lhs, _row("E", 0, 1, R, n), lambda k: (_xp(k), _wp(0, 0, n), _xp(n - k))
+        )
 
     return build
 
 
 def _b_sampleeulerian(p, n):
     lhs = OperatorExpr.single(2**n, _xp(n), _wp(2, 0, n), _xp(2 * n))
-    coeffs = []
-    terms = []
-    for k in range(n + 1):
-        c = F(binomial(n + 1, 2 * k + 1))
-        coeffs.append(c)
-        if c:
-            terms.append((c, (_xp(2 * k), _wp(3, 0, n), _xp(2 * (n - k)))))
-    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+    coeffs = [F(binomial(n + 1, 2 * k + 1)) for k in range(n + 1)]
+    return _expansion(lhs, coeffs, lambda k: (_xp(2 * k), _wp(3, 0, n), _xp(2 * (n - k))))
 
 
 def _b_last(p, n):
     lhs = _one(_wp(1, 1, n), _xp(n))
-    coeffs = []
-    terms = []
-    for k in range(n + 1):
-        c = F((-1) ** (n - k) * binomial(n + 1, k))
-        coeffs.append(c)
-        if c:
-            terms.append((c, (_xp(n - k), _wp(2, 0, n), _xp(k))))
-    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+    coeffs = [F((-1) ** (n - k) * binomial(n + 1, k)) for k in range(n + 1)]
+    return _expansion(lhs, coeffs, lambda k: (_xp(n - k), _wp(2, 0, n), _xp(k)))
 
 
 # ---------------------------------------------------------------------------
@@ -624,11 +528,11 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
                          description="normal ordering of the symmetrized word power"))
     for v in ("2a", "2b", "2c", "2d"):
         add(IdentityTemplate(f"firstmain.{v}", "WTC", ("L", "R", "Lp", "Rp"),
-                             _b_firstmain(v), _grid_wtc4(("L", "R", "Lp", "Rp")),
+                             _b_reexpansion(f"firstmain.{v}"), _grid_wtc4(("L", "R", "Lp", "Rp")),
                              description=f"word power re-expansion, variant {v}"))
     for v in ("main1a", "main1b", "main2a", "main2b"):
         tid = f"powerful.{v}"
-        add(IdentityTemplate(tid, "WC", ("L", "R", "Lp", "Rp"), _b_powerful(tid),
+        add(IdentityTemplate(tid, "WC", ("L", "R", "Lp", "Rp"), _b_reexpansion(tid),
                              _grid(("L", "R", "Lp", "Rp"), _NAT4, _NAT4, _NAT4, _NAT4),
                              description=f"prefactored word re-expansion, variant {v}"))
     add(IdentityTemplate("proposition", "WC", (), _b_proposition, _no_params,
@@ -647,17 +551,17 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
                          _grid(("case",), tuple(F(i) for i in range(len(_S211_CASES)))),
                          cases=len(_S211_CASES),
                          description="excess-two triple sharing one triangle"))
-    add(IdentityTemplate("euleriank.1", "WC", (), _b_euleriank(1), _no_params,
+    add(IdentityTemplate("euleriank.1", "WC", (), _b_euleriank(0), _no_params,
                          description="Eulerian twisted ordering of (x D)^n"))
-    add(IdentityTemplate("euleriank.2", "WC", (), _b_euleriank(2), _no_params,
+    add(IdentityTemplate("euleriank.2", "WC", (), _b_euleriank(1), _no_params,
                          description="Eulerian twisted ordering of (D x)^n"))
     for v in ("2a", "2b", "2c", "2d"):
         add(IdentityTemplate(f"secondmain.{v}", "WTC", ("L", "R", "Lp", "Rp"),
-                             _b_secondmain(v), _grid_wtc4(("L", "R", "Lp", "Rp")),
+                             _b_reexpansion(f"secondmain.{v}"), _grid_wtc4(("L", "R", "Lp", "Rp")),
                              description=f"Eulerian word re-expansion, variant {v}"))
     for v in ("2main1a", "2main1b", "2main2a", "2main2b"):
         tid = f"powerful2.{v}"
-        add(IdentityTemplate(tid, "WC", ("L", "R", "Lp", "Rp"), _b_powerful(tid),
+        add(IdentityTemplate(tid, "WC", ("L", "R", "Lp", "Rp"), _b_reexpansion(tid),
                              _grid(("L", "R", "Lp", "Rp"), _NAT4, _NAT4, _NAT4, _NAT4),
                              description=f"prefactored Eulerian re-expansion, variant {v}"))
     add(IdentityTemplate("sampleeulerian", "WC", (), _b_sampleeulerian, _no_params,
@@ -687,7 +591,10 @@ def templates_matching(prefix: str) -> List[IdentityTemplate]:
 
 def normal_form(expr: OperatorExpr) -> Dict[Tuple[int, int], Fraction]:
     """Normal form of an admissible expression via the string oracle."""
-    return _normal_form(expr.to_boson_strings())
+    strings = expr.boson_strings()
+    if strings is None:
+        raise ValueError("expression has non-natural exponents")
+    return _normal_form(strings)
 
 
 def _normal_form(strings: Sequence[Tuple[Fraction, str]]) -> Dict[Tuple[int, int], Fraction]:
@@ -752,6 +659,9 @@ def _cell_label(cell: Dict[str, Fraction]) -> str:
     return "(" + ", ".join(f"{k}={v}" for k, v in cell.items()) + ")"
 
 
+_STRING_CAP = 20  # longest boson string the string channel normal-orders
+
+
 def _degree(action: Dict[Fraction, Tuple[Fraction, ...]]) -> int:
     return max((len(poly) - 1 for poly in action.values()), default=0)
 
@@ -760,15 +670,14 @@ def verify_identity(
     template: IdentityTemplate,
     cells: Optional[Sequence[Dict[str, Fraction]]] = None,
     n_max: Optional[int] = None,
-    use_strings: bool = True,
-    string_cap: int = 20,
 ) -> VerifyReport:
     """Exactly verify a template over a parameter grid.
 
     Checks, per instance: uniform excess on both sides and equal symbolic
     monomial action (one certificate in ``s``, read off one pass per side),
     and (for admissible sides short enough) equal normal forms under the
-    independent string-rewriting oracle.
+    independent string-rewriting oracle.  Strings longer than
+    ``_STRING_CAP`` letters are left to the action channel.
     """
     report = VerifyReport(template_id=template.id)
     if cells is None:
@@ -808,23 +717,25 @@ def verify_identity(
                 )
                 if left != right:
                     report.failures.append(f"{where}: action differs")
-                if use_strings:
-                    t0 = perf_counter()
-                    lstr = inst.lhs.boson_strings()
-                    rstr = inst.rhs.boson_strings() if lstr is not None else None
-                    if rstr is not None and max(
-                        (len(string) for _, string in lstr + rstr), default=0
-                    ) <= string_cap:
-                        report.string_probes += 1
-                        if _normal_form(lstr) != _normal_form(rstr):
-                            report.failures.append(f"{where}: normal forms differ")
-                    report.string_s += perf_counter() - t0
+                t0 = perf_counter()
+                lstr = inst.lhs.boson_strings()
+                rstr = inst.rhs.boson_strings() if lstr is not None else None
+                if rstr is not None and max(
+                    (len(string) for _, string in lstr + rstr), default=0
+                ) <= _STRING_CAP:
+                    report.string_probes += 1
+                    if _normal_form(lstr) != _normal_form(rstr):
+                        report.failures.append(f"{where}: normal forms differ")
+                report.string_s += perf_counter() - t0
     return report
 
 
 # ---------------------------------------------------------------------------
 # admissibility of the prefactor tables
 # ---------------------------------------------------------------------------
+
+
+_N_PROBE = (1, 2, 3)  # powers at which wc_admissibility_check builds both sides
 
 
 @dataclass(frozen=True)
@@ -838,23 +749,19 @@ class AdmissibilityReport:
     ER_decrement_breaks: bool
 
 
-def wc_admissibility_check(
-    template_id: str, cell: Dict[str, Fraction], n_probe: Sequence[int] = (1, 2, 3)
-) -> AdmissibilityReport:
+def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> AdmissibilityReport:
     """Structurally check that the prefactor table yields natural exponents
     for a prefactored template at the given natural word parameters, and
     probe whether decrementing either prefactor exponent breaks it
     (sufficiency versus minimality; informational)."""
-    if template_id not in _POWERFUL_TABLES:
+    kind, variant, prefactored = _REEXPANSIONS.get(template_id, (None, None, False))
+    if not prefactored:
         raise ValueError(f"{template_id!r} has no prefactor table")
-    L, R, Lp, Rp = cell["L"], cell["R"], cell["Lp"], cell["Rp"]
-    e = L + R - 1
-    ep = Lp + Rp - 1
-    EL, ER = _POWERFUL_TABLES[template_id](e, ep)
+    EL, ER = _prefactors(kind, variant, cell)
 
     def admissible(EL_v, ER_v) -> bool:
-        for n in n_probe:
-            inst = _powerful_sides(template_id, cell, n, EL=EL_v, ER=ER_v)
+        for n in _N_PROBE:
+            (inst,) = _reexpansion(kind, variant, cell, n, EL_v, ER_v)
             if not (inst.lhs.is_wc_admissible() and inst.rhs.is_wc_admissible()):
                 return False
         return True

@@ -300,21 +300,6 @@ class OperatorExpr:
             out.append((coeff, "".join(chunks)))
         return out
 
-    def max_string_length(self) -> Optional[int]:
-        """Letters in the longest term once spelled as a creation /
-        annihilation string; None if not admissible."""
-        strings = self.boson_strings()
-        if strings is None:
-            return None
-        return max((len(string) for _, string in strings), default=0)
-
-    def to_boson_strings(self) -> List[Tuple[Fraction, str]]:
-        """:meth:`boson_strings`, for an expression known to be admissible."""
-        strings = self.boson_strings()
-        if strings is None:
-            raise ValueError("expression has non-natural exponents")
-        return strings
-
     # -- display ----------------------------------------------------------
 
     def render(self, style: str = "x") -> str:

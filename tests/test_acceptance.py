@@ -192,27 +192,44 @@ def test_criterion_5_operator_identity_catalog():
     assert (cells, instances, action, degree, strings) == (3426, 24223, 24223, 6, 9741)
 
 
-_PREFACTORED = (
-    "powerful.main1a", "powerful.main1b", "powerful.main2a", "powerful.main2b",
-    "powerful2.2main1a", "powerful2.2main1b", "powerful2.2main2a",
-    "powerful2.2main2b",
-)
+# per template: cells that are admissible, where decrementing E_L breaks
+# admissibility, where decrementing E_R breaks it (of 256)
+_ADMISSIBILITY_COUNTS = {
+    "powerful.main1a": (256, 255, 0),
+    "powerful.main1b": (256, 256, 256),
+    "powerful.main2a": (256, 256, 256),
+    "powerful.main2b": (256, 0, 255),
+    "powerful2.2main1a": (256, 225, 235),
+    "powerful2.2main1b": (256, 225, 235),
+    "powerful2.2main2a": (256, 235, 225),
+    "powerful2.2main2b": (256, 235, 225),
+}
 
 
 def test_criterion_6_prefactor_admissibility():
     bad = []
     checks = 0
-    for tid in _PREFACTORED:
+    counts = {}
+    for tid in _ADMISSIBILITY_COUNTS:
+        flags = [0, 0, 0]
         for L, R, Lp, Rp in itertools.product(range(4), repeat=4):
             cell = {"L": F(L), "R": F(R), "Lp": F(Lp), "Rp": F(Rp)}
             rep = wc_admissibility_check(tid, cell)
             checks += 1
             if not rep.admissible:
                 bad.append((tid, L, R, Lp, Rp))
+            for i, flag in enumerate(
+                (rep.admissible, rep.EL_decrement_breaks, rep.ER_decrement_breaks)
+            ):
+                flags[i] += flag
+        counts[tid] = tuple(flags)
     ok = not bad
     _report(6, ok, f"prefactor exponent tables admissible on every cell "
                    f"({checks} checks over 8 templates)")
     assert ok, f"inadmissible cells: {bad[:5]}"
+    # which prefactor is sharp is part of each form: kind S variant a has
+    # no right prefactor to decrement, variant d no left one
+    assert counts == _ADMISSIBILITY_COUNTS
 
 
 def test_criterion_7_hermite_identities():

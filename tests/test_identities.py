@@ -1,5 +1,6 @@
 """Identity catalog completeness and the verification engine itself."""
 
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -88,9 +89,12 @@ def test_action_certificate_catches_a_term_the_old_probes_missed():
         id="katriel.bogus", domain="WC", params=(), build=bogus, grid=lambda: [{}],
         n_min=10,
     )
-    rep = verify_identity(template, n_max=10, use_strings=False)
+    rep = verify_identity(template, n_max=10)
     assert not rep.ok
-    assert rep.failures == ["katriel.bogus() n=10: action differs"]
+    assert rep.failures == [
+        "katriel.bogus() n=10: action differs",
+        "katriel.bogus() n=10: normal forms differ",
+    ]
     assert rep.action_degree == 10
 
 
@@ -152,6 +156,8 @@ def test_normal_form_agrees_with_direct_action():
     nf = normal_form(e)
     # x (xD)^2 = x (x^2 D^2 + x D) -> keys (3,2) and (2,1)
     assert nf == {(3, 2): 1, (2, 1): 1}
+    with pytest.raises(ValueError):
+        normal_form(OperatorExpr.single(1, XPower(F(-1))))
 
 
 def test_ttv():
@@ -171,6 +177,25 @@ def test_adjoint_pairing():
     assert adjoint_pairing_check(
         {"L": F(0), "R": F(3), "Lp": F(1), "Rp": F(1)}, n_max=3
     )
+
+
+def test_reexpansion_sides_are_pinned():
+    """The rendered sides and coefficients of the 16 word re-expansion
+    templates on their grids at n <= 3 hash to a fixed digest."""
+    lines = []
+    for tid in TEMPLATE_ORDER:
+        if not tid.startswith(("firstmain.", "secondmain.", "powerful.", "powerful2.")):
+            continue
+        for cell in TEMPLATES[tid].grid():
+            for n in range(4):
+                for inst in TEMPLATES[tid].build(cell, n):
+                    lines.append(
+                        f"{tid} {sorted(cell.items())} {n}: "
+                        f"{inst.lhs.render()} = {inst.rhs.render()} {inst.coeffs}"
+                    )
+    assert len(lines) == 12288
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "24567d00e91f0cbfc9a2f69bd1bd8de9c5d65ae7bf90a48aeb8c8365f983515c"
 
 
 def test_admissibility_tables():
@@ -270,14 +295,10 @@ def test_one_walk_spelling_matches_the_admissibility_helpers():
                         strings = side.boson_strings()
                         if not side.is_wc_admissible():
                             assert strings is None
-                            assert side.max_string_length() is None
-                            with pytest.raises(ValueError):
-                                side.to_boson_strings()
                             continue
                         admissible += 1
-                        assert strings == _spell(side) == side.to_boson_strings()
+                        assert strings == _spell(side)
                         length = max((len(s) for _, s in strings), default=0)
-                        assert side.max_string_length() == length
                         letters += sum(len(s) for _, s in strings)
                         longest = max(longest, length)
     assert (sides, admissible, letters, longest) == (34646, 23698, 559620, 48)

@@ -109,7 +109,7 @@ def test_adjoint_reverses_factor_order():
 def test_admissibility_and_string_length():
     good = _expr(XPower(F(2)), WordPower(Word(F(1), F(0)), 2))
     assert good.is_wc_admissible()
-    assert good.max_string_length() == 2 + 2 * 2
+    assert good.boson_strings() == [(F(1), "++" + "+-" * 2)]
     bad_exp = _expr(XPower(F(-1)))
     assert not bad_exp.is_wc_admissible()
     bad_word = _expr(WordPower(Word(F(1, 2), F(1)), 1))
@@ -123,14 +123,11 @@ def test_boson_strings_is_none_unless_admissible():
     for bad in (_expr(XPower(F(-1))), _expr(XPower(F(1, 2))),
                 _expr(XPower(F(1)), WordPower(Word(F(-1), F(2)), 0))):
         assert bad.boson_strings() is None
-        assert bad.max_string_length() is None
-        with pytest.raises(ValueError):
-            bad.to_boson_strings()
 
 
-def test_to_boson_strings():
+def test_boson_strings_spells_word_powers():
     e = _expr(XPower(F(1)), WordPower(Word(F(2), F(1)), 2))
-    ((coeff, string),) = e.to_boson_strings()
+    ((coeff, string),) = e.boson_strings()
     assert coeff == 1
     assert string == "+" + "++-+" * 2
 
