@@ -156,14 +156,23 @@ def hyp2f1_hat(N: int, b, c, z, stride=1):
     With a ``stride`` ``q``, ``b`` is taken as scaled by ``q``: the result is
     ``q^N`` times the sum at ``b / q``, computed without division through
     ``q^k rising(b / q, k) == strided_rising(b, k, q)``.
+
+    One O(N) pass: the tails ``t_k = q^(N-k) rising(c + k, N - k)`` come from
+    the right, ``t_N = 1`` and ``t_k = t_{k+1} q (c + k)``, while the heads
+    ``h_k = strided_rising(b, k, q) z^k`` go forward,
+    ``h_{k+1} = h_k (b + k q) z``, and ``C(N, k)`` is carried as an ``int``.
+    Only ``+``, ``-`` and ``*`` touch ``b``, ``c`` and ``z``.
     """
     if N < 0:
         raise ValueError(f"series order must be a natural number, got {N}")
+    tails = [1] * (N + 1)
+    for k in range(N - 1, -1, -1):
+        tails[k] = tails[k + 1] * (stride * (c + k))
     total = 0
-    zk = 1
+    head = 1
+    weight = 1  # (-1)^k C(N, k)
     for k in range(N + 1):
-        term = ((-1) ** k * binomial(N, k)) * strided_rising(b, k, stride)
-        term = term * stride ** (N - k) * rising(c + k, N - k)
-        total = total + term * zk
-        zk = zk * z
+        total = total + weight * head * tails[k]
+        head = head * (b + k * stride) * z
+        weight = -weight * (N - k) // (k + 1)
     return total

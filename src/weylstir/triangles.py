@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial, lcm
 from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 from .kernels import (
@@ -297,7 +297,7 @@ def _alternating_sum(kind: str, n: int, k: int, table) -> int:
     and ``w = C(n+1, k-x)`` for ``E``."""
     total = 0
     for x in range(k + 1):
-        weight = binomial(k, x) if kind == "Shat" else binomial(n + 1, k - x)
+        weight = comb(k, x) if kind == "Shat" else comb(n + 1, k - x)
         total += (-weight if (k - x) % 2 else weight) * table[x][n]
     return total
 
@@ -353,14 +353,14 @@ def binomial_transform(row: Sequence[Scalar], direction: str) -> List[Scalar]:
         for k in range(n + 1):
             total = 0
             for j in range(k + 1):
-                total = total + binomial(n - j, n - k) * row[j]
+                total = total + comb(n - j, n - k) * row[j]
             out.append(total)
     elif direction == "ShatToE":
         for k in range(n + 1):
             total = 0
             for j in range(k + 1):
                 sign = -1 if (k - j) % 2 else 1
-                total = total + (sign * binomial(n - j, n - k)) * row[j]
+                total = total + (sign * comb(n - j, n - k)) * row[j]
             out.append(total)
     else:
         raise ValueError(f"unknown direction {direction!r}")
@@ -434,7 +434,7 @@ def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
     diag = [B**k * factorial(k) for k in range(N + 1)]
     for n in range(N + 1):
         for x in range(N + 1):
-            rhs = sum(rows[n][k] * diag[k] * binomial(x, k) for k in range(min(n, x) + 1))
+            rhs = sum(rows[n][k] * diag[k] * comb(x, k) for k in range(min(n, x) + 1))
             if table[x][n] != rhs:
                 return False
     return True
@@ -498,7 +498,7 @@ def _decomposition_entry(n: int, k: int, apow, bpow, rpow, cyc, sub) -> int:
         for p in range(k, j + 1):
             s = sub[p][k]
             if s:
-                total += c * binomial(j, p) * s * apow[n - j] * rpow[j - p] * bpow[p - k]
+                total += c * comb(j, p) * s * apow[n - j] * rpow[j - p] * bpow[p - k]
     return total
 
 
@@ -535,53 +535,123 @@ def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
 # closed-form families
 # ---------------------------------------------------------------------------
 
-CLOSED_FORM_FAMILIES = (
-    "S_8F_i",
-    "S_8F_ii",
-    "S_8F_iii",
-    "S_8F_iv",
-    "S_8F_iprime",
-    "S_8F_iiprime",
-    "S_8F_iiiprime",
-    "S_8F_ivprime",
-    "S_4F_v",
-    "S_4F_vi",
-    "E_i",
-    "E_ii",
-    "E_iii",
-    "E_iv",
-    "E_v",
-    "E_vi",
-)
+# One table drives closed_form, closed_form_params and CLOSED_FORM_FAMILIES
+# (its keys, in order).  A family maps to its (kind, alpha, beta, r), where
+# "r", "b" and "-b" stand for the free r and beta, and to its entry as one
+# integer numerator over one denominator: numerator(n, k, d, q, R, B) at
+# (R, B) = q (r, beta) and d = n - k, denominator(n, d, q).
+
+
+def _e_vi(n: int, k: int, d: int, q: int, R: int, B: int) -> int:
+    """The (zeta, p) Eulerian family: r = 2 - zeta + 2 p with zeta in {0, 1}
+    and p natural, i.e. an integer r >= 1."""
+    if R % q or R < q:
+        raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
+    rint = R // q
+    zeta = rint % 2
+    p = (rint - 2 + zeta) // 2
+    value = factorial(n) * comb(n + 1, 2 * k + 2 * p + 1 - zeta)
+    corr = 0
+    for ell in range(p):
+        sign = -1 if ell % 2 else 1
+        corr += sign * rising(2 - zeta + 2 * ell, n) * comb(n + 1, k + p - ell)
+    return value + corr if (k + p) % 2 else value - corr
+
+
+_F0, _F1, _F2 = Fraction(0), Fraction(1), Fraction(2)
+_CLOSED_FORMS = {
+    "S_8F_i": (
+        ("S", _F1, _F1, _F0),
+        lambda n, k, d, q, R, B: int(d == 0),
+        lambda n, d, q: 1),
+    "S_8F_ii": (
+        ("S", -_F1, _F1, _F0),
+        lambda n, k, d, q, R, B: comb(n, k) * rising(k, d),
+        lambda n, d, q: 1),
+    "S_8F_iii": (
+        ("S", _F1, _F2, _F0),
+        lambda n, k, d, q, R, B: comb(k, d) * factorial(n) // factorial(k),
+        lambda n, d, q: 2**d),
+    "S_8F_iv": (
+        ("S", -_F2, -_F1, _F0),
+        lambda n, k, d, q, R, B: rising(n, d) * rising(k, d) // factorial(d),
+        lambda n, d, q: 2**d),
+    "S_8F_iprime": (
+        ("S", "b", "b", "r"),
+        lambda n, k, d, q, R, B: comb(n, k) * strided_falling(R, d, B),
+        lambda n, d, q: q**d),
+    "S_8F_iiprime": (
+        ("S", "-b", "b", "r"),
+        lambda n, k, d, q, R, B: comb(n, k) * strided_rising(B * k + R, d, B),
+        lambda n, d, q: q**d),
+    "S_8F_iiiprime": (
+        ("S", _F1, _F2, "r"),
+        lambda n, k, d, q, R, B: comb(n, k) * hyp2f1_hat(d, -R, 2 * k - n + 1, 2, q),
+        lambda n, d, q: (2 * q) ** d),
+    "S_8F_ivprime": (
+        ("S", -_F2, -_F1, "r"),
+        lambda n, k, d, q, R, B: comb(n, k) * hyp2f1_hat(d, R - q, k - 2 * n, 2, q),
+        lambda n, d, q: (-2 * q) ** d),
+    "S_4F_v": (
+        ("S", -_F1, _F2, "r"),
+        lambda n, k, d, q, R, B:
+            comb(n, k) * hyp2f1_hat(d, (1 - n) * q - R, 2 * k - n + 1, 2, q),
+        lambda n, d, q: (2 * q) ** d),
+    "S_4F_vi": (
+        ("S", -_F2, _F1, "r"),
+        lambda n, k, d, q, R, B:
+            comb(n, k) * hyp2f1_hat(d, (1 - 2 * n) * q - R, k - 2 * n, 2, q),
+        lambda n, d, q: (2 * q) ** d),
+    "E_i": (
+        ("E", "b", "b", "r"),
+        lambda n, k, d, q, R, B:
+            comb(n, k) * strided_falling(R, d, B) * strided_falling(B * n - R, k, B),
+        lambda n, d, q: q**n),
+    "E_ii": (
+        ("E", "-b", "b", "r"),
+        lambda n, k, d, q, R, B:
+            comb(n, k) * strided_rising(B * k + R, d, B) * strided_falling(B - R, k, B),
+        lambda n, d, q: q**n),
+    "E_iii": (
+        ("E", -_F1, _F2, _F0),
+        lambda n, k, d, q, R, B: factorial(n) * comb(n + 1, 2 * k - 1) if k else int(n == 0),
+        lambda n, d, q: 1),
+    "E_iv": (
+        ("E", -_F1, _F2, _F1),
+        lambda n, k, d, q, R, B: factorial(n) * comb(n + 1, 2 * k),
+        lambda n, d, q: 1),
+    "E_v": (
+        ("E", -_F1, _F2, _F2),
+        lambda n, k, d, q, R, B: factorial(n) * comb(n + 1, 2 * k + 1),
+        lambda n, d, q: 1),
+    "E_vi": (
+        ("E", -_F1, _F2, "r"),
+        _e_vi,
+        lambda n, d, q: 1),
+}
+CLOSED_FORM_FAMILIES = tuple(_CLOSED_FORMS)
 
 
 def closed_form_params(family: str, r=0, beta=1):
     """The (kind, alpha, beta, r) tuple a family's closed form evaluates."""
     rr = as_rational(r)
     b = as_rational(beta)
-    fixed = {
-        "S_8F_i": ("S", Fraction(1), Fraction(1), Fraction(0)),
-        "S_8F_ii": ("S", Fraction(-1), Fraction(1), Fraction(0)),
-        "S_8F_iii": ("S", Fraction(1), Fraction(2), Fraction(0)),
-        "S_8F_iv": ("S", Fraction(-2), Fraction(-1), Fraction(0)),
-        "S_8F_iprime": ("S", b, b, rr),
-        "S_8F_iiprime": ("S", -b, b, rr),
-        "S_8F_iiiprime": ("S", Fraction(1), Fraction(2), rr),
-        "S_8F_ivprime": ("S", Fraction(-2), Fraction(-1), rr),
-        "S_4F_v": ("S", Fraction(-1), Fraction(2), rr),
-        "S_4F_vi": ("S", Fraction(-2), Fraction(1), rr),
-        "E_i": ("E", b, b, rr),
-        "E_ii": ("E", -b, b, rr),
-        "E_iii": ("E", Fraction(-1), Fraction(2), Fraction(0)),
-        "E_iv": ("E", Fraction(-1), Fraction(2), Fraction(1)),
-        "E_v": ("E", Fraction(-1), Fraction(2), Fraction(2)),
-        "E_vi": ("E", Fraction(-1), Fraction(2), rr),
-    }
-    if family not in fixed:
+    if family not in _CLOSED_FORMS:
         raise ValueError(f"unknown closed-form family {family!r}")
     if family == "E_vi" and (rr.denominator != 1 or rr < 1):
         raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
-    return fixed[family]
+    free = {"r": rr, "b": b, "-b": -b}
+    kind, *params = _CLOSED_FORMS[family][0]
+    return (kind, *(free[p] if isinstance(p, str) else p for p in params))
+
+
+def _scale_pair(r, beta) -> Tuple[int, int, int]:
+    """``scale_params(r, beta)`` as ``(q, R, B)``, coercing only arguments
+    that are not already ints or Fractions."""
+    rn, rd = (r if type(r) in (int, Fraction) else as_rational(r)).as_integer_ratio()
+    bn, bd = (beta if type(beta) in (int, Fraction) else as_rational(beta)).as_integer_ratio()
+    q = lcm(rd, bd)
+    return q, rn * (q // rd), bn * (q // bd)
 
 
 def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
@@ -592,70 +662,19 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
     a free stride (S_8F_iprime, S_8F_iiprime, E_i, E_ii).  The (zeta, p)
     Eulerian family ``E_vi`` requires an integer ``r >= 1``.
 
-    The families with a free parameter compute one integer numerator at
-    ``(R, B) = q (r, beta)`` over ``q^d`` (``d = n - k``), ``(2q)^d`` or
-    ``q^n``.
+    Every family computes one integer numerator at ``(R, B) = q (r, beta)``
+    in O(n) steps and divides it once, by ``q^d`` (``d = n - k``),
+    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1.
     """
-    if family not in CLOSED_FORM_FAMILIES:
+    spec = _CLOSED_FORMS.get(family)
+    if spec is None:
         raise ValueError(f"unknown closed-form family {family!r}")
     if k < 0 or k > n:
         return Fraction(0)
-    q, (R, B) = scale_params(r, beta)
+    q, R, B = _scale_pair(r, beta)
+    _, numerator, denominator = spec
     d = n - k
-
-    if family == "S_8F_i":
-        return Fraction(1 if n == k else 0)
-    if family == "S_8F_ii":
-        return Fraction(binomial(n, k) * rising(k, d))
-    if family == "S_8F_iii":
-        return Fraction(factorial(n) * binomial(k, d), factorial(k) * 2**d)
-    if family == "S_8F_iv":
-        return Fraction(rising(n, d) * rising(k, d), factorial(d) * 2**d)
-    if family == "S_8F_iprime":
-        return Fraction(binomial(n, k) * strided_falling(R, d, B), q**d)
-    if family == "S_8F_iiprime":
-        return Fraction(binomial(n, k) * strided_rising(B * k + R, d, B), q**d)
-    if family == "S_8F_iiiprime":
-        num = hyp2f1_hat(d, -R, -n + 2 * k + 1, 2, q)
-        return Fraction(binomial(n, k) * num, (2 * q) ** d)
-    if family == "S_8F_ivprime":
-        num = hyp2f1_hat(d, R - q, -2 * n + k, 2, q)
-        return Fraction(binomial(n, k) * num, (-2 * q) ** d)
-    if family == "S_4F_v":
-        num = hyp2f1_hat(d, (1 - n) * q - R, -n + 2 * k + 1, 2, q)
-        return Fraction(binomial(n, k) * num, (2 * q) ** d)
-    if family == "S_4F_vi":
-        num = hyp2f1_hat(d, (1 - 2 * n) * q - R, -2 * n + k, 2, q)
-        return Fraction(binomial(n, k) * num, (2 * q) ** d)
-    if family == "E_i":
-        num = strided_falling(R, d, B) * strided_falling(B * n - R, k, B)
-        return Fraction(binomial(n, k) * num, q**n)
-    if family == "E_ii":
-        num = strided_rising(B * k + R, d, B) * strided_falling(B - R, k, B)
-        return Fraction(binomial(n, k) * num, q**n)
-    if family == "E_iii":
-        if k == 0:
-            return Fraction(1 if n == 0 else 0)
-        return Fraction(factorial(n) * binomial(n + 1, 2 * k - 1))
-    if family == "E_iv":
-        return Fraction(factorial(n) * binomial(n + 1, 2 * k))
-    if family == "E_v":
-        return Fraction(factorial(n) * binomial(n + 1, 2 * k + 1))
-    # E_vi: r = 2 - zeta + 2 p with zeta in {0, 1}, p natural, i.e. integer r >= 1
-    rr = as_rational(r)
-    if rr.denominator != 1 or rr < 1:
-        raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
-    rint = int(rr)
-    zeta = 1 if rint % 2 else 0
-    p = (rint - 2 + zeta) // 2
-    value = factorial(n) * binomial(n + 1, 2 * k + 2 * p + 1 - zeta)
-    corr = 0
-    for ell in range(p):
-        sign = -1 if ell % 2 else 1
-        corr += sign * rising(2 - zeta + 2 * ell, n) * binomial(n + 1, k + p - ell)
-    if (k + p) % 2:
-        corr = -corr
-    return Fraction(value - corr)
+    return Fraction(numerator(n, k, d, q, R, B), denominator(n, d, q))
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +696,7 @@ def row_polynomial_euler(n: int, alpha, beta, r, extra_order: int = 5) -> List[F
     table = _falling_power_table(A, B, R, top, n)  # q^n times the values
     coeffs = [
         sum(
-            (-1) ** (m - j) * binomial(n + 1, m - j) * table[j][n]
+            (-1) ** (m - j) * comb(n + 1, m - j) * table[j][n]
             for j in range(max(0, m - n - 1), m + 1)
         )
         for m in range(top + 1)
@@ -736,10 +755,10 @@ def shift_r(base: Triangle, target_r, scheme: str) -> Triangle:
         for k in range(n + 1):
             d = n - k
             if scheme == "NewtonAlpha":
-                total = sum(binomial(n, m) * base_rows[n - m][k] * fall[m] for m in range(d + 1))
+                total = sum(comb(n, m) * base_rows[n - m][k] * fall[m] for m in range(d + 1))
             elif base.kind == "S":
                 total = sum(
-                    binomial(k + m, m) * base_rows[n][k + m] * fall[m] for m in range(d + 1)
+                    comb(k + m, m) * base_rows[n][k + m] * fall[m] for m in range(d + 1)
                 )
             else:
                 # the Shat terms divide by B^m m!; sum them over B^d d!

@@ -1,6 +1,7 @@
 """Closed-form families against the recurrence, plus the alternative
 summation/product formulas for S(-1,2;r) and S(-2,1;0)."""
 
+import hashlib
 from fractions import Fraction as F
 from math import factorial
 
@@ -71,6 +72,48 @@ def test_every_family_against_recurrence():
 def test_outside_triangle_is_zero():
     assert closed_form("S_8F_ii", 4, -1) == 0
     assert closed_form("E_i", 4, 5, r=1, beta=2) == 0
+
+
+def test_error_paths_and_coercion():
+    """Family first, then the triangle bounds, then r and beta are coerced
+    (for every family), then E_vi checks its r."""
+    with pytest.raises(ValueError, match="unknown closed-form family"):
+        closed_form("nope", 1, 5)
+    with pytest.raises(TypeError):
+        closed_form_params("nope", r=0.5)
+    for r in (F(1, 2), 0):
+        with pytest.raises(ValueError, match="integer r >= 1"):
+            closed_form("E_vi", 3, 1, r=r)
+        assert closed_form("E_vi", 3, 4, r=r) == 0
+    for family in ("S_8F_i", "E_i", "E_vi"):
+        with pytest.raises(TypeError):
+            closed_form(family, 3, 1, r=0.5)
+        assert closed_form(family, 3, 4, r=0.5) == 0
+    with pytest.raises(TypeError):
+        closed_form("E_vi", 3, 1, r=3, beta=0.5)
+    with pytest.raises(TypeError):
+        closed_form_params("S_8F_i", r=0.5)
+    with pytest.raises(ValueError, match="exact rational"):
+        closed_form("S_8F_i", 3, 1, r="1.5")
+    assert closed_form("E_i", 3, 1, r="1/2", beta="3") == F(-255, 8)
+    assert closed_form("E_ii", 2, 2, r=3, beta=0) == 9
+
+
+def test_every_closed_form_value_is_pinned():
+    """27 375 values: E_vi at r = 1..5, every other family on a grid of r and
+    beta with mixed signs and denominators, n <= 9 and k from -1 to n + 1."""
+    grid = [(r, b) for r in (F(-3, 2), F(-1), F(0), F(1, 3), F(2), F(5, 4))
+            for b in (F(-2), F(-1, 2), F(1), F(3, 2))]
+    lines = [
+        f"{family} {r} {b} {n} {k} {closed_form(family, n, k, r=r, beta=b)}"
+        for family in CLOSED_FORM_FAMILIES
+        for r, b in ([(F(r), F(1)) for r in range(1, 6)] if family == "E_vi" else grid)
+        for n in range(10)
+        for k in range(-1, n + 2)
+    ]
+    assert len(lines) == 27375
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "1d9d5df5dce85b7304468b6fc344ea74809dd280cd0c45ebf7e05ed9d4ec8aa8"
 
 
 # ---------------------------------------------------------------------------

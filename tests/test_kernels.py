@@ -17,6 +17,7 @@ from weylstir.kernels import (
     strided_rising,
     hyp2f1_hat,
 )
+from weylstir.poly import ParamPoly
 
 
 def test_as_rational_accepts_exact_forms():
@@ -128,3 +129,25 @@ def test_hyp2f1_hat_stride_scales_b():
 def test_hyp2f1_hat_at_z_zero():
     for N in range(5):
         assert hyp2f1_hat(N, F(7), F(1, 2), 0) == rising(F(1, 2), N)
+
+
+def test_hyp2f1_hat_equals_its_defining_sum():
+    """The one-pass evaluation against the sum term by term, at integer and
+    rational b and c (nonpositive c included), strides 1..3 and a few z."""
+
+    def direct(N, b, c, z, stride):
+        return sum(
+            (-1) ** k * binomial(N, k) * strided_rising(b, k, stride)
+            * stride ** (N - k) * rising(c + k, N - k) * z**k
+            for k in range(N + 1)
+        )
+
+    for N in range(11):
+        for stride in (1, 2, 3):
+            for b in (-4, 0, 3, F(5, 2), F(-7, 3)):
+                for c in (-N, -2, 0, 5, F(1, 2), F(-9, 4)):
+                    for z in (-1, 2, F(1, 3)):
+                        assert hyp2f1_hat(N, b, c, z, stride) == direct(N, b, c, z, stride)
+    b = ParamPoly.r() * 2 - ParamPoly.beta()
+    for N in range(6):
+        assert hyp2f1_hat(N, b, -3, 2, 2) == direct(N, b, -3, 2, 2)
