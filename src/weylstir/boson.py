@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-MAX_STRING_LENGTH = 24
+# the longest string normal-ordered: the oracle's guard, and the length up
+# to which the verifier's string channel runs
+MAX_STRING_LENGTH = 20
 
 __all__ = ["MAX_STRING_LENGTH", "normal_order_oracle"]
 
@@ -28,7 +30,8 @@ def normal_order_oracle(string: str, max_len: int = MAX_STRING_LENGTH) -> Normal
 
     Returns ``{(p, q): coefficient}`` meaning ``sum c a†^p a^q``; the
     coefficients are positive integers.  Strings longer than ``max_len``
-    (default 24) are rejected to keep the state space bounded.
+    (default ``MAX_STRING_LENGTH``) are rejected to keep the state space
+    bounded.
     """
     if len(string) > max_len:
         raise ValueError(

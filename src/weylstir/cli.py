@@ -10,9 +10,10 @@ Subcommands:
 
 Exit codes: 0 = all checks pass, 1 = mathematical counterexample found,
 2 = usage or parameter error, including a template parameter outside its
-domain (an ``expand --case`` or ``verify --range`` value outside the case
-table, a negative ``--m``).  The environment variable WEYLSTIR_MAX_N
-overrides the hard caps on ``--n`` (default 64 for triangle/expand/conjecture
+domain (an ``expand --case`` outside the case table, a negative ``--m`` or
+``verify --range`` value of ``m``); ``verify --range`` is clipped to a
+template's case table for its ``case`` parameter.  The environment variable
+WEYLSTIR_MAX_N overrides the hard caps on ``--n`` (default 64 for triangle/expand/conjecture
 work, 10 for verification sweeps).
 """
 
@@ -151,9 +152,12 @@ def cmd_verify(args) -> int:
     for template in selected:
         if args.range is not None:
             lo, hi = args.range
-            values = [Fraction(i) for i in range(lo, hi + 1)]
             cells: List[Dict[str, Fraction]] = [{}]
             for name in template.params:
+                a, b = lo, hi
+                if name == "case":  # clipped to the case table
+                    a, b = max(lo, 0), min(hi, template.cases - 1)
+                values = [Fraction(i) for i in range(a, b + 1)]
                 cells = [dict(c, **{name: v}) for c in cells for v in values]
         else:
             cells = template.grid()

@@ -2,13 +2,16 @@
 
 Each :class:`IdentityTemplate` knows how to construct both sides of a family
 of operator identities as :class:`OperatorExpr` values, given rational word
-parameters and a power ``n``.  Verification is semantic and exact, through
-two independent channels:
+parameters and a power ``n``.  A builder scales its parameter cell once to
+integers over one denominator ``q`` (:func:`kernels.scale_params`) and
+writes every exponent as an integer in units of ``1/q``.  Verification is
+semantic and exact, through two independent channels:
 
 1. *monomial action*: the action of each side on ``x^s`` is computed
-   symbolically as ``{exponent shift: polynomial in s}``, and the two maps
-   are compared, which certifies the identity at every ``s`` and any degree;
-   the same pass checks that all terms of a side share one excess;
+   symbolically as ``{exponent shift: polynomial in s}`` in one integer walk
+   (:meth:`OperatorExpr.certificate`), and the two maps are compared in
+   integers, which certifies the identity at every ``s`` and any degree;
+   the same walk checks that all terms of a side share one excess;
 2. *string rewriting*: whenever a side lives in the creation/annihilation
    dialect (all exponents natural) and is short enough, both sides are
    spelled as boson strings in one walk each and normally ordered by the
@@ -34,9 +37,9 @@ from math import factorial, lcm
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .boson import normal_order_oracle
-from .kernels import as_rational, binomial, rising
-from .operators import MixedExcessError, OperatorExpr, Word, WordPower, XPower
+from .boson import MAX_STRING_LENGTH, normal_order_oracle
+from .kernels import binomial, rising, scale_params
+from .operators import MixedExcessError, OperatorExpr
 from .triangles import build_recurrence, closed_form
 
 F = Fraction
@@ -63,30 +66,26 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-def _xp(e) -> XPower:
-    return XPower(as_rational(e))
+def _one(q: int, *factors) -> OperatorExpr:
+    return OperatorExpr.over(q, [(1, factors)])
 
 
-def _wp(L, R, m: int) -> WordPower:
-    return WordPower(Word(as_rational(L), as_rational(R)), m)
+def _coefficient(num: int, den: int):
+    """``num / den``, an int when ``den`` is 1."""
+    return num if den == 1 else F(num, den)
 
 
-def _one(*factors) -> OperatorExpr:
-    return OperatorExpr.single(1, *factors)
-
-
-def _poly_in_word(word: Word, shifts: Sequence[Fraction]) -> OperatorExpr:
-    """Expand ``prod_j (w + shifts[j])`` into powers of the word ``w``."""
-    coeffs: List[Fraction] = [F(1)]
+def _poly_in_word(q: int, word: Tuple[int, int], shifts: Sequence[int]) -> OperatorExpr:
+    """Expand ``prod_j (w + shifts[j] / q)`` into powers of the word
+    ``w = (L, R)``; the ``q``-scaled shifts give integer coefficients of
+    ``w^m`` over ``q^(len(shifts) - m)``."""
+    coeffs = [1]
     for c in shifts:
-        nxt = [F(0)] * (len(coeffs) + 1)
-        for i, a in enumerate(coeffs):
-            nxt[i + 1] += a
-            nxt[i] += c * a
-        coeffs = nxt
-    return OperatorExpr(
-        [(coeffs[m], (WordPower(word, m),)) for m in range(len(coeffs)) if coeffs[m]]
-    )
+        coeffs = [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    top = len(shifts)
+    return OperatorExpr.over(q, [
+        (_coefficient(a, q ** (top - m)), ((*word, m),)) for m, a in enumerate(coeffs)
+    ])
 
 
 def _row(kind: str, alpha, beta, r, n: int) -> Tuple[Fraction, ...]:
@@ -94,10 +93,10 @@ def _row(kind: str, alpha, beta, r, n: int) -> Tuple[Fraction, ...]:
     return build_recurrence(kind, alpha, beta, r, n).rows[n]
 
 
-def _xs(*pairs) -> Tuple[XPower, ...]:
+def _xs(*pairs) -> Tuple[int, ...]:
     """The factors ``x^(a m)`` of the ``(a, m)`` pairs, in order; a pair
     with ``a`` or ``m`` zero is a unit factor and is left out."""
-    return tuple(_xp(a * m) for a, m in pairs if a and m)
+    return tuple(a * m for a, m in pairs if a and m)
 
 
 # ---------------------------------------------------------------------------
@@ -177,24 +176,24 @@ def _no_params() -> List[Dict[str, Fraction]]:
 
 
 def _b_major_1a(p, n):
-    a = p["alpha"]
-    lhs = _poly_in_word(Word(F(1), F(0)), [-j * a for j in range(n)])
-    rhs = _one(_xp(n * a), _wp(1 - a, 0, n))
+    q, (a,) = scale_params(p["alpha"])
+    lhs = _poly_in_word(q, (q, 0), [-j * a for j in range(n)])
+    rhs = _one(q, n * a, (q - a, 0, n))
     return [TemplateInstance(lhs, rhs)]
 
 
 def _b_major_1b(p, n):
-    a = p["alpha"]
-    lhs = _poly_in_word(Word(F(1), F(0)), [-j * a for j in range(n)])
-    rhs = _one(_wp(1, a, n), _xp(-n * a))
+    q, (a,) = scale_params(p["alpha"])
+    lhs = _poly_in_word(q, (q, 0), [-j * a for j in range(n)])
+    rhs = _one(q, (q, a, n), -n * a)
     return [TemplateInstance(lhs, rhs)]
 
 
 def _b_major_2a(p, n):
-    a, r = p["alpha"], p["r"]
-    lhs = _poly_in_word(Word(F(1), F(0)), [r - j * a for j in range(n)])
-    conj = _one(_xp(-r), _xp(n * a), _wp(1 - a, 0, n), _xp(r))
-    direct = _one(_xp(n * a), _wp(1 - a - r, r, n))
+    q, (a, r) = scale_params(p["alpha"], p["r"])
+    lhs = _poly_in_word(q, (q, 0), [r - j * a for j in range(n)])
+    conj = _one(q, -r, n * a, (q - a, 0, n), r)
+    direct = _one(q, n * a, (q - a - r, r, n))
     return [
         TemplateInstance(lhs, conj, label="conjugated"),
         TemplateInstance(lhs, direct, label="direct"),
@@ -202,10 +201,10 @@ def _b_major_2a(p, n):
 
 
 def _b_major_2b(p, n):
-    a, r = p["alpha"], p["r"]
-    lhs = _poly_in_word(Word(F(1), F(0)), [r - j * a for j in range(n)])
-    conj = _one(_xp(-r), _wp(1, a, n), _xp(-n * a), _xp(r))
-    direct = _one(_wp(1 - r, a + r, n), _xp(-n * a))
+    q, (a, r) = scale_params(p["alpha"], p["r"])
+    lhs = _poly_in_word(q, (q, 0), [r - j * a for j in range(n)])
+    conj = _one(q, -r, (q, a, n), -n * a, r)
+    direct = _one(q, (q - r, a + r, n), -n * a)
     return [
         TemplateInstance(lhs, conj, label="conjugated"),
         TemplateInstance(lhs, direct, label="direct"),
@@ -213,94 +212,90 @@ def _b_major_2b(p, n):
 
 
 def _b_major_lemma(p, n):
-    L, R = p["L"], p["R"]
-    lhs = _one(_xp(n * (1 - L - R)), _wp(L, R, n))
-    rhs = _one(_wp(1 - R, 1 - L, n), _xp(n * (L + R - 1)))
+    q, (L, R) = scale_params(p["L"], p["R"])
+    lhs = _one(q, n * (q - L - R), (L, R, n))
+    rhs = _one(q, (q - R, q - L, n), n * (L + R - q))
     return [TemplateInstance(lhs, rhs)]
 
 
 def _b_otherpair(p, n):
-    L, R = p["L"], p["R"]
-    mid = (L + R) / 2
-    lhs = OperatorExpr([(1, (_wp(L, R, 1),)), (1, (_wp(R, L, 1),))])
-    rhs = OperatorExpr.single(2, _wp(mid, mid, 1))
+    q, (L, R, mid) = scale_params(p["L"], p["R"], (p["L"] + p["R"]) / 2)
+    lhs = OperatorExpr.over(q, [(1, ((L, R, 1),)), (1, ((R, L, 1),))])
+    rhs = OperatorExpr.over(q, [(2, ((mid, mid, 1),))])
     return [TemplateInstance(lhs, rhs)]
 
 
 def _b_ttv(p, n):
-    lhs = _one(_wp(1, 1, n))
-    rhs = _one(_xp(n), _wp(0, 0, n), _xp(n))
+    lhs = _one(1, (1, 1, n))
+    rhs = _one(1, n, (0, 0, n), n)
     return [TemplateInstance(lhs, rhs)]
 
 
 def _b_difflr(p, n):
     m = int(p["m"])
-    lhs = _one(_wp(0, 0, m), _xp(n))
+    lhs = _one(1, (0, 0, m), n)
     terms = []
     for ell in range(min(m, n) + 1):
         c = factorial(ell) * binomial(m, ell) * binomial(n, ell)
-        terms.append((c, (_xp(n - ell), _wp(0, 0, m - ell))))
-    return [TemplateInstance(lhs, OperatorExpr(terms))]
+        terms.append((c, (n - ell, (0, 0, m - ell))))
+    return [TemplateInstance(lhs, OperatorExpr.over(1, terms))]
 
 
 def _expansion(
     lhs: OperatorExpr, coeffs: Sequence[Fraction], factors_of_k
 ) -> List[TemplateInstance]:
     """The one instance ``lhs = sum_k coeffs[k] * factors_of_k(k)``, with the
-    terms of zero coefficients left out."""
+    terms of zero coefficients left out; the factors are in the units of
+    ``lhs``."""
     terms = [(c, factors_of_k(k)) for k, c in enumerate(coeffs) if c]
-    return [TemplateInstance(lhs, OperatorExpr(terms), coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, OperatorExpr.over(lhs.q, terms), coeffs=tuple(coeffs))]
 
 
-def _normal(*prefactors):
+def _normal(q: int, *prefactors):
     """Term ``k`` of the usual normal RHS: prefactors... a†^k a^k."""
-    return lambda k: (*prefactors, _xp(k), _wp(0, 0, k))
+    return lambda k: (*prefactors, k * q, (0, 0, k))
 
 
 def _b_katriel_norm(p, n):
-    return _expansion(_one(_wp(1, 0, n)), _row("S", 0, 1, 0, n), _normal())
+    return _expansion(_one(1, (1, 0, n)), _row("S", 0, 1, 0, n), _normal(1))
 
 
 def _b_katriel_anti(p, n):
-    return _expansion(_one(_wp(0, 1, n)), _row("S", 0, 1, 1, n), _normal())
+    return _expansion(_one(1, (0, 1, n)), _row("S", 0, 1, 1, n), _normal(1))
 
 
 def _b_katrielplus_norm(p, n):
-    a = p["alpha"]
-    lhs = _poly_in_word(Word(F(1), F(0)), [-j * a for j in range(n)])
-    return _expansion(lhs, _row("S", a, 1, 0, n), _normal())
+    q, (a,) = scale_params(p["alpha"])
+    lhs = _poly_in_word(q, (q, 0), [-j * a for j in range(n)])
+    return _expansion(lhs, _row("S", p["alpha"], 1, 0, n), _normal(q))
 
 
 def _b_katrielplus_anti(p, n):
-    a = p["alpha"]
-    lhs = _poly_in_word(Word(F(0), F(1)), [-j * a for j in range(n)])
-    return _expansion(lhs, _row("S", a, 1, 1, n), _normal())
+    q, (a,) = scale_params(p["alpha"])
+    lhs = _poly_in_word(q, (0, q), [-j * a for j in range(n)])
+    return _expansion(lhs, _row("S", p["alpha"], 1, 1, n), _normal(q))
 
 
 def _b_normord(p, n):
-    L, R = p["L"], p["R"]
-    e = L + R - 1
-    lhs = _one(_xp(-e * n), _wp(L, R, n))
-    return _expansion(lhs, _row("S", -e, 1, R, n), _normal())
+    q, (L, R) = scale_params(p["L"], p["R"])
+    e = L + R - q
+    lhs = _one(q, -e * n, (L, R, n))
+    return _expansion(lhs, _row("S", F(-e, q), 1, p["R"], n), _normal(q))
 
 
 def _b_cor1(p, n):
-    L, R = p["L"], p["R"]
-    e = L + R - 1
-    return _expansion(_one(_wp(L, R, n)), _row("S", -e, 1, R, n), _normal(_xp(e * n)))
+    q, (L, R) = scale_params(p["L"], p["R"])
+    e = L + R - q
+    return _expansion(_one(q, (L, R, n)), _row("S", F(-e, q), 1, p["R"], n), _normal(q, e * n))
 
 
 def _b_special_corollary(p, n):
-    L, R = p["L"], p["R"]
-    wa, wb = Word(L, R), Word(R, L)
-    lhs_terms = []
-    for combo in product((wa, wb), repeat=n):
-        lhs_terms.append((1, tuple(WordPower(w, 1) for w in combo)))
-    lhs = OperatorExpr(lhs_terms)
-    e = L + R - 1
-    row = _row("S", 2 - 2 * (L + R), 2, L + R, n)
+    q, (L, R) = scale_params(p["L"], p["R"])
+    lhs = OperatorExpr.over(q, [(1, combo) for combo in product(((L, R, 1), (R, L, 1)), repeat=n)])
+    s = p["L"] + p["R"]
+    row = _row("S", 2 - 2 * s, 2, s, n)
     coeffs = [2**k * c for k, c in enumerate(row)]
-    return _expansion(lhs, coeffs, _normal(_xp(e * n)))
+    return _expansion(lhs, coeffs, _normal(q, (L + R - q) * n))
 
 
 # Template id -> (kind, variant, prefactored) of the 16 word re-expansions.
@@ -322,46 +317,52 @@ _REEXPANSIONS = {
     for v, suffix in zip("abcd", suffixes)
 }
 
-# (kind, variant) -> (E_L, E_R) as functions of the excesses (e, e')
+# (kind, variant) -> (E_L, E_R) as functions of the excesses (e, e'), all
+# in the units 1/q of the cell
 _PREFACTORS = {
-    ("S", "a"): lambda e, ep: (max(e, ep, 0), F(0)),
-    ("S", "b"): lambda e, ep: (max(e, F(0)), max(ep, F(0))),
-    ("S", "c"): lambda e, ep: (max(ep, F(0)), max(e, F(0))),
-    ("S", "d"): lambda e, ep: (F(0), max(e, ep, 0)),
-    **dict.fromkeys((("E", "a"), ("E", "b")), lambda e, ep: (max(e, ep, 0), max(ep, F(0)))),
-    **dict.fromkeys((("E", "c"), ("E", "d")), lambda e, ep: (max(ep, F(0)), max(e, ep, 0))),
+    ("S", "a"): lambda e, ep: (max(e, ep, 0), 0),
+    ("S", "b"): lambda e, ep: (max(e, 0), max(ep, 0)),
+    ("S", "c"): lambda e, ep: (max(ep, 0), max(e, 0)),
+    ("S", "d"): lambda e, ep: (0, max(e, ep, 0)),
+    **dict.fromkeys((("E", "a"), ("E", "b")), lambda e, ep: (max(e, ep, 0), max(ep, 0))),
+    **dict.fromkeys((("E", "c"), ("E", "d")), lambda e, ep: (max(ep, 0), max(e, ep, 0))),
 }
 
-
-def _prefactors(kind: str, variant: str, p) -> Tuple[Fraction, Fraction]:
-    return _PREFACTORS[kind, variant](p["L"] + p["R"] - 1, p["Lp"] + p["Rp"] - 1)
+_WORDS = ("L", "R", "Lp", "Rp")  # the word parameters of a re-expansion cell
 
 
-def _reexpansion(kind: str, variant: str, p, n: int, EL=0, ER=0) -> List[TemplateInstance]:
-    """Both sides of the re-expansion ``(kind, variant)`` at word parameters
-    ``p``, multiplied by the prefactors ``x^(EL n)`` (left) and ``x^(ER n)``
-    (right); kind S variant a has no right prefactor and variant d no left
+def _prefactors(kind: str, variant: str, q: int, words: Sequence[int]) -> Tuple[int, int]:
+    L, R, Lp, Rp = words
+    return _PREFACTORS[kind, variant](L + R - q, Lp + Rp - q)
+
+
+def _reexpansion(
+    kind: str, variant: str, q: int, words: Sequence[int], n: int, EL=0, ER=0
+) -> List[TemplateInstance]:
+    """Both sides of the re-expansion ``(kind, variant)`` at the word
+    parameters ``words = (L, R, Lp, Rp)``, in units of ``1/q``, multiplied by
+    the prefactors ``x^(EL n)`` (left) and ``x^(ER n)`` (right), in the same
+    units; kind S variant a has no right prefactor and variant d no left
     one.  Unit factors ``x^0`` are left out."""
-    L, R, Lp, Rp = p["L"], p["R"], p["Lp"], p["Rp"]
-    e = L + R - 1
-    ep = Lp + Rp - 1
+    L, R, Lp, Rp = words
+    e = L + R - q
+    ep = Lp + Rp - q
     lhs_left, twist_left = variant in "ab", variant in "ac"
-    # coefficient triangle (alpha, beta, r) of the variant
+    # coefficient triangle (alpha, beta, r) of the variant, times q
     alpha = -e if lhs_left else e
     beta = -ep if twist_left else ep
     r = R - Rp + (0 if twist_left else ep) - (0 if lhs_left else e)
-    coeffs = _row(kind, alpha, beta, r, n)
+    coeffs = _row(kind, F(alpha, q), F(beta, q), F(r, q), n)
     if kind == "S":
         EL, ER = (0 if variant == "d" else EL), (0 if variant == "a" else ER)
         scale = 1
     else:
-        scale = factorial(n) * beta**n
+        scale = _coefficient(factorial(n) * beta**n, q**n)
     xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
-    lhs = OperatorExpr.single(scale, *_xs((xl, n)), _wp(L, R, n), *_xs((xr, n)))
+    lhs = OperatorExpr.over(q, [(scale, (*_xs((xl, n)), (L, R, n), *_xs((xr, n))))])
     dL, dR = EL - ep, ER - ep
-    word = Word(Lp, Rp)
     if kind == "E":
-        word_n = WordPower(word, n)
+        word_n = (Lp, Rp, n)
 
         def factors(k):
             j = k if twist_left else n - k
@@ -371,13 +372,13 @@ def _reexpansion(kind: str, variant: str, p, n: int, EL=0, ER=0) -> List[Templat
         tail = _xs((ER, n))
 
         def factors(k):
-            return (*_xs((EL, n - k), (dL, k)), WordPower(word, k), *tail)
+            return (*_xs((EL, n - k), (dL, k)), (Lp, Rp, k), *tail)
 
     else:
         head = _xs((EL, n))
 
         def factors(k):
-            return (*head, WordPower(word, k), *_xs((dR, k), (ER, n - k)))
+            return (*head, (Lp, Rp, k), *_xs((dR, k), (ER, n - k)))
 
     return _expansion(lhs, coeffs, factors)
 
@@ -386,15 +387,16 @@ def _b_reexpansion(tid: str) -> Builder:
     kind, variant, prefactored = _REEXPANSIONS[tid]
 
     def build(p, n):
-        EL, ER = _prefactors(kind, variant, p) if prefactored else (0, 0)
-        return _reexpansion(kind, variant, p, n, EL, ER)
+        q, words = scale_params(*(p[name] for name in _WORDS))
+        EL, ER = _prefactors(kind, variant, q, words) if prefactored else (0, 0)
+        return _reexpansion(kind, variant, q, words, n, EL, ER)
 
     return build
 
 
 def _b_proposition(p, n):
     coeffs = [closed_form("S_4F_vi", n, k, r=0) for k in range(n + 1)]
-    return _expansion(_one(_wp(3, 0, n)), coeffs, _normal(_xp(2 * n)))
+    return _expansion(_one(1, (3, 0, n)), coeffs, _normal(1, 2 * n))
 
 
 def _b_sampleappl(p, n):
@@ -404,7 +406,7 @@ def _b_sampleappl(p, n):
         F(k * binomial(n, k) * factorial(2 * n - k - 1), factorial(n) * 2 ** (n - k))
         for k in range(n + 1)
     ]
-    return _expansion(_one(_wp(3, 0, n)), coeffs, lambda k: (_xp(n), _xp(n - k), _wp(2, 0, k)))
+    return _expansion(_one(1, (3, 0, n)), coeffs, lambda k: (n, n - k, (2, 0, k)))
 
 
 def _b_viewedas(p, n):
@@ -412,8 +414,8 @@ def _b_viewedas(p, n):
         F(factorial(n) * binomial(k, n - k), factorial(k)) * F(1, (-2) ** (n - k))
         for k in range(n + 1)
     ]
-    lhs = _one(_xp(n), _wp(2, 0, n))
-    return _expansion(lhs, coeffs, lambda k: (_xp(2 * (n - k)), _wp(3, 0, k)))
+    lhs = _one(1, n, (2, 0, n))
+    return _expansion(lhs, coeffs, lambda k: (2 * (n - k), (3, 0, k)))
 
 
 def _b_companion(p, n):
@@ -421,30 +423,26 @@ def _b_companion(p, n):
         F(factorial(2 * n - k), factorial(k) * factorial(n - k) * 2 ** (n - k))
         for k in range(n + 1)
     ]
-    return _expansion(_one(_wp(2, 1, n)), coeffs, lambda k: (_xp(n), _xp(n - k), _wp(2, 0, k)))
+    return _expansion(_one(1, (2, 1, n)), coeffs, lambda k: (n, n - k, (2, 0, k)))
 
 
-_LAH_CASES = ((F(0), F(2)), (F(1), F(1)), (F(2), F(0)))
+_LAH_CASES = ((0, 2), (1, 1), (2, 0))
 
 
 def _b_lah_triple(p, n):
     L, R = _LAH_CASES[int(p["case"])]
     coeffs = [F(binomial(n, k) * rising(k + R, n - k)) for k in range(n + 1)]
-    return _expansion(_one(_wp(L, R, n)), coeffs, _normal(_xp(n)))
+    return _expansion(_one(1, (L, R, n)), coeffs, _normal(1, n))
 
 
-_S211_CASES = (
-    (F(1), F(2), F(0), F(2)),
-    (F(2), F(1), F(1), F(1)),
-    (F(3), F(0), F(2), F(0)),
-)
+_S211_CASES = ((1, 2, 0, 2), (2, 1, 1, 1), (3, 0, 2, 0))
 
 
 def _b_s211_triple(p, n):
     L, R, Lp, Rp = _S211_CASES[int(p["case"])]
-    lhs = _one(_wp(L, R, n), _xp(n))
+    lhs = _one(1, (L, R, n), n)
     return _expansion(
-        lhs, _row("S", -2, 1, 1, n), lambda k: (_xp(2 * n), _wp(Lp, Rp, k), _xp(n - k))
+        lhs, _row("S", -2, 1, 1, n), lambda k: (2 * n, (Lp, Rp, k), n - k)
     )
 
 
@@ -452,24 +450,24 @@ def _b_euleriank(R: int):
     """n! (x^(1-R) D x^R)^n, twisted by the Eulerian row at r = R."""
 
     def build(p, n):
-        lhs = OperatorExpr.single(factorial(n), _wp(1 - R, R, n))
+        lhs = OperatorExpr.over(1, [(factorial(n), ((1 - R, R, n),))])
         return _expansion(
-            lhs, _row("E", 0, 1, R, n), lambda k: (_xp(k), _wp(0, 0, n), _xp(n - k))
+            lhs, _row("E", 0, 1, R, n), lambda k: (k, (0, 0, n), n - k)
         )
 
     return build
 
 
 def _b_sampleeulerian(p, n):
-    lhs = OperatorExpr.single(2**n, _xp(n), _wp(2, 0, n), _xp(2 * n))
+    lhs = OperatorExpr.over(1, [(2**n, (n, (2, 0, n), 2 * n))])
     coeffs = [F(binomial(n + 1, 2 * k + 1)) for k in range(n + 1)]
-    return _expansion(lhs, coeffs, lambda k: (_xp(2 * k), _wp(3, 0, n), _xp(2 * (n - k))))
+    return _expansion(lhs, coeffs, lambda k: (2 * k, (3, 0, n), 2 * (n - k)))
 
 
 def _b_last(p, n):
-    lhs = _one(_wp(1, 1, n), _xp(n))
+    lhs = _one(1, (1, 1, n), n)
     coeffs = [F((-1) ** (n - k) * binomial(n + 1, k)) for k in range(n + 1)]
-    return _expansion(lhs, coeffs, lambda k: (_xp(n - k), _wp(2, 0, n), _xp(k)))
+    return _expansion(lhs, coeffs, lambda k: (n - k, (2, 0, n), k))
 
 
 # ---------------------------------------------------------------------------
@@ -659,13 +657,6 @@ def _cell_label(cell: Dict[str, Fraction]) -> str:
     return "(" + ", ".join(f"{k}={v}" for k, v in cell.items()) + ")"
 
 
-_STRING_CAP = 20  # longest boson string the string channel normal-orders
-
-
-def _degree(action: Dict[Fraction, Tuple[Fraction, ...]]) -> int:
-    return max((len(poly) - 1 for poly in action.values()), default=0)
-
-
 def verify_identity(
     template: IdentityTemplate,
     cells: Optional[Sequence[Dict[str, Fraction]]] = None,
@@ -674,10 +665,10 @@ def verify_identity(
     """Exactly verify a template over a parameter grid.
 
     Checks, per instance: uniform excess on both sides and equal symbolic
-    monomial action (one certificate in ``s``, read off one pass per side),
-    and (for admissible sides short enough) equal normal forms under the
-    independent string-rewriting oracle.  Strings longer than
-    ``_STRING_CAP`` letters are left to the action channel.
+    monomial action (one integer certificate in ``s`` per side, read off one
+    walk), and (for admissible sides short enough) equal normal forms under
+    the independent string-rewriting oracle.  Strings longer than
+    ``MAX_STRING_LENGTH`` letters are left to the action channel.
     """
     report = VerifyReport(template_id=template.id)
     if cells is None:
@@ -699,22 +690,20 @@ def verify_identity(
                     where += f" [{inst.label}]"
                 t0 = perf_counter()
                 try:
-                    el, left = inst.lhs.action_certificate()
-                    er, right = inst.rhs.action_certificate()
+                    left = inst.lhs.certificate()
+                    right = inst.rhs.certificate()
                 except MixedExcessError as exc:  # mixed excess is a real failure
                     report.failures.append(f"{where}: excess error: {exc}")
                     continue
                 finally:
                     report.action_s += perf_counter() - t0
-                if el is not None and er is not None and el != er:
+                if not left.excess_matches(right):
                     report.failures.append(
-                        f"{where}: excess mismatch {el} vs {er}"
+                        f"{where}: excess mismatch {left.excess} vs {right.excess}"
                     )
                     continue
                 report.action_probes += 1
-                report.action_degree = max(
-                    report.action_degree, _degree(left), _degree(right)
-                )
+                report.action_degree = max(report.action_degree, left.degree, right.degree)
                 if left != right:
                     report.failures.append(f"{where}: action differs")
                 t0 = perf_counter()
@@ -722,7 +711,7 @@ def verify_identity(
                 rstr = inst.rhs.boson_strings() if lstr is not None else None
                 if rstr is not None and max(
                     (len(string) for _, string in lstr + rstr), default=0
-                ) <= _STRING_CAP:
+                ) <= MAX_STRING_LENGTH:
                     report.string_probes += 1
                     if _normal_form(lstr) != _normal_form(rstr):
                         report.failures.append(f"{where}: normal forms differ")
@@ -757,11 +746,12 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
     kind, variant, prefactored = _REEXPANSIONS.get(template_id, (None, None, False))
     if not prefactored:
         raise ValueError(f"{template_id!r} has no prefactor table")
-    EL, ER = _prefactors(kind, variant, cell)
+    q, words = scale_params(*(cell[name] for name in _WORDS))
+    EL, ER = _prefactors(kind, variant, q, words)
 
     def admissible(EL_v, ER_v) -> bool:
         for n in _N_PROBE:
-            (inst,) = _reexpansion(kind, variant, cell, n, EL_v, ER_v)
+            (inst,) = _reexpansion(kind, variant, q, words, n, EL_v, ER_v)
             if not (inst.lhs.is_wc_admissible() and inst.rhs.is_wc_admissible()):
                 return False
         return True
@@ -770,11 +760,11 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
     return AdmissibilityReport(
         template_id=template_id,
         cell=tuple(sorted(cell.items())),
-        EL=EL,
-        ER=ER,
+        EL=F(EL, q),
+        ER=F(ER, q),
         admissible=ok,
-        EL_decrement_breaks=not admissible(EL - 1, ER),
-        ER_decrement_breaks=not admissible(EL, ER - 1),
+        EL_decrement_breaks=not admissible(EL - q, ER),
+        ER_decrement_breaks=not admissible(EL, ER - q),
     )
 
 

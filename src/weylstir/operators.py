@@ -7,17 +7,31 @@ coefficient times an ordered product of factors; a factor is either a pure
 power ``x^p`` or a word power ``(x^L D x^R)^m``.  Factors are written in
 operator order: the leftmost factor acts last.
 
-The whole point of this representation is that every expression acts on a
-formal monomial ``x^s`` exactly:
+Exponents are stored as integers over one denominator.  An expression keeps
+a positive ``q`` and, per term, its coefficient and its factors in units of
+``1/q``: an ``int`` ``p`` is the pure power ``x^(p/q)``, a tuple
+``(L, R, m)`` the word power ``(x^(L/q) D x^(R/q))^m``.  The catalog builders
+scale each parameter cell once and construct expressions in this form
+directly (:meth:`OperatorExpr.over`); the constructor takes the rational
+factors :class:`XPower` and :class:`WordPower` and scales them, and
+:attr:`OperatorExpr.terms` reads them back.
+
+Every expression acts on a formal monomial ``x^s`` exactly:
 
     (x^L D x^R)^m : x^s  |->  prod_{j=0}^{m-1} (s + R + j e) * x^{s + m e}
 
-with ``e`` the excess.  An expression's action is therefore a finite map
-``{exponent shift: polynomial in s}`` (:meth:`OperatorExpr.action_polynomials`),
-and two expressions are equal as operators on monomials exactly when these
-maps are equal: comparing them certifies an identity at every ``s``, at any
-degree.  A term's shift is its excess, so :meth:`OperatorExpr.action_certificate`
-returns the common excess from the same pass.
+with ``e`` the excess.  In ``u = q s`` a word power contributes the integer
+linear factors ``u + c``, and every exponent shift is an integer, so an
+expression's action is a :class:`Certificate`: a map ``{shift: polynomial in
+u}`` with integer coefficients over one common denominator, computed in one
+walk over the terms.  Two expressions are equal as operators on monomials
+exactly when these maps are equal, which certifies an identity at every
+``s``, at any degree; certificates compare in integers.  A term's shift is
+its excess, so the certificate also carries the common excess.
+:meth:`OperatorExpr.action_polynomials` and
+:meth:`OperatorExpr.action_certificate` give the same map with ``Fraction``
+shifts and coefficients in ``s``; :meth:`OperatorExpr.act_on_monomial` is the
+pointwise reference.
 """
 
 from __future__ import annotations
@@ -35,6 +49,7 @@ __all__ = [
     "WordPower",
     "Factor",
     "OperatorExpr",
+    "Certificate",
     "MixedExcessError",
 ]
 
@@ -95,12 +110,92 @@ class WordPower:
 Factor = Union[XPower, WordPower]
 Term = Tuple[Fraction, Tuple[Factor, ...]]
 Action = Dict[Fraction, Tuple[Fraction, ...]]
+# a factor in units of 1/q: x^(p/q) as p, (x^(L/q) D x^(R/q))^m as (L, R, m)
+Scaled = Union[int, Tuple[int, int, int]]
+
+
+def _scale(factor: Factor, q: int) -> Scaled:
+    if isinstance(factor, XPower):
+        return factor.exp.numerator * (q // factor.exp.denominator)
+    L, R = factor.word.L, factor.word.R
+    return (L.numerator * (q // L.denominator), R.numerator * (q // R.denominator), factor.power)
+
+
+def _unscale(factor: Scaled, q: int) -> Factor:
+    if factor.__class__ is int:
+        return XPower(Fraction(factor, q))
+    L, R, m = factor
+    return WordPower(Word(Fraction(L, q), Fraction(R, q)), m)
+
+
+class Certificate:
+    """The symbolic action of an expression, in integers.
+
+    With ``u = q s``, ``polys`` maps each exponent shift, in units of
+    ``1/q``, to the coefficients of a polynomial in ``u`` (constant first,
+    no trailing zero, zero polynomials dropped), all over ``denom``.
+    ``shift`` is the first term's shift and ``mixed`` the first one that
+    differs from it (None if every term agrees); both are None for the zero
+    expression.
+    """
+
+    __slots__ = ("q", "shift", "mixed", "denom", "polys")
+
+    def __init__(self, q: int, shift: Optional[int], mixed: Optional[int],
+                 denom: int, polys: Dict[int, List[int]]):
+        self.q, self.shift, self.mixed, self.denom, self.polys = q, shift, mixed, denom, polys
+
+    @property
+    def excess(self) -> Optional[Fraction]:
+        """The first term's excess (None for the zero expression)."""
+        return None if self.shift is None else Fraction(self.shift, self.q)
+
+    @property
+    def degree(self) -> int:
+        """The highest degree in ``s`` of the action."""
+        return max((len(poly) - 1 for poly in self.polys.values()), default=0)
+
+    def excess_matches(self, other: "Certificate") -> bool:
+        """False only if both expressions have an excess and they differ."""
+        if self.shift is None or other.shift is None:
+            return True
+        return self.shift * other.q == other.shift * self.q
+
+    def action(self) -> Action:
+        """{exponent shift: coefficients of the polynomial in ``s``} as
+        Fractions: ``u^k / denom`` is ``q^k s^k / denom``."""
+        q, denom = self.q, self.denom
+        return {
+            Fraction(shift, q): tuple(Fraction(a * q**k, denom) for k, a in enumerate(poly))
+            for shift, poly in self.polys.items()
+        }
+
+    def __eq__(self, other):
+        """Equal actions; over one ``q`` compared by cross-multiplying the
+        two denominators."""
+        if not isinstance(other, Certificate):
+            return NotImplemented
+        if self.q != other.q:
+            return self.action() == other.action()
+        mine, theirs = self.polys, other.polys
+        if mine.keys() != theirs.keys():
+            return False
+        da, db = self.denom, other.denom
+        for shift, a in mine.items():
+            b = theirs[shift]
+            if da == db:
+                if a != b:
+                    return False
+            elif len(a) != len(b) or any(x * db != y * da for x, y in zip(a, b)):
+                return False
+        return True
 
 
 class OperatorExpr:
-    """Finite sum of coefficient-weighted factor products."""
+    """Finite sum of coefficient-weighted factor products, with exponents
+    in units of ``1/q``."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("q", "_terms")
 
     def __init__(self, terms: Iterable[Tuple[object, Sequence[Factor]]] = ()):
         clean: List[Term] = []
@@ -108,9 +203,26 @@ class OperatorExpr:
             c = as_rational(coeff)
             if c:
                 clean.append((c, tuple(factors)))
-        self.terms: Tuple[Term, ...] = tuple(clean)
+        q = lcm(*(
+            x.denominator
+            for _, factors in clean
+            for f in factors
+            for x in ((f.exp,) if isinstance(f, XPower) else (f.word.L, f.word.R))
+        ))
+        self.q = q
+        self._terms = tuple((c, tuple(_scale(f, q) for f in factors)) for c, factors in clean)
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def over(cls, q: int, terms: Iterable[Tuple[object, Tuple[Scaled, ...]]]) -> "OperatorExpr":
+        """The expression of ``terms`` whose factors are already in units of
+        ``1/q`` (``p`` for ``x^(p/q)``, ``(L, R, m)`` for a word power);
+        coefficients are ints or Fractions, and zero ones are left out."""
+        expr = cls.__new__(cls)
+        expr.q = q
+        expr._terms = tuple((c, factors) for c, factors in terms if c)
+        return expr
 
     @classmethod
     def single(cls, coeff, *factors: Factor) -> "OperatorExpr":
@@ -120,12 +232,20 @@ class OperatorExpr:
     def zero(cls) -> "OperatorExpr":
         return cls()
 
+    @property
+    def terms(self) -> Tuple[Term, ...]:
+        """The terms with rational factors."""
+        q = self.q
+        return tuple(
+            (coeff, tuple(_unscale(f, q) for f in factors)) for coeff, factors in self._terms
+        )
+
     def __add__(self, other: "OperatorExpr") -> "OperatorExpr":
-        return OperatorExpr(list(self.terms) + list(other.terms))
+        return OperatorExpr(self.terms + other.terms)
 
     def scaled(self, c) -> "OperatorExpr":
         c = as_rational(c)
-        return OperatorExpr([(c * coeff, factors) for coeff, factors in self.terms])
+        return OperatorExpr.over(self.q, [(c * coeff, factors) for coeff, factors in self._terms])
 
     # -- semantics ------------------------------------------------------
 
@@ -134,7 +254,7 @@ class OperatorExpr:
 
         Factors apply right to left (the rightmost factor hits ``x^s``
         first), matching operator composition.  This is the pointwise
-        reference for :meth:`action_polynomials`.
+        reference for :meth:`certificate`, in rational arithmetic.
         """
         s = as_rational(s)
         collected: Dict[Fraction, Fraction] = {}
@@ -156,18 +276,22 @@ class OperatorExpr:
                 collected[exp] = collected.get(exp, Fraction(0)) + c
         return {e: v for e, v in collected.items() if v}
 
+    def certificate(self) -> Certificate:
+        """The symbolic action in integers with the common excess of all
+        terms; raises MixedExcessError if two terms disagree."""
+        cert = self._walk()
+        if cert.mixed is not None:
+            raise MixedExcessError(
+                f"terms of mixed excess: {cert.excess} vs {Fraction(cert.mixed, cert.q)}"
+            )
+        return cert
+
     def action_certificate(self) -> Tuple[Optional[Fraction], Action]:
         """The common excess of all terms (None for the zero expression)
-        and the symbolic action :meth:`action_polynomials`, in one pass.
-
-        A term's exponent shift is its excess, so the uniform-excess check
-        is read off the same walk; raises MixedExcessError if two terms
-        disagree.
-        """
-        excess, mixed, action = self._action()
-        if mixed is not None:
-            raise MixedExcessError(f"terms of mixed excess: {excess} vs {mixed}")
-        return excess, action
+        and the symbolic action :meth:`action_polynomials`, from one walk;
+        raises MixedExcessError if two terms disagree."""
+        cert = self.certificate()
+        return cert.excess, cert.action()
 
     def action_polynomials(self) -> Action:
         """Symbolic action on ``x^s``: {exponent shift: coefficients of a
@@ -178,125 +302,97 @@ class OperatorExpr:
         maps prove that two expressions act alike on every monomial.  Terms
         of mixed excess are allowed here.
         """
-        return self._action()[2]
+        return self._walk().action()
 
-    def excess(self) -> Optional[Fraction]:
-        """Common excess of all terms (None for the zero expression);
-        raises MixedExcessError if terms disagree."""
-        return self.action_certificate()[0]
-
-    def _action(self) -> Tuple[Optional[Fraction], Optional[Fraction], Action]:
-        """The first term's excess, the first excess that differs from it
-        (None if every term agrees) and the symbolic action.
-
-        The arithmetic is fraction-free: with ``q`` the lcm of the exponent
-        denominators, a word power contributes integer linear factors
-        ``u + c`` in ``u = q s`` and every exponent shift is an integer in
-        units of ``1/q``; terms of one shift are summed over a common
-        denominator, and only the final coefficients are divided.
-        """
-        q = d = 1  # lcm of the exponent / coefficient denominators
-        top = 0  # highest degree of any term
-        for coeff, factors in self.terms:
-            d = lcm(d, coeff.denominator)
-            degree = 0
-            for factor in factors:
-                if isinstance(factor, XPower):
-                    q = lcm(q, factor.exp.denominator)
-                else:
-                    q = lcm(q, factor.word.L.denominator, factor.word.R.denominator)
-                    degree += factor.power
-            top = max(top, degree)
-
-        def scaled(x: Fraction) -> int:
-            return x.numerator * (q // x.denominator)
-
-        first = mixed = None  # term shifts, in units of 1/q
-        # shift -> d q^top times the polynomial in u
-        sums: Dict[int, List[int]] = {}
-        for coeff, factors in self.terms:
+    def _walk(self) -> Certificate:
+        """One walk over the terms.  A term's factors, right to left, give
+        its shift and the integer polynomial ``prod (u + c)`` of its word
+        powers; the terms of one shift are then summed over the common
+        denominator ``d q^(top - 1)``, with ``d`` the lcm of the coefficient
+        denominators and ``top - 1`` the highest degree."""
+        q = self.q
+        first = mixed = None
+        walked = []
+        top = 1
+        for coeff, factors in self._terms:
             shift = 0
-            poly = [coeff.numerator * (d // coeff.denominator)]
-            for factor in reversed(factors):
-                if isinstance(factor, XPower):
-                    shift += scaled(factor.exp)
+            poly = [1]
+            for f in reversed(factors):
+                if f.__class__ is int:
+                    shift += f
                     continue
-                r = scaled(factor.word.R)
-                e = scaled(factor.word.L) + r - q
-                c = shift + r
-                for _ in range(factor.power):
+                L, R, m = f
+                e = L + R - q
+                c = shift + R
+                for _ in range(m):
                     poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
                     c += e
-                shift += factor.power * e
+                shift += m * e
             if first is None:
                 first = shift
             elif mixed is None and shift != first:
                 mixed = shift
-            lift = q ** (top - len(poly) + 1)
-            acc = sums.setdefault(shift, [])
-            acc.extend([0] * (len(poly) - len(acc)))
+            walked.append((coeff, shift, poly))
+            if len(poly) > top:
+                top = len(poly)
+        d = lcm(*(coeff.denominator for coeff, _, _ in walked))
+        sums: Dict[int, List[int]] = {}
+        for coeff, shift, poly in walked:
+            lift = coeff.numerator * (d // coeff.denominator) * q ** (top - len(poly))
+            acc = sums.get(shift)
+            if acc is None:
+                acc = sums[shift] = [0] * top
             for k, a in enumerate(poly):
                 acc[k] += lift * a
-        out: Action = {}
-        denom = d * q**top
+        polys = {}
         for shift, acc in sums.items():
             while acc and not acc[-1]:
                 acc.pop()
             if acc:
-                out[Fraction(shift, q)] = tuple(
-                    Fraction(a * q**k, denom) for k, a in enumerate(acc)
-                )
-        excess = None if first is None else Fraction(first, q)
-        return excess, None if mixed is None else Fraction(mixed, q), out
+                polys[shift] = acc
+        return Certificate(q, first, mixed, d * q ** (top - 1), polys)
 
     def adjoint(self) -> "OperatorExpr":
         """Formal adjoint: reverses factor order, fixes pure powers, and
         maps ``(x^L D x^R)^m`` to ``(-1)^m (x^R D x^L)^m``."""
         out = []
-        for coeff, factors in self.terms:
+        for coeff, factors in self._terms:
             sign = 1
-            new_factors: List[Factor] = []
-            for factor in reversed(factors):
-                if isinstance(factor, WordPower):
-                    if factor.power % 2:
-                        sign = -sign
-                    new_factors.append(WordPower(factor.word.reversed(), factor.power))
+            new_factors: List[Scaled] = []
+            for f in reversed(factors):
+                if f.__class__ is int:
+                    new_factors.append(f)
                 else:
-                    new_factors.append(factor)
+                    L, R, m = f
+                    if m % 2:
+                        sign = -sign
+                    new_factors.append((R, L, m))
             out.append((sign * coeff, tuple(new_factors)))
-        return OperatorExpr(out)
+        return OperatorExpr.over(self.q, out)
 
     def is_wc_admissible(self) -> bool:
         """True if every exponent in sight is a nonnegative integer, i.e.
         the expression lives in the creation/annihilation dialect."""
-        for _, factors in self.terms:
-            for factor in factors:
-                if isinstance(factor, XPower):
-                    if factor.exp.denominator != 1 or factor.exp.numerator < 0:
-                        return False
-                elif not factor.word.is_natural():
-                    return False
-        return True
+        return self.boson_strings() is not None
 
     def boson_strings(self) -> Optional[List[Tuple[Fraction, str]]]:
         """Spell each term as a string over '+', '-' ('+' the creation
         letter) in one walk; None if the expression is not admissible
         (:meth:`is_wc_admissible`)."""
+        q = self.q
         out = []
-        for coeff, factors in self.terms:
+        for coeff, factors in self._terms:
             chunks = []
-            for factor in factors:
-                if isinstance(factor, XPower):
-                    exp = factor.exp
-                    if exp.denominator != 1 or exp.numerator < 0:
+            for f in factors:
+                if f.__class__ is int:
+                    if f < 0 or f % q:
                         return None
-                    chunks.append("+" * exp.numerator)
+                    chunks.append("+" * (f // q))
                 else:
-                    word = factor.word
-                    if not word.is_natural():
+                    L, R, m = f
+                    if L < 0 or R < 0 or L % q or R % q:
                         return None
-                    unit = "+" * word.L.numerator + "-" + "+" * word.R.numerator
-                    chunks.append(unit * factor.power)
+                    chunks.append(("+" * (L // q) + "-" + "+" * (R // q)) * m)
             out.append((coeff, "".join(chunks)))
         return out
 
@@ -305,7 +401,7 @@ class OperatorExpr:
     def render(self, style: str = "x") -> str:
         """Human-readable form; ``style`` is ``"x"`` (x and D) or ``"adag"``
         (creation/annihilation, suitable for admissible expressions)."""
-        if not self.terms:
+        if not self._terms:
             return "0"
         parts = []
         for coeff, factors in self.terms:

@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: output formats, exit codes, caps."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -250,3 +254,26 @@ def test_conjecture_json(capsys):
     payload = json.loads(out)
     assert payload["mismatches_stated_range"] == 0
     assert payload["convention_sensitive_cells"] > 0
+
+
+def test_verify_all_range_is_clipped_to_case_tables(capsys):
+    code, out, _ = run(capsys, "verify", "--all", "--range", "0..3", "--n", "1",
+                       "--format", "json")
+    assert code == 0
+    reports = {r["template"]: r for r in json.loads(out)["reports"]}
+    assert len(reports) == 42
+    assert reports["lah_triple"]["cells"] == 3
+    assert reports["s211_triple"]["cells"] == 3
+    assert reports["difflr"]["cells"] == 4
+
+
+def test_python_dash_m_runs_the_command_line():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "weylstir", "verify", "--template", "ttv",
+                           "--n", "2"], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("ttv: PASS")
+    proc = subprocess.run([sys.executable, "-m", "weylstir", "triangle", "--n", "-1"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2

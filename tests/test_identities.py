@@ -256,7 +256,7 @@ def test_sides_of_different_excess_mismatch():
 
 def test_engine_errors_are_not_counterexamples():
     class Faulty(OperatorExpr):
-        def action_certificate(self):
+        def certificate(self):
             raise TypeError("engine fault")
 
     side = OperatorExpr.single(1, XPower(F(1)))
@@ -321,3 +321,58 @@ def test_domain_errors_name_out_of_range_parameters():
     assert lah.domain_error({"case": F(-1)}) is not None
     assert difflr.domain_error({"m": F(0)}) is None
     assert difflr.domain_error({"m": F(-1)}) == "m must be a natural number, got -1"
+
+
+def _certificate_lines():
+    """One line per side of every catalog instance on the full grids at
+    n <= 4: its excess, action and boson strings."""
+    for tid in TEMPLATE_ORDER:
+        template = TEMPLATES[tid]
+        n_values = range(template.n_min, 5) if template.uses_n else [template.n_default]
+        for cell in template.grid():
+            for n in n_values:
+                for inst in template.build(cell, n):
+                    for side in (inst.lhs, inst.rhs):
+                        excess, action = side.action_certificate()
+                        polys = "; ".join(
+                            f"{shift}: {' '.join(map(str, poly))}"
+                            for shift, poly in sorted(action.items())
+                        )
+                        strings = side.boson_strings()
+                        spelled = "-" if strings is None else " ".join(
+                            f"{c}:{s}" for c, s in strings
+                        )
+                        yield f"{tid} {sorted(cell.items())} {n} {excess} {{{polys}}} [{spelled}]"
+
+
+def test_certificates_and_strings_are_pinned():
+    """The action certificates and boson strings of both sides of every
+    catalog instance at n <= 4 hash to the digest of the rational-exponent
+    engine they replaced."""
+    lines = list(_certificate_lines())
+    assert len(lines) == 34646
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "86ea107e3e4872984687ec89464f7b9b6cd20501bcc1cc4fcbcd340d97db36c8"
+
+
+def test_off_by_one_coefficient_fails_the_integer_comparison():
+    """A rational re-expansion with its second RHS coefficient off by one.
+    Both sides are over q = 2 but over different denominators, so the
+    integer comparison cross-multiplies; it must report the action."""
+    base = TEMPLATES["firstmain.2a"]
+    cell = {"L": F(1, 2), "R": F(2), "Lp": F(-1), "Rp": F(1, 2)}
+
+    def build(p, n):
+        (inst,) = base.build(p, n)
+        terms = [(c + (1 if i == 1 else 0), f) for i, (c, f) in enumerate(inst.rhs.terms)]
+        return [TemplateInstance(inst.lhs, OperatorExpr(terms))]
+
+    template = IdentityTemplate(
+        id="offbyone", domain="WTC", params=base.params, build=build,
+        grid=lambda: [cell], n_min=3,
+    )
+    (inst,) = template.build(cell, 3)
+    left, right = inst.lhs.certificate(), inst.rhs.certificate()
+    assert left.q == right.q == 2 and left.denom != right.denom
+    rep = verify_identity(template, n_max=3)
+    assert rep.failures == ["offbyone(L=1/2, R=2, Lp=-1, Rp=1/2) n=3: action differs"]

@@ -60,12 +60,12 @@ def test_sum_of_terms_acts_linearly():
 
 
 def test_excess_grading():
-    assert _expr(WordPower(Word(F(2), F(1)), 3)).excess() == 6
-    assert _expr(XPower(F(-2)), WordPower(Word(F(1), F(1)), 1)).excess() == -1
-    assert OperatorExpr([]).excess() is None
+    assert _expr(WordPower(Word(F(2), F(1)), 3)).action_certificate()[0] == 6
+    assert _expr(XPower(F(-2)), WordPower(Word(F(1), F(1)), 1)).action_certificate()[0] == -1
+    assert OperatorExpr([]).action_certificate()[0] is None
     mixed = OperatorExpr([(1, (XPower(F(1)),)), (1, (XPower(F(2)),))])
     with pytest.raises(MixedExcessError):
-        mixed.excess()
+        mixed.action_certificate()[0]
 
 
 def test_action_certificate_reads_the_excess_off_the_action():
@@ -74,7 +74,7 @@ def test_action_certificate_reads_the_excess_off_the_action():
         (F(-1), (WordPower(Word(F(1), F(1)), 1), XPower(F(3, 2)))),
     ])
     excess, action = e.action_certificate()
-    assert excess == F(5, 2) == e.excess()
+    assert excess == F(5, 2) == e.certificate().excess
     assert action == e.action_polynomials()
     assert set(action) == {excess}
     assert OperatorExpr.zero().action_certificate() == (None, {})
@@ -172,3 +172,37 @@ def test_action_polynomials_mixed_denominators_and_degrees():
             if value:
                 pointwise[s + shift] = value
         assert pointwise == e.act_on_monomial(s)
+
+
+def test_certificates_compare_in_integers():
+    plain = _expr(XPower(F(1)))
+    cert = plain.certificate()
+    assert (cert.q, cert.shift, cert.denom, cert.polys) == (1, 1, 1, {1: [1]})
+    # over one q with other denominators: compared by cross-multiplication
+    thirds = OperatorExpr([(F(1, 3), (XPower(F(1)),)), (F(2, 3), (XPower(F(1)),))])
+    assert thirds.certificate().denom == 3
+    assert thirds.certificate() == cert
+    assert OperatorExpr.single(F(2, 3), XPower(F(1))).certificate() != cert
+    # over another q: x^(1/2) x^(1/2) acts like x
+    halves = _expr(XPower(F(1, 2)), XPower(F(1, 2)))
+    assert halves.q == 2 and halves.certificate() == cert
+    assert halves.certificate().excess_matches(cert)
+    assert not _expr(XPower(F(1, 2))).certificate().excess_matches(cert)
+    # a word power: (x^(3/2) D)^2 x^s = s (s + 1/2) x^(s + 1)
+    word = _expr(WordPower(Word(F(3, 2), F(0)), 2))
+    cert = word.certificate()
+    assert (cert.q, cert.excess, cert.degree, cert.denom, cert.polys) == (
+        2, F(1), 2, 4, {2: [0, 1, 1]}
+    )
+    assert cert.action() == {F(1): (F(0), F(1, 2), F(1))}
+
+
+def test_integer_exponents_round_trip():
+    e = OperatorExpr([(F(2), (XPower(F(1, 3)), WordPower(Word(F(-1, 2), F(2)), 3))),
+                      (F(-1), (XPower(F(0)),))])
+    assert e.q == 6
+    assert OperatorExpr(e.terms) == e
+    assert (e + e.adjoint()).q == 6
+    assert (e + _expr(XPower(F(1, 4)))).q == 12
+    assert (e + _expr(XPower(F(1, 4)))).terms == e.terms + ((F(1), (XPower(F(1, 4)),)),)
+    assert OperatorExpr.over(6, [(2, (2, (-3, 12, 3))), (-1, (0,))]) == e
