@@ -71,7 +71,9 @@ def _rational(text: str) -> Fraction:
     """Rationals are 'p/q' or integer strings; decimal input is rejected."""
     try:
         return as_rational(text.strip())
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}")
+    except (ValueError, TypeError) as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
@@ -338,15 +340,17 @@ def cmd_expand(args) -> int:
         raise UsageError(f"template {template.id!r} requires n >= {template.n_min}")
 
     instances = template.build(cell, args.n)
-    style = "adag" if template.domain == "WC" else "x"
     payload = []
     for inst in instances:
+        adag = (args.format == "latex" and inst.lhs.is_wc_admissible()
+                and inst.rhs.is_wc_admissible())
+        style = "adag" if adag else "x"
         entry = {
             "template": template.id,
             "params": {k: str(v) for k, v in cell.items()},
             "n": args.n,
-            "lhs": inst.lhs.render(style if args.format == "latex" else "x"),
-            "rhs": inst.rhs.render(style if args.format == "latex" else "x"),
+            "lhs": inst.lhs.render(style),
+            "rhs": inst.rhs.render(style),
         }
         if inst.coeffs is not None:
             entry["coefficients"] = [str(c) for c in inst.coeffs]

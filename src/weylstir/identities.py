@@ -22,9 +22,13 @@ their all-natural prefactored forms ``powerful``, ``powerful2``) come from one
 builder, ``_reexpansion``, driven by a table of (kind, variant) and one
 prefactor table; every sum over a coefficient row is built by ``_expansion``.
 
-Identity coefficients come from the triangle module (recurrence scheme), so
-a verification failure would implicate either the triangles, the operator
-engine, or the identity itself; their mutual agreement is the point.
+Coefficient rows come from the triangle module's integer recurrence, run at
+the integers of the scaled cell: ``S`` row ``n`` entry ``k`` is homogeneous
+of degree ``n - k`` in the parameters and ``E`` row ``n`` of degree ``n``,
+so each entry is divided once, by ``q^(n-k)`` or ``q^n``, into the exact
+``Fraction`` coefficient.  A verification failure would implicate either the
+triangles, the operator engine, or the identity itself; their mutual
+agreement is the point.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from .boson import MAX_STRING_LENGTH, normal_order_oracle
 from .kernels import binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
-from .triangles import build_recurrence, closed_form
+from .triangles import _recurrence_rows, build_recurrence, closed_form
 
 F = Fraction
 
@@ -88,9 +92,14 @@ def _poly_in_word(q: int, word: Tuple[int, int], shifts: Sequence[int]) -> Opera
     ])
 
 
-def _row(kind: str, alpha, beta, r, n: int) -> Tuple[Fraction, ...]:
-    """Row ``n`` of a recurrence triangle: the coefficients ``k = 0..n``."""
-    return build_recurrence(kind, alpha, beta, r, n).rows[n]
+def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Tuple[Fraction, ...]:
+    """Row ``n`` of the recurrence triangle ``kind`` at ``(A, B, R) / q``:
+    the integer row at ``(A, B, R)``, entry ``k`` divided by ``q^(n-k)``
+    (S) or ``q^n`` (E)."""
+    row = _recurrence_rows(kind, A, B, R, n, 1)[n]
+    if kind == "S":
+        return tuple(F(v, q ** (n - k)) for k, v in enumerate(row))
+    return tuple(F(v, q**n) for v in row)
 
 
 def _xs(*pairs) -> Tuple[int, ...]:
@@ -257,45 +266,45 @@ def _normal(q: int, *prefactors):
 
 
 def _b_katriel_norm(p, n):
-    return _expansion(_one(1, (1, 0, n)), _row("S", 0, 1, 0, n), _normal(1))
+    return _expansion(_one(1, (1, 0, n)), _row("S", 1, 0, 1, 0, n), _normal(1))
 
 
 def _b_katriel_anti(p, n):
-    return _expansion(_one(1, (0, 1, n)), _row("S", 0, 1, 1, n), _normal(1))
+    return _expansion(_one(1, (0, 1, n)), _row("S", 1, 0, 1, 1, n), _normal(1))
 
 
 def _b_katrielplus_norm(p, n):
     q, (a,) = scale_params(p["alpha"])
     lhs = _poly_in_word(q, (q, 0), [-j * a for j in range(n)])
-    return _expansion(lhs, _row("S", p["alpha"], 1, 0, n), _normal(q))
+    return _expansion(lhs, _row("S", q, a, q, 0, n), _normal(q))
 
 
 def _b_katrielplus_anti(p, n):
     q, (a,) = scale_params(p["alpha"])
     lhs = _poly_in_word(q, (0, q), [-j * a for j in range(n)])
-    return _expansion(lhs, _row("S", p["alpha"], 1, 1, n), _normal(q))
+    return _expansion(lhs, _row("S", q, a, q, q, n), _normal(q))
 
 
 def _b_normord(p, n):
     q, (L, R) = scale_params(p["L"], p["R"])
     e = L + R - q
     lhs = _one(q, -e * n, (L, R, n))
-    return _expansion(lhs, _row("S", F(-e, q), 1, p["R"], n), _normal(q))
+    return _expansion(lhs, _row("S", q, -e, q, R, n), _normal(q))
 
 
 def _b_cor1(p, n):
     q, (L, R) = scale_params(p["L"], p["R"])
     e = L + R - q
-    return _expansion(_one(q, (L, R, n)), _row("S", F(-e, q), 1, p["R"], n), _normal(q, e * n))
+    return _expansion(_one(q, (L, R, n)), _row("S", q, -e, q, R, n), _normal(q, e * n))
 
 
 def _b_special_corollary(p, n):
     q, (L, R) = scale_params(p["L"], p["R"])
     lhs = OperatorExpr.over(q, [(1, combo) for combo in product(((L, R, 1), (R, L, 1)), repeat=n)])
-    s = p["L"] + p["R"]
-    row = _row("S", 2 - 2 * s, 2, s, n)
+    s = L + R
+    row = _row("S", q, 2 * q - 2 * s, 2 * q, s, n)
     coeffs = [2**k * c for k, c in enumerate(row)]
-    return _expansion(lhs, coeffs, _normal(q, (L + R - q) * n))
+    return _expansion(lhs, coeffs, _normal(q, (s - q) * n))
 
 
 # Template id -> (kind, variant, prefactored) of the 16 word re-expansions.
@@ -352,7 +361,7 @@ def _reexpansion(
     alpha = -e if lhs_left else e
     beta = -ep if twist_left else ep
     r = R - Rp + (0 if twist_left else ep) - (0 if lhs_left else e)
-    coeffs = _row(kind, F(alpha, q), F(beta, q), F(r, q), n)
+    coeffs = _row(kind, q, alpha, beta, r, n)
     if kind == "S":
         EL, ER = (0 if variant == "d" else EL), (0 if variant == "a" else ER)
         scale = 1
@@ -442,7 +451,7 @@ def _b_s211_triple(p, n):
     L, R, Lp, Rp = _S211_CASES[int(p["case"])]
     lhs = _one(1, (L, R, n), n)
     return _expansion(
-        lhs, _row("S", -2, 1, 1, n), lambda k: (2 * n, (Lp, Rp, k), n - k)
+        lhs, _row("S", 1, -2, 1, 1, n), lambda k: (2 * n, (Lp, Rp, k), n - k)
     )
 
 
@@ -452,7 +461,7 @@ def _b_euleriank(R: int):
     def build(p, n):
         lhs = OperatorExpr.over(1, [(factorial(n), ((1 - R, R, n),))])
         return _expansion(
-            lhs, _row("E", 0, 1, R, n), lambda k: (k, (0, 0, n), n - k)
+            lhs, _row("E", 1, 0, 1, R, n), lambda k: (k, (0, 0, n), n - k)
         )
 
     return build
@@ -839,6 +848,6 @@ def adjoint_pairing_check(cell: Dict[str, Fraction], n_max: int = 4) -> bool:
             (inst_a.rhs.adjoint(), inst_d.rhs.scaled(sign)),
         )
         for left, right in pairs:
-            if left.action_polynomials() != right.action_polynomials():
+            if left.certificate() != right.certificate():
                 return False
     return True

@@ -21,17 +21,17 @@ Every expression acts on a formal monomial ``x^s`` exactly:
     (x^L D x^R)^m : x^s  |->  prod_{j=0}^{m-1} (s + R + j e) * x^{s + m e}
 
 with ``e`` the excess.  In ``u = q s`` a word power contributes the integer
-linear factors ``u + c``, and every exponent shift is an integer, so an
-expression's action is a :class:`Certificate`: a map ``{shift: polynomial in
-u}`` with integer coefficients over one common denominator, computed in one
-walk over the terms.  Two expressions are equal as operators on monomials
-exactly when these maps are equal, which certifies an identity at every
-``s``, at any degree; certificates compare in integers.  A term's shift is
-its excess, so the certificate also carries the common excess.
-:meth:`OperatorExpr.action_polynomials` and
-:meth:`OperatorExpr.action_certificate` give the same map with ``Fraction``
-shifts and coefficients in ``s``; :meth:`OperatorExpr.act_on_monomial` is the
-pointwise reference.
+linear factors ``u + c``, and a term's exponent shift is its excess, an
+integer in units of ``1/q``.  When all terms share one excess, as in every
+catalog identity, the action is a :class:`Certificate`: that one shift and
+one polynomial in ``u`` with integer coefficients over one common
+denominator, computed in one walk over the terms
+(:meth:`OperatorExpr.certificate`, which raises :class:`MixedExcessError` at
+the first term of another excess).  Two expressions are equal as operators on
+monomials exactly when their certificates are equal, which certifies an
+identity at every ``s``, at any degree; certificates compare in integers.
+:meth:`Certificate.action` reads a certificate in ``Fraction`` values of ``s``;
+:meth:`OperatorExpr.act_on_monomial` is the pointwise reference.
 """
 
 from __future__ import annotations
@@ -72,17 +72,6 @@ class Word:
     @property
     def excess(self) -> Fraction:
         return self.L + self.R - 1
-
-    def reversed(self) -> "Word":
-        return Word(self.R, self.L)
-
-    def is_natural(self) -> bool:
-        return (
-            self.L.denominator == 1
-            and self.R.denominator == 1
-            and self.L.numerator >= 0
-            and self.R.numerator >= 0
-        )
 
 
 @dataclass(frozen=True)
@@ -129,31 +118,29 @@ def _unscale(factor: Scaled, q: int) -> Factor:
 
 
 class Certificate:
-    """The symbolic action of an expression, in integers.
+    """The symbolic action of an expression of one excess, in integers.
 
-    With ``u = q s``, ``polys`` maps each exponent shift, in units of
-    ``1/q``, to the coefficients of a polynomial in ``u`` (constant first,
-    no trailing zero, zero polynomials dropped), all over ``denom``.
-    ``shift`` is the first term's shift and ``mixed`` the first one that
-    differs from it (None if every term agrees); both are None for the zero
+    With ``u = q s``, the expression sends ``x^s`` to ``P(u) / denom`` times
+    ``x^(s + shift / q)``, where ``poly`` lists the integer coefficients of
+    ``P`` (constant first, no trailing zero; empty when the action is zero).
+    ``shift`` is the common excess in units of ``1/q``, None for the zero
     expression.
     """
 
-    __slots__ = ("q", "shift", "mixed", "denom", "polys")
+    __slots__ = ("q", "shift", "denom", "poly")
 
-    def __init__(self, q: int, shift: Optional[int], mixed: Optional[int],
-                 denom: int, polys: Dict[int, List[int]]):
-        self.q, self.shift, self.mixed, self.denom, self.polys = q, shift, mixed, denom, polys
+    def __init__(self, q: int, shift: Optional[int], denom: int, poly: List[int]):
+        self.q, self.shift, self.denom, self.poly = q, shift, denom, poly
 
     @property
     def excess(self) -> Optional[Fraction]:
-        """The first term's excess (None for the zero expression)."""
+        """The common excess (None for the zero expression)."""
         return None if self.shift is None else Fraction(self.shift, self.q)
 
     @property
     def degree(self) -> int:
-        """The highest degree in ``s`` of the action."""
-        return max((len(poly) - 1 for poly in self.polys.values()), default=0)
+        """The degree in ``s`` of the action."""
+        return max(len(self.poly) - 1, 0)
 
     def excess_matches(self, other: "Certificate") -> bool:
         """False only if both expressions have an excess and they differ."""
@@ -163,32 +150,31 @@ class Certificate:
 
     def action(self) -> Action:
         """{exponent shift: coefficients of the polynomial in ``s``} as
-        Fractions: ``u^k / denom`` is ``q^k s^k / denom``."""
+        Fractions, empty for the zero action: ``u^k / denom`` is
+        ``q^k s^k / denom``."""
+        if not self.poly:
+            return {}
         q, denom = self.q, self.denom
         return {
-            Fraction(shift, q): tuple(Fraction(a * q**k, denom) for k, a in enumerate(poly))
-            for shift, poly in self.polys.items()
+            Fraction(self.shift, q): tuple(
+                Fraction(a * q**k, denom) for k, a in enumerate(self.poly)
+            )
         }
 
     def __eq__(self, other):
-        """Equal actions; over one ``q`` compared by cross-multiplying the
-        two denominators."""
+        """Equal actions, compared in integers: coefficient ``k`` is
+        ``a_k q^k / denom`` on either side, cross-multiplied."""
         if not isinstance(other, Certificate):
             return NotImplemented
-        if self.q != other.q:
-            return self.action() == other.action()
-        mine, theirs = self.polys, other.polys
-        if mine.keys() != theirs.keys():
+        a, b = self.poly, other.poly
+        if not a or not b:
+            return a == b
+        if len(a) != len(b) or self.shift * other.q != other.shift * self.q:
             return False
+        # over one q the powers q^k cancel
+        p, q = (1, 1) if self.q == other.q else (self.q, other.q)
         da, db = self.denom, other.denom
-        for shift, a in mine.items():
-            b = theirs[shift]
-            if da == db:
-                if a != b:
-                    return False
-            elif len(a) != len(b) or any(x * db != y * da for x, y in zip(a, b)):
-                return False
-        return True
+        return all(x * p**k * db == y * q**k * da for k, (x, y) in enumerate(zip(a, b)))
 
 
 class OperatorExpr:
@@ -277,41 +263,17 @@ class OperatorExpr:
         return {e: v for e, v in collected.items() if v}
 
     def certificate(self) -> Certificate:
-        """The symbolic action in integers with the common excess of all
-        terms; raises MixedExcessError if two terms disagree."""
-        cert = self._walk()
-        if cert.mixed is not None:
-            raise MixedExcessError(
-                f"terms of mixed excess: {cert.excess} vs {Fraction(cert.mixed, cert.q)}"
-            )
-        return cert
+        """The symbolic action in integers, from one walk over the terms;
+        raises MixedExcessError at the first term whose excess differs.
 
-    def action_certificate(self) -> Tuple[Optional[Fraction], Action]:
-        """The common excess of all terms (None for the zero expression)
-        and the symbolic action :meth:`action_polynomials`, from one walk;
-        raises MixedExcessError if two terms disagree."""
-        cert = self.certificate()
-        return cert.excess, cert.action()
-
-    def action_polynomials(self) -> Action:
-        """Symbolic action on ``x^s``: {exponent shift: coefficients of a
-        polynomial in ``s``, constant term first}, zero polynomials dropped.
-
-        For every ``s``, ``act_on_monomial(s)`` sends ``x^s`` to the sum of
-        each polynomial's value at ``s`` times ``x^(s + shift)``, so equal
-        maps prove that two expressions act alike on every monomial.  Terms
-        of mixed excess are allowed here.
+        A term's factors, right to left, give its shift and the integer
+        polynomial ``prod (u + c)`` of its word powers; the terms are then
+        summed over the common denominator ``d q^(top - 1)``, with ``d`` the
+        lcm of the coefficient denominators and ``top - 1`` the highest
+        degree.
         """
-        return self._walk().action()
-
-    def _walk(self) -> Certificate:
-        """One walk over the terms.  A term's factors, right to left, give
-        its shift and the integer polynomial ``prod (u + c)`` of its word
-        powers; the terms of one shift are then summed over the common
-        denominator ``d q^(top - 1)``, with ``d`` the lcm of the coefficient
-        denominators and ``top - 1`` the highest degree."""
         q = self.q
-        first = mixed = None
+        first = None
         walked = []
         top = 1
         for coeff, factors in self._terms:
@@ -330,27 +292,22 @@ class OperatorExpr:
                 shift += m * e
             if first is None:
                 first = shift
-            elif mixed is None and shift != first:
-                mixed = shift
-            walked.append((coeff, shift, poly))
+            elif shift != first:
+                raise MixedExcessError(
+                    f"terms of mixed excess: {Fraction(first, q)} vs {Fraction(shift, q)}"
+                )
+            walked.append((coeff, poly))
             if len(poly) > top:
                 top = len(poly)
-        d = lcm(*(coeff.denominator for coeff, _, _ in walked))
-        sums: Dict[int, List[int]] = {}
-        for coeff, shift, poly in walked:
+        d = lcm(*(coeff.denominator for coeff, _ in walked))
+        acc = [0] * top
+        for coeff, poly in walked:
             lift = coeff.numerator * (d // coeff.denominator) * q ** (top - len(poly))
-            acc = sums.get(shift)
-            if acc is None:
-                acc = sums[shift] = [0] * top
             for k, a in enumerate(poly):
                 acc[k] += lift * a
-        polys = {}
-        for shift, acc in sums.items():
-            while acc and not acc[-1]:
-                acc.pop()
-            if acc:
-                polys[shift] = acc
-        return Certificate(q, first, mixed, d * q ** (top - 1), polys)
+        while acc and not acc[-1]:
+            acc.pop()
+        return Certificate(q, first, d * q ** (top - 1), acc)
 
     def adjoint(self) -> "OperatorExpr":
         """Formal adjoint: reverses factor order, fixes pure powers, and

@@ -51,10 +51,15 @@ def test_triangle_csv(capsys):
     assert out.splitlines() == ["1", "0,1", "0,1,1"]
 
 
-def test_triangle_rejects_decimals():
+@pytest.mark.parametrize("value, message", [
+    ("0.5", "not an exact rational literal: '0.5'"),
+    ("1/0", "zero denominator in '1/0'"),
+], ids=["0.5", "1/0"])
+def test_triangle_rejects_decimals(capsys, value, message):
     with pytest.raises(SystemExit) as exc:
-        main(["triangle", "--alpha", "0.5", "--n", "3"])
+        main(["triangle", "--alpha", value, "--n", "3"])
     assert exc.value.code == 2
+    assert f"argument --alpha: {message}" in capsys.readouterr().err
 
 
 def test_triangle_accepts_slash_rationals(capsys):
@@ -197,6 +202,17 @@ def test_expand_lah_case(capsys):
     assert code == 0
     assert "coefficients for k = 0..2: [2, 4, 1]" in out
     assert "a†" in out
+
+
+def test_expand_latex_keeps_x_style_for_non_natural_exponents(capsys):
+    # a WC template whose instance has the exponents 3/2 on its right side
+    code, out, _ = run(capsys, "expand", "--template", "otherpair.a",
+                       "--word", "1,2", "--n", "3", "--format", "latex")
+    assert code == 0
+    assert out.splitlines()[1:] == [
+        "  lhs: (x^1 D x^2)^1 + (x^2 D x^1)^1",
+        "  rhs: 2 (x^3/2 D x^3/2)^1",
+    ]
 
 
 def test_expand_eulerian_instance(capsys):

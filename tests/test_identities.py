@@ -19,6 +19,7 @@ from weylstir.identities import (
     wc_admissibility_check,
 )
 from weylstir.operators import OperatorExpr, Word, WordPower, XPower
+from weylstir.triangles import _recurrence_rows_cached
 
 # frozen catalog: insertion must preserve this list exactly
 EXPECTED_IDS = (
@@ -119,7 +120,7 @@ def test_action_polynomials_match_pointwise_action(tid):
     probes = _WC_S if template.domain == "WC" else _WTC_S
     for inst in template.build(template.grid()[0], n):
         for side in (inst.lhs, inst.rhs):
-            action = side.action_polynomials()
+            action = side.certificate().action()
             assert all(poly and poly[-1] for poly in action.values())
             for s in probes:
                 assert _evaluate(action, s) == side.act_on_monomial(s)
@@ -241,7 +242,8 @@ def test_mixed_excess_fails_even_when_the_actions_agree():
     mixed = OperatorExpr([(1, (XPower(F(1)),)), (1, (XPower(F(2)),)),
                           (-1, (XPower(F(2)),))])
     plain = OperatorExpr.single(1, XPower(F(1)))
-    assert mixed.action_polynomials() == plain.action_polynomials()
+    for s in (F(0), F(1, 2), F(3)):
+        assert mixed.act_on_monomial(s) == plain.act_on_monomial(s)
     rep = verify_identity(_one_instance_template("mixed", mixed, plain))
     assert rep.failures == ["mixed() n=6: excess error: terms of mixed excess: 1 vs 2"]
     assert rep.action_probes == 0
@@ -333,7 +335,8 @@ def _certificate_lines():
             for n in n_values:
                 for inst in template.build(cell, n):
                     for side in (inst.lhs, inst.rhs):
-                        excess, action = side.action_certificate()
+                        cert = side.certificate()
+                        excess, action = cert.excess, cert.action()
                         polys = "; ".join(
                             f"{shift}: {' '.join(map(str, poly))}"
                             for shift, poly in sorted(action.items())
@@ -343,6 +346,20 @@ def _certificate_lines():
                             f"{c}:{s}" for c, s in strings
                         )
                         yield f"{tid} {sorted(cell.items())} {n} {excess} {{{polys}}} [{spelled}]"
+
+
+def test_catalog_building_leaves_the_recurrence_cache_alone():
+    """The builders read their coefficient rows from the integer recurrence,
+    so building every instance neither fills nor reads the cache behind
+    build_recurrence, and cannot evict a triangle that a caller built."""
+    before = _recurrence_rows_cached.cache_info()
+    for tid in TEMPLATE_ORDER:
+        template = TEMPLATES[tid]
+        n_values = range(template.n_min, 3) if template.uses_n else [template.n_default]
+        for cell in template.grid():
+            for n in n_values:
+                template.build(cell, n)
+    assert _recurrence_rows_cached.cache_info() == before
 
 
 def test_certificates_and_strings_are_pinned():
