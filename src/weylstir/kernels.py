@@ -48,6 +48,14 @@ def as_rational(value: Union[int, str, Fraction]) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted; use 'p/q' strings or Fraction")
+    if type(value) is str:
+        # fast path for ASCII "-?digits(/digits)?"; other strings go to Fraction
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isascii() and digits.isdigit() and (
+            not slash or (den.isascii() and den.isdigit())
+        ):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     if isinstance(value, str) and ("." in value or "e" in value.lower()):
         raise ValueError(f"not an exact rational literal: {value!r}")
     return Fraction(value)

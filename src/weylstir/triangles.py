@@ -153,19 +153,25 @@ class Triangle:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid triangle JSON: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ValueError("triangle JSON must be an object")
         for key in ("kind", "alpha", "beta", "r", "rows"):
             if key not in payload:
                 raise ValueError(f"triangle JSON missing key {key!r}")
-        rows = tuple(
-            tuple(as_rational(v) for v in row) for row in payload["rows"]
-        )
-        return cls(
-            kind=payload["kind"],
-            alpha=as_rational(payload["alpha"]),
-            beta=as_rational(payload["beta"]),
-            r=as_rational(payload["r"]),
-            rows=rows,
-        )
+        params = {key: _json_rational(payload[key], repr(key)) for key in ("alpha", "beta", "r")}
+        if not isinstance(payload["rows"], list):
+            raise ValueError("triangle JSON 'rows' is not a list")
+        rows = []
+        for n, row in enumerate(payload["rows"]):
+            if not isinstance(row, list):
+                raise ValueError(f"triangle JSON row {n} is not a list")
+            try:
+                rows.append(tuple(map(as_rational, row)))
+            except (TypeError, ValueError, ZeroDivisionError):
+                for k, v in enumerate(row):  # find the entry, raise naming it
+                    _json_rational(v, f"row {n}, column {k}")
+                raise
+        return cls(kind=payload["kind"], rows=tuple(rows), **params)
 
     def to_csv(self) -> str:
         return "\n".join(",".join(str(v) for v in row) for row in self.rows)
@@ -179,20 +185,32 @@ class Triangle:
         return "\n".join(", ".join(str(v) for v in row) for row in self.rows)
 
 
+def _json_rational(value, field: str) -> Fraction:
+    """``as_rational(value)`` for a triangle JSON field; every rejection is
+    a ``ValueError`` that names the field."""
+    try:
+        return as_rational(value)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"triangle JSON {field}: {exc}") from exc
+
+
 def _freeze(rows: Iterable[Iterable[Scalar]]) -> Tuple[Tuple[Scalar, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
 def _unscale(kind: str, q: int, rows) -> Tuple[Tuple[Fraction, ...], ...]:
     """Integer rows of ``kind`` computed at the parameters scaled by ``q``,
-    divided back: entry (n, k) by ``q^(n-k)`` for S, by ``q^n`` otherwise."""
-    qpow = [q**d for d in range(len(rows))]
-    if kind == "S":
-        return tuple(
-            tuple(Fraction(v, qpow[n - k]) for k, v in enumerate(row))
-            for n, row in enumerate(rows)
-        )
-    return tuple(tuple(Fraction(v, qpow[n]) for v in row) for n, row in enumerate(rows))
+    divided back: entry (n, k) by ``q^(n-k)`` for S, by ``q^n`` otherwise.
+    Row ``n`` is the row with ``n + 1`` entries, wherever it stands."""
+    qpow = [q**d for d in range(max(map(len, rows), default=0))]
+    out = []
+    for row in rows:
+        n = len(row) - 1
+        if kind == "S":
+            out.append(tuple(Fraction(v, qpow[n - k]) for k, v in enumerate(row)))
+        else:
+            out.append(tuple(Fraction(v, qpow[n]) for v in row))
+    return tuple(out)
 
 
 def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
@@ -222,32 +240,53 @@ def _scaled_triple(alpha, beta, r):
 # ---------------------------------------------------------------------------
 
 
-def _recurrence_rows(kind: str, a, b, r, N: int, one) -> List[List[Scalar]]:
-    rows: List[List[Scalar]] = [[one]]
-    for n in range(N):
-        prev = rows[-1]
-
-        def prev_at(k: int):
-            return prev[k] if 0 <= k <= n else 0
-
+def _recurrence_rows(kind: str, a, b, r, N: int, one, start=None) -> List[List[Scalar]]:
+    """Rows of the triangular recurrence up to row ``N``: from row 0
+    (``[one]``), or from ``start`` (row ``len(start) - 1``) when it is given.
+    The first row returned is row 0 or ``start``."""
+    rows: List[List[Scalar]] = [[one] if start is None else start]
+    for n in range(len(rows[0]) - 1, N):
+        prev = [0, *rows[-1], 0]  # entry k of row n is prev[k + 1]
         row = []
         for k in range(n + 2):
-            val = (b * k + r - a * n) * prev_at(k)
+            val = (b * k + r - a * n) * prev[k + 1]
             if kind == "S":
-                val = val + prev_at(k - 1)
+                val = val + prev[k]
             elif kind == "Shat":
-                val = val + (b * k) * prev_at(k - 1)
+                val = val + (b * k) * prev[k]
             else:  # E
-                val = val + ((a + b) * n - b * (k - 1) + (b - r)) * prev_at(k - 1)
+                val = val + ((a + b) * n - b * (k - 1) + (b - r)) * prev[k]
             row.append(val)
         rows.append(row)
     return rows
 
 
+class _CachedRecurrence:
+    """Rows 0..built of one numeric recurrence triangle: the common
+    denominator ``q`` and scaled integers of its parameters, its last integer
+    row and its ``Fraction`` rows.  ``upto`` extends the integer recurrence
+    from the last row when asked for more rows than it holds."""
+
+    __slots__ = ("kind", "q", "ints", "state")
+
+    def __init__(self, kind: str, a: Fraction, b: Fraction, r: Fraction):
+        self.kind = kind
+        self.q, self.ints = scale_params(a, b, r)
+        # one attribute, replaced whole, so the two always belong together
+        self.state = ([1], ((Fraction(1),),))
+
+    def upto(self, N: int) -> Tuple[Tuple[Fraction, ...], ...]:
+        last, rows = self.state
+        if N >= len(rows):
+            new = _recurrence_rows(self.kind, *self.ints, N, 1, start=last)[1:]
+            rows = rows + _unscale(self.kind, self.q, new)
+            self.state = (new[-1], rows)
+        return rows[: N + 1]
+
+
 @lru_cache(maxsize=4096)
-def _recurrence_rows_cached(kind: str, a: Fraction, b: Fraction, r: Fraction, N: int):
-    q, (A, B, R) = scale_params(a, b, r)
-    return _unscale(kind, q, _recurrence_rows(kind, A, B, R, N, 1))
+def _recurrence_rows_cached(kind: str, a: Fraction, b: Fraction, r: Fraction) -> _CachedRecurrence:
+    return _CachedRecurrence(kind, a, b, r)
 
 
 def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
@@ -255,6 +294,15 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
 
     Parameters may be rationals (ints, ``"p/q"`` strings, Fractions) or
     :class:`ParamPoly` values for the symbolic mode.
+
+    Numeric triangles are cached by parameters alone: rows 0..N of a
+    ``(kind, alpha, beta, r)`` triangle do not depend on ``N``, so the cache
+    keeps at most one triangle per parameter point, the tallest asked for.
+    A request for fewer rows is served as a prefix of it; a request for more
+    continues the integer recurrence from its last row and turns only the
+    new rows into ``Fraction``s.  The cache holds up to 4 096 parameter
+    points, the least recently used leaving first.  Symbolic triangles are
+    not cached.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
@@ -266,7 +314,7 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
         )
         return Triangle(kind, alpha, beta, r, rows)
     a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    return Triangle(kind, a, b, rr, _recurrence_rows_cached(kind, a, b, rr, N))
+    return Triangle(kind, a, b, rr, _recurrence_rows_cached(kind, a, b, rr).upto(N))
 
 
 def symbolic_triangle(kind: str, N: int) -> Triangle:

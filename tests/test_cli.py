@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: output formats, exit codes, caps."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -42,6 +43,28 @@ def test_triangle_symbolic_row(capsys):
     code, out, _ = run(capsys, "triangle", "--kind", "S", "--symbolic", "--n", "1")
     assert code == 0
     assert out.splitlines()[1] == "r, 1"
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("--kind", "S", "--alpha=9/7", "--beta=-13/9", "--r=17/11", "--n", "64"),
+     "dd1d11f2064635446192c3ab7e9ba9834683d2ad7cce98e6be6e460e66cea955"),
+    (("--kind", "Shat", "--alpha=-10/9", "--beta=15/11", "--r=13/7", "--n", "64"),
+     "13370e9e73bdbce1c65d0f3fcd8a6c96e07d963eacf1652590747fb4fdfb331d"),
+    (("--kind", "E", "--alpha=14/11", "--beta=-8/7", "--r=11/9", "--n", "64"),
+     "7bca7164df56ef364d2c7b977f4298a9b69355b9ededb5a7057875341f0453ce"),
+    (("--kind", "S", "--symbolic", "--n", "18"),
+     "1756f7a9da1a72ba6f7c740813f669ed78021ad03551a266fc4de27248230ff9"),
+    (("--kind", "Shat", "--symbolic", "--n", "18"),
+     "1ad3ebb847c2fb0e6c2690b7ad88f86e02ff211edd485958e7aea3a5893b5db3"),
+    (("--kind", "E", "--symbolic", "--n", "18"),
+     "1afe44422b4815228c087dec8ac3c0eac20d75de2b7e93338fc97c9df811070b"),
+], ids=["S-64", "Shat-64", "E-64", "S-symbolic-18", "Shat-symbolic-18", "E-symbolic-18"])
+def test_triangle_json_exports_are_pinned(capsys, argv, digest):
+    """The JSON exports hash to the digests of the per-N cached recurrence
+    they replaced: large denominators at the n cap, and the symbolic mode."""
+    code, out, _ = run(capsys, "triangle", *argv, "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_triangle_csv(capsys):

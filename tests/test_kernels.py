@@ -37,6 +37,35 @@ def test_as_rational_rejects_inexact_forms():
         as_rational("1e3")
 
 
+@pytest.mark.parametrize("text, value", [
+    ("3/4", F(3, 4)),
+    ("-3/4", F(-3, 4)),
+    ("  4 ", F(4)),
+    ("+3", F(3)),
+    ("1_000", F(1000)),
+    ("\u0663", F(3)),  # ARABIC-INDIC DIGIT THREE
+])
+def test_as_rational_accepts_the_strings_fraction_accepts(text, value):
+    got = as_rational(text)
+    assert type(got) is F and got == value
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("0.5", ValueError, "not an exact rational literal: '0.5'"),
+    ("1e3", ValueError, "not an exact rational literal: '1e3'"),
+    ("1/-2", ValueError, "Invalid literal for Fraction: '1/-2'"),
+    ("1/ 2", ValueError, "Invalid literal for Fraction: '1/ 2'"),
+    ("--3", ValueError, "Invalid literal for Fraction: '--3'"),
+    ("", ValueError, "Invalid literal for Fraction: ''"),
+    ("1/0", ZeroDivisionError, "Fraction(1, 0)"),
+    ("\u00b2", ValueError, "Invalid literal for Fraction: '\u00b2'"),  # SUPERSCRIPT TWO
+])
+def test_as_rational_rejects_strings_with_the_same_errors(text, error, message):
+    with pytest.raises(error) as info:
+        as_rational(text)
+    assert str(info.value) == message
+
+
 def test_scale_params_clears_denominators():
     assert scale_params("1/2", 3, "-2/3") == (6, (3, 18, -4))
     assert scale_params(F(0), -5) == (1, (0, -5))

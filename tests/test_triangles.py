@@ -1,9 +1,12 @@
 """Triangle construction schemes, serialization, transforms and shifts."""
 
+import json
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
+from weylstir import triangles
 from weylstir.kernels import binomial_general, strided_falling, strided_rising
 from weylstir.poly import ALPHA, BETA, R, ParamPoly
 from weylstir.triangles import (
@@ -263,6 +266,32 @@ def test_json_rejects_garbage():
         Triangle.from_json('{"kind": "S"}')
 
 
+def _tampered_json(edit) -> str:
+    payload = json.loads(build_recurrence("S", F(1, 2), 2, 3, 3).to_json())
+    edit(payload)
+    return json.dumps(payload)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda p: p["rows"][2].__setitem__(1, 0.5), "row 2, column 1: floats are not accepted"),
+    (lambda p: p["rows"][3].__setitem__(2, None), "row 3, column 2: "),
+    (lambda p: p["rows"].__setitem__(1, "1"), "row 1 is not a list"),
+    (lambda p: p["rows"][3].__setitem__(0, "1/0"), "row 3, column 0: Fraction(1, 0)"),
+    (lambda p: p.__setitem__("beta", None), "'beta': "),
+    (lambda p: p.__setitem__("rows", 7), "'rows' is not a list"),
+], ids=["float", "null", "row-not-a-list", "zero-denominator", "null-parameter", "rows-not-a-list"])
+def test_json_rejects_malformed_payloads_with_value_error(edit, message):
+    with pytest.raises(ValueError, match="^triangle JSON ") as info:
+        Triangle.from_json(_tampered_json(edit))
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("text", ["5", "null"])
+def test_json_rejects_a_payload_that_is_not_an_object(text):
+    with pytest.raises(ValueError, match="must be an object"):
+        Triangle.from_json(text)
+
+
 def test_csv_and_latex_and_text():
     tri = build_recurrence("S", 0, 1, 0, 2)
     assert tri.to_csv().splitlines() == ["1", "0,1", "0,1,1"]
@@ -278,3 +307,78 @@ def test_conjecture_checker_reports_both_conventions():
     # ...while truncating j to naturals loses the r >= 3 cells
     assert rep.mismatches_truncated
     assert all(c.r >= 3 for c in rep.convention_sensitive)
+
+
+# ---------------------------------------------------------------------------
+# the build_recurrence cache: one triangle per parameter point
+# ---------------------------------------------------------------------------
+
+
+_integer_rows = triangles._recurrence_rows
+
+
+def _private_cache(monkeypatch, maxsize=4096):
+    """Give build_recurrence a cache of its own, and record the row range
+    of every integer recurrence run as ``(first new row, last row)``."""
+    cache = lru_cache(maxsize=maxsize)(triangles._recurrence_rows_cached.__wrapped__)
+    monkeypatch.setattr(triangles, "_recurrence_rows_cached", cache)
+    runs = []
+
+    def recording(kind, a, b, r, N, one, start=None):
+        runs.append((1 if start is None else len(start), N))
+        return _integer_rows(kind, a, b, r, N, one, start)
+
+    monkeypatch.setattr(triangles, "_recurrence_rows", recording)
+    return cache, runs
+
+
+def _fresh(kind, a, b, r, N, monkeypatch):
+    with monkeypatch.context() as m:
+        _private_cache(m)
+        return build_recurrence(kind, a, b, r, N)
+
+
+@pytest.mark.parametrize("kind", ["S", "Shat", "E"])
+def test_a_shorter_request_is_a_prefix_of_the_cached_triangle(kind, monkeypatch):
+    point = (F(-3, 7), F(5, 9), F(13, 11))
+    cache, runs = _private_cache(monkeypatch)
+    build_recurrence(kind, *point, 20)
+    before, seen = cache.cache_info(), len(runs)
+    short = build_recurrence(kind, *point, 7)
+    assert cache.cache_info().hits == before.hits + 1
+    assert cache.cache_info().misses == before.misses
+    assert len(runs) == seen  # no row computed
+    assert short == _fresh(kind, *point, 7, monkeypatch)
+    assert type(short.rows) is tuple and all(type(row) is tuple for row in short.rows)
+
+
+@pytest.mark.parametrize("kind", ["S", "Shat", "E"])
+def test_a_taller_request_extends_the_cached_triangle_in_integers(kind, monkeypatch):
+    point = (F(9, 7), F(-13, 9), F(17, 11))
+    cache, runs = _private_cache(monkeypatch)
+    build_recurrence(kind, *point, 6)
+    runs.clear()
+    tall = build_recurrence(kind, *point, 15)
+    assert runs == [(7, 15)]  # rows 7..15 only
+    assert tall == _fresh(kind, *point, 15, monkeypatch)
+    assert type(tall.rows) is tuple and all(type(row) is tuple for row in tall.rows)
+    assert build_recurrence(kind, *point, 6).rows == tall.rows[:7]
+    assert cache.cache_info().currsize == 1
+
+
+def test_a_small_cache_evicts_whole_parameter_points(monkeypatch):
+    cache, runs = _private_cache(monkeypatch, maxsize=2)
+    points = [(F(1, 2), F(2), F(k)) for k in range(3)]
+    for N in (4, 9):
+        for p in points[:2]:
+            build_recurrence("S", *p, N)
+    assert cache.cache_info().currsize == 2  # one entry per point, any N
+    build_recurrence("S", *points[2], 3)  # evicts points[0], the least recent
+    runs.clear()
+    again = build_recurrence("S", *points[0], 5)
+    assert runs == [(1, 5)]  # rebuilt from row 0, not from row 9
+    assert cache.cache_info().currsize == 2
+    assert again == _fresh("S", *points[0], 5, monkeypatch)
+    runs.clear()
+    build_recurrence("S", *points[2], 2)
+    assert runs == []
