@@ -9,10 +9,9 @@ Subcommands:
 * ``expand``     — pretty-print one instantiated identity with coefficients.
 
 Exit codes: 0 = all checks pass, 1 = mathematical counterexample found,
-2 = usage or parameter error, including a template parameter outside its
-domain (an ``expand --case`` outside the case table, a negative ``--m`` or
-``verify --range`` value of ``m``); ``verify --range`` is clipped to a
-template's case table for its ``case`` parameter.  The environment variable
+2 = usage or parameter error, including an ``expand`` option or
+``verify --range`` value outside a template's parameter domain
+(:meth:`IdentityTemplate.domain_error`).  The environment variable
 WEYLSTIR_MAX_N overrides the hard caps on ``--n`` (default 64 for triangle/expand/conjecture
 work, 10 for verification sweeps).
 """
@@ -25,7 +24,7 @@ import multiprocessing
 import os
 import sys
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .fixtures import FIXTURES, check_fixture
 from .identities import (
@@ -121,10 +120,6 @@ def cmd_triangle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _sorted_cells(cells: Sequence[Dict[str, Fraction]]) -> List[Dict[str, Fraction]]:
-    return sorted(cells, key=lambda c: tuple(sorted(c.items())))
-
-
 def _check_domain(template, cell: Dict[str, Fraction]) -> None:
     """Reject parameter values outside the template's domain."""
     problem = template.domain_error(cell)
@@ -152,20 +147,11 @@ def cmd_verify(args) -> int:
 
     jobs = []
     for template in selected:
-        if args.range is not None:
-            lo, hi = args.range
-            cells: List[Dict[str, Fraction]] = [{}]
-            for name in template.params:
-                a, b = lo, hi
-                if name == "case":  # clipped to the case table
-                    a, b = max(lo, 0), min(hi, template.cases - 1)
-                values = [Fraction(i) for i in range(a, b + 1)]
-                cells = [dict(c, **{name: v}) for c in cells for v in values]
-        else:
-            cells = template.grid()
+        cells = template.grid() if args.range is None else template.range_cells(*args.range)
         for cell in cells:
             _check_domain(template, cell)
-        jobs.extend((template.id, cell, args.n) for cell in _sorted_cells(cells))
+        jobs.extend((template.id, cell, args.n)
+                    for cell in sorted(cells, key=lambda c: tuple(sorted(c.items()))))
     if args.parallel and len(jobs) > 1:
         # one pool of spawned workers for the whole run; map hands the
         # (template, cell) jobs out in chunks of about len(jobs) / (4 * workers)
@@ -286,39 +272,22 @@ def cmd_fixtures(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-_PARAM_SOURCES = {
-    "L": ("--word", 0),
-    "R": ("--word", 1),
-    "Lp": ("--wordp", 0),
-    "Rp": ("--wordp", 1),
+# template parameter -> (expand option, index into its L,R pair or None)
+_EXPAND_OPTIONS = {
+    "L": ("word", 0), "R": ("word", 1), "Lp": ("wordp", 0), "Rp": ("wordp", 1),
+    "alpha": ("alpha", None), "r": ("r", None), "case": ("case", None), "m": ("m", None),
 }
 
 
 def _collect_params(template, args) -> Dict[str, Fraction]:
     cell: Dict[str, Fraction] = {}
     for name in template.params:
-        if name in _PARAM_SOURCES:
-            flag, idx = _PARAM_SOURCES[name]
-            source = args.word if flag == "--word" else args.wordp
-            if source is None:
-                raise UsageError(f"template {template.id!r} needs {flag} L,R")
-            cell[name] = source[idx]
-        elif name == "alpha":
-            if args.alpha is None:
-                raise UsageError(f"template {template.id!r} needs --alpha")
-            cell[name] = args.alpha
-        elif name == "r":
-            if args.r is None:
-                raise UsageError(f"template {template.id!r} needs --r")
-            cell[name] = args.r
-        elif name == "case":
-            if args.case is None:
-                raise UsageError(f"template {template.id!r} needs --case")
-            cell[name] = Fraction(args.case)
-        elif name == "m":
-            if args.m is None:
-                raise UsageError(f"template {template.id!r} needs --m")
-            cell[name] = Fraction(args.m)
+        option, idx = _EXPAND_OPTIONS[name]
+        value = getattr(args, option)
+        if value is None:
+            pair = "" if idx is None else " L,R"
+            raise UsageError(f"template {template.id!r} needs --{option}{pair}")
+        cell[name] = Fraction(value if idx is None else value[idx])
     return cell
 
 
@@ -331,11 +300,6 @@ def cmd_expand(args) -> int:
     template = matches[0]
     cell = _collect_params(template, args)
     _check_domain(template, cell)
-    if template.domain == "WC":
-        for name, value in cell.items():
-            if name in _PARAM_SOURCES and (value.denominator != 1 or value < 0):
-                raise UsageError(f"template {template.id!r} requires natural word "
-                                 f"parameters; {name}={value} is not admissible")
     if args.n < template.n_min:
         raise UsageError(f"template {template.id!r} requires n >= {template.n_min}")
 

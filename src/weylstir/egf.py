@@ -52,6 +52,8 @@ def egf_coefficients(kind: str, alpha, beta, r, deg_t: int, deg_z: int):
     """
     if kind not in ("Shat", "E"):
         raise ValueError("egf_coefficients supports kinds 'Shat' and 'E'")
+    if deg_t < 0 or deg_z < 0:
+        raise ValueError("egf_coefficients needs natural degrees deg_t and deg_z")
     q, (A, B, R) = scale_params(alpha, beta, r)
     if B == 0:
         raise ValueError("egf_coefficients requires beta != 0")

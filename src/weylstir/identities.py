@@ -18,9 +18,9 @@ semantic and exact, through two independent channels:
    independent rewriting oracle, and the normal forms are compared.
 
 The sixteen word re-expansion templates (``firstmain``, ``secondmain`` and
-their all-natural prefactored forms ``powerful``, ``powerful2``) come from one
-builder, ``_reexpansion``, driven by a table of (kind, variant) and one
-prefactor table; every sum over a coefficient row is built by ``_expansion``.
+their all-natural prefactored forms ``powerful``, ``powerful2``) are declared
+by one table and built by one builder, ``_reexpansion``, with one prefactor
+table; every sum over a coefficient row is built by ``_expansion``.
 
 Coefficient rows come from the triangle module's integer recurrence, run at
 the integers of the scaled cell: ``S`` row ``n`` entry ``k`` is homogeneous
@@ -50,6 +50,7 @@ F = Fraction
 
 __all__ = [
     "IdentityTemplate",
+    "N_DEFAULT",
     "TemplateInstance",
     "TEMPLATES",
     "TEMPLATE_ORDER",
@@ -124,30 +125,52 @@ class TemplateInstance:
 Builder = Callable[[Dict[str, Fraction], int], List[TemplateInstance]]
 
 
+N_DEFAULT = 6  # the top power of a sweep, and the power of a template without n
+
+_WORDS = ("L", "R", "Lp", "Rp")  # the word parameters of a template
+
+
 @dataclass(frozen=True)
 class IdentityTemplate:
+    """A family of identities over a parameter domain.
+
+    ``domain`` is "WC" (natural word parameters: both sides are
+    creation/annihilation strings) or "WTC" (rational word parameters).
+    :meth:`domain_error` rejects a ``case`` outside the case table, an ``m``
+    that is not natural and, on a "WC" template, a word parameter ``L``,
+    ``R``, ``Lp`` or ``Rp`` that is not natural.
+    """
+
     id: str
-    domain: str  # "WC" (natural parameters) or "WTC" (rational parameters)
+    domain: str
     params: Tuple[str, ...]
     build: Builder
     grid: Callable[[], List[Dict[str, Fraction]]]
     uses_n: bool = True
-    n_default: int = 6
     n_min: int = 0
     description: str = ""
     cases: int = 0  # rows of the template's case table (its "case" values)
 
     def domain_error(self, cell: Dict[str, Fraction]) -> Optional[str]:
-        """Why ``cell`` lies outside the template's parameter domain (a
-        ``case`` not in its case table, an ``m`` that is not natural), or
-        None if it does not."""
+        """Why ``cell`` lies outside the parameter domain, or None."""
         case = cell.get("case")
         if case is not None and (case.denominator != 1 or not 0 <= case < self.cases):
             return f"case must be one of 0..{self.cases - 1}, got {case}"
-        m = cell.get("m")
-        if m is not None and (m.denominator != 1 or m < 0):
-            return f"m must be a natural number, got {m}"
+        natural = ("m", *_WORDS) if self.domain == "WC" else ("m",)
+        for name in natural:
+            value = cell.get(name)
+            if value is not None and (value.denominator != 1 or value < 0):
+                return f"{name} must be a natural number, got {value}"
         return None
+
+    def range_cells(self, lo: int, hi: int) -> List[Dict[str, Fraction]]:
+        """Every parameter over the integers ``lo..hi``, ``case`` clipped to
+        the case table."""
+        cells: List[Dict[str, Fraction]] = [{}]
+        for name in self.params:
+            a, b = (max(lo, 0), min(hi, self.cases - 1)) if name == "case" else (lo, hi)
+            cells = [dict(c, **{name: F(i)}) for c in cells for i in range(a, b + 1)]
+        return cells
 
 
 _Q7 = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
@@ -307,7 +330,8 @@ def _b_special_corollary(p, n):
     return _expansion(lhs, coeffs, _normal(q, (s - q) * n))
 
 
-# Template id -> (kind, variant, prefactored) of the 16 word re-expansions.
+# Template id -> (kind, variant, prefactored, description) of the 16 word
+# re-expansions, in catalog order within each kind.
 # Kind S expands a power of the word w = x^L D x^R in powers of w' = x^L' D x^R'
 # (generalized Stirling coefficients), kind E in twisted copies of w'^n
 # (generalized Eulerian coefficients).  In variants a and b the excess
@@ -316,12 +340,14 @@ def _b_special_corollary(p, n):
 # prefactored forms (powerful, powerful2) multiply both sides by the
 # x^(E_L n), x^(E_R n) of _PREFACTORS, which makes every exponent natural.
 _REEXPANSIONS = {
-    f"{family}{suffix}": (kind, v, prefactored)
-    for family, kind, prefactored, suffixes in (
-        ("firstmain.2", "S", False, "abcd"),
-        ("powerful.main", "S", True, ("1a", "1b", "2a", "2b")),
-        ("secondmain.2", "E", False, "abcd"),
-        ("powerful2.2main", "E", True, ("1a", "1b", "2a", "2b")),
+    f"{family}{suffix}": (kind, v, prefactored,
+                          f"{title}, variant {family.partition('.')[2]}{suffix}")
+    for family, kind, prefactored, suffixes, title in (
+        ("firstmain.2", "S", False, "abcd", "word power re-expansion"),
+        ("powerful.main", "S", True, ("1a", "1b", "2a", "2b"), "prefactored word re-expansion"),
+        ("secondmain.2", "E", False, "abcd", "Eulerian word re-expansion"),
+        ("powerful2.2main", "E", True, ("1a", "1b", "2a", "2b"),
+         "prefactored Eulerian re-expansion"),
     )
     for v, suffix in zip("abcd", suffixes)
 }
@@ -336,8 +362,6 @@ _PREFACTORS = {
     **dict.fromkeys((("E", "a"), ("E", "b")), lambda e, ep: (max(e, ep, 0), max(ep, 0))),
     **dict.fromkeys((("E", "c"), ("E", "d")), lambda e, ep: (max(ep, 0), max(e, ep, 0))),
 }
-
-_WORDS = ("L", "R", "Lp", "Rp")  # the word parameters of a re-expansion cell
 
 
 def _prefactors(kind: str, variant: str, q: int, words: Sequence[int]) -> Tuple[int, int]:
@@ -393,7 +417,7 @@ def _reexpansion(
 
 
 def _b_reexpansion(tid: str) -> Builder:
-    kind, variant, prefactored = _REEXPANSIONS[tid]
+    kind, variant, prefactored, _ = _REEXPANSIONS[tid]
 
     def build(p, n):
         q, words = scale_params(*(p[name] for name in _WORDS))
@@ -401,6 +425,18 @@ def _b_reexpansion(tid: str) -> Builder:
         return _reexpansion(kind, variant, q, words, n, EL, ER)
 
     return build
+
+
+def _reexpansion_templates(kind: str) -> List[IdentityTemplate]:
+    """The re-expansion templates of ``kind``; the prefactored forms take
+    natural word parameters, the others rational ones."""
+    return [
+        IdentityTemplate(tid, "WC" if prefactored else "WTC", _WORDS, _b_reexpansion(tid),
+                         _grid(_WORDS, *[_NAT4] * 4) if prefactored else _grid_wtc4(_WORDS),
+                         description=description)
+        for tid, (k, _, prefactored, description) in _REEXPANSIONS.items()
+        if k == kind
+    ]
 
 
 def _b_proposition(p, n):
@@ -533,15 +569,7 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
     add(IdentityTemplate("special_corollary", "WC", ("L", "R"), _b_special_corollary,
                          _grid(("L", "R"), _NAT4, _NAT4),
                          description="normal ordering of the symmetrized word power"))
-    for v in ("2a", "2b", "2c", "2d"):
-        add(IdentityTemplate(f"firstmain.{v}", "WTC", ("L", "R", "Lp", "Rp"),
-                             _b_reexpansion(f"firstmain.{v}"), _grid_wtc4(("L", "R", "Lp", "Rp")),
-                             description=f"word power re-expansion, variant {v}"))
-    for v in ("main1a", "main1b", "main2a", "main2b"):
-        tid = f"powerful.{v}"
-        add(IdentityTemplate(tid, "WC", ("L", "R", "Lp", "Rp"), _b_reexpansion(tid),
-                             _grid(("L", "R", "Lp", "Rp"), _NAT4, _NAT4, _NAT4, _NAT4),
-                             description=f"prefactored word re-expansion, variant {v}"))
+    t.extend(_reexpansion_templates("S"))
     add(IdentityTemplate("proposition", "WC", (), _b_proposition, _no_params,
                          description="cubic word normal ordering via the Gauss sum"))
     add(IdentityTemplate("sampleappl", "WC", (), _b_sampleappl, _no_params, n_min=1,
@@ -562,15 +590,7 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
                          description="Eulerian twisted ordering of (x D)^n"))
     add(IdentityTemplate("euleriank.2", "WC", (), _b_euleriank(1), _no_params,
                          description="Eulerian twisted ordering of (D x)^n"))
-    for v in ("2a", "2b", "2c", "2d"):
-        add(IdentityTemplate(f"secondmain.{v}", "WTC", ("L", "R", "Lp", "Rp"),
-                             _b_reexpansion(f"secondmain.{v}"), _grid_wtc4(("L", "R", "Lp", "Rp")),
-                             description=f"Eulerian word re-expansion, variant {v}"))
-    for v in ("2main1a", "2main1b", "2main2a", "2main2b"):
-        tid = f"powerful2.{v}"
-        add(IdentityTemplate(tid, "WC", ("L", "R", "Lp", "Rp"), _b_reexpansion(tid),
-                             _grid(("L", "R", "Lp", "Rp"), _NAT4, _NAT4, _NAT4, _NAT4),
-                             description=f"prefactored Eulerian re-expansion, variant {v}"))
+    t.extend(_reexpansion_templates("E"))
     add(IdentityTemplate("sampleeulerian", "WC", (), _b_sampleeulerian, _no_params,
                          description="Eulerian twisted quadratic/cubic word pair"))
     add(IdentityTemplate("last", "WC", (), _b_last, _no_params,
@@ -587,8 +607,7 @@ def templates_matching(prefix: str) -> List[IdentityTemplate]:
     """Templates whose id equals or starts with the given prefix."""
     if prefix in TEMPLATES:
         return [TEMPLATES[prefix]]
-    hits = [TEMPLATES[tid] for tid in TEMPLATE_ORDER if tid.startswith(prefix)]
-    return hits
+    return [TEMPLATES[tid] for tid in TEMPLATE_ORDER if tid.startswith(prefix)]
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +701,8 @@ def verify_identity(
     report = VerifyReport(template_id=template.id)
     if cells is None:
         cells = template.grid()
-    top = template.n_default if n_max is None else n_max
-    n_values = range(template.n_min, top + 1) if template.uses_n else [template.n_default]
+    top = N_DEFAULT if n_max is None else n_max
+    n_values = range(template.n_min, top + 1) if template.uses_n else [N_DEFAULT]
 
     for cell in cells:
         report.cells += 1
@@ -752,7 +771,7 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
     for a prefactored template at the given natural word parameters, and
     probe whether decrementing either prefactor exponent breaks it
     (sufficiency versus minimality; informational)."""
-    kind, variant, prefactored = _REEXPANSIONS.get(template_id, (None, None, False))
+    kind, variant, prefactored, _ = _REEXPANSIONS.get(template_id, (None, None, False, ""))
     if not prefactored:
         raise ValueError(f"{template_id!r} has no prefactor table")
     q, words = scale_params(*(cell[name] for name in _WORDS))
@@ -784,6 +803,8 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
 
 def ttv_check(n_max: int = 8) -> bool:
     """Exact check of the triple product power identity up to n_max."""
+    if n_max < 0:
+        raise ValueError("n_max must be a natural number")
     return verify_identity(TEMPLATES["ttv"], n_max=n_max).ok
 
 
@@ -795,27 +816,22 @@ def _he_polynomials(top: int) -> List[List[Fraction]]:
         nxt = [F(0)] + cur  # z * He_m
         for i, c in enumerate(prev):  # minus m He_{m-1}
             nxt[i] -= m * c
-        while len(nxt) < m + 2:
-            nxt.append(F(0))
         polys.append(nxt)
     return polys[: top + 1]
 
 
 def hermite_identity_check(n_max: int = 12) -> bool:
     """Exactly verify the two Hermite expansion identities up to n_max."""
+    if n_max < 0:
+        raise ValueError("n_max must be a natural number")
     if n_max > 12:
         raise ValueError("hermite_identity_check is capped at n_max = 12")
     he = _he_polynomials(2 * n_max + 1)
-
-    def padded(poly, size):
-        return poly + [F(0)] * (size - len(poly))
-
+    tri1 = build_recurrence("S", -1, 2, 1, n_max)
+    tri2 = build_recurrence("S", -2, 1, 1, n_max)
     for n in range(n_max + 1):
-        tri1 = build_recurrence("S", -1, 2, 1, n)
-        tri2 = build_recurrence("S", -2, 1, 1, n)
-        size = 2 * n + 1
-        # z^n He_n(z) as a coefficient list
-        lhs1 = padded([F(0)] * n + he[n], size)
+        size = 2 * n + 1  # the length of He_2n, and of z^n He_n
+        lhs1 = [F(0)] * n + he[n]
         rhs1 = [F(0)] * size
         for k in range(n + 1):
             c = tri1.entry(n, k)
@@ -823,7 +839,7 @@ def hermite_identity_check(n_max: int = 12) -> bool:
                 rhs1[i] += c * v
         if lhs1 != rhs1:
             return False
-        lhs2 = padded(list(he[2 * n]), size)
+        lhs2 = he[2 * n]
         rhs2 = [F(0)] * size
         for k in range(n + 1):
             c = tri2.entry(n, k) * (-1) ** (n - k)
@@ -838,6 +854,8 @@ def adjoint_pairing_check(cell: Dict[str, Fraction], n_max: int = 4) -> bool:
     """The adjoint of both sides of the first re-expansion variant, at
     word parameters renamed by the swap L<->R, L'<->R', acts exactly like
     the fourth variant (up to the global sign (-1)^n)."""
+    if n_max < 0:
+        raise ValueError("n_max must be a natural number")
     swapped = {"L": cell["R"], "R": cell["L"], "Lp": cell["Rp"], "Rp": cell["Lp"]}
     for n in range(n_max + 1):
         (inst_a,) = TEMPLATES["firstmain.2a"].build(cell, n)

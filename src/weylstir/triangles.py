@@ -284,6 +284,11 @@ class _CachedRecurrence:
         return rows[: N + 1]
 
 
+def _check_rows(N: int) -> None:
+    if N < 0:
+        raise ValueError("N must be a natural number")
+
+
 @lru_cache(maxsize=4096)
 def _recurrence_rows_cached(kind: str, a: Fraction, b: Fraction, r: Fraction) -> _CachedRecurrence:
     return _CachedRecurrence(kind, a, b, r)
@@ -306,8 +311,7 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
-    if N < 0:
-        raise ValueError("N must be a natural number")
+    _check_rows(N)
     if any(isinstance(p, ParamPoly) for p in (alpha, beta, r)):
         rows = _freeze(
             _recurrence_rows(kind, alpha, beta, r, N, ParamPoly.constant(1))
@@ -375,6 +379,7 @@ def triangle_by_sum(kind: str, alpha, beta, r, N: int) -> Triangle:
     """All rows 0..N from the explicit sums, sharing one falling-power table."""
     if kind not in ("Shat", "E"):
         raise ValueError("triangle_by_sum supports kinds 'Shat' and 'E'")
+    _check_rows(N)
     params, q, ints = _scaled_triple(alpha, beta, r)
     return Triangle(kind, *params, _unscale(kind, q, _sum_rows(kind, *ints, N)))
 
@@ -420,6 +425,7 @@ def triangle_by_transform(kind: str, alpha, beta, r, N: int) -> Triangle:
     where the dual rows come from the explicit sum scheme."""
     if kind not in ("Shat", "E"):
         raise ValueError("triangle_by_transform supports kinds 'Shat' and 'E'")
+    _check_rows(N)
     dual_kind = "E" if kind == "Shat" else "Shat"
     direction = "EToShat" if kind == "Shat" else "ShatToE"
     params, q, ints = _scaled_triple(alpha, beta, r)
@@ -462,6 +468,7 @@ def triangle_product(left: Triangle, right: Triangle) -> Triangle:
 
 def identity_triangle(alpha, N: int) -> Triangle:
     """The S-kind identity section, parameters ``(alpha, alpha; 0)``."""
+    _check_rows(N)
     a = as_rational(alpha)
     rows = [
         [Fraction(1) if k == n else Fraction(0) for k in range(n + 1)]
@@ -573,6 +580,7 @@ def decompose_classical(n: int, k: int, alpha, beta, r) -> Fraction:
 
 def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
     """All S rows 0..N via the classical decomposition, with power caches."""
+    _check_rows(N)
     params, q, (A, B, R) = _scaled_triple(alpha, beta, r)
     tables = _decomposition_tables(A, B, R, N)
     rows = [[_decomposition_entry(n, k, *tables) for k in range(n + 1)] for n in range(N + 1)]
@@ -739,6 +747,8 @@ def row_polynomial_euler(n: int, alpha, beta, r, extra_order: int = 5) -> List[F
     ``t^{n+1} .. t^{n+extra_order}`` are computed and must vanish, otherwise
     an ArithmeticError is raised.
     """
+    if n < 0:
+        raise ValueError("n must be a natural number")
     _, q, (A, B, R) = _scaled_triple(alpha, beta, r)
     top = n + extra_order
     table = _falling_power_table(A, B, R, top, n)  # q^n times the values

@@ -163,6 +163,8 @@ def test_verify_counterexample_exit_one(capsys):
     ("verify", "--template", "lah_triple", "--range", "3..5"),
     ("verify", "--template", "s211_triple", "--range", "3..5"),
     ("verify", "--template", "difflr", "--range=-1..1"),
+    ("verify", "--template", "cor1", "--range=-1..1"),
+    ("verify", "--template", "powerful.main1a", "--range=-1..0"),
 ])
 def test_vacuous_or_negative_runs_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -257,6 +259,31 @@ def test_expand_rejects_fractional_word_for_natural_template(capsys):
 def test_expand_missing_parameter(capsys):
     code, _, err = run(capsys, "expand", "--template", "cor1", "--n", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--template", "cor1"), "needs --word L,R"),
+    (("--template", "powerful.main1a", "--word", "1,0"), "needs --wordp L,R"),
+    (("--template", "major.1a"), "needs --alpha"),
+    (("--template", "major.2a", "--alpha", "1"), "needs --r"),
+    (("--template", "lah_triple"), "needs --case"),
+    (("--template", "difflr"), "needs --m"),
+])
+def test_expand_names_the_missing_option(capsys, argv, message):
+    code, out, err = run(capsys, "expand", *argv, "--n", "2")
+    assert code == 2 and out == ""
+    assert err == f"error: template {argv[1]!r} {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--template", "cor1", "--range=-1..1", "--n", "3"),
+    ("verify", "--template", "powerful.main1a", "--range=-1..0", "--n", "2"),
+    ("expand", "--template", "cor1", "--word=-1,1", "--n", "2"),
+])
+def test_out_of_domain_word_parameters_exit_two(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: template {argv[2]!r}: L must be a natural number, got -1\n"
 
 
 def test_expand_ambiguous_prefix(capsys):

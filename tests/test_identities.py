@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from weylstir.identities import (
+    N_DEFAULT,
     TEMPLATES,
     TEMPLATE_ORDER,
     IdentityTemplate,
@@ -116,7 +117,7 @@ def _evaluate(action, s):
 @pytest.mark.parametrize("tid", EXPECTED_IDS)
 def test_action_polynomials_match_pointwise_action(tid):
     template = TEMPLATES[tid]
-    n = 4 if template.uses_n else template.n_default
+    n = 4 if template.uses_n else N_DEFAULT
     probes = _WC_S if template.domain == "WC" else _WTC_S
     for inst in template.build(template.grid()[0], n):
         for side in (inst.lhs, inst.rhs):
@@ -288,7 +289,7 @@ def test_one_walk_spelling_matches_the_admissibility_helpers():
     sides = admissible = letters = longest = 0
     for tid in TEMPLATE_ORDER:
         template = TEMPLATES[tid]
-        n_values = range(template.n_min, 5) if template.uses_n else [template.n_default]
+        n_values = range(template.n_min, 5) if template.uses_n else [N_DEFAULT]
         for cell in template.grid():
             for n in n_values:
                 for inst in template.build(cell, n):
@@ -323,6 +324,36 @@ def test_domain_errors_name_out_of_range_parameters():
     assert lah.domain_error({"case": F(-1)}) is not None
     assert difflr.domain_error({"m": F(0)}) is None
     assert difflr.domain_error({"m": F(-1)}) == "m must be a natural number, got -1"
+    cor1, powerful = TEMPLATES["cor1"], TEMPLATES["powerful.main1a"]
+    assert cor1.domain_error({"L": F(-1), "R": F(1)}) == "L must be a natural number, got -1"
+    assert cor1.domain_error({"L": F(1), "R": F(1, 2)}) == "R must be a natural number, got 1/2"
+    cell = {"L": F(1), "R": F(0), "Lp": F(2), "Rp": F(-1)}
+    assert powerful.domain_error(cell) == "Rp must be a natural number, got -1"
+    rational = {"L": F(-1), "R": F(1, 2), "Lp": F(2), "Rp": F(-1)}
+    assert TEMPLATES["firstmain.2a"].domain_error(rational) is None
+    for template in TEMPLATES.values():
+        assert all(template.domain_error(cell) is None for cell in template.grid())
+
+
+def test_range_cells_clip_case_to_the_case_table():
+    assert TEMPLATES["lah_triple"].range_cells(-1, 5) == [{"case": F(i)} for i in range(3)]
+    assert TEMPLATES["s211_triple"].range_cells(3, 5) == []
+    assert TEMPLATES["ttv"].range_cells(0, 3) == [{}]
+    cells = TEMPLATES["cor1"].range_cells(-1, 0)
+    assert cells == [{"L": F(a), "R": F(b)} for a in (-1, 0) for b in (-1, 0)]
+
+
+def test_catalog_declarations_are_pinned():
+    """Id, domain, parameters, power bounds, case table, description and
+    grid of every template, in catalog order, hash to a fixed digest."""
+    h = hashlib.sha256()
+    for tid in TEMPLATE_ORDER:
+        t = TEMPLATES[tid]
+        cells = ";".join(",".join(f"{k}={v}" for k, v in cell.items()) for cell in t.grid())
+        h.update(f"{t.id}|{t.domain}|{t.params}|{t.n_min}|{t.uses_n}|{t.cases}|"
+                 f"{t.description}|{cells}\n".encode())
+    assert len(TEMPLATE_ORDER) == 42
+    assert h.hexdigest() == "b81a129a3a3a0c7fd3ec73cad82766f4c09ed0a567da9268593b6011262c3346"
 
 
 def _certificate_lines():
@@ -330,7 +361,7 @@ def _certificate_lines():
     n <= 4: its excess, action and boson strings."""
     for tid in TEMPLATE_ORDER:
         template = TEMPLATES[tid]
-        n_values = range(template.n_min, 5) if template.uses_n else [template.n_default]
+        n_values = range(template.n_min, 5) if template.uses_n else [N_DEFAULT]
         for cell in template.grid():
             for n in n_values:
                 for inst in template.build(cell, n):
@@ -355,7 +386,7 @@ def test_catalog_building_leaves_the_recurrence_cache_alone():
     before = _recurrence_rows_cached.cache_info()
     for tid in TEMPLATE_ORDER:
         template = TEMPLATES[tid]
-        n_values = range(template.n_min, 3) if template.uses_n else [template.n_default]
+        n_values = range(template.n_min, 3) if template.uses_n else [N_DEFAULT]
         for cell in template.grid():
             for n in n_values:
                 template.build(cell, n)

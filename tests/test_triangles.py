@@ -7,6 +7,8 @@ from functools import lru_cache
 import pytest
 
 from weylstir import triangles
+from weylstir.egf import egf_coefficients
+from weylstir.identities import adjoint_pairing_check, hermite_identity_check, ttv_check
 from weylstir.kernels import binomial_general, strided_falling, strided_rising
 from weylstir.poly import ALPHA, BETA, R, ParamPoly
 from weylstir.triangles import (
@@ -123,6 +125,30 @@ def test_transform_scheme_matches_recurrence():
         t1 = build_recurrence(kind, F(-2), F(3), F(1, 2), 9)
         t2 = triangle_by_transform(kind, F(-2), F(3), F(1, 2), 9)
         assert t1.rows == t2.rows
+
+
+_NEGATIVE_BOUNDS = [
+    (ttv_check, (-1,)),
+    (hermite_identity_check, (-1,)),
+    (adjoint_pairing_check, ({"L": F(1), "R": F(0), "Lp": F(1), "Rp": F(1)}, -1)),
+    (build_recurrence, ("S", 0, 1, 0, -1)),
+    (triangle_by_sum, ("Shat", 0, 1, 0, -1)),
+    (triangle_by_transform, ("E", 0, 1, 0, -1)),
+    (triangle_by_decomposition, (0, 1, 0, -1)),
+    (identity_triangle, (0, -1)),
+    (egf_coefficients, ("Shat", 0, 1, 0, -1, -1)),
+    (egf_coefficients, ("E", 0, 1, 0, 2, -1)),
+    (egf_coefficients, ("E", 0, 1, 0, -1, 2)),
+    (row_polynomial_euler, (-1, 0, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("func, args", _NEGATIVE_BOUNDS,
+                         ids=[func.__name__ for func, _ in _NEGATIVE_BOUNDS])
+def test_a_negative_bound_is_a_value_error(func, args):
+    """A negative size or degree is refused, never read as an empty check."""
+    with pytest.raises(ValueError, match="natural"):
+        func(*args)
 
 
 def test_binomial_transform_round_trip():
