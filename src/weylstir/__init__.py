@@ -59,6 +59,7 @@ from .identities import (
     TEMPLATE_ORDER,
     IdentityTemplate,
     TemplateInstance,
+    VacuousRunError,
     VerifyReport,
     templates_matching,
     verify_identity,

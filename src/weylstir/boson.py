@@ -10,10 +10,16 @@ form of the processed prefix; appending a creation letter applies the rule
 ``a^q a† = a† a^q + q a^{q-1}`` (itself the q-fold closure of the rewrite),
 appending an annihilation letter is free.  This reaches the same fixed point
 as rewriting the full string, one letter at a time.
+
+Normal forms are memoized per string in a bounded ``lru_cache``
+(``_normal_order``, the 512 most recent strings): a catalog run spells the
+same strings at every ``n`` and in every cell.  :func:`normal_order_oracle`
+returns a fresh copy on every call, so a caller may change what it gets.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Dict, Tuple
 
 # the longest string normal-ordered: the oracle's guard, and the length up
@@ -28,8 +34,8 @@ NormalForm = Dict[Tuple[int, int], int]
 def normal_order_oracle(string: str, max_len: int = MAX_STRING_LENGTH) -> NormalForm:
     """Normally order a '+'/'-' string.
 
-    Returns ``{(p, q): coefficient}`` meaning ``sum c a†^p a^q``; the
-    coefficients are positive integers.  Strings longer than ``max_len``
+    Returns a fresh ``{(p, q): coefficient}`` meaning ``sum c a†^p a^q``;
+    the coefficients are positive integers.  Strings longer than ``max_len``
     (default ``MAX_STRING_LENGTH``) are rejected to keep the state space
     bounded.
     """
@@ -37,6 +43,13 @@ def normal_order_oracle(string: str, max_len: int = MAX_STRING_LENGTH) -> Normal
         raise ValueError(
             f"string of length {len(string)} exceeds the guard ({max_len})"
         )
+    return dict(_normal_order(string))
+
+
+@lru_cache(maxsize=1 << 9)
+def _normal_order(string: str) -> Tuple[Tuple[Tuple[int, int], int], ...]:
+    """The items of the normal form of ``string``, memoized, as a tuple so
+    that no caller can change the cached form."""
     state: NormalForm = {(0, 0): 1}
     for ch in string:
         if ch == "-":
@@ -52,4 +65,4 @@ def normal_order_oracle(string: str, max_len: int = MAX_STRING_LENGTH) -> Normal
             state = new
         else:
             raise ValueError(f"invalid letter {ch!r}; expected '+' or '-'")
-    return state
+    return tuple(state.items())

@@ -30,6 +30,7 @@ from .fixtures import FIXTURES, check_fixture
 from .identities import (
     TEMPLATES,
     TEMPLATE_ORDER,
+    VacuousRunError,
     VerifyReport,
     templates_matching,
     verify_identity,
@@ -120,13 +121,6 @@ def cmd_triangle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _check_domain(template, cell: Dict[str, Fraction]) -> None:
-    """Reject parameter values outside the template's domain."""
-    problem = template.domain_error(cell)
-    if problem is not None:
-        raise UsageError(f"template {template.id!r}: {problem}")
-
-
 def _verify_worker(job) -> VerifyReport:
     tid, cell, n_max = job
     return verify_identity(TEMPLATES[tid], cells=[cell], n_max=n_max)
@@ -145,13 +139,20 @@ def cmd_verify(args) -> int:
     else:
         raise UsageError("pass --template ID (or a prefix) or --all")
 
-    jobs = []
+    jobs, vacuous = [], []
     for template in selected:
         cells = template.grid() if args.range is None else template.range_cells(*args.range)
-        for cell in cells:
-            _check_domain(template, cell)
+        try:
+            template.run_powers(cells, args.n)
+        except VacuousRunError:
+            vacuous.append(template.id)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from None
         jobs.extend((template.id, cell, args.n)
                     for cell in sorted(cells, key=lambda c: tuple(sorted(c.items()))))
+    if vacuous:
+        raise UsageError(f"nothing to verify for {', '.join(vacuous)} "
+                         "(0 instances; check --range and --n)")
     if args.parallel and len(jobs) > 1:
         # one pool of spawned workers for the whole run; map hands the
         # (template, cell) jobs out in chunks of about len(jobs) / (4 * workers)
@@ -163,11 +164,6 @@ def cmd_verify(args) -> int:
     for (tid, _, _), part in zip(jobs, partials):
         merged[tid].merge(part)
     reports = list(merged.values())
-
-    vacuous = [r.template_id for r in reports if not r.instances]
-    if vacuous:
-        raise UsageError(f"nothing to verify for {', '.join(vacuous)} "
-                         "(0 instances; check --range and --n)")
     ok = all(r.ok for r in reports)
     if args.format == "json":
         payload = {
@@ -299,7 +295,10 @@ def cmd_expand(args) -> int:
                          f"(got {len(matches)} matches for {args.template!r})")
     template = matches[0]
     cell = _collect_params(template, args)
-    _check_domain(template, cell)
+    try:
+        template.check_cell(cell)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.n < template.n_min:
         raise UsageError(f"template {template.id!r} requires n >= {template.n_min}")
 

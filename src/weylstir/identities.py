@@ -15,7 +15,14 @@ semantic and exact, through two independent channels:
 2. *string rewriting*: whenever a side lives in the creation/annihilation
    dialect (all exponents natural) and is short enough, both sides are
    spelled as boson strings in one walk each and normally ordered by the
-   independent rewriting oracle, and the normal forms are compared.
+   independent rewriting oracle, and the normal forms are compared in
+   integers, cross-multiplied.
+
+Each channel memoizes its own exact work in its own bounded cache: the
+action walk of a term (``operators._term_action``) and the normal form of a
+string (``boson._normal_order``).  Builders write integral coefficients as
+``int``; :meth:`IdentityTemplate.run_powers` refuses a run outside the
+domain or one that would certify nothing, so no PASS is vacuous.
 
 The sixteen word re-expansion templates (``firstmain``, ``secondmain`` and
 their all-natural prefactored forms ``powerful``, ``powerful2``) are declared
@@ -26,7 +33,7 @@ Coefficient rows come from the triangle module's integer recurrence, run at
 the integers of the scaled cell: ``S`` row ``n`` entry ``k`` is homogeneous
 of degree ``n - k`` in the parameters and ``E`` row ``n`` of degree ``n``,
 so each entry is divided once, by ``q^(n-k)`` or ``q^n``, into the exact
-``Fraction`` coefficient.  A verification failure would implicate either the
+coefficient.  A verification failure would implicate either the
 triangles, the operator engine, or the identity itself; their mutual
 agreement is the point.
 """
@@ -39,14 +46,15 @@ from fractions import Fraction
 from itertools import product
 from math import factorial, lcm
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .boson import MAX_STRING_LENGTH, normal_order_oracle
+from .boson import MAX_STRING_LENGTH, NormalForm, normal_order_oracle
 from .kernels import binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
 from .triangles import _recurrence_rows, build_recurrence, closed_form
 
 F = Fraction
+Coefficient = Union[int, Fraction]  # an int wherever the value is integral
 
 __all__ = [
     "IdentityTemplate",
@@ -55,6 +63,7 @@ __all__ = [
     "TEMPLATES",
     "TEMPLATE_ORDER",
     "templates_matching",
+    "VacuousRunError",
     "VerifyReport",
     "verify_identity",
     "normal_form",
@@ -76,8 +85,9 @@ def _one(q: int, *factors) -> OperatorExpr:
 
 
 def _coefficient(num: int, den: int):
-    """``num / den``, an int when ``den`` is 1."""
-    return num if den == 1 else F(num, den)
+    """``num / den``, an int when it is integral."""
+    quotient, rest = divmod(num, den)
+    return F(num, den) if rest else quotient
 
 
 def _poly_in_word(q: int, word: Tuple[int, int], shifts: Sequence[int]) -> OperatorExpr:
@@ -93,14 +103,16 @@ def _poly_in_word(q: int, word: Tuple[int, int], shifts: Sequence[int]) -> Opera
     ])
 
 
-def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Tuple[Fraction, ...]:
+def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Coefficient]:
     """Row ``n`` of the recurrence triangle ``kind`` at ``(A, B, R) / q``:
     the integer row at ``(A, B, R)``, entry ``k`` divided by ``q^(n-k)``
-    (S) or ``q^n`` (E)."""
+    (S) or ``q^n`` (E), an int where that is integral."""
     row = _recurrence_rows(kind, A, B, R, n, 1)[n]
+    if q == 1:
+        return row
     if kind == "S":
-        return tuple(F(v, q ** (n - k)) for k, v in enumerate(row))
-    return tuple(F(v, q**n) for v in row)
+        return [_coefficient(v, q ** (n - k)) for k, v in enumerate(row)]
+    return [_coefficient(v, q**n) for v in row]
 
 
 def _xs(*pairs) -> Tuple[int, ...]:
@@ -116,13 +128,25 @@ def _xs(*pairs) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TemplateInstance:
+    """Both sides of one identity; ``row`` holds the coefficients of an
+    expansion over ``k`` as built (ints where integral)."""
+
     lhs: OperatorExpr
     rhs: OperatorExpr
-    coeffs: Optional[Tuple[Fraction, ...]] = None
+    row: Optional[Tuple[Coefficient, ...]] = None
     label: str = ""
+
+    @property
+    def coeffs(self) -> Optional[Tuple[Fraction, ...]]:
+        """The expansion coefficients as Fractions, None without a row."""
+        return None if self.row is None else tuple(map(F, self.row))
 
 
 Builder = Callable[[Dict[str, Fraction], int], List[TemplateInstance]]
+
+
+class VacuousRunError(ValueError):
+    """Raised for a verification run that would certify nothing."""
 
 
 N_DEFAULT = 6  # the top power of a sweep, and the power of a template without n
@@ -162,6 +186,32 @@ class IdentityTemplate:
             if value is not None and (value.denominator != 1 or value < 0):
                 return f"{name} must be a natural number, got {value}"
         return None
+
+    def check_cell(self, cell: Dict[str, Fraction]) -> None:
+        """Raise ValueError, naming the template, for a cell outside the
+        domain (:meth:`domain_error`)."""
+        problem = self.domain_error(cell)
+        if problem is not None:
+            raise ValueError(f"template {self.id!r}: {problem}")
+
+    def run_powers(
+        self, cells: Sequence[Dict[str, Fraction]], n_max: Optional[int] = None
+    ) -> range:
+        """The powers ``n`` a run over ``cells`` up to ``n_max`` builds at:
+        ``n_min..n_max``, or ``N_DEFAULT`` alone for a template without ``n``
+        (``n_max`` defaults to ``N_DEFAULT``).  Raises ValueError for a
+        negative ``n_max`` or an out-of-domain cell (:meth:`check_cell`), and
+        VacuousRunError for a run that would build nothing: no cells, or
+        ``n_max`` below ``n_min``."""
+        if n_max is not None and n_max < 0:
+            raise ValueError(f"n_max must be a natural number, got {n_max}")
+        for cell in cells:
+            self.check_cell(cell)
+        top = N_DEFAULT if n_max is None else n_max
+        powers = range(self.n_min, top + 1) if self.uses_n else range(N_DEFAULT, N_DEFAULT + 1)
+        if not cells or not powers:
+            raise VacuousRunError(f"nothing to verify for {self.id} (0 instances)")
+        return powers
 
     def range_cells(self, lo: int, hi: int) -> List[Dict[str, Fraction]]:
         """Every parameter over the integers ``lo..hi``, ``case`` clipped to
@@ -274,13 +324,13 @@ def _b_difflr(p, n):
 
 
 def _expansion(
-    lhs: OperatorExpr, coeffs: Sequence[Fraction], factors_of_k
+    lhs: OperatorExpr, coeffs: Sequence[Coefficient], factors_of_k
 ) -> List[TemplateInstance]:
     """The one instance ``lhs = sum_k coeffs[k] * factors_of_k(k)``, with the
     terms of zero coefficients left out; the factors are in the units of
     ``lhs``."""
     terms = [(c, factors_of_k(k)) for k, c in enumerate(coeffs) if c]
-    return [TemplateInstance(lhs, OperatorExpr.over(lhs.q, terms), coeffs=tuple(coeffs))]
+    return [TemplateInstance(lhs, OperatorExpr.over(lhs.q, terms), row=tuple(coeffs))]
 
 
 def _normal(q: int, *prefactors):
@@ -440,7 +490,8 @@ def _reexpansion_templates(kind: str) -> List[IdentityTemplate]:
 
 
 def _b_proposition(p, n):
-    coeffs = [closed_form("S_4F_vi", n, k, r=0) for k in range(n + 1)]
+    values = (closed_form("S_4F_vi", n, k, r=0) for k in range(n + 1))
+    coeffs = [_coefficient(c.numerator, c.denominator) for c in values]
     return _expansion(_one(1, (3, 0, n)), coeffs, _normal(1, 2 * n))
 
 
@@ -448,7 +499,7 @@ def _b_sampleappl(p, n):
     if n == 0:
         return []
     coeffs = [
-        F(k * binomial(n, k) * factorial(2 * n - k - 1), factorial(n) * 2 ** (n - k))
+        _coefficient(k * binomial(n, k) * factorial(2 * n - k - 1), factorial(n) * 2 ** (n - k))
         for k in range(n + 1)
     ]
     return _expansion(_one(1, (3, 0, n)), coeffs, lambda k: (n, n - k, (2, 0, k)))
@@ -456,7 +507,7 @@ def _b_sampleappl(p, n):
 
 def _b_viewedas(p, n):
     coeffs = [
-        F(factorial(n) * binomial(k, n - k), factorial(k)) * F(1, (-2) ** (n - k))
+        _coefficient(factorial(n) * binomial(k, n - k), factorial(k) * (-2) ** (n - k))
         for k in range(n + 1)
     ]
     lhs = _one(1, n, (2, 0, n))
@@ -465,7 +516,7 @@ def _b_viewedas(p, n):
 
 def _b_companion(p, n):
     coeffs = [
-        F(factorial(2 * n - k), factorial(k) * factorial(n - k) * 2 ** (n - k))
+        _coefficient(factorial(2 * n - k), factorial(k) * factorial(n - k) * 2 ** (n - k))
         for k in range(n + 1)
     ]
     return _expansion(_one(1, (2, 1, n)), coeffs, lambda k: (n, n - k, (2, 0, k)))
@@ -476,7 +527,7 @@ _LAH_CASES = ((0, 2), (1, 1), (2, 0))
 
 def _b_lah_triple(p, n):
     L, R = _LAH_CASES[int(p["case"])]
-    coeffs = [F(binomial(n, k) * rising(k + R, n - k)) for k in range(n + 1)]
+    coeffs = [binomial(n, k) * rising(k + R, n - k) for k in range(n + 1)]
     return _expansion(_one(1, (L, R, n)), coeffs, _normal(1, n))
 
 
@@ -505,13 +556,13 @@ def _b_euleriank(R: int):
 
 def _b_sampleeulerian(p, n):
     lhs = OperatorExpr.over(1, [(2**n, (n, (2, 0, n), 2 * n))])
-    coeffs = [F(binomial(n + 1, 2 * k + 1)) for k in range(n + 1)]
+    coeffs = [binomial(n + 1, 2 * k + 1) for k in range(n + 1)]
     return _expansion(lhs, coeffs, lambda k: (2 * k, (3, 0, n), 2 * (n - k)))
 
 
 def _b_last(p, n):
     lhs = _one(1, (1, 1, n), n)
-    coeffs = [F((-1) ** (n - k) * binomial(n + 1, k)) for k in range(n + 1)]
+    coeffs = [(-1) ** (n - k) * binomial(n + 1, k) for k in range(n + 1)]
     return _expansion(lhs, coeffs, lambda k: (n - k, (2, 0, n), k))
 
 
@@ -620,19 +671,27 @@ def normal_form(expr: OperatorExpr) -> Dict[Tuple[int, int], Fraction]:
     strings = expr.boson_strings()
     if strings is None:
         raise ValueError("expression has non-natural exponents")
-    return _normal_form(strings)
+    d, counts = _normal_form(strings)
+    return {key: Fraction(value, d) for key, value in counts.items()}
 
 
-def _normal_form(strings: Sequence[Tuple[Fraction, str]]) -> Dict[Tuple[int, int], Fraction]:
-    """Sum of the oracle's normal forms of weighted strings, zeros dropped;
-    accumulated in integers over the lcm of the weights' denominators."""
+def _normal_form(strings: Sequence[Tuple[Coefficient, str]]) -> Tuple[int, NormalForm]:
+    """Sum of the oracle's normal forms of weighted strings, in integers:
+    ``(d, counts)`` with ``d`` the lcm of the weights' denominators and the
+    form ``counts / d``, zeros dropped."""
     d = lcm(*(coeff.denominator for coeff, _ in strings))
-    out: Dict[Tuple[int, int], int] = {}
+    out: NormalForm = {}
     for coeff, string in strings:
         c = coeff.numerator * (d // coeff.denominator)
         for key, count in normal_order_oracle(string).items():
             out[key] = out.get(key, 0) + c * count
-    return {key: Fraction(value, d) for key, value in out.items() if value}
+    return d, {key: value for key, value in out.items() if value}
+
+
+def _same_normal_form(left, right) -> bool:
+    """Equal normal forms of two weighted string lists, cross-multiplied."""
+    (da, a), (db, b) = _normal_form(left), _normal_form(right)
+    return a.keys() == b.keys() and all(v * db == b[key] * da for key, v in a.items())
 
 
 @dataclass
@@ -696,44 +755,44 @@ def verify_identity(
     monomial action (one integer certificate in ``s`` per side, read off one
     walk), and (for admissible sides short enough) equal normal forms under
     the independent string-rewriting oracle.  Strings longer than
-    ``MAX_STRING_LENGTH`` letters are left to the action channel.
+    ``MAX_STRING_LENGTH`` letters are left to the action channel.  Raises
+    ValueError for a run outside the template's domain or one that would
+    certify nothing (:meth:`IdentityTemplate.run_powers`).
     """
+    cells = template.grid() if cells is None else list(cells)
+    n_values = template.run_powers(cells, n_max)
     report = VerifyReport(template_id=template.id)
-    if cells is None:
-        cells = template.grid()
-    top = N_DEFAULT if n_max is None else n_max
-    n_values = range(template.n_min, top + 1) if template.uses_n else [N_DEFAULT]
+
+    def fail(cell, n, inst, problem: str) -> None:
+        where = f"{template.id}{_cell_label(cell)} n={n}"
+        if inst.label:
+            where += f" [{inst.label}]"
+        report.failures.append(f"{where}: {problem}")
 
     for cell in cells:
         report.cells += 1
-        label = template.id + _cell_label(cell)
         for n in n_values:
             t0 = perf_counter()
             instances = template.build(cell, n)
             report.build_s += perf_counter() - t0
             for inst in instances:
                 report.instances += 1
-                where = f"{label} n={n}"
-                if inst.label:
-                    where += f" [{inst.label}]"
                 t0 = perf_counter()
                 try:
                     left = inst.lhs.certificate()
                     right = inst.rhs.certificate()
                 except MixedExcessError as exc:  # mixed excess is a real failure
-                    report.failures.append(f"{where}: excess error: {exc}")
+                    fail(cell, n, inst, f"excess error: {exc}")
                     continue
                 finally:
                     report.action_s += perf_counter() - t0
                 if not left.excess_matches(right):
-                    report.failures.append(
-                        f"{where}: excess mismatch {left.excess} vs {right.excess}"
-                    )
+                    fail(cell, n, inst, f"excess mismatch {left.excess} vs {right.excess}")
                     continue
                 report.action_probes += 1
                 report.action_degree = max(report.action_degree, left.degree, right.degree)
                 if left != right:
-                    report.failures.append(f"{where}: action differs")
+                    fail(cell, n, inst, "action differs")
                 t0 = perf_counter()
                 lstr = inst.lhs.boson_strings()
                 rstr = inst.rhs.boson_strings() if lstr is not None else None
@@ -741,9 +800,11 @@ def verify_identity(
                     (len(string) for _, string in lstr + rstr), default=0
                 ) <= MAX_STRING_LENGTH:
                     report.string_probes += 1
-                    if _normal_form(lstr) != _normal_form(rstr):
-                        report.failures.append(f"{where}: normal forms differ")
+                    if not _same_normal_form(lstr, rstr):
+                        fail(cell, n, inst, "normal forms differ")
                 report.string_s += perf_counter() - t0
+    if not report.instances:
+        raise VacuousRunError(f"nothing to verify for {template.id} (0 instances)")
     return report
 
 
@@ -774,6 +835,7 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
     kind, variant, prefactored, _ = _REEXPANSIONS.get(template_id, (None, None, False, ""))
     if not prefactored:
         raise ValueError(f"{template_id!r} has no prefactor table")
+    TEMPLATES[template_id].check_cell(cell)
     q, words = scale_params(*(cell[name] for name in _WORDS))
     EL, ER = _prefactors(kind, variant, q, words)
 

@@ -30,6 +30,10 @@ denominator, computed in one walk over the terms
 the first term of another excess).  Two expressions are equal as operators on
 monomials exactly when their certificates are equal, which certifies an
 identity at every ``s``, at any degree; certificates compare in integers.
+The walk over one term's factors is memoized per ``(q, factors)`` in a
+bounded ``lru_cache`` (``_term_action``, the 1 024 most recent terms), since
+the same factor products recur at every ``n``, in every cell and across
+templates; only the sum over the coefficients is redone per expression.
 :meth:`Certificate.action` reads a certificate in ``Fraction`` values of ``s``;
 :meth:`OperatorExpr.act_on_monomial` is the pointwise reference.
 """
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -115,6 +120,27 @@ def _unscale(factor: Scaled, q: int) -> Factor:
         return XPower(Fraction(factor, q))
     L, R, m = factor
     return WordPower(Word(Fraction(L, q), Fraction(R, q)), m)
+
+
+@lru_cache(maxsize=1 << 10)
+def _term_action(q: int, factors: Tuple[Scaled, ...]) -> Tuple[int, Tuple[int, ...]]:
+    """The shift of the factors of one term, in units of ``1/q``, and the
+    integer coefficients of the polynomial ``prod (u + c)`` of its word
+    powers (constant first), read right to left; memoized."""
+    shift = 0
+    poly = [1]
+    for f in reversed(factors):
+        if f.__class__ is int:
+            shift += f
+            continue
+        L, R, m = f
+        e = L + R - q
+        c = shift + R
+        for _ in range(m):
+            poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+            c += e
+        shift += m * e
+    return shift, tuple(poly)
 
 
 class Certificate:
@@ -267,7 +293,8 @@ class OperatorExpr:
         raises MixedExcessError at the first term whose excess differs.
 
         A term's factors, right to left, give its shift and the integer
-        polynomial ``prod (u + c)`` of its word powers; the terms are then
+        polynomial ``prod (u + c)`` of its word powers (memoized,
+        :func:`_term_action`); the terms are then
         summed over the common denominator ``d q^(top - 1)``, with ``d`` the
         lcm of the coefficient denominators and ``top - 1`` the highest
         degree.
@@ -277,19 +304,7 @@ class OperatorExpr:
         walked = []
         top = 1
         for coeff, factors in self._terms:
-            shift = 0
-            poly = [1]
-            for f in reversed(factors):
-                if f.__class__ is int:
-                    shift += f
-                    continue
-                L, R, m = f
-                e = L + R - q
-                c = shift + R
-                for _ in range(m):
-                    poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
-                    c += e
-                shift += m * e
+            shift, poly = _term_action(q, factors)
             if first is None:
                 first = shift
             elif shift != first:

@@ -53,3 +53,10 @@ def test_length_guard():
 def test_alphabet_guard():
     with pytest.raises(ValueError):
         normal_order_oracle("+a-")
+
+
+def test_each_call_returns_a_fresh_normal_form():
+    first = normal_order_oracle("-+-+")
+    first[(0, 0)] = 99
+    first[(5, 5)] = 1
+    assert normal_order_oracle("-+-+") == {(2, 2): 1, (1, 1): 3, (0, 0): 1}

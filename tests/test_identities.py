@@ -1,5 +1,6 @@
 """Identity catalog completeness and the verification engine itself."""
 
+import dataclasses
 import hashlib
 from fractions import Fraction as F
 
@@ -11,6 +12,7 @@ from weylstir.identities import (
     TEMPLATE_ORDER,
     IdentityTemplate,
     TemplateInstance,
+    VacuousRunError,
     adjoint_pairing_check,
     hermite_identity_check,
     normal_form,
@@ -19,7 +21,8 @@ from weylstir.identities import (
     verify_identity,
     wc_admissibility_check,
 )
-from weylstir.operators import OperatorExpr, Word, WordPower, XPower
+from weylstir.boson import _normal_order
+from weylstir.operators import OperatorExpr, Word, WordPower, XPower, _term_action
 from weylstir.triangles import _recurrence_rows_cached
 
 # frozen catalog: insertion must preserve this list exactly
@@ -424,3 +427,114 @@ def test_off_by_one_coefficient_fails_the_integer_comparison():
     assert left.q == right.q == 2 and left.denom != right.denom
     rep = verify_identity(template, n_max=3)
     assert rep.failures == ["offbyone(L=1/2, R=2, Lp=-1, Rp=1/2) n=3: action differs"]
+
+
+_COR1_BAD = {"L": F(-1), "R": F(1)}
+_POWERFUL_BAD = {"L": F(-1), "R": F(0), "Lp": F(2), "Rp": F(0)}
+
+
+@pytest.mark.parametrize("run, error", [
+    (lambda: verify_identity(TEMPLATES["katriel.norm"], n_max=-1),
+     "n_max must be a natural number, got -1"),
+    (lambda: verify_identity(TEMPLATES["katriel.norm"], cells=[]),
+     "nothing to verify for katriel.norm (0 instances)"),
+    (lambda: verify_identity(TEMPLATES["sampleappl"], n_max=0),
+     "nothing to verify for sampleappl (0 instances)"),
+    (lambda: verify_identity(TEMPLATES["cor1"], cells=[_COR1_BAD], n_max=3),
+     "template 'cor1': L must be a natural number, got -1"),
+    (lambda: wc_admissibility_check("powerful.main1a", _POWERFUL_BAD),
+     "template 'powerful.main1a': L must be a natural number, got -1"),
+    (lambda: verify_identity(IdentityTemplate(
+        id="empty", domain="WC", params=(), build=lambda p, n: [], grid=lambda: [{}])),
+     "nothing to verify for empty (0 instances)"),
+])
+def test_no_pass_is_vacuous_or_out_of_domain(run, error):
+    with pytest.raises(ValueError) as exc:
+        run()
+    assert str(exc.value) == error
+    assert isinstance(exc.value, VacuousRunError) == error.startswith("nothing")
+
+
+_OFF_BY_ONE_CELL = {"L": F(1, 2), "R": F(2), "Lp": F(-1), "Rp": F(1, 2)}
+_COR1_CELL = {"L": F(1), "R": F(1)}
+
+
+def _off_by_one():
+    """firstmain.2a with its second RHS coefficient off by one."""
+    base = TEMPLATES["firstmain.2a"]
+
+    def build(p, n):
+        (inst,) = base.build(p, n)
+        terms = [(c + (1 if i == 1 else 0), f) for i, (c, f) in enumerate(inst.rhs.terms)]
+        return [TemplateInstance(inst.lhs, OperatorExpr(terms))]
+
+    return IdentityTemplate(id="offbyone", domain="WTC", params=base.params, build=build,
+                            grid=lambda: [_OFF_BY_ONE_CELL], n_min=3)
+
+
+def _dropped_term():
+    """cor1 without the last term of its RHS: every string is one of cor1's."""
+    base = TEMPLATES["cor1"]
+
+    def build(p, n):
+        (inst,) = base.build(p, n)
+        return [TemplateInstance(inst.lhs, OperatorExpr(inst.rhs.terms[:-1]))]
+
+    return IdentityTemplate(id="dropped", domain="WC", params=base.params, build=build,
+                            grid=lambda: [_COR1_CELL], n_min=3)
+
+
+def _untimed(report):
+    return dataclasses.replace(report, build_s=0.0, action_s=0.0, string_s=0.0)
+
+
+def test_a_warm_cache_cannot_mask_a_failure():
+    """Both channel caches hold every term and string of the correct
+    identities before their broken variants run; the variants still fail,
+    and a cold run reports the same."""
+    runs = [
+        (TEMPLATES["firstmain.2a"], [_OFF_BY_ONE_CELL], 3),
+        (TEMPLATES["cor1"], [_COR1_CELL], 3),
+        (_off_by_one(), None, 3),
+        (_dropped_term(), None, 3),
+    ]
+    warm = [verify_identity(*run) for run in runs]
+    assert warm[0].ok and warm[1].ok
+    assert warm[2].failures == ["offbyone(L=1/2, R=2, Lp=-1, Rp=1/2) n=3: action differs"]
+    assert warm[3].failures == [
+        "dropped(L=1, R=1) n=3: action differs",
+        "dropped(L=1, R=1) n=3: normal forms differ",
+    ]
+    _term_action.cache_clear()
+    _normal_order.cache_clear()
+    cold = [verify_identity(*run) for run in runs]
+    assert [_untimed(r) for r in cold] == [_untimed(r) for r in warm]
+
+
+def test_each_channel_cache_is_bounded_and_reused():
+    template, cells = TEMPLATES["cor1"], [_COR1_CELL]
+    verify_identity(template, cells)
+    before = (_term_action.cache_info(), _normal_order.cache_info())
+    verify_identity(template, cells)
+    after = (_term_action.cache_info(), _normal_order.cache_info())
+    for old, new in zip(before, after):
+        assert new.hits > old.hits and new.misses == old.misses
+        assert new.maxsize is not None and new.currsize <= new.maxsize
+
+
+def test_cells_may_be_any_iterable():
+    rep = verify_identity(TEMPLATES["cor1"], cells=iter([_COR1_CELL]), n_max=2)
+    assert rep.ok and (rep.cells, rep.instances) == (1, 3)
+
+
+def test_string_channel_compares_across_denominators():
+    """Halves summed over the denominator 2 against the whole over 1: equal
+    normal forms; a third against a half: different ones."""
+    half = F(1, 2)
+    halves = OperatorExpr([(half, (XPower(F(1)), WordPower(Word(F(0), F(0)), 1)))] * 2)
+    whole = OperatorExpr.single(1, XPower(F(1)), WordPower(Word(F(0), F(0)), 1))
+    rep = verify_identity(_one_instance_template("halves", halves, whole))
+    assert rep.ok and rep.string_probes == 1
+    third = OperatorExpr.single(F(1, 3), XPower(F(1)), WordPower(Word(F(0), F(0)), 1))
+    rep = verify_identity(_one_instance_template("third", third, whole.scaled(half)))
+    assert rep.failures == ["third() n=6: action differs", "third() n=6: normal forms differ"]
