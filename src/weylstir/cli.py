@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
 from .fixtures import FIXTURES, check_fixture
@@ -154,6 +154,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"nothing to verify for {', '.join(vacuous)} "
                          "(0 instances; check --range and --n)")
     if args.parallel and len(jobs) > 1:
+        import multiprocessing  # only --parallel needs it; kept out of start-up
+
         # one pool of spawned workers for the whole run; map hands the
         # (template, cell) jobs out in chunks of about len(jobs) / (4 * workers)
         with multiprocessing.get_context("spawn").Pool() as pool:
@@ -397,9 +399,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser :func:`main` reuses: parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

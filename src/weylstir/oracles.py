@@ -1,9 +1,8 @@
-"""Brute-force enumeration oracles for small combinatorial triangles.
+"""Exact object counts for small combinatorial triangles.
 
 These exist to cross-check triangle entries against counts obtained by a
-completely independent route: direct enumeration of the counted objects.
-They are intentionally naive (and therefore trustworthy); the guard caps
-``n`` at 9.
+completely independent route: counting the objects themselves.  No count
+touches the triangle recurrence; the guard caps ``n`` at 9.
 
 Tags:
 
@@ -15,18 +14,28 @@ Tags:
 - ``SignedDescents``: signed permutations with k descents, where position 0
   carries a virtual 0 (the hyperoctahedral convention).
 
-The signed count does not walk the ``2^n n!`` signed words one by one: it
-counts them exactly, letter by letter, over the states (letters used, last
-signed letter, descents so far).  Like the others it never touches the
-triangle recurrence.
+The first three share one walk over the set partitions of an n-set.  A
+partition with blocks of sizes ``s_1..s_k`` counts once for
+``SubsetPartitions``, ``prod (s_i - 1)!`` times for ``CycleCounts`` (a
+permutation is its set of cycles, and a block of size s closes into a cycle
+in (s - 1)! ways) and ``prod s_i!`` times for ``LahLists``.
+
+The two descent tags share one word count: words are built letter by letter
+after the virtual leading 0, over the states (letters used, last letter),
+with each letter taken with every sign in ``signs`` (``(1,)`` for
+``Descents``, ``(1, -1)`` for ``SignedDescents``).  For unsigned words the
+leading 0 lies below every letter, so it adds no descent.  A state keeps
+its counts by descent number as the digits of one int, ``width`` bits
+each, with ``width`` the bit length of ``2^n n!``; a descent shifts the int
+by ``width`` bits.  No digit can carry, because no count, nor any sum of
+counts, exceeds the ``2^n n!`` signed words.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
 from math import factorial
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 COMBINATORIAL_TAGS = (
     "SubsetPartitions",
@@ -42,24 +51,23 @@ __all__ = ["COMBINATORIAL_TAGS", "combinatorial_oracle"]
 
 
 @lru_cache(maxsize=None)
-def _partition_dists(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """(set-partition counts by #blocks, ordered-list-partition counts)."""
+def _partition_dists(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
+    """(set partitions, permutations by cycles, ordered-list partitions),
+    each by number of blocks."""
     subset = [0] * (n + 1)
+    cycle = [0] * (n + 1)
     lah = [0] * (n + 1)
-    if n == 0:
-        subset[0] = 1
-        lah[0] = 1
-        return tuple(subset), tuple(lah)
-
-    sizes = []
+    sizes: List[int] = []
 
     def place(i: int) -> None:
         if i == n:
             k = len(sizes)
             subset[k] += 1
-            orderings = 1
+            cycles = orderings = 1
             for s in sizes:
+                cycles *= factorial(s - 1)
                 orderings *= factorial(s)
+            cycle[k] += cycles
             lah[k] += orderings
             return
         for b in range(len(sizes)):
@@ -71,74 +79,43 @@ def _partition_dists(n: int) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         sizes.pop()
 
     place(0)
-    return tuple(subset), tuple(lah)
+    return tuple(subset), tuple(cycle), tuple(lah)
 
 
 @lru_cache(maxsize=None)
-def _cycle_dist(n: int) -> Tuple[int, ...]:
-    counts = [0] * (n + 1)
-    if n == 0:
-        counts[0] = 1
-        return tuple(counts)
-    for perm in permutations(range(n)):
-        seen = [False] * n
-        cycles = 0
-        for start in range(n):
-            if seen[start]:
-                continue
-            cycles += 1
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-        counts[cycles] += 1
-    return tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def _descent_dist(n: int) -> Tuple[int, ...]:
-    counts = [0] * (n + 1)
-    if n == 0:
-        counts[0] = 1
-        return tuple(counts)
-    for perm in permutations(range(1, n + 1)):
-        des = sum(1 for i in range(n - 1) if perm[i] > perm[i + 1])
-        counts[des] += 1
-    return tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def _signed_descent_dist(n: int) -> Tuple[int, ...]:
-    # words[(used, last, descents)]: signed words on the letter set ``used``
-    # (a bit mask) ending in ``last``, after the virtual leading 0
-    words: Dict[Tuple[int, int, int], int] = {(0, 0, 0): 1}
+def _descent_dist(n: int, signs: Tuple[int, ...]) -> Tuple[int, ...]:
+    # no digit can carry: no count exceeds the 2**n * n! signed words
+    width = (2 ** n * factorial(n)).bit_length()
+    # words[(used, last)]: words on the letter set ``used`` (a bit mask)
+    # ending in ``last``, by descents, as base-2**width digits
+    words: Dict[Tuple[int, int], int] = {(0, 0): 1}
+    letters = [(1 << v, s * v) for v in range(1, n + 1) for s in signs]
     for _ in range(n):
-        longer: Dict[Tuple[int, int, int], int] = {}
-        for (used, last, des), count in words.items():
-            for v in range(1, n + 1):
-                if used >> v & 1:
+        longer: Dict[Tuple[int, int], int] = {}
+        for (used, last), counts in words.items():
+            descended = counts << width
+            for bit, letter in letters:
+                if used & bit:
                     continue
-                for w in (v, -v):
-                    key = (used | 1 << v, w, des + (last > w))
-                    longer[key] = longer.get(key, 0) + count
+                key = (used | bit, letter)
+                longer[key] = longer.get(key, 0) + (descended if last > letter else counts)
         words = longer
-    counts = [0] * (n + 1)
-    for (_, _, des), count in words.items():
-        counts[des] += count
-    return tuple(counts)
+    total = sum(words.values())
+    mask = (1 << width) - 1
+    return tuple(total >> (width * k) & mask for k in range(n + 1))
 
 
 _DISPATCH = {
     "SubsetPartitions": lambda n: _partition_dists(n)[0],
-    "LahLists": lambda n: _partition_dists(n)[1],
-    "CycleCounts": _cycle_dist,
-    "Descents": _descent_dist,
-    "SignedDescents": _signed_descent_dist,
+    "CycleCounts": lambda n: _partition_dists(n)[1],
+    "LahLists": lambda n: _partition_dists(n)[2],
+    "Descents": lambda n: _descent_dist(n, (1,)),
+    "SignedDescents": lambda n: _descent_dist(n, (1, -1)),
 }
 
 
 def combinatorial_oracle(tag: str, n: int, k: int) -> int:
-    """Exhaustive count for the given tag at (n, k); guard: ``n <= 9``."""
+    """Exact count for the given tag at (n, k); guard: ``n <= 9``."""
     if tag not in _DISPATCH:
         raise ValueError(f"unknown oracle tag {tag!r}; expected one of {COMBINATORIAL_TAGS}")
     if n < 0 or n > _MAX_N:

@@ -343,3 +343,34 @@ def test_python_dash_m_runs_the_command_line():
     proc = subprocess.run([sys.executable, "-m", "weylstir", "triangle", "--n", "-1"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
+
+
+def test_importing_the_command_line_leaves_multiprocessing_out():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", "import sys, weylstir.cli; "
+                           "print('multiprocessing' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_back_to_back_calls_print_what_separate_runs_print(capsys):
+    # options given in one call must not carry over to the next
+    argvs = [
+        ("triangle", "--kind", "E", "--alpha", "1/2", "--r", "1", "--n", "4",
+         "--format", "csv"),
+        ("triangle", "--n", "3"),
+        ("expand", "--template", "cor1", "--word", "1,2", "--n", "2"),
+        ("verify", "--template", "ttv", "--n", "2"),
+        ("triangle", "--n", "-1"),
+        ("conjecture", "--n", "4", "--r-min", "0", "--r-max", "1", "--format", "json"),
+        ("triangle", "--kind", "Shat", "--n", "3", "--format", "json"),
+    ]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "weylstir", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv

@@ -1,4 +1,4 @@
-"""Brute-force combinatorial enumerations versus the triangles."""
+"""Exact combinatorial counts versus literal walks and the triangles."""
 
 from itertools import permutations, product
 
@@ -62,6 +62,42 @@ def test_signed_descent_count_matches_a_walk_of_every_signed_word():
                 word = (0,) + tuple(s * v for s, v in zip(signs, perm))
                 counts[sum(word[i] > word[i + 1] for i in range(n))] += 1
         assert [combinatorial_oracle("SignedDescents", n, k) for k in range(n + 1)] == counts
+
+
+def _cycle_count(perm):
+    seen = [False] * len(perm)
+    cycles = 0
+    for start in range(len(perm)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+    return cycles
+
+
+def test_cycle_and_descent_counts_match_a_walk_of_every_permutation():
+    for n in range(8):
+        cycles = [0] * (n + 1)
+        descents = [0] * (n + 1)
+        for perm in permutations(range(n)):
+            cycles[_cycle_count(perm)] += 1
+            descents[sum(perm[i] > perm[i + 1] for i in range(n - 1))] += 1
+        assert [combinatorial_oracle("CycleCounts", n, k) for k in range(n + 1)] == cycles
+        assert [combinatorial_oracle("Descents", n, k) for k in range(n + 1)] == descents
+
+
+@pytest.mark.parametrize("tag,row", [
+    ("SubsetPartitions", [0, 1, 255, 3025, 7770, 6951, 2646, 462, 36, 1]),
+    ("CycleCounts", [0, 40320, 109584, 118124, 67284, 22449, 4536, 546, 36, 1]),
+    ("LahLists", [0, 362880, 1451520, 1693440, 846720, 211680, 28224, 2016, 72, 1]),
+    ("Descents", [1, 502, 14608, 88234, 156190, 88234, 14608, 502, 1, 0]),
+    ("SignedDescents", [1, 19673, 1756340, 21707972, 69413294, 69413294, 21707972,
+                        1756340, 19673, 1]),
+])
+def test_rows_at_the_guard_are_pinned(tag, row):
+    assert [combinatorial_oracle(tag, 9, k) for k in range(10)] == row
 
 
 def test_out_of_range_k_is_zero():
