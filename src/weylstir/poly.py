@@ -10,6 +10,7 @@ triangle mode.  Representation: a dict mapping exponent triples
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import neg
 from typing import Dict, Iterator, Tuple
 
 Monomial = Tuple[int, int, int]
@@ -169,6 +170,9 @@ class ParamPoly:
         return self._terms == o._terms
 
     def __hash__(self):
+        # a constant equals its int, so it hashes as that int
+        if not self._terms.keys() - {(0, 0, 0)}:
+            return hash(self._terms.get((0, 0, 0), 0))
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
@@ -178,33 +182,31 @@ class ParamPoly:
         return f"ParamPoly({self})"
 
     def __str__(self):
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
         parts = []
         # highest total degree first, then lexicographic, for stable output
-        for mono, coeff in sorted(
-            self._terms.items(), key=lambda t: (-(t[0][0] + t[0][1] + t[0][2]), t[0])
-        ):
-            factors = []
-            for name, exp in zip(_VAR_NAMES, mono):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
+        for _, mono, coeff in sorted(zip(map(neg, map(sum, terms)), terms, terms.values())):
+            text = _MONOMIAL_TEXT.get(mono)
+            if text is None:
+                text = _MONOMIAL_TEXT[mono] = "*".join(
+                    name if exp == 1 else f"{name}^{exp}" for name, exp in zip(_VAR_NAMES, mono) if exp
+                )
             mag = abs(coeff)
-            if not factors:
+            if not text:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = text
             else:
-                body = "*".join([str(mag)] + factors)
-            sign = "-" if coeff < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            text += f" {sign} {body}"
-        return text
+                body = f"{mag}*{text}"
+            parts.append((" - " if coeff < 0 else " + ") + body)
+        text = "".join(parts)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+# the text of each monomial met so far (``alpha^2*beta``, empty for 1)
+_MONOMIAL_TEXT: Dict[Monomial, str] = {}
 
 
 ALPHA = ParamPoly.alpha()

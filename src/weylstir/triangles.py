@@ -31,10 +31,13 @@ in symbolic mode.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial, lcm
+from functools import cached_property, lru_cache
+from itertools import repeat
+from math import comb, factorial, gcd, lcm
+from operator import mod
 from typing import Any, Iterable, List, Sequence, Tuple, Union
 
 from .kernels import (
@@ -88,7 +91,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Triangle:
-    """A lower-triangular section with jagged rows ``rows[n][0..n]``."""
+    """A lower-triangular section with jagged rows ``rows[n][0..n]``.
+
+    A triangle read by :meth:`from_json` whose entries are all written as
+    ``to_json`` writes them, in lowest terms over a divisor of ``q^degree``,
+    keeps them as integer numerator and denominator pairs and builds its
+    ``Fraction`` rows only when ``rows`` is first read; ``==``, ``entry``
+    and the exports use the pairs.  Lowest terms then costs no gcd of two
+    entry-sized integers (see :meth:`from_json`)."""
 
     kind: str
     alpha: Scalar
@@ -99,6 +109,8 @@ class Triangle:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown triangle kind {self.kind!r}")
+        if not self.rows:
+            raise ValueError("a triangle needs row 0")
         for n, row in enumerate(self.rows):
             if len(row) != n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
@@ -137,18 +149,37 @@ class Triangle:
 
     # -- serialization --------------------------------------------------
 
+    def _text_rows(self) -> List[List[str]]:
+        return [[str(v) for v in row] for row in self.rows]
+
     def to_json(self) -> str:
         payload = {
             "kind": self.kind,
             "alpha": str(self.alpha),
             "beta": str(self.beta),
             "r": str(self.r),
-            "rows": [[str(v) for v in row] for row in self.rows],
+            "rows": self._text_rows(),
         }
         return json.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "Triangle":
+        """Read a triangle written by :meth:`to_json`.
+
+        Entries are read as ``as_rational`` reads them, and every malformed
+        payload raises a ``ValueError`` that names the field.
+
+        An entry of degree ``e`` (``n - k`` for S, ``n`` otherwise) is an
+        integer over ``q^e``, ``q`` the common denominator of the parameters,
+        so ``to_json`` writes it as ``"p"`` or ``"p/d"`` in lowest terms with
+        ``d`` dividing ``q^e``.  Then every prime of ``d`` divides ``q``, and
+        ``gcd(p, d) == 1`` exactly when ``gcd(p, gcd(d, q)) == 1``: lowest
+        terms costs one remainder ``q^e % d`` and two gcds against the
+        word-sized ``q``.  When every entry is written so and passes that
+        check, the triangle keeps the integer pairs; when any entry does not
+        (``"2/4"``, ``"03"``, an entry off the ``q^e`` lattice, a
+        non-string), every entry becomes a ``Fraction`` at once.
+        """
         try:
             payload = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -159,36 +190,155 @@ class Triangle:
             if key not in payload:
                 raise ValueError(f"triangle JSON missing key {key!r}")
         params = {key: _json_rational(payload[key], repr(key)) for key in ("alpha", "beta", "r")}
-        if not isinstance(payload["rows"], list):
+        kind, json_rows = payload["kind"], payload["rows"]
+        if not isinstance(json_rows, list):
             raise ValueError("triangle JSON 'rows' is not a list")
+        if kind in KINDS:
+            if not json_rows:
+                raise ValueError("triangle JSON 'rows' is empty")
+            pairs = _lowest_terms_rows(kind, scale_params(*params.values())[0], json_rows)
+            if pairs is not None:
+                return _ReadTriangle._of(kind, *params.values(), *pairs)
         rows = []
-        for n, row in enumerate(payload["rows"]):
+        for n, row in enumerate(json_rows):
             if not isinstance(row, list):
                 raise ValueError(f"triangle JSON row {n} is not a list")
             try:
+                if any(type(v) is bool for v in row):
+                    raise TypeError("booleans are not accepted")
                 rows.append(tuple(map(as_rational, row)))
             except (TypeError, ValueError, ZeroDivisionError):
                 for k, v in enumerate(row):  # find the entry, raise naming it
                     _json_rational(v, f"row {n}, column {k}")
                 raise
-        return cls(kind=payload["kind"], rows=tuple(rows), **params)
+        return cls(kind=kind, rows=tuple(rows), **params)
 
     def to_csv(self) -> str:
-        return "\n".join(",".join(str(v) for v in row) for row in self.rows)
+        return "\n".join(",".join(row) for row in self._text_rows())
 
     def to_latex(self) -> str:
-        lines = [" & ".join(str(v) for v in row) + r" \\" for row in self.rows]
+        lines = [" & ".join(row) + r" \\" for row in self._text_rows()]
         cols = "r" * (self.N + 1)
         return "\n".join([rf"\begin{{array}}{{{cols}}}"] + lines + [r"\end{array}"])
 
     def to_text(self) -> str:
-        return "\n".join(", ".join(str(v) for v in row) for row in self.rows)
+        return "\n".join(", ".join(row) for row in self._text_rows())
+
+
+class _ReadTriangle(Triangle):
+    """A triangle read by :meth:`Triangle.from_json` whose entries all passed
+    :func:`_lowest_terms_rows`.  It holds integer rows ``_nums`` and
+    ``_dens``, each ``(num, den)`` the pair its ``Fraction`` would hold, and
+    builds ``rows`` on first read.  Triangles built by the schemes never take
+    this class, so their ``entry``, ``N`` and ``==`` run no check for it.
+    Calling the class, as ``dataclasses.replace`` does, builds a plain
+    ``Triangle``."""
+
+    def __new__(cls, *args, **kwargs):
+        return Triangle(*args, **kwargs)
+
+    @classmethod
+    def _of(cls, kind, alpha, beta, r, nums, dens) -> "_ReadTriangle":
+        self = object.__new__(cls)
+        vars(self).update(kind=kind, alpha=alpha, beta=beta, r=r, _nums=nums, _dens=dens)
+        return self
+
+    @cached_property
+    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        return tuple(tuple(map(Fraction, nums, dens)) for nums, dens in zip(self._nums, self._dens))
+
+    @property
+    def N(self) -> int:
+        return len(self._nums) - 1
+
+    def entry(self, n: int, k: int) -> Fraction:
+        if 0 <= k <= n <= self.N:
+            return Fraction(self._nums[n][k], self._dens[n][k])
+        return super().entry(n, k)
+
+    def __eq__(self, other):
+        if not isinstance(other, Triangle):
+            return NotImplemented
+        if (self.kind, self.alpha, self.beta, self.r, self.N) != (
+            other.kind, other.alpha, other.beta, other.r, other.N
+        ):
+            return False
+        if isinstance(other, _ReadTriangle):
+            return self._nums == other._nums and self._dens == other._dens
+        try:  # a rational compares equal to a Fraction by its canonical pair
+            return all(
+                [v.numerator for v in row] == nums and [v.denominator for v in row] == dens
+                for row, nums, dens in zip(other.rows, self._nums, self._dens)
+            )
+        except AttributeError:  # entries that are not rationals
+            return self.rows == other.rows
+
+    __hash__ = Triangle.__hash__
+
+    def __repr__(self):
+        return repr(Triangle(self.kind, self.alpha, self.beta, self.r, self.rows))
+
+    def __reduce__(self):
+        return Triangle, (self.kind, self.alpha, self.beta, self.r, self.rows)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _text_rows(self) -> List[List[str]]:
+        return [
+            [f"{p}/{d}" if d != 1 else str(p) for p, d in zip(nums, dens)]
+            for nums, dens in zip(self._nums, self._dens)
+        ]
+
+
+# one entry as str(Fraction) writes it (no leading zeros, no "-0", no "/1"),
+# and a row of them joined by commas
+_ENTRY = r"(?:0|-?[1-9][0-9]*(?:/[1-9][0-9]+|/[2-9])?)"
+_ROW_TEXT = re.compile(rf"{_ENTRY}(?:,{_ENTRY})*")
+
+
+def _lowest_terms_rows(kind: str, q: int, rows: list):
+    """JSON ``rows`` of ``kind`` as integer rows ``(nums, dens)``, or None
+    unless row ``n`` is a list of ``n + 1`` strings, each the text
+    ``str(Fraction(p, d))`` of an entry ``p/d`` in lowest terms whose ``d``
+    divides ``q^e``, ``e`` its degree: ``n - k`` for S, ``n`` otherwise.
+    :meth:`Triangle.from_json` gives the argument for the check."""
+    nums, dens, qpow = [], [], []
+    try:
+        for n, row in enumerate(rows):
+            qpow.append(q**n)  # one power per row read, so a bad row stops early
+            if type(row) is not list or len(row) != n + 1:
+                return None
+            text = ",".join(row)
+            # each entry adds one comma to the join, and more if it holds one
+            if text.count(",") != n or _ROW_TEXT.fullmatch(text) is None:
+                return None
+            parts = [v.partition("/") for v in row]
+            row_nums = [int(p) for p, _, _ in parts]
+            row_dens = [int(d) if d else 1 for _, _, d in parts]
+            lattice = qpow[::-1] if kind == "S" else repeat(qpow[n])
+            # d divides q^e, so gcd(p, d) == 1 iff gcd(p, gcd(d, q)) == 1
+            if any(map(mod, lattice, row_dens)) or max(
+                map(gcd, row_nums, map(gcd, row_dens, repeat(q)))
+            ) != 1:
+                return None
+            nums.append(row_nums)
+            dens.append(row_dens)
+    except (TypeError, ValueError):  # a non-string, or past the int digit limit
+        return None
+    return nums, dens
 
 
 def _json_rational(value, field: str) -> Fraction:
     """``as_rational(value)`` for a triangle JSON field; every rejection is
-    a ``ValueError`` that names the field."""
+    a ``ValueError`` that names the field.  JSON ``true``/``false`` are
+    rejected, though ``as_rational`` reads them as 1 and 0."""
     try:
+        if type(value) is bool:
+            raise TypeError("booleans are not accepted")
         return as_rational(value)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"triangle JSON {field}: {exc}") from exc

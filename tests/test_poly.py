@@ -63,6 +63,12 @@ def test_equality_and_hash():
     assert p != ALPHA * BETA
 
 
+def test_a_constant_hashes_as_the_int_it_equals():
+    assert ParamPoly.constant(3) == 3 and 3 in {ParamPoly.constant(3)}
+    assert ParamPoly() == 0 and 0 in {ParamPoly()}
+    assert {ParamPoly.constant(-2): "c"}[-2] == "c"
+
+
 def test_total_degrees():
     p = ALPHA * ALPHA * BETA + R
     assert p.total_degrees() == {3, 1}

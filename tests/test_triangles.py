@@ -1,6 +1,8 @@
 """Triangle construction schemes, serialization, transforms and shifts."""
 
+import dataclasses
 import json
+import pickle
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -305,11 +307,73 @@ def _tampered_json(edit) -> str:
     (lambda p: p["rows"][3].__setitem__(0, "1/0"), "row 3, column 0: Fraction(1, 0)"),
     (lambda p: p.__setitem__("beta", None), "'beta': "),
     (lambda p: p.__setitem__("rows", 7), "'rows' is not a list"),
-], ids=["float", "null", "row-not-a-list", "zero-denominator", "null-parameter", "rows-not-a-list"])
+    (lambda p: p.__setitem__("rows", []), "'rows' is empty"),
+    (lambda p: p["rows"][2].__setitem__(0, True), "row 2, column 0: booleans are not accepted"),
+    (lambda p: p.__setitem__("r", False), "'r': booleans are not accepted"),
+], ids=["float", "null", "row-not-a-list", "zero-denominator", "null-parameter", "rows-not-a-list",
+        "no-rows", "true-entry", "false-parameter"])
 def test_json_rejects_malformed_payloads_with_value_error(edit, message):
     with pytest.raises(ValueError, match="^triangle JSON ") as info:
         Triangle.from_json(_tampered_json(edit))
     assert message in str(info.value)
+
+
+def test_a_triangle_needs_row_zero():
+    with pytest.raises(ValueError, match="row 0"):
+        Triangle("S", F(1), F(1), F(0), ())
+
+
+@pytest.mark.parametrize("n, k, text", [
+    (2, 1, "2/4"), (2, 1, "5/10"), (3, 2, "03"), (3, 0, "-0"), (4, 4, "1/5"),
+])
+def test_json_reads_entries_not_written_by_to_json_exactly(n, k, text):
+    """Entries off the written form (not in lowest terms, padded, off the
+    ``q^degree`` lattice) read as their exact values and export canonically."""
+    tri = build_recurrence("E", F(1, 2), 1, 0, 4)  # q = 2; (2, 1) is 1/2 at degree 2
+    payload = json.loads(tri.to_json())
+    payload["rows"][n][k] = text
+    read = Triangle.from_json(json.dumps(payload))
+    rows = [list(row) for row in tri.rows]
+    rows[n][k] = F(text)
+    expected = Triangle("E", tri.alpha, tri.beta, tri.r, tuple(map(tuple, rows)))
+    assert read.entry(n, k) == F(text)
+    assert read == expected and expected == read
+    assert read.to_json() == expected.to_json()
+    assert read.rows == expected.rows
+    assert (read == tri) == (F(text) == tri.rows[n][k])
+
+
+@pytest.mark.parametrize("kind", ["S", "Shat", "E"])
+def test_json_reads_a_tall_export_back(kind, capsys):
+    from weylstir.cli import main
+
+    assert main(["triangle", "--kind", kind, "--alpha=17/11", "--beta=16/9", "--r=-11/7",
+                 "--n", "64", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    read = Triangle.from_json(out)
+    built = build_recurrence(kind, F(17, 11), F(16, 9), F(-11, 7), 64)
+    assert read == built and built == read and not read != built
+    assert read.to_json() == out.strip()
+    assert read.entry(64, 30) == built.entry(64, 30)
+    assert read.rows == built.rows
+
+
+def test_a_read_triangle_behaves_as_the_built_one():
+    built = build_recurrence("Shat", F(2, 3), F(-1, 2), F(5, 6), 5)
+    read = Triangle.from_json(built.to_json())
+    assert hash(read) == hash(built) and repr(read) == repr(built)
+    assert read.N == 5 and read.entry(5, 6) == 0 and read.entry(2, -1) == 0
+    with pytest.raises(IndexError):
+        read.entry(6, 0)
+    for name in ("rows", "kind", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(read, name, None)
+    assert pickle.loads(pickle.dumps(read)) == built
+    moved = dataclasses.replace(read, r=F(1))
+    assert moved == Triangle("Shat", F(2, 3), F(-1, 2), F(1), built.rows)
+    assert read.to_csv() == built.to_csv() and read.to_latex() == built.to_latex()
+    assert read.to_text() == built.to_text()
+    assert read != symbolic_triangle("Shat", 5) and read != build_recurrence("Shat", 0, 1, 0, 5)
 
 
 @pytest.mark.parametrize("text", ["5", "null"])
