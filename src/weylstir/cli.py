@@ -56,15 +56,13 @@ def _cap(default: int) -> int:
         raise UsageError(f"WEYLSTIR_MAX_N is not an integer: {env!r}")
 
 
-def _check_n(n: int, default_cap: Optional[int]) -> None:
-    """Reject a negative ``--n`` and, given a cap, one above it."""
+def _check_n(n: int, default_cap: int) -> None:
+    """Reject a negative ``--n`` and one above the cap."""
     if n < 0:
         raise UsageError(f"--n must be nonnegative, got {n}")
-    if default_cap is not None:
-        cap = _cap(default_cap)
-        if n > cap:
-            raise UsageError(f"--n {n} exceeds the cap {cap} "
-                             "(override with WEYLSTIR_MAX_N)")
+    cap = _cap(default_cap)
+    if n > cap:
+        raise UsageError(f"--n {n} exceeds the cap {cap} (override with WEYLSTIR_MAX_N)")
 
 
 def _rational(text: str) -> Fraction:

@@ -27,13 +27,15 @@ domain or one that would certify nothing, so no PASS is vacuous.
 The sixteen word re-expansion templates (``firstmain``, ``secondmain`` and
 their all-natural prefactored forms ``powerful``, ``powerful2``) are declared
 by one table and built by one builder, ``_reexpansion``, with one prefactor
-table; every sum over a coefficient row is built by ``_expansion``.
+table; every sum over a coefficient row is built by ``_expansion``.  A
+special case shares the builder of its general family: ``major.1a``/``1b``
+are the direct form of ``_b_major`` (``major.2a``/``2b``) at ``r = 0``, and
+``katriel.norm``/``anti`` are ``_b_katrielplus`` at ``alpha = 0``.
 
 Coefficient rows come from the triangle module's integer recurrence, run at
-the integers of the scaled cell: ``S`` row ``n`` entry ``k`` is homogeneous
-of degree ``n - k`` in the parameters and ``E`` row ``n`` of degree ``n``,
-so each entry is divided once, by ``q^(n-k)`` or ``q^n``, into the exact
-coefficient.  A verification failure would implicate either the
+the integers of the scaled cell; each entry is divided once, by ``q`` to the
+entry's degree in the parameters (``triangles._degree_scales``), into the
+exact coefficient.  A verification failure would implicate either the
 triangles, the operator engine, or the identity itself; their mutual
 agreement is the point.
 """
@@ -51,7 +53,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .boson import MAX_STRING_LENGTH, NormalForm, normal_order_oracle
 from .kernels import binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
-from .triangles import _recurrence_rows, build_recurrence, closed_form
+from .triangles import _degree_scales, _recurrence_rows, closed_form
+from .triangles import build_recurrence  # noqa: F401  (perfbench looks it up here)
 
 F = Fraction
 Coefficient = Union[int, Fraction]  # an int wherever the value is integral
@@ -105,14 +108,12 @@ def _poly_in_word(q: int, word: Tuple[int, int], shifts: Sequence[int]) -> Opera
 
 def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Coefficient]:
     """Row ``n`` of the recurrence triangle ``kind`` at ``(A, B, R) / q``:
-    the integer row at ``(A, B, R)``, entry ``k`` divided by ``q^(n-k)``
-    (S) or ``q^n`` (E), an int where that is integral."""
+    the integer row at ``(A, B, R)``, each entry divided by ``q`` to its
+    degree (``triangles._degree_scales``), an int where that is integral."""
     row = _recurrence_rows(kind, A, B, R, n, 1)[n]
     if q == 1:
         return row
-    if kind == "S":
-        return [_coefficient(v, q ** (n - k)) for k, v in enumerate(row)]
-    return [_coefficient(v, q**n) for v in row]
+    return list(map(_coefficient, row, _degree_scales(kind, [q**i for i in range(n + 1)], n)))
 
 
 def _xs(*pairs) -> Tuple[int, ...]:
@@ -160,7 +161,8 @@ class IdentityTemplate:
 
     ``domain`` is "WC" (natural word parameters: both sides are
     creation/annihilation strings) or "WTC" (rational word parameters).
-    :meth:`domain_error` rejects a ``case`` outside the case table, an ``m``
+    :meth:`domain_error` rejects a cell that lacks one of ``params`` or has
+    a parameter outside them, a ``case`` outside the case table, an ``m``
     that is not natural and, on a "WC" template, a word parameter ``L``,
     ``R``, ``Lp`` or ``Rp`` that is not natural.
     """
@@ -177,6 +179,12 @@ class IdentityTemplate:
 
     def domain_error(self, cell: Dict[str, Fraction]) -> Optional[str]:
         """Why ``cell`` lies outside the parameter domain, or None."""
+        for name in self.params:
+            if name not in cell:
+                return f"missing parameter {name}"
+        for name in cell:
+            if name not in self.params:
+                return f"unknown parameter {name}"
         case = cell.get("case")
         if case is not None and (case.denominator != 1 or not 0 <= case < self.cases):
             return f"case must be one of 0..{self.cases - 1}, got {case}"
@@ -257,40 +265,28 @@ def _no_params() -> List[Dict[str, Fraction]]:
 # ---------------------------------------------------------------------------
 
 
-def _b_major_1a(p, n):
-    q, (a,) = scale_params(p["alpha"])
-    lhs = _poly_in_word(q, (q, 0), [-j * a for j in range(n)])
-    rhs = _one(q, n * a, (q - a, 0, n))
-    return [TemplateInstance(lhs, rhs)]
+def _b_major(powers_right: bool, shifted: bool) -> Builder:
+    """The strided diagonal split with its powers left (``major.2a``) or
+    right (``2b``), in a conjugated and a direct form; ``major.1a``/``1b``
+    (``shifted`` false) are the direct form alone at ``r = 0``."""
 
+    def build(p, n):
+        q, (a, r) = scale_params(p["alpha"], p["r"] if shifted else 0)
+        lhs = _poly_in_word(q, (q, 0), [r - j * a for j in range(n)])
+        if powers_right:
+            conj = _one(q, -r, (q, a, n), -n * a, r)
+            direct = _one(q, (q - r, a + r, n), -n * a)
+        else:
+            conj = _one(q, -r, n * a, (q - a, 0, n), r)
+            direct = _one(q, n * a, (q - a - r, r, n))
+        if not shifted:
+            return [TemplateInstance(lhs, direct)]
+        return [
+            TemplateInstance(lhs, conj, label="conjugated"),
+            TemplateInstance(lhs, direct, label="direct"),
+        ]
 
-def _b_major_1b(p, n):
-    q, (a,) = scale_params(p["alpha"])
-    lhs = _poly_in_word(q, (q, 0), [-j * a for j in range(n)])
-    rhs = _one(q, (q, a, n), -n * a)
-    return [TemplateInstance(lhs, rhs)]
-
-
-def _b_major_2a(p, n):
-    q, (a, r) = scale_params(p["alpha"], p["r"])
-    lhs = _poly_in_word(q, (q, 0), [r - j * a for j in range(n)])
-    conj = _one(q, -r, n * a, (q - a, 0, n), r)
-    direct = _one(q, n * a, (q - a - r, r, n))
-    return [
-        TemplateInstance(lhs, conj, label="conjugated"),
-        TemplateInstance(lhs, direct, label="direct"),
-    ]
-
-
-def _b_major_2b(p, n):
-    q, (a, r) = scale_params(p["alpha"], p["r"])
-    lhs = _poly_in_word(q, (q, 0), [r - j * a for j in range(n)])
-    conj = _one(q, -r, (q, a, n), -n * a, r)
-    direct = _one(q, (q - r, a + r, n), -n * a)
-    return [
-        TemplateInstance(lhs, conj, label="conjugated"),
-        TemplateInstance(lhs, direct, label="direct"),
-    ]
+    return build
 
 
 def _b_major_lemma(p, n):
@@ -338,24 +334,17 @@ def _normal(q: int, *prefactors):
     return lambda k: (*prefactors, k * q, (0, 0, k))
 
 
-def _b_katriel_norm(p, n):
-    return _expansion(_one(1, (1, 0, n)), _row("S", 1, 0, 1, 0, n), _normal(1))
+def _b_katrielplus(anti: bool, strided: bool) -> Builder:
+    """Normal ordering of the strided ``x D`` power (``katrielplus.norm``)
+    or ``D x`` power (``anti``); ``katriel.norm``/``anti`` (``strided``
+    false) are the case ``alpha = 0``."""
 
+    def build(p, n):
+        q, (a,) = scale_params(p["alpha"] if strided else 0)
+        lhs = _poly_in_word(q, (0, q) if anti else (q, 0), [-j * a for j in range(n)])
+        return _expansion(lhs, _row("S", q, a, q, q if anti else 0, n), _normal(q))
 
-def _b_katriel_anti(p, n):
-    return _expansion(_one(1, (0, 1, n)), _row("S", 1, 0, 1, 1, n), _normal(1))
-
-
-def _b_katrielplus_norm(p, n):
-    q, (a,) = scale_params(p["alpha"])
-    lhs = _poly_in_word(q, (q, 0), [-j * a for j in range(n)])
-    return _expansion(lhs, _row("S", q, a, q, 0, n), _normal(q))
-
-
-def _b_katrielplus_anti(p, n):
-    q, (a,) = scale_params(p["alpha"])
-    lhs = _poly_in_word(q, (0, q), [-j * a for j in range(n)])
-    return _expansion(lhs, _row("S", q, a, q, q, n), _normal(q))
+    return build
 
 
 def _b_normord(p, n):
@@ -575,14 +564,16 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
     t: List[IdentityTemplate] = []
     add = t.append
 
-    add(IdentityTemplate("major.1a", "WTC", ("alpha",), _b_major_1a, _grid(("alpha",), _Q7),
+    add(IdentityTemplate("major.1a", "WTC", ("alpha",), _b_major(False, False),
+                         _grid(("alpha",), _Q7),
                          description="strided diagonal power split, powers left"))
-    add(IdentityTemplate("major.1b", "WTC", ("alpha",), _b_major_1b, _grid(("alpha",), _Q7),
+    add(IdentityTemplate("major.1b", "WTC", ("alpha",), _b_major(True, False),
+                         _grid(("alpha",), _Q7),
                          description="strided diagonal power split, powers right"))
-    add(IdentityTemplate("major.2a", "WTC", ("alpha", "r"), _b_major_2a,
+    add(IdentityTemplate("major.2a", "WTC", ("alpha", "r"), _b_major(False, True),
                          _grid(("alpha", "r"), _Q7, _Q7),
                          description="shifted strided diagonal split, powers left"))
-    add(IdentityTemplate("major.2b", "WTC", ("alpha", "r"), _b_major_2b,
+    add(IdentityTemplate("major.2b", "WTC", ("alpha", "r"), _b_major(True, True),
                          _grid(("alpha", "r"), _Q7, _Q7),
                          description="shifted strided diagonal split, powers right"))
     add(IdentityTemplate("major.lemma", "WTC", ("L", "R"), _b_major_lemma,
@@ -601,14 +592,14 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
     add(IdentityTemplate("difflr", "WC", ("m",), _b_difflr,
                          _grid(("m",), tuple(F(i) for i in range(7))),
                          description="two-index normal ordering of D^m x^n"))
-    add(IdentityTemplate("katriel.norm", "WC", (), _b_katriel_norm, _no_params,
+    add(IdentityTemplate("katriel.norm", "WC", (), _b_katrielplus(False, False), _no_params,
                          description="normal ordering of (x D)^n"))
-    add(IdentityTemplate("katriel.anti", "WC", (), _b_katriel_anti, _no_params,
+    add(IdentityTemplate("katriel.anti", "WC", (), _b_katrielplus(True, False), _no_params,
                          description="normal ordering of (D x)^n"))
-    add(IdentityTemplate("katrielplus.norm", "WTC", ("alpha",), _b_katrielplus_norm,
+    add(IdentityTemplate("katrielplus.norm", "WTC", ("alpha",), _b_katrielplus(False, True),
                          _grid(("alpha",), _Q7),
                          description="normal ordering of the strided (x D) power"))
-    add(IdentityTemplate("katrielplus.anti", "WTC", ("alpha",), _b_katrielplus_anti,
+    add(IdentityTemplate("katrielplus.anti", "WTC", ("alpha",), _b_katrielplus(True, True),
                          _grid(("alpha",), _Q7),
                          description="normal ordering of the strided (D x) power"))
     add(IdentityTemplate("normord", "WTC", ("L", "R"), _b_normord,
@@ -870,12 +861,12 @@ def ttv_check(n_max: int = 8) -> bool:
     return verify_identity(TEMPLATES["ttv"], n_max=n_max).ok
 
 
-def _he_polynomials(top: int) -> List[List[Fraction]]:
-    """Probabilists' Hermite polynomials as exact coefficient lists."""
-    polys = [[F(1)], [F(0), F(1)]]
+def _he_polynomials(top: int) -> List[List[int]]:
+    """Probabilists' Hermite polynomials as integer coefficient lists."""
+    polys = [[1], [0, 1]]
     for m in range(1, top):
         prev, cur = polys[m - 1], polys[m]
-        nxt = [F(0)] + cur  # z * He_m
+        nxt = [0] + cur  # z * He_m
         for i, c in enumerate(prev):  # minus m He_{m-1}
             nxt[i] -= m * c
         polys.append(nxt)
@@ -883,31 +874,25 @@ def _he_polynomials(top: int) -> List[List[Fraction]]:
 
 
 def hermite_identity_check(n_max: int = 12) -> bool:
-    """Exactly verify the two Hermite expansion identities up to n_max."""
+    """Exactly verify the two Hermite expansion identities up to n_max:
+    ``z^n He_n = sum_k S[n][k] He_2k`` with S at ``(-1, 2; 1)``, and
+    ``He_2n = sum_k (-1)^(n-k) S[n][k] z^k He_k`` with S at ``(-2, 1; 1)``."""
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
     if n_max > 12:
         raise ValueError("hermite_identity_check is capped at n_max = 12")
     he = _he_polynomials(2 * n_max + 1)
-    tri1 = build_recurrence("S", -1, 2, 1, n_max)
-    tri2 = build_recurrence("S", -2, 1, 1, n_max)
+    # both triangles have integer parameters, so their rows are integers
+    rows1 = _recurrence_rows("S", -1, 2, 1, n_max, 1)
+    rows2 = _recurrence_rows("S", -2, 1, 1, n_max, 1)
     for n in range(n_max + 1):
-        size = 2 * n + 1  # the length of He_2n, and of z^n He_n
-        lhs1 = [F(0)] * n + he[n]
-        rhs1 = [F(0)] * size
+        rhs1, rhs2 = [0] * (2 * n + 1), [0] * (2 * n + 1)  # the length of He_2n
         for k in range(n + 1):
-            c = tri1.entry(n, k)
             for i, v in enumerate(he[2 * k]):
-                rhs1[i] += c * v
-        if lhs1 != rhs1:
-            return False
-        lhs2 = he[2 * n]
-        rhs2 = [F(0)] * size
-        for k in range(n + 1):
-            c = tri2.entry(n, k) * (-1) ** (n - k)
-            for i, v in enumerate(he[k]):  # z^k He_k
-                rhs2[i + k] += c * v
-        if lhs2 != rhs2:
+                rhs1[i] += rows1[n][k] * v
+            for i, v in enumerate(he[k]):
+                rhs2[i + k] += (-1) ** (n - k) * rows2[n][k] * v
+        if rhs1 != [0] * n + he[n] or rhs2 != he[2 * n]:
             return False
     return True
 
@@ -915,9 +900,11 @@ def hermite_identity_check(n_max: int = 12) -> bool:
 def adjoint_pairing_check(cell: Dict[str, Fraction], n_max: int = 4) -> bool:
     """The adjoint of both sides of the first re-expansion variant, at
     word parameters renamed by the swap L<->R, L'<->R', acts exactly like
-    the fourth variant (up to the global sign (-1)^n)."""
+    the fourth variant (up to the global sign (-1)^n).  Raises ValueError
+    for a cell outside the domain of ``firstmain.2a``."""
     if n_max < 0:
         raise ValueError("n_max must be a natural number")
+    TEMPLATES["firstmain.2a"].check_cell(cell)
     swapped = {"L": cell["R"], "R": cell["L"], "Lp": cell["Rp"], "Rp": cell["Lp"]}
     for n in range(n_max + 1):
         (inst_a,) = TEMPLATES["firstmain.2a"].build(cell, n)

@@ -304,7 +304,7 @@ def _lowest_terms_rows(kind: str, q: int, rows: list):
     """JSON ``rows`` of ``kind`` as integer rows ``(nums, dens)``, or None
     unless row ``n`` is a list of ``n + 1`` strings, each the text
     ``str(Fraction(p, d))`` of an entry ``p/d`` in lowest terms whose ``d``
-    divides ``q^e``, ``e`` its degree: ``n - k`` for S, ``n`` otherwise.
+    divides ``q^e``, ``e`` its degree (:func:`_degree_scales`).
     :meth:`Triangle.from_json` gives the argument for the check."""
     nums, dens, qpow = [], [], []
     try:
@@ -319,9 +319,8 @@ def _lowest_terms_rows(kind: str, q: int, rows: list):
             parts = [v.partition("/") for v in row]
             row_nums = [int(p) for p, _, _ in parts]
             row_dens = [int(d) if d else 1 for _, _, d in parts]
-            lattice = qpow[::-1] if kind == "S" else repeat(qpow[n])
             # d divides q^e, so gcd(p, d) == 1 iff gcd(p, gcd(d, q)) == 1
-            if any(map(mod, lattice, row_dens)) or max(
+            if any(map(mod, _degree_scales(kind, qpow, n), row_dens)) or max(
                 map(gcd, row_nums, map(gcd, row_dens, repeat(q)))
             ) != 1:
                 return None
@@ -348,30 +347,33 @@ def _freeze(rows: Iterable[Iterable[Scalar]]) -> Tuple[Tuple[Scalar, ...], ...]:
     return tuple(tuple(row) for row in rows)
 
 
+def _degree_scales(kind: str, qpow: Sequence[int], n: int) -> Sequence[int]:
+    """``q^e`` for each entry ``k`` of row ``n`` of ``kind``, ``e`` the
+    entry's degree: ``n - k`` for S, ``n`` for Shat and E.  ``qpow[i]`` is
+    ``q^i`` for ``i <= n``, computed once per triangle."""
+    return qpow[n::-1] if kind == "S" else [qpow[n]] * (n + 1)
+
+
 def _unscale(kind: str, q: int, rows) -> Tuple[Tuple[Fraction, ...], ...]:
     """Integer rows of ``kind`` computed at the parameters scaled by ``q``,
-    divided back: entry (n, k) by ``q^(n-k)`` for S, by ``q^n`` otherwise.
-    Row ``n`` is the row with ``n + 1`` entries, wherever it stands."""
+    each entry divided back by ``q^degree``.  Row ``n`` is the row with
+    ``n + 1`` entries, wherever it stands."""
     qpow = [q**d for d in range(max(map(len, rows), default=0))]
-    out = []
-    for row in rows:
-        n = len(row) - 1
-        if kind == "S":
-            out.append(tuple(Fraction(v, qpow[n - k]) for k, v in enumerate(row)))
-        else:
-            out.append(tuple(Fraction(v, qpow[n]) for v in row))
-    return tuple(out)
+    return tuple(
+        tuple(map(Fraction, row, _degree_scales(kind, qpow, len(row) - 1))) for row in rows
+    )
 
 
 def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
     """The inverse of :func:`_unscale`: the entries of a numeric triangle
     times ``q^degree``, as ints whenever they are (always, for a triangle
     built by this module at parameters whose denominators divide ``q``)."""
+    qpow = [q**d for d in range(tri.N + 1)]
     out = []
     for n, row in enumerate(tri.rows):
         scaled = []
-        for k, v in enumerate(row):
-            num, den = v.numerator * q ** (n - k if tri.kind == "S" else n), v.denominator
+        for v, scale in zip(row, _degree_scales(tri.kind, qpow, n)):
+            num, den = v.numerator * scale, v.denominator
             scaled.append(num // den if num % den == 0 else Fraction(num, den))
         out.append(scaled)
     return out
@@ -550,23 +552,17 @@ def binomial_transform(row: Sequence[Scalar], direction: str) -> List[Scalar]:
     ``direction`` is ``"EToShat"`` (plain binomial sum) or ``"ShatToE"``
     (the alternating inverse).  The two are mutually inverse.
     """
+    if direction not in ("EToShat", "ShatToE"):
+        raise ValueError(f"unknown direction {direction!r}")
+    sign = -1 if direction == "ShatToE" else 1
     n = len(row) - 1
     out: List[Scalar] = []
-    if direction == "EToShat":
-        for k in range(n + 1):
-            total = 0
-            for j in range(k + 1):
-                total = total + comb(n - j, n - k) * row[j]
-            out.append(total)
-    elif direction == "ShatToE":
-        for k in range(n + 1):
-            total = 0
-            for j in range(k + 1):
-                sign = -1 if (k - j) % 2 else 1
-                total = total + (sign * comb(n - j, n - k)) * row[j]
-            out.append(total)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    for k in range(n + 1):
+        total, s = 0, sign**k  # s is sign^(k - j)
+        for j in range(k + 1):
+            total = total + s * comb(n - j, n - k) * row[j]
+            s *= sign
+        out.append(total)
     return out
 
 
@@ -632,9 +628,10 @@ def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
     ``V[n][x] = (beta x + r)^{falling n, alpha}`` as L * D * U with
     L the S triangle, D = diag(beta^k k!) and U the transposed Pascal matrix.
     """
+    _check_rows(N)
     # at the parameters scaled by q both sides are q^n times their value
-    params, q, (A, B, R) = _scaled_triple(alpha, beta, r)
-    rows = _scaled_rows(build_recurrence("S", *params, N), q)
+    _, (A, B, R) = scale_params(alpha, beta, r)
+    rows = _recurrence_rows("S", A, B, R, N, 1)
     table = _falling_power_table(A, B, R, N, N)
     diag = [B**k * factorial(k) for k in range(N + 1)]
     for n in range(N + 1):
@@ -648,14 +645,13 @@ def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
 def reflection_check(alpha, beta, r, N: int) -> bool:
     """Check the row-reversal symmetry of the Eulerian kind:
     E[n][n-k](alpha, beta; r) == E[n][k](-alpha, beta; beta - r)."""
-    a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    t1 = build_recurrence("E", a, b, rr, N)
-    t2 = build_recurrence("E", -a, b, b - rr, N)
-    for n in range(N + 1):
-        for k in range(n + 1):
-            if t1.rows[n][n - k] != t2.rows[n][k]:
-                return False
-    return True
+    _check_rows(N)
+    # the reflected point has the same common denominator q, and every E
+    # entry of row n is q^n times its value at both points
+    _, (A, B, R) = scale_params(alpha, beta, r)
+    rows = _recurrence_rows("E", A, B, R, N, 1)
+    reflected = _recurrence_rows("E", -A, B, B - R, N, 1)
+    return all(row[::-1] == other for row, other in zip(rows, reflected))
 
 
 # ---------------------------------------------------------------------------
@@ -888,28 +884,25 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def row_polynomial_euler(n: int, alpha, beta, r, extra_order: int = 5) -> List[Fraction]:
+_EULER_TAIL = 5  # coefficients past degree n that row_polynomial_euler checks
+
+
+def row_polynomial_euler(n: int, alpha, beta, r) -> List[Fraction]:
     """Row ``n`` of the Eulerian kind, read off from
 
     ``(1 - t)^{n+1} * sum_{j >= 0} (beta j + r)^{falling n, alpha} t^j``.
 
     The product is a polynomial of degree ``n``; the coefficients of
-    ``t^{n+1} .. t^{n+extra_order}`` are computed and must vanish, otherwise
-    an ArithmeticError is raised.
+    ``t^{n+1} .. t^{n+5}`` are computed and must vanish, otherwise an
+    ArithmeticError is raised.  Coefficient ``m`` is the explicit sum that
+    :func:`entry_by_sum` gives for ``E`` entry ``(n, m)``, read past ``m = n``.
     """
     if n < 0:
         raise ValueError("n must be a natural number")
     _, q, (A, B, R) = _scaled_triple(alpha, beta, r)
-    top = n + extra_order
+    top = n + _EULER_TAIL
     table = _falling_power_table(A, B, R, top, n)  # q^n times the values
-    coeffs = [
-        sum(
-            (-1) ** (m - j) * comb(n + 1, m - j) * table[j][n]
-            for j in range(max(0, m - n - 1), m + 1)
-        )
-        for m in range(top + 1)
-    ]
-    coeffs = [Fraction(c, q**n) for c in coeffs]
+    coeffs = [Fraction(_alternating_sum("E", n, m, table), q**n) for m in range(top + 1)]
     tail = coeffs[n + 1 :]
     if any(tail):
         raise ArithmeticError(

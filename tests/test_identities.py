@@ -447,6 +447,14 @@ _POWERFUL_BAD = {"L": F(-1), "R": F(0), "Lp": F(2), "Rp": F(0)}
     (lambda: verify_identity(IdentityTemplate(
         id="empty", domain="WC", params=(), build=lambda p, n: [], grid=lambda: [{}])),
      "nothing to verify for empty (0 instances)"),
+    (lambda: verify_identity(TEMPLATES["cor1"], cells=[{"L": F(1)}], n_max=2),
+     "template 'cor1': missing parameter R"),
+    (lambda: verify_identity(TEMPLATES["cor1"], cells=[{**_COR1_CELL, "zz": F(3)}], n_max=2),
+     "template 'cor1': unknown parameter zz"),
+    (lambda: wc_admissibility_check("powerful.main1a", {"L": F(1), "R": F(1), "Lp": F(1)}),
+     "template 'powerful.main1a': missing parameter Rp"),
+    (lambda: adjoint_pairing_check({**_OFF_BY_ONE_CELL, "zz": F(0)}),
+     "template 'firstmain.2a': unknown parameter zz"),
 ])
 def test_no_pass_is_vacuous_or_out_of_domain(run, error):
     with pytest.raises(ValueError) as exc:

@@ -7,6 +7,9 @@ Runs only when ``hypothesis`` is installed.
 """
 
 import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -81,3 +84,29 @@ def test_free_closed_forms_equal_the_recurrence(family, r, beta, n):
     for m in range(n + 1):
         for k in range(m + 1):
             assert closed_form(family, m, k, r=r, beta=beta) == rec.entry(m, k)
+
+
+def test_a_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
+    """Hypothesis's failure report imports libcst, which raises a
+    DeprecationWarning; the repo's ``filterwarnings = error`` must not turn
+    it into an INTERNALERROR that ends the run before the next test."""
+    (tmp_path / "test_child.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+        @settings(database=None)
+        @given(st.integers())
+        def test_fails(x):
+            assert x < 5
+
+        def test_passes():
+            pass
+    """))
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_child.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+        env={**os.environ, "HYPOTHESIS_STORAGE_DIRECTORY": str(tmp_path / "hypothesis")},
+    )
+    assert "INTERNALERROR" not in result.stdout + result.stderr
+    assert "1 failed, 1 passed" in result.stdout

@@ -142,6 +142,8 @@ _NEGATIVE_BOUNDS = [
     (egf_coefficients, ("E", 0, 1, 0, 2, -1)),
     (egf_coefficients, ("E", 0, 1, 0, -1, 2)),
     (row_polynomial_euler, (-1, 0, 1, 1)),
+    (vandermonde_ldu_check, (0, 1, 0, -1)),
+    (reflection_check, (0, 1, 0, -1)),
 ]
 
 
@@ -454,6 +456,19 @@ def test_a_taller_request_extends_the_cached_triangle_in_integers(kind, monkeypa
     assert type(tall.rows) is tuple and all(type(row) is tuple for row in tall.rows)
     assert build_recurrence(kind, *point, 6).rows == tall.rows[:7]
     assert cache.cache_info().currsize == 1
+
+
+def test_the_integer_row_checks_leave_the_recurrence_cache_alone(monkeypatch):
+    """The LDU, reflection and Hermite checks compare integer recurrence
+    rows at the scaled point, so they neither fill nor read the cache behind
+    build_recurrence."""
+    cache, _ = _private_cache(monkeypatch)
+    point = (F(-3, 7), F(5, 9), F(13, 11))
+    assert vandermonde_ldu_check(*point, 8)
+    assert reflection_check(*point, 8)
+    assert hermite_identity_check(8)
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
 def test_a_small_cache_evicts_whole_parameter_points(monkeypatch):
