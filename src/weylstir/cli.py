@@ -106,7 +106,7 @@ def cmd_triangle(args) -> int:
     if args.format == "json":
         print(tri.to_json())
     elif args.format == "csv":
-        print(tri.to_csv(), end="")
+        print(tri.to_csv())
     elif args.format == "latex":
         print(tri.to_latex())
     else:

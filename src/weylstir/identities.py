@@ -51,7 +51,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .boson import MAX_STRING_LENGTH, NormalForm, normal_order_oracle
-from .kernels import binomial, rising, scale_params
+from .kernels import as_rational, binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
 from .triangles import _degree_scales, _recurrence_rows, closed_form
 from .triangles import build_recurrence  # noqa: F401  (perfbench looks it up here)
@@ -162,9 +162,10 @@ class IdentityTemplate:
     ``domain`` is "WC" (natural word parameters: both sides are
     creation/annihilation strings) or "WTC" (rational word parameters).
     :meth:`domain_error` rejects a cell that lacks one of ``params`` or has
-    a parameter outside them, a ``case`` outside the case table, an ``m``
-    that is not natural and, on a "WC" template, a word parameter ``L``,
-    ``R``, ``Lp`` or ``Rp`` that is not natural.
+    a parameter outside them, a value that ``as_rational`` refuses, a
+    ``case`` outside the case table, an ``m`` that is not natural and, on a
+    "WC" template, a word parameter ``L``, ``R``, ``Lp`` or ``Rp`` that is
+    not natural.
     """
 
     id: str
@@ -182,15 +183,20 @@ class IdentityTemplate:
         for name in self.params:
             if name not in cell:
                 return f"missing parameter {name}"
-        for name in cell:
+        values = {}
+        for name, value in cell.items():
             if name not in self.params:
                 return f"unknown parameter {name}"
-        case = cell.get("case")
+            try:
+                values[name] = as_rational(value)
+            except (TypeError, ValueError, ZeroDivisionError):
+                return f"{name} must be a rational number, got {value!r}"
+        case = values.get("case")
         if case is not None and (case.denominator != 1 or not 0 <= case < self.cases):
             return f"case must be one of 0..{self.cases - 1}, got {case}"
         natural = ("m", *_WORDS) if self.domain == "WC" else ("m",)
         for name in natural:
-            value = cell.get(name)
+            value = values.get(name)
             if value is not None and (value.denominator != 1 or value < 0):
                 return f"{name} must be a natural number, got {value}"
         return None

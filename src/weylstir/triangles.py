@@ -22,10 +22,12 @@ can be cross-checked against each other exactly.  All arithmetic is exact.
 Every entry is a polynomial with integer coefficients in ``(alpha, beta, r)``,
 homogeneous of degree ``n - k`` for ``S`` and of degree ``n`` for ``Shat`` and
 ``E``.  The numeric schemes therefore scale the parameters to integers over
-one common denominator ``q`` (:func:`weylstir.kernels.scale_params`), compute
-in Python ``int``, and divide each entry by ``q^degree`` once at the end.
-``Triangle`` entries are exact ``fractions.Fraction`` values, or ``ParamPoly``
-in symbolic mode.
+one common denominator ``q`` (:func:`weylstir.kernels.scale_params`) and
+compute in Python ``int``.  The recurrence divides each entry by
+``q^degree`` into an exact ``fractions.Fraction``; the other schemes, and
+:meth:`Triangle.from_json`, keep integer numerators over integer
+denominators, build the ``Fraction`` entries only when ``rows`` is read, and
+compare with ``==`` in integers.  Symbolic entries are ``ParamPoly``.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import repeat
 from math import comb, factorial, gcd, lcm
-from operator import mod
-from typing import Any, Iterable, List, Sequence, Tuple, Union
+from operator import mod, mul
+from typing import Any, List, Sequence, Tuple, Union
 
 from .kernels import (
     as_rational,
@@ -93,12 +95,15 @@ __all__ = [
 class Triangle:
     """A lower-triangular section with jagged rows ``rows[n][0..n]``.
 
-    A triangle read by :meth:`from_json` whose entries are all written as
-    ``to_json`` writes them, in lowest terms over a divisor of ``q^degree``,
-    keeps them as integer numerator and denominator pairs and builds its
-    ``Fraction`` rows only when ``rows`` is first read; ``==``, ``entry``
-    and the exports use the pairs.  Lowest terms then costs no gcd of two
-    entry-sized integers (see :meth:`from_json`)."""
+    A triangle built by a numeric scheme other than the recurrence keeps
+    the integers it computed at the parameters scaled by ``q``, each entry
+    a numerator over ``q^degree``; a triangle read by :meth:`from_json`
+    whose entries are all written as ``to_json`` writes them keeps their
+    lowest-terms integer pairs.  Both build their ``Fraction`` rows only
+    when ``rows`` is first read; ``==`` and ``entry`` use the integers, so
+    a cross-check costs no gcd of two entry-sized integers (see
+    :meth:`from_json`).  ``Triangle(...)`` and :func:`build_recurrence`
+    hold ``Fraction`` rows, or ``ParamPoly`` rows in symbolic mode."""
 
     kind: str
     alpha: Scalar
@@ -133,6 +138,11 @@ class Triangle:
 
     def row(self, n: int) -> List[Scalar]:
         return list(self.rows[n])
+
+    def _pairs(self) -> Tuple[List[List[int]], List[List[int]]]:
+        """The rows as numerator rows and denominator rows."""
+        return ([[v.numerator for v in row] for row in self.rows],
+                [[v.denominator for v in row] for row in self.rows])
 
     def validate(self) -> None:
         """Check the structural edge invariants; raises AssertionError."""
@@ -198,7 +208,7 @@ class Triangle:
                 raise ValueError("triangle JSON 'rows' is empty")
             pairs = _lowest_terms_rows(kind, scale_params(*params.values())[0], json_rows)
             if pairs is not None:
-                return _ReadTriangle._of(kind, *params.values(), *pairs)
+                return _IntegerTriangle._of(kind, *params.values(), *pairs, True)
         rows = []
         for n, row in enumerate(json_rows):
             if not isinstance(row, list):
@@ -225,12 +235,13 @@ class Triangle:
         return "\n".join(", ".join(row) for row in self._text_rows())
 
 
-class _ReadTriangle(Triangle):
-    """A triangle read by :meth:`Triangle.from_json` whose entries all passed
-    :func:`_lowest_terms_rows`.  It holds integer rows ``_nums`` and
-    ``_dens``, each ``(num, den)`` the pair its ``Fraction`` would hold, and
-    builds ``rows`` on first read.  Triangles built by the schemes never take
-    this class, so their ``entry``, ``N`` and ``==`` run no check for it.
+class _IntegerTriangle(Triangle):
+    """A numeric triangle held as integer rows ``_nums`` over integer rows
+    ``_dens``, entry ``(n, k)`` being ``_nums[n][k] / _dens[n][k]``; it
+    builds ``rows`` on first read.  The numeric schemes make one over
+    ``q^degree`` (:meth:`_scaled`), unreduced; :meth:`Triangle.from_json`
+    makes one from the lowest-terms pairs it proves (``_reduced``), whose
+    text is then written from the pairs.  ``==`` compares the integers.
     Calling the class, as ``dataclasses.replace`` does, builds a plain
     ``Triangle``."""
 
@@ -238,10 +249,20 @@ class _ReadTriangle(Triangle):
         return Triangle(*args, **kwargs)
 
     @classmethod
-    def _of(cls, kind, alpha, beta, r, nums, dens) -> "_ReadTriangle":
+    def _of(cls, kind, alpha, beta, r, nums, dens, reduced) -> "_IntegerTriangle":
         self = object.__new__(cls)
-        vars(self).update(kind=kind, alpha=alpha, beta=beta, r=r, _nums=nums, _dens=dens)
+        vars(self).update(
+            kind=kind, alpha=alpha, beta=beta, r=r, _nums=nums, _dens=dens, _reduced=reduced
+        )
         return self
+
+    @classmethod
+    def _scaled(cls, kind: str, params, q: int, rows) -> "_IntegerTriangle":
+        """The triangle whose rows 0..N, computed at ``params`` scaled by
+        ``q``, are ``rows``: each entry is its value times ``q^degree``."""
+        qpow = [q**d for d in range(len(rows))]
+        dens = [_degree_scales(kind, qpow, n) for n in range(len(rows))]
+        return cls._of(kind, *map(as_rational, params), rows, dens, False)
 
     @cached_property
     def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -256,6 +277,9 @@ class _ReadTriangle(Triangle):
             return Fraction(self._nums[n][k], self._dens[n][k])
         return super().entry(n, k)
 
+    def _pairs(self):
+        return self._nums, self._dens
+
     def __eq__(self, other):
         if not isinstance(other, Triangle):
             return NotImplemented
@@ -263,13 +287,8 @@ class _ReadTriangle(Triangle):
             other.kind, other.alpha, other.beta, other.r, other.N
         ):
             return False
-        if isinstance(other, _ReadTriangle):
-            return self._nums == other._nums and self._dens == other._dens
-        try:  # a rational compares equal to a Fraction by its canonical pair
-            return all(
-                [v.numerator for v in row] == nums and [v.denominator for v in row] == dens
-                for row, nums, dens in zip(other.rows, self._nums, self._dens)
-            )
+        try:
+            return all(map(_rows_equal, self._nums, self._dens, *other._pairs()))
         except AttributeError:  # entries that are not rationals
             return self.rows == other.rows
 
@@ -288,10 +307,21 @@ class _ReadTriangle(Triangle):
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _text_rows(self) -> List[List[str]]:
+        if not self._reduced:
+            return super()._text_rows()
         return [
             [f"{p}/{d}" if d != 1 else str(p) for p, d in zip(nums, dens)]
             for nums, dens in zip(self._nums, self._dens)
         ]
+
+
+def _rows_equal(nums, dens, other_nums, other_dens) -> bool:
+    """Whether the rows ``nums / dens`` and ``other_nums / other_dens`` are
+    equal: by the numerators when the denominators agree, else by
+    cross-multiplying."""
+    if dens == other_dens:
+        return nums == other_nums
+    return list(map(mul, nums, other_dens)) == list(map(mul, other_nums, dens))
 
 
 # one entry as str(Fraction) writes it (no leading zeros, no "-0", no "/1"),
@@ -343,10 +373,6 @@ def _json_rational(value, field: str) -> Fraction:
         raise ValueError(f"triangle JSON {field}: {exc}") from exc
 
 
-def _freeze(rows: Iterable[Iterable[Scalar]]) -> Tuple[Tuple[Scalar, ...], ...]:
-    return tuple(tuple(row) for row in rows)
-
-
 def _degree_scales(kind: str, qpow: Sequence[int], n: int) -> Sequence[int]:
     """``q^e`` for each entry ``k`` of row ``n`` of ``kind``, ``e`` the
     entry's degree: ``n - k`` for S, ``n`` for Shat and E.  ``qpow[i]`` is
@@ -364,27 +390,25 @@ def _unscale(kind: str, q: int, rows) -> Tuple[Tuple[Fraction, ...], ...]:
     )
 
 
+def _exact(num, den):
+    """``num / den``: an int when ``den`` divides ``num``, else a Fraction."""
+    quo, rem = divmod(num, den)
+    return Fraction(num, den) if rem else quo
+
+
 def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
     """The inverse of :func:`_unscale`: the entries of a numeric triangle
     times ``q^degree``, as ints whenever they are (always, for a triangle
-    built by this module at parameters whose denominators divide ``q``)."""
+    built by this module at parameters whose denominators divide ``q``).
+    An entry whose denominator divides ``q^degree`` builds no Fraction."""
     qpow = [q**d for d in range(tri.N + 1)]
     out = []
-    for n, row in enumerate(tri.rows):
-        scaled = []
-        for v, scale in zip(row, _degree_scales(tri.kind, qpow, n)):
-            num, den = v.numerator * scale, v.denominator
-            scaled.append(num // den if num % den == 0 else Fraction(num, den))
-        out.append(scaled)
+    for n, (nums, dens) in enumerate(zip(*tri._pairs())):
+        out.append([
+            num * (scale // den) if scale % den == 0 else _exact(num * scale, den)
+            for num, den, scale in zip(nums, dens, _degree_scales(tri.kind, qpow, n))
+        ])
     return out
-
-
-def _scaled_triple(alpha, beta, r):
-    """``(a, b, r)`` as rationals, their common denominator ``q`` and the
-    integers ``q * (a, b, r)``."""
-    a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    q, ints = scale_params(a, b, rr)
-    return (a, b, rr), q, ints
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +489,8 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
         raise ValueError(f"unknown triangle kind {kind!r}")
     _check_rows(N)
     if any(isinstance(p, ParamPoly) for p in (alpha, beta, r)):
-        rows = _freeze(
-            _recurrence_rows(kind, alpha, beta, r, N, ParamPoly.constant(1))
-        )
-        return Triangle(kind, alpha, beta, r, rows)
+        rows = _recurrence_rows(kind, alpha, beta, r, N, ParamPoly.constant(1))
+        return Triangle(kind, alpha, beta, r, tuple(map(tuple, rows)))
     a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
     return Triangle(kind, a, b, rr, _recurrence_rows_cached(kind, a, b, rr).upto(N))
 
@@ -522,7 +544,7 @@ def entry_by_sum(kind: str, n: int, k: int, alpha, beta, r) -> Fraction:
         raise ValueError("entry_by_sum supports kinds 'Shat' and 'E'")
     if k < 0 or k > n:
         raise ValueError(f"index (n, k) = ({n}, {k}) outside 0 <= k <= n")
-    _, q, (A, B, R) = _scaled_triple(alpha, beta, r)
+    q, (A, B, R) = scale_params(alpha, beta, r)
     table = _falling_power_table(A, B, R, k, n)
     return Fraction(_alternating_sum(kind, n, k, table), q**n)
 
@@ -532,8 +554,8 @@ def triangle_by_sum(kind: str, alpha, beta, r, N: int) -> Triangle:
     if kind not in ("Shat", "E"):
         raise ValueError("triangle_by_sum supports kinds 'Shat' and 'E'")
     _check_rows(N)
-    params, q, ints = _scaled_triple(alpha, beta, r)
-    return Triangle(kind, *params, _unscale(kind, q, _sum_rows(kind, *ints, N)))
+    q, ints = scale_params(alpha, beta, r)
+    return _IntegerTriangle._scaled(kind, (alpha, beta, r), q, _sum_rows(kind, *ints, N))
 
 
 def shat_from_s_row(row: Sequence[Scalar], beta) -> List[Scalar]:
@@ -574,9 +596,9 @@ def triangle_by_transform(kind: str, alpha, beta, r, N: int) -> Triangle:
     _check_rows(N)
     dual_kind = "E" if kind == "Shat" else "Shat"
     direction = "EToShat" if kind == "Shat" else "ShatToE"
-    params, q, ints = _scaled_triple(alpha, beta, r)
+    q, ints = scale_params(alpha, beta, r)
     rows = [binomial_transform(row, direction) for row in _sum_rows(dual_kind, *ints, N)]
-    return Triangle(kind, *params, _unscale(kind, q, rows))
+    return _IntegerTriangle._scaled(kind, (alpha, beta, r), q, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -609,18 +631,15 @@ def triangle_product(left: Triangle, right: Triangle) -> Triangle:
         [sum(lrows[n][j] * rrows[j][k] for j in range(k, n + 1)) for k in range(n + 1)]
         for n in range(left.N + 1)
     ]
-    return Triangle("S", left.alpha, right.beta, left.r + right.r, _unscale("S", q, rows))
+    return _IntegerTriangle._scaled("S", (left.alpha, right.beta, left.r + right.r), q, rows)
 
 
 def identity_triangle(alpha, N: int) -> Triangle:
     """The S-kind identity section, parameters ``(alpha, alpha; 0)``."""
     _check_rows(N)
-    a = as_rational(alpha)
-    rows = [
-        [Fraction(1) if k == n else Fraction(0) for k in range(n + 1)]
-        for n in range(N + 1)
-    ]
-    return Triangle("S", a, a, Fraction(0), _freeze(rows))
+    q, _ = scale_params(alpha)
+    rows = [[int(k == n) for k in range(n + 1)] for n in range(N + 1)]
+    return _IntegerTriangle._scaled("S", (alpha, alpha, 0), q, rows)
 
 
 def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
@@ -720,17 +739,17 @@ def decompose_classical(n: int, k: int, alpha, beta, r) -> Fraction:
     """
     if k < 0 or k > n:
         raise ValueError(f"index (n, k) = ({n}, {k}) outside 0 <= k <= n")
-    _, q, (A, B, R) = _scaled_triple(alpha, beta, r)
+    q, (A, B, R) = scale_params(alpha, beta, r)
     return Fraction(_decomposition_entry(n, k, *_decomposition_tables(A, B, R, n)), q ** (n - k))
 
 
 def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
     """All S rows 0..N via the classical decomposition, with power caches."""
     _check_rows(N)
-    params, q, (A, B, R) = _scaled_triple(alpha, beta, r)
+    q, (A, B, R) = scale_params(alpha, beta, r)
     tables = _decomposition_tables(A, B, R, N)
     rows = [[_decomposition_entry(n, k, *tables) for k in range(n + 1)] for n in range(N + 1)]
-    return Triangle("S", *params, _unscale("S", q, rows))
+    return _IntegerTriangle._scaled("S", (alpha, beta, r), q, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -899,7 +918,7 @@ def row_polynomial_euler(n: int, alpha, beta, r) -> List[Fraction]:
     """
     if n < 0:
         raise ValueError("n must be a natural number")
-    _, q, (A, B, R) = _scaled_triple(alpha, beta, r)
+    q, (A, B, R) = scale_params(alpha, beta, r)
     top = n + _EULER_TAIL
     table = _falling_power_table(A, B, R, top, n)  # q^n times the values
     coeffs = [Fraction(_alternating_sum("E", n, m, table), q**n) for m in range(top + 1)]
@@ -963,14 +982,14 @@ def shift_r(base: Triangle, target_r, scheme: str) -> Triangle:
                 )
             else:
                 # the Shat terms divide by B^m m!; sum them over B^d d!
-                total = Fraction(
+                total = _exact(
                     sum(base_rows[n][k + m] * fall[m] * B ** (d - m)
                         * (factorial(d) // factorial(m)) for m in range(d + 1)),
                     B**d * factorial(d),
                 )
             row.append(total)
         rows.append(row)
-    return Triangle(base.kind, a, b, rho, _unscale(base.kind, q, rows))
+    return _IntegerTriangle._scaled(base.kind, (a, b, rho), q, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,7 @@ def test_triangle_csv(capsys):
                        "--beta", "1", "--r", "0", "--n", "2", "--format", "csv")
     assert code == 0
     assert out.splitlines() == ["1", "0,1", "0,1,1"]
+    assert out == "1\n0,1\n0,1,1\n"
 
 
 @pytest.mark.parametrize("value, message", [

@@ -338,6 +338,24 @@ def test_domain_errors_name_out_of_range_parameters():
         assert all(template.domain_error(cell) is None for cell in template.grid())
 
 
+def test_parameter_values_are_read_as_rationals():
+    cor1 = TEMPLATES["cor1"]
+    text = verify_identity(cor1, cells=[{"L": "1", "R": "0"}], n_max=2)
+    exact = verify_identity(cor1, cells=[{"L": F(1), "R": F(0)}], n_max=2)
+    assert text.ok and text.failures == []
+    counts = ("cells", "instances", "action_probes", "action_degree", "string_probes")
+    assert [getattr(text, c) for c in counts] == [getattr(exact, c) for c in counts]
+    assert cor1.domain_error({"L": "-1", "R": 0}) == "L must be a natural number, got -1"
+    for value in (1.0, "1.5", "1/0", None):
+        with pytest.raises(ValueError) as exc:
+            verify_identity(cor1, cells=[{"L": value, "R": 0}], n_max=2)
+        assert str(exc.value) == f"template 'cor1': L must be a rational number, got {value!r}"
+    with pytest.raises(ValueError, match="Lp must be a rational number, got 2.0"):
+        wc_admissibility_check("powerful.main1a", {"L": F(3), "R": F(0), "Lp": 2.0, "Rp": F(0)})
+    rep = wc_admissibility_check("powerful.main1a", {"L": "3", "R": 0, "Lp": "2", "Rp": "0"})
+    assert (rep.admissible, rep.EL, rep.ER) == (True, 2, 0)
+
+
 def test_range_cells_clip_case_to_the_case_table():
     assert TEMPLATES["lah_triple"].range_cells(-1, 5) == [{"case": F(i)} for i in range(3)]
     assert TEMPLATES["s211_triple"].range_cells(3, 5) == []

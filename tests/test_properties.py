@@ -27,14 +27,18 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from weylstir.egf import egf_coefficients  # noqa: E402
 from weylstir.triangles import (  # noqa: E402
+    Triangle,
     build_recurrence,
     closed_form,
     closed_form_params,
     decompose_classical,
     entry_by_sum,
+    identity_triangle,
+    shift_r,
     triangle_by_decomposition,
     triangle_by_sum,
     triangle_by_transform,
+    triangle_product,
 )
 
 rationals = st.builds(F, st.integers(-20, 20), st.integers(1, 12))
@@ -59,6 +63,31 @@ def test_schemes_agree_with_the_recurrence(a, b, r, n):
         assert triangle_by_sum(kind, a, b, r, n) == rec
         assert triangle_by_transform(kind, a, b, r, n) == rec
         assert entry_by_sum(kind, n, n // 2, a, b, r) == rec.entry(n, n // 2)
+
+
+@SETTINGS
+@given(rationals, rationals, rationals, rows)
+def test_scheme_triangles_compare_in_integers(a, b, r, n):
+    """Each scheme's integer triangle equals the recurrence's Fraction
+    triangle, its JSON read-back and a plain Triangle of a scheme's own
+    rows, in both operand orders."""
+    pairs = [
+        (build_recurrence("S", a, b, r, n), triangle_by_decomposition(a, b, r, n)),
+        (identity_triangle(a, n),
+         triangle_product(build_recurrence("S", a, b, r, n), build_recurrence("S", b, a, -r, n))),
+    ]
+    for kind in ("Shat", "E"):
+        rec = build_recurrence(kind, a, b, r, n)
+        pairs += [(rec, triangle_by_sum(kind, a, b, r, n)),
+                  (rec, triangle_by_transform(kind, a, b, r, n))]
+    for kind in ("S", "Shat"):
+        base = build_recurrence(kind, a, b, 0, n)
+        schemes = ("NewtonAlpha",) * bool(a) + ("NewtonBeta",) * bool(b)
+        pairs += [(build_recurrence(kind, a, b, r, n), shift_r(base, r, s)) for s in schemes]
+    for ref, got in pairs:
+        plain = Triangle(ref.kind, ref.alpha, ref.beta, ref.r, got.rows)
+        for other in (ref, Triangle.from_json(ref.to_json()), plain):
+            assert got == other and other == got
 
 
 @SETTINGS

@@ -361,21 +361,75 @@ def test_json_reads_a_tall_export_back(kind, capsys):
 
 
 def test_a_read_triangle_behaves_as_the_built_one():
-    built = build_recurrence("Shat", F(2, 3), F(-1, 2), F(5, 6), 5)
-    read = Triangle.from_json(built.to_json())
-    assert hash(read) == hash(built) and repr(read) == repr(built)
-    assert read.N == 5 and read.entry(5, 6) == 0 and read.entry(2, -1) == 0
-    with pytest.raises(IndexError):
-        read.entry(6, 0)
-    for name in ("rows", "kind", "other"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(read, name, None)
-    assert pickle.loads(pickle.dumps(read)) == built
-    moved = dataclasses.replace(read, r=F(1))
-    assert moved == Triangle("Shat", F(2, 3), F(-1, 2), F(1), built.rows)
-    assert read.to_csv() == built.to_csv() and read.to_latex() == built.to_latex()
-    assert read.to_text() == built.to_text()
-    assert read != symbolic_triangle("Shat", 5) and read != build_recurrence("Shat", 0, 1, 0, 5)
+    params = (F(2, 3), F(-1, 2), F(5, 6))
+    built = build_recurrence("Shat", *params, 5)
+    # a read triangle, and two held as unreduced integers over q^degree
+    for read in (Triangle.from_json(built.to_json()), triangle_by_sum("Shat", *params, 5),
+                 triangle_by_transform("Shat", *params, 5)):
+        assert hash(read) == hash(built) and repr(read) == repr(built)
+        assert read.N == 5 and read.entry(5, 6) == 0 and read.entry(2, -1) == 0
+        assert read.entry(4, 2) == built.entry(4, 2)
+        with pytest.raises(IndexError):
+            read.entry(6, 0)
+        for name in ("rows", "kind", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(read, name, None)
+        assert pickle.loads(pickle.dumps(read)) == built
+        moved = dataclasses.replace(read, r=F(1))
+        assert type(moved) is Triangle
+        assert moved == Triangle("Shat", F(2, 3), F(-1, 2), F(1), built.rows)
+        assert read.to_csv() == built.to_csv() and read.to_latex() == built.to_latex()
+        assert read.to_text() == built.to_text() and read.to_json() == built.to_json()
+        assert read != symbolic_triangle("Shat", 5)
+        assert read != build_recurrence("Shat", 0, 1, 0, 5)
+
+
+def test_a_scheme_triangle_compares_without_building_rows():
+    params = (F(-3, 4), F(5, 6), F(7, 3))
+    got = triangle_by_sum("E", *params, 6)
+    assert got == build_recurrence("E", *params, 6)
+    assert got == triangle_by_transform("E", *params, 6)
+    assert got == Triangle.from_json(build_recurrence("E", *params, 6).to_json())
+    assert "rows" not in vars(got)
+    # the integer matrix algebra and shifts read scheme triangles unbuilt too
+    left = triangle_by_decomposition(*params, 6)
+    right = triangle_by_decomposition(params[1], params[0], -params[2], 6)
+    assert triangle_product(left, right) == identity_triangle(params[0], 6)
+    base = triangle_by_sum("Shat", params[0], params[1], 0, 6)
+    shifted = shift_r(base, params[2], "NewtonBeta")
+    assert shifted == build_recurrence("Shat", *params, 6)
+    assert all("rows" not in vars(t) for t in (left, right, base, shifted))
+
+
+@pytest.mark.parametrize("kind, scheme", [
+    ("S", lambda a, b, r, n: triangle_by_decomposition(a, b, r, n)),
+    ("Shat", lambda a, b, r, n: triangle_by_sum("Shat", a, b, r, n)),
+    ("E", lambda a, b, r, n: triangle_by_transform("E", a, b, r, n)),
+], ids=["decomposition", "sum", "transform"])
+@pytest.mark.parametrize("n, k", [(0, 0), (4, 0), (4, 2), (5, 5)])
+def test_one_numerator_off_by_one_is_unequal(kind, scheme, n, k):
+    params = (F(2, 3), F(-1, 2), F(5, 6))
+    good = scheme(*params, 5)
+    nums = [list(row) for row in good._nums]
+    nums[n][k] += 1  # same q, so the same denominator rows
+    bad = triangles._IntegerTriangle._of(kind, *params, nums, good._dens, False)
+    rec = build_recurrence(kind, *params, 5)
+    for other in (good, rec, Triangle.from_json(rec.to_json()), Triangle(kind, *params, rec.rows)):
+        assert bad != other and other != bad
+        assert not bad == other and not other == bad
+    assert bad.entry(n, k) == rec.entry(n, k) + F(1, good._dens[n][k])
+
+
+def test_a_shift_that_does_not_divide_stays_unequal():
+    """A base entry off the integer lattice makes the NewtonBeta sum for
+    Shat leave a remainder; the shift keeps it rather than truncating."""
+    good = build_recurrence("Shat", 1, 2, 0, 4)
+    rows = [list(row) for row in good.rows]
+    rows[2][1] += F(1, 2)
+    bad = Triangle("Shat", good.alpha, good.beta, good.r, tuple(map(tuple, rows)))
+    shifted = shift_r(bad, 0, "NewtonBeta")
+    assert shifted != good and good != shifted
+    assert shifted.entry(2, 1) == good.entry(2, 1) + F(1, 2)
 
 
 @pytest.mark.parametrize("text", ["5", "null"])
