@@ -18,6 +18,10 @@ Several independent construction schemes are provided (triangular recurrence,
 explicit alternating sums, binomial transforms between ``Shat`` and ``E``
 rows, and a decomposition through the classical Stirling triangles) so they
 can be cross-checked against each other exactly.  All arithmetic is exact.
+Each entry of the sum, transform, shift and decomposition schemes is one dot
+product of an integer weight row with a row or column of scaled integers; the
+sum and transform weights are memoized (256 rows or matrices each), and the
+decomposition is the product of its three factor matrices.
 
 Every entry is a polynomial with integer coefficients in ``(alpha, beta, r)``,
 homogeneous of degree ``n - k`` for ``S`` and of degree ``n`` for ``Shat`` and
@@ -411,6 +415,18 @@ def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
     return out
 
 
+def _lower_product(rows, cols) -> List[List[Any]]:
+    """The product of two lower-triangular matrices, the left one given by
+    its rows and the right one by its columns from the diagonal down
+    (``cols[k][i]`` is entry ``(k + i, k)``): each entry is a dot product."""
+    return [[sum(map(mul, row[k:], cols[k])) for k in range(len(row))] for row in rows]
+
+
+def _columns(rows) -> List[List[Any]]:
+    """The columns of a lower-triangular matrix from the diagonal down."""
+    return [[row[k] for row in rows[k:]] for k in range(len(rows))]
+
+
 # ---------------------------------------------------------------------------
 # scheme 1: triangular recurrence
 # ---------------------------------------------------------------------------
@@ -506,26 +522,27 @@ def symbolic_triangle(kind: str, N: int) -> Triangle:
 
 
 def _falling_power_table(alpha, beta, r, X: int, N: int):
-    """table[x][n] = (beta x + r)^{falling n, alpha} for 0<=x<=X, 0<=n<=N."""
-    table = []
-    for x in range(X + 1):
-        base = beta * x + r
-        row = [1]
-        for n in range(N):
-            row.append(row[-1] * (base - n * alpha))
-        table.append(row)
+    """table[n][x] = (beta x + r)^{falling n, alpha} for 0<=n<=N, 0<=x<=X."""
+    bases = [beta * x + r for x in range(X + 1)]
+    table = [[1] * (X + 1)]
+    for n in range(N):
+        step = n * alpha
+        table.append(list(map(mul, table[-1], [base - step for base in bases])))
     return table
+
+
+@lru_cache(maxsize=256)
+def _signed_pascal(m: int) -> Tuple[int, ...]:
+    """``(-1)^j C(m, j)`` for ``0 <= j <= m``."""
+    return tuple(-comb(m, j) if j % 2 else comb(m, j) for j in range(m + 1))
 
 
 def _alternating_sum(kind: str, n: int, k: int, table) -> int:
     """Entry (n, k) of ``Shat`` or ``E`` from the falling-power table:
-    ``sum_x (-1)^(k-x) w(x) table[x][n]`` with ``w = C(k, x)`` for ``Shat``
-    and ``w = C(n+1, k-x)`` for ``E``."""
-    total = 0
-    for x in range(k + 1):
-        weight = comb(k, x) if kind == "Shat" else comb(n + 1, k - x)
-        total += (-weight if (k - x) % 2 else weight) * table[x][n]
-    return total
+    ``sum_j (-1)^j C(m, j) table[n][k-j]`` with ``m = k`` for ``Shat`` and
+    ``m = n+1`` for ``E``, as one dot product.  For ``E`` the weights stop
+    at ``j = min(k, n+1)``, so ``k`` may run past ``n``."""
+    return sum(map(mul, _signed_pascal(k if kind == "Shat" else n + 1), table[n][k::-1]))
 
 
 def _sum_rows(kind: str, A: int, B: int, R: int, N: int) -> List[List[int]]:
@@ -576,16 +593,16 @@ def binomial_transform(row: Sequence[Scalar], direction: str) -> List[Scalar]:
     """
     if direction not in ("EToShat", "ShatToE"):
         raise ValueError(f"unknown direction {direction!r}")
-    sign = -1 if direction == "ShatToE" else 1
-    n = len(row) - 1
-    out: List[Scalar] = []
-    for k in range(n + 1):
-        total, s = 0, sign**k  # s is sign^(k - j)
-        for j in range(k + 1):
-            total = total + s * comb(n - j, n - k) * row[j]
-            s *= sign
-        out.append(total)
-    return out
+    weights = _transform_weights(len(row) - 1, -1 if direction == "ShatToE" else 1)
+    return [sum(map(mul, w, row)) for w in weights]
+
+
+@lru_cache(maxsize=256)
+def _transform_weights(n: int, sign: int) -> Tuple[Tuple[int, ...], ...]:
+    """Row ``k`` holds ``sign^(k-j) C(n-j, n-k)`` for ``0 <= j <= k``."""
+    return tuple(
+        tuple(sign ** (k - j) * comb(n - j, n - k) for j in range(k + 1)) for k in range(n + 1)
+    )
 
 
 def triangle_by_transform(kind: str, alpha, beta, r, N: int) -> Triangle:
@@ -626,11 +643,7 @@ def triangle_product(left: Triangle, right: Triangle) -> Triangle:
     # entry (n, j) of left times q^(n-j) and (j, k) of right times q^(j-k)
     # make each term of the product entry (n, k) q^(n-k) times its value
     q, _ = scale_params(left.alpha, left.beta, left.r, right.beta, right.r)
-    lrows, rrows = _scaled_rows(left, q), _scaled_rows(right, q)
-    rows = [
-        [sum(lrows[n][j] * rrows[j][k] for j in range(k, n + 1)) for k in range(n + 1)]
-        for n in range(left.N + 1)
-    ]
+    rows = _lower_product(_scaled_rows(left, q), _columns(_scaled_rows(right, q)))
     return _IntegerTriangle._scaled("S", (left.alpha, right.beta, left.r + right.r), q, rows)
 
 
@@ -656,7 +669,7 @@ def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
     for n in range(N + 1):
         for x in range(N + 1):
             rhs = sum(rows[n][k] * diag[k] * comb(x, k) for k in range(min(n, x) + 1))
-            if table[x][n] != rhs:
+            if table[n][x] != rhs:
                 return False
     return True
 
@@ -744,11 +757,17 @@ def decompose_classical(n: int, k: int, alpha, beta, r) -> Fraction:
 
 
 def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
-    """All S rows 0..N via the classical decomposition, with power caches."""
+    """All S rows 0..N via the classical decomposition, computed as the
+    product of its three factor matrices in O(N^3) steps."""
     _check_rows(N)
     q, (A, B, R) = scale_params(alpha, beta, r)
-    tables = _decomposition_tables(A, B, R, N)
-    rows = [[_decomposition_entry(n, k, *tables) for k in range(n + 1)] for n in range(N + 1)]
+    apow, bpow, rpow, cyc, sub = _decomposition_tables(A, B, R, N)
+    # the double sum is the product of (-alpha)^(n-j) c(n,j), C(j,p) r^(j-p)
+    # and beta^(p-k) S(p,k), the last two given by columns
+    left = [[apow[n - j] * c for j, c in enumerate(cyc[n])] for n in range(N + 1)]
+    pascal = [[comb(p + i, p) * rpow[i] for i in range(N + 1 - p)] for p in range(N + 1)]
+    subset = [[bpow[i] * sub[k + i][k] for i in range(N + 1 - k)] for k in range(N + 1)]
+    rows = _lower_product(_lower_product(left, pascal), subset)
     return _IntegerTriangle._scaled("S", (alpha, beta, r), q, rows)
 
 
@@ -967,28 +986,23 @@ def shift_r(base: Triangle, target_r, scheme: str) -> Triangle:
     # at the parameters scaled by q, base entries and the falling powers of
     # rho (degree m) carry q^degree, so every Newton term of entry (n, k)
     # carries the entry's own q^degree
-    fall = [strided_falling(RHO, m, stride) for m in range(base.N + 1)]
+    N = base.N
+    fall = [strided_falling(RHO, m, stride) for m in range(N + 1)]
     base_rows = _scaled_rows(base, q)
-    rows = []
-    for n in range(base.N + 1):
-        row = []
-        for k in range(n + 1):
-            d = n - k
-            if scheme == "NewtonAlpha":
-                total = sum(comb(n, m) * base_rows[n - m][k] * fall[m] for m in range(d + 1))
-            elif base.kind == "S":
-                total = sum(
-                    comb(k + m, m) * base_rows[n][k + m] * fall[m] for m in range(d + 1)
-                )
-            else:
-                # the Shat terms divide by B^m m!; sum them over B^d d!
-                total = _exact(
-                    sum(base_rows[n][k + m] * fall[m] * B ** (d - m)
-                        * (factorial(d) // factorial(m)) for m in range(d + 1)),
-                    B**d * factorial(d),
-                )
-            row.append(total)
-        rows.append(row)
+    if scheme == "NewtonAlpha":  # entry (n, k) is sum_j C(n, j) fall[n-j] base[j][k]
+        weights = [[comb(n, j) * fall[n - j] for j in range(n + 1)] for n in range(N + 1)]
+        rows = _lower_product(weights, _columns(base_rows))
+    elif base.kind == "S":  # entry (n, k) is sum_m base[n][k+m] C(k+m, m) fall[m]
+        rows = _lower_product(
+            base_rows, [[comb(k + m, m) * fall[m] for m in range(N + 1 - k)] for k in range(N + 1)]
+        )
+    else:
+        # the Shat terms divide by B^m m!; sum them over B^d d!, d = n - k
+        weights = [[fall[m] * B ** (d - m) * (factorial(d) // factorial(m)) for m in range(d + 1)]
+                   for d in range(N + 1)]
+        scales = [B**d * factorial(d) for d in range(N + 1)]
+        rows = [[_exact(sum(map(mul, row[k:], weights[n - k])), scales[n - k])
+                 for k in range(n + 1)] for n, row in enumerate(base_rows)]
     return _IntegerTriangle._scaled(base.kind, (a, b, rho), q, rows)
 
 

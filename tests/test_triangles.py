@@ -3,8 +3,10 @@
 import dataclasses
 import json
 import pickle
+import random
 from fractions import Fraction as F
 from functools import lru_cache
+from math import comb
 
 import pytest
 
@@ -161,6 +163,60 @@ def test_binomial_transform_round_trip():
     for n in range(9):
         assert binomial_transform(e.row(n), "EToShat") == sh.row(n)
         assert binomial_transform(sh.row(n), "ShatToE") == e.row(n)
+
+
+def test_binomial_transform_is_generic_over_the_scalar():
+    """Symbolic and Fraction rows map to their dual kind and back; the
+    length-1 row too, whose one entry comes out as the same scalar type."""
+    e, sh = symbolic_triangle("E", 6), symbolic_triangle("Shat", 6)
+    for n in range(7):
+        assert binomial_transform(e.row(n), "EToShat") == sh.row(n)
+        assert binomial_transform(sh.row(n), "ShatToE") == e.row(n)
+    assert all(isinstance(v, ParamPoly) for v in binomial_transform(e.row(6), "EToShat"))
+    point = (F(2, 3), F(-5, 4), F(1, 7))
+    e, sh = build_recurrence("E", *point, 6), build_recurrence("Shat", *point, 6)
+    for n in range(7):
+        for got, want in ((binomial_transform(e.row(n), "EToShat"), sh.row(n)),
+                          (binomial_transform(sh.row(n), "ShatToE"), e.row(n))):
+            assert got == want and all(type(v) is F for v in got)
+    for v in (ALPHA * BETA - R, F(-3, 5)):
+        for direction in ("EToShat", "ShatToE"):
+            out = binomial_transform([v], direction)
+            assert out == [v] and type(out[0]) is type(v)
+
+
+@pytest.mark.parametrize("kind", ["Shat", "E"])
+def test_alternating_sum_is_the_literal_sum(kind):
+    """Every entry of the explicit sum equals its per-term formula on random
+    integer columns; for E the entry is also read past k = n, up to n + 5,
+    as ``row_polynomial_euler`` reads it, where the weights C(n+1, k-x)
+    start at x = k - n - 1."""
+    rng = random.Random(kind)
+    for n in range(9):
+        top = n + 5 if kind == "E" else n
+        table = [[rng.randint(-10**6, 10**6) for _ in range(top + 1)] for _ in range(n + 1)]
+        for k in range(top + 1):
+            literal = sum(
+                (-1) ** (k - x) * (comb(k, x) if kind == "Shat" else comb(n + 1, k - x))
+                * table[n][x]
+                for x in range(k + 1)
+            )
+            assert triangles._alternating_sum(kind, n, k, table) == literal, (n, k)
+
+
+def test_the_schemes_match_the_recurrence_at_tall_sizes():
+    """One triple with q = 693 at the row counts of the benchmark's tall
+    workload: sum at 30, transform at 26, decomposition at 20, every shift
+    at 24."""
+    a, b, r = F(17, 11), F(16, 9), F(-11, 7)
+    for kind in ("Shat", "E"):
+        assert triangle_by_sum(kind, a, b, r, 30) == build_recurrence(kind, a, b, r, 30)
+        assert triangle_by_transform(kind, a, b, r, 26) == build_recurrence(kind, a, b, r, 26)
+    assert triangle_by_decomposition(a, b, r, 20) == build_recurrence("S", a, b, r, 20)
+    for kind in ("S", "Shat"):
+        base, target = build_recurrence(kind, a, b, 0, 24), build_recurrence(kind, a, b, r, 24)
+        for scheme in ("NewtonAlpha", "NewtonBeta"):
+            assert shift_r(base, r, scheme) == target, (kind, scheme)
 
 
 def test_decomposition_single_entry_and_triangle():
