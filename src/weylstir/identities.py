@@ -51,7 +51,7 @@ from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .boson import MAX_STRING_LENGTH, NormalForm, normal_order_oracle
-from .kernels import as_rational, binomial, rising, scale_params
+from .kernels import _exact_quotient, as_rational, binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
 from .triangles import _degree_scales, _recurrence_rows, closed_form
 from .triangles import build_recurrence  # noqa: F401  (perfbench looks it up here)
@@ -87,12 +87,6 @@ def _one(q: int, *factors) -> OperatorExpr:
     return OperatorExpr.over(q, [(1, factors)])
 
 
-def _coefficient(num: int, den: int):
-    """``num / den``, an int when it is integral."""
-    quotient, rest = divmod(num, den)
-    return F(num, den) if rest else quotient
-
-
 def _poly_in_word(q: int, word: Tuple[int, int], shifts: Sequence[int]) -> OperatorExpr:
     """Expand ``prod_j (w + shifts[j] / q)`` into powers of the word
     ``w = (L, R)``; the ``q``-scaled shifts give integer coefficients of
@@ -102,7 +96,7 @@ def _poly_in_word(q: int, word: Tuple[int, int], shifts: Sequence[int]) -> Opera
         coeffs = [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
     top = len(shifts)
     return OperatorExpr.over(q, [
-        (_coefficient(a, q ** (top - m)), ((*word, m),)) for m, a in enumerate(coeffs)
+        (_exact_quotient(a, q ** (top - m)), ((*word, m),)) for m, a in enumerate(coeffs)
     ])
 
 
@@ -113,7 +107,7 @@ def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Coeffici
     row = _recurrence_rows(kind, A, B, R, n, 1)[n]
     if q == 1:
         return row
-    return list(map(_coefficient, row, _degree_scales(kind, [q**i for i in range(n + 1)], n)))
+    return list(map(_exact_quotient, row, _degree_scales(kind, [q**i for i in range(n + 1)], n)))
 
 
 def _xs(*pairs) -> Tuple[int, ...]:
@@ -435,7 +429,7 @@ def _reexpansion(
         EL, ER = (0 if variant == "d" else EL), (0 if variant == "a" else ER)
         scale = 1
     else:
-        scale = _coefficient(factorial(n) * beta**n, q**n)
+        scale = _exact_quotient(factorial(n) * beta**n, q**n)
     xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
     lhs = OperatorExpr.over(q, [(scale, (*_xs((xl, n)), (L, R, n), *_xs((xr, n))))])
     dL, dR = EL - ep, ER - ep
@@ -486,7 +480,7 @@ def _reexpansion_templates(kind: str) -> List[IdentityTemplate]:
 
 def _b_proposition(p, n):
     values = (closed_form("S_4F_vi", n, k, r=0) for k in range(n + 1))
-    coeffs = [_coefficient(c.numerator, c.denominator) for c in values]
+    coeffs = [_exact_quotient(c.numerator, c.denominator) for c in values]
     return _expansion(_one(1, (3, 0, n)), coeffs, _normal(1, 2 * n))
 
 
@@ -494,7 +488,7 @@ def _b_sampleappl(p, n):
     if n == 0:
         return []
     coeffs = [
-        _coefficient(k * binomial(n, k) * factorial(2 * n - k - 1), factorial(n) * 2 ** (n - k))
+        _exact_quotient(k * binomial(n, k) * factorial(2 * n - k - 1), factorial(n) * 2 ** (n - k))
         for k in range(n + 1)
     ]
     return _expansion(_one(1, (3, 0, n)), coeffs, lambda k: (n, n - k, (2, 0, k)))
@@ -502,7 +496,7 @@ def _b_sampleappl(p, n):
 
 def _b_viewedas(p, n):
     coeffs = [
-        _coefficient(factorial(n) * binomial(k, n - k), factorial(k) * (-2) ** (n - k))
+        _exact_quotient(factorial(n) * binomial(k, n - k), factorial(k) * (-2) ** (n - k))
         for k in range(n + 1)
     ]
     lhs = _one(1, n, (2, 0, n))
@@ -511,7 +505,7 @@ def _b_viewedas(p, n):
 
 def _b_companion(p, n):
     coeffs = [
-        _coefficient(factorial(2 * n - k), factorial(k) * factorial(n - k) * 2 ** (n - k))
+        _exact_quotient(factorial(2 * n - k), factorial(k) * factorial(n - k) * 2 ** (n - k))
         for k in range(n + 1)
     ]
     return _expansion(_one(1, (2, 1, n)), coeffs, lambda k: (n, n - k, (2, 0, k)))

@@ -101,11 +101,15 @@ def binomial_general(c, m: int):
         raise ValueError(f"binomial lower index must be a natural number, got {m}")
     num = falling(c, m)
     if isinstance(num, int):
-        q, rem = divmod(num, factorial(m))
-        if rem:
-            return Fraction(num, factorial(m))
-        return q
+        return _exact_quotient(num, factorial(m))
     return num / factorial(m)
+
+
+def _exact_quotient(num: int, den: int):
+    """``num / den`` for integers: an int when ``den`` divides ``num``,
+    else a Fraction."""
+    quo, rem = divmod(num, den)
+    return Fraction(num, den) if rem else quo
 
 
 def strided_falling(r, m: int, alpha):

@@ -27,26 +27,29 @@ Every entry is a polynomial with integer coefficients in ``(alpha, beta, r)``,
 homogeneous of degree ``n - k`` for ``S`` and of degree ``n`` for ``Shat`` and
 ``E``.  The numeric schemes therefore scale the parameters to integers over
 one common denominator ``q`` (:func:`weylstir.kernels.scale_params`) and
-compute in Python ``int``.  The recurrence divides each entry by
-``q^degree`` into an exact ``fractions.Fraction``; the other schemes, and
-:meth:`Triangle.from_json`, keep integer numerators over integer
-denominators, build the ``Fraction`` entries only when ``rows`` is read, and
-compare with ``==`` in integers.  Symbolic entries are ``ParamPoly``.
+compute in Python ``int``.  Every triangle is one frozen :class:`Triangle`.
+The recurrence divides each entry by ``q^degree`` into an exact
+``fractions.Fraction`` and stores those rows, as ``Triangle(...)`` stores
+the rows it is given; symbolic entries are ``ParamPoly``.  The other numeric
+schemes, and :meth:`Triangle.from_json`, keep integer numerators over
+integer denominators, build the ``Fraction`` rows once, when ``rows`` is
+first read, and compare with ``==`` in integers.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from itertools import repeat
+from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb, factorial, gcd, lcm
 from operator import mod, mul
 from typing import Any, List, Sequence, Tuple, Union
 
 from .kernels import (
+    _exact_quotient,
     as_rational,
     binomial,
     hyp2f1_hat,
@@ -95,25 +98,45 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+class _RowsFromPairs:
+    """The ``rows`` of a :class:`Triangle` made from integer pairs
+    (:meth:`Triangle._of`), built on first read and stored on the instance.
+    As a non-data descriptor it is shadowed by the stored rows, so later
+    reads cost no call; class access raises AttributeError, so the
+    dataclass field ``rows`` has no default."""
+
+    def __get__(self, tri, owner=None):
+        if tri is None:
+            raise AttributeError("rows")
+        rows = tuple(tuple(map(Fraction, nums, dens)) for nums, dens in zip(tri._nums, tri._dens))
+        vars(tri)["rows"] = rows
+        return rows
+
+
 @dataclass(frozen=True)
 class Triangle:
     """A lower-triangular section with jagged rows ``rows[n][0..n]``.
 
-    A triangle built by a numeric scheme other than the recurrence keeps
-    the integers it computed at the parameters scaled by ``q``, each entry
-    a numerator over ``q^degree``; a triangle read by :meth:`from_json`
-    whose entries are all written as ``to_json`` writes them keeps their
-    lowest-terms integer pairs.  Both build their ``Fraction`` rows only
-    when ``rows`` is first read; ``==`` and ``entry`` use the integers, so
-    a cross-check costs no gcd of two entry-sized integers (see
-    :meth:`from_json`).  ``Triangle(...)`` and :func:`build_recurrence`
-    hold ``Fraction`` rows, or ``ParamPoly`` rows in symbolic mode."""
+    ``Triangle(...)`` and :func:`build_recurrence` store the rows they are
+    given or make: ``Fraction`` rows, or ``ParamPoly`` rows in symbolic
+    mode.  The numeric schemes other than the recurrence, and
+    :meth:`from_json` when every entry is written as ``to_json`` writes it,
+    make the triangle from integer pairs instead (:meth:`_of`): each entry
+    a scheme's value times ``q^degree`` over ``q^degree``, or a read entry
+    in lowest terms.  Such a triangle builds its ``Fraction`` rows once,
+    when ``rows`` is first read; ``==``, ``entry`` and ``N`` use the
+    integers, so a cross-check costs no gcd of two entry-sized integers
+    (see :meth:`from_json`)."""
 
     kind: str
     alpha: Scalar
     beta: Scalar
     r: Scalar
-    rows: Tuple[Tuple[Scalar, ...], ...]
+    rows: Tuple[Tuple[Scalar, ...], ...] = _RowsFromPairs()
+    # set by _of: entry (n, k) is _nums[n][k] / _dens[n][k], and _reduced
+    # says the pairs are in lowest terms, so the text is written from them
+    _nums = _dens = None
+    _reduced = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -124,9 +147,27 @@ class Triangle:
             if len(row) != n + 1:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
 
+    @classmethod
+    def _of(cls, kind, alpha, beta, r, nums, dens, reduced) -> "Triangle":
+        """The triangle whose entry ``(n, k)`` is ``nums[n][k] / dens[n][k]``;
+        ``reduced`` says these pairs are in lowest terms."""
+        tri = object.__new__(cls)
+        vars(tri).update(
+            kind=kind, alpha=alpha, beta=beta, r=r, _nums=nums, _dens=dens, _reduced=reduced
+        )
+        return tri
+
+    @classmethod
+    def _scaled(cls, kind: str, params, q: int, rows) -> "Triangle":
+        """The triangle whose rows 0..N, computed at ``params`` scaled by
+        ``q``, are ``rows``: each entry is its value times ``q^degree``."""
+        qpow = [q**d for d in range(len(rows))]
+        dens = [_degree_scales(kind, qpow, n) for n in range(len(rows))]
+        return cls._of(kind, *map(as_rational, params), rows, dens, False)
+
     @property
     def N(self) -> int:
-        return len(self.rows) - 1
+        return len(self.rows if self._nums is None else self._nums) - 1
 
     @property
     def is_symbolic(self) -> bool:
@@ -134,8 +175,13 @@ class Triangle:
 
     def entry(self, n: int, k: int) -> Scalar:
         """Entry at (n, k); zero outside ``0 <= k <= n <= N``."""
-        if 0 <= k <= n <= self.N:
-            return self.rows[n][k]
+        nums = self._nums
+        if nums is None:
+            rows = self.rows
+            if 0 <= k <= n < len(rows):
+                return rows[n][k]
+        elif 0 <= k <= n < len(nums):
+            return Fraction(nums[n][k], self._dens[n][k])
         if n > self.N:
             raise IndexError(f"row {n} not built (N = {self.N})")
         return ParamPoly() if self.is_symbolic else Fraction(0)
@@ -145,8 +191,24 @@ class Triangle:
 
     def _pairs(self) -> Tuple[List[List[int]], List[List[int]]]:
         """The rows as numerator rows and denominator rows."""
+        if self._nums is not None:
+            return self._nums, self._dens
         return ([[v.numerator for v in row] for row in self.rows],
                 [[v.denominator for v in row] for row in self.rows])
+
+    def __eq__(self, other):
+        if not isinstance(other, Triangle):
+            return NotImplemented
+        if (self.kind, self.alpha, self.beta, self.r, self.N) != (
+            other.kind, other.alpha, other.beta, other.r, other.N
+        ):
+            return False
+        if self._nums is not None or other._nums is not None:
+            try:
+                return all(map(_rows_equal, *self._pairs(), *other._pairs()))
+            except AttributeError:  # entries that are not rationals
+                pass
+        return self.rows == other.rows
 
     def validate(self) -> None:
         """Check the structural edge invariants; raises AssertionError."""
@@ -164,7 +226,12 @@ class Triangle:
     # -- serialization --------------------------------------------------
 
     def _text_rows(self) -> List[List[str]]:
-        return [[str(v) for v in row] for row in self.rows]
+        if not self._reduced:
+            return [[str(v) for v in row] for row in self.rows]
+        return [
+            [f"{p}/{d}" if d != 1 else str(p) for p, d in zip(nums, dens)]
+            for nums, dens in zip(self._nums, self._dens)
+        ]
 
     def to_json(self) -> str:
         payload = {
@@ -212,7 +279,7 @@ class Triangle:
                 raise ValueError("triangle JSON 'rows' is empty")
             pairs = _lowest_terms_rows(kind, scale_params(*params.values())[0], json_rows)
             if pairs is not None:
-                return _IntegerTriangle._of(kind, *params.values(), *pairs, True)
+                return cls._of(kind, *params.values(), *pairs, True)
         rows = []
         for n, row in enumerate(json_rows):
             if not isinstance(row, list):
@@ -237,86 +304,6 @@ class Triangle:
 
     def to_text(self) -> str:
         return "\n".join(", ".join(row) for row in self._text_rows())
-
-
-class _IntegerTriangle(Triangle):
-    """A numeric triangle held as integer rows ``_nums`` over integer rows
-    ``_dens``, entry ``(n, k)`` being ``_nums[n][k] / _dens[n][k]``; it
-    builds ``rows`` on first read.  The numeric schemes make one over
-    ``q^degree`` (:meth:`_scaled`), unreduced; :meth:`Triangle.from_json`
-    makes one from the lowest-terms pairs it proves (``_reduced``), whose
-    text is then written from the pairs.  ``==`` compares the integers.
-    Calling the class, as ``dataclasses.replace`` does, builds a plain
-    ``Triangle``."""
-
-    def __new__(cls, *args, **kwargs):
-        return Triangle(*args, **kwargs)
-
-    @classmethod
-    def _of(cls, kind, alpha, beta, r, nums, dens, reduced) -> "_IntegerTriangle":
-        self = object.__new__(cls)
-        vars(self).update(
-            kind=kind, alpha=alpha, beta=beta, r=r, _nums=nums, _dens=dens, _reduced=reduced
-        )
-        return self
-
-    @classmethod
-    def _scaled(cls, kind: str, params, q: int, rows) -> "_IntegerTriangle":
-        """The triangle whose rows 0..N, computed at ``params`` scaled by
-        ``q``, are ``rows``: each entry is its value times ``q^degree``."""
-        qpow = [q**d for d in range(len(rows))]
-        dens = [_degree_scales(kind, qpow, n) for n in range(len(rows))]
-        return cls._of(kind, *map(as_rational, params), rows, dens, False)
-
-    @cached_property
-    def rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        return tuple(tuple(map(Fraction, nums, dens)) for nums, dens in zip(self._nums, self._dens))
-
-    @property
-    def N(self) -> int:
-        return len(self._nums) - 1
-
-    def entry(self, n: int, k: int) -> Fraction:
-        if 0 <= k <= n <= self.N:
-            return Fraction(self._nums[n][k], self._dens[n][k])
-        return super().entry(n, k)
-
-    def _pairs(self):
-        return self._nums, self._dens
-
-    def __eq__(self, other):
-        if not isinstance(other, Triangle):
-            return NotImplemented
-        if (self.kind, self.alpha, self.beta, self.r, self.N) != (
-            other.kind, other.alpha, other.beta, other.r, other.N
-        ):
-            return False
-        try:
-            return all(map(_rows_equal, self._nums, self._dens, *other._pairs()))
-        except AttributeError:  # entries that are not rationals
-            return self.rows == other.rows
-
-    __hash__ = Triangle.__hash__
-
-    def __repr__(self):
-        return repr(Triangle(self.kind, self.alpha, self.beta, self.r, self.rows))
-
-    def __reduce__(self):
-        return Triangle, (self.kind, self.alpha, self.beta, self.r, self.rows)
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def _text_rows(self) -> List[List[str]]:
-        if not self._reduced:
-            return super()._text_rows()
-        return [
-            [f"{p}/{d}" if d != 1 else str(p) for p, d in zip(nums, dens)]
-            for nums, dens in zip(self._nums, self._dens)
-        ]
 
 
 def _rows_equal(nums, dens, other_nums, other_dens) -> bool:
@@ -394,12 +381,6 @@ def _unscale(kind: str, q: int, rows) -> Tuple[Tuple[Fraction, ...], ...]:
     )
 
 
-def _exact(num, den):
-    """``num / den``: an int when ``den`` divides ``num``, else a Fraction."""
-    quo, rem = divmod(num, den)
-    return Fraction(num, den) if rem else quo
-
-
 def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
     """The inverse of :func:`_unscale`: the entries of a numeric triangle
     times ``q^degree``, as ints whenever they are (always, for a triangle
@@ -409,7 +390,7 @@ def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
     out = []
     for n, (nums, dens) in enumerate(zip(*tri._pairs())):
         out.append([
-            num * (scale // den) if scale % den == 0 else _exact(num * scale, den)
+            num * (scale // den) if scale % den == 0 else _exact_quotient(num * scale, den)
             for num, den, scale in zip(nums, dens, _degree_scales(tri.kind, qpow, n))
         ])
     return out
@@ -572,12 +553,14 @@ def triangle_by_sum(kind: str, alpha, beta, r, N: int) -> Triangle:
         raise ValueError("triangle_by_sum supports kinds 'Shat' and 'E'")
     _check_rows(N)
     q, ints = scale_params(alpha, beta, r)
-    return _IntegerTriangle._scaled(kind, (alpha, beta, r), q, _sum_rows(kind, *ints, N))
+    return Triangle._scaled(kind, (alpha, beta, r), q, _sum_rows(kind, *ints, N))
 
 
 def shat_from_s_row(row: Sequence[Scalar], beta) -> List[Scalar]:
-    """Rescale an S row to the modified row: entry k times ``beta^k k!``."""
-    return [row[k] * beta**k * factorial(k) for k in range(len(row))]
+    """Rescale an S row to the modified row: entry k times ``beta^k k!``,
+    the weight carried along the row as ``w_k = w_{k-1} beta k``."""
+    weights = accumulate(range(1, len(row)), lambda w, k: w * beta * k, initial=1)
+    return list(map(mul, row, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -615,7 +598,7 @@ def triangle_by_transform(kind: str, alpha, beta, r, N: int) -> Triangle:
     direction = "EToShat" if kind == "Shat" else "ShatToE"
     q, ints = scale_params(alpha, beta, r)
     rows = [binomial_transform(row, direction) for row in _sum_rows(dual_kind, *ints, N)]
-    return _IntegerTriangle._scaled(kind, (alpha, beta, r), q, rows)
+    return Triangle._scaled(kind, (alpha, beta, r), q, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -644,7 +627,7 @@ def triangle_product(left: Triangle, right: Triangle) -> Triangle:
     # make each term of the product entry (n, k) q^(n-k) times its value
     q, _ = scale_params(left.alpha, left.beta, left.r, right.beta, right.r)
     rows = _lower_product(_scaled_rows(left, q), _columns(_scaled_rows(right, q)))
-    return _IntegerTriangle._scaled("S", (left.alpha, right.beta, left.r + right.r), q, rows)
+    return Triangle._scaled("S", (left.alpha, right.beta, left.r + right.r), q, rows)
 
 
 def identity_triangle(alpha, N: int) -> Triangle:
@@ -652,7 +635,7 @@ def identity_triangle(alpha, N: int) -> Triangle:
     _check_rows(N)
     q, _ = scale_params(alpha)
     rows = [[int(k == n) for k in range(n + 1)] for n in range(N + 1)]
-    return _IntegerTriangle._scaled("S", (alpha, alpha, 0), q, rows)
+    return Triangle._scaled("S", (alpha, alpha, 0), q, rows)
 
 
 def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
@@ -768,7 +751,7 @@ def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
     pascal = [[comb(p + i, p) * rpow[i] for i in range(N + 1 - p)] for p in range(N + 1)]
     subset = [[bpow[i] * sub[k + i][k] for i in range(N + 1 - k)] for k in range(N + 1)]
     rows = _lower_product(_lower_product(left, pascal), subset)
-    return _IntegerTriangle._scaled("S", (alpha, beta, r), q, rows)
+    return Triangle._scaled("S", (alpha, beta, r), q, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -1001,9 +984,9 @@ def shift_r(base: Triangle, target_r, scheme: str) -> Triangle:
         weights = [[fall[m] * B ** (d - m) * (factorial(d) // factorial(m)) for m in range(d + 1)]
                    for d in range(N + 1)]
         scales = [B**d * factorial(d) for d in range(N + 1)]
-        rows = [[_exact(sum(map(mul, row[k:], weights[n - k])), scales[n - k])
+        rows = [[_exact_quotient(sum(map(mul, row[k:], weights[n - k])), scales[n - k])
                  for k in range(n + 1)] for n, row in enumerate(base_rows)]
-    return _IntegerTriangle._scaled(base.kind, (a, b, rho), q, rows)
+    return Triangle._scaled(base.kind, (a, b, rho), q, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -93,9 +93,10 @@ def test_entry_indexing():
 
 
 def test_shat_is_modified_s():
-    for b in (F(0), F(2), F(-1, 2)):
-        s = build_recurrence("S", F(1), b, F(3), 8)
-        sh = build_recurrence("Shat", F(1), b, F(3), 8)
+    # the symbolic point checks the rescaling on ParamPoly rows
+    for a, b, r in [(F(1), b, F(3)) for b in (F(0), F(2), F(-1, 2))] + [(ALPHA, BETA, R)]:
+        s = build_recurrence("S", a, b, r, 8)
+        sh = build_recurrence("Shat", a, b, r, 8)
         for n in range(9):
             assert shat_from_s_row(s.row(n), b) == sh.row(n)
 
@@ -419,24 +420,30 @@ def test_json_reads_a_tall_export_back(kind, capsys):
 def test_a_read_triangle_behaves_as_the_built_one():
     params = (F(2, 3), F(-1, 2), F(5, 6))
     built = build_recurrence("Shat", *params, 5)
-    # a read triangle, and two held as unreduced integers over q^degree
-    for read in (Triangle.from_json(built.to_json()), triangle_by_sum("Shat", *params, 5),
-                 triangle_by_transform("Shat", *params, 5)):
-        assert hash(read) == hash(built) and repr(read) == repr(built)
+    symbolic = symbolic_triangle("Shat", 5)
+    # triangles holding the rows they were given, a read triangle, two held
+    # as unreduced integers over q^degree, and a fresh symbolic one
+    cases = [(made, built) for made in (
+        build_recurrence("Shat", *params, 5), Triangle("Shat", *params, built.rows),
+        Triangle.from_json(built.to_json()), triangle_by_sum("Shat", *params, 5),
+        triangle_by_transform("Shat", *params, 5),
+    )] + [(symbolic_triangle("Shat", 5), symbolic)]
+    for read, same in cases:
+        assert hash(read) == hash(same) and repr(read) == repr(same)
         assert read.N == 5 and read.entry(5, 6) == 0 and read.entry(2, -1) == 0
-        assert read.entry(4, 2) == built.entry(4, 2)
+        assert read.entry(4, 2) == same.entry(4, 2)
         with pytest.raises(IndexError):
             read.entry(6, 0)
         for name in ("rows", "kind", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(read, name, None)
-        assert pickle.loads(pickle.dumps(read)) == built
+        assert pickle.loads(pickle.dumps(read)) == same
         moved = dataclasses.replace(read, r=F(1))
         assert type(moved) is Triangle
-        assert moved == Triangle("Shat", F(2, 3), F(-1, 2), F(1), built.rows)
-        assert read.to_csv() == built.to_csv() and read.to_latex() == built.to_latex()
-        assert read.to_text() == built.to_text() and read.to_json() == built.to_json()
-        assert read != symbolic_triangle("Shat", 5)
+        assert moved == Triangle("Shat", same.alpha, same.beta, F(1), same.rows)
+        assert read.to_csv() == same.to_csv() and read.to_latex() == same.to_latex()
+        assert read.to_text() == same.to_text() and read.to_json() == same.to_json()
+        assert read != (built if read.is_symbolic else symbolic)
         assert read != build_recurrence("Shat", 0, 1, 0, 5)
 
 
@@ -455,6 +462,7 @@ def test_a_scheme_triangle_compares_without_building_rows():
     shifted = shift_r(base, params[2], "NewtonBeta")
     assert shifted == build_recurrence("Shat", *params, 6)
     assert all("rows" not in vars(t) for t in (left, right, base, shifted))
+    assert got.rows is got.rows  # built once, on first read
 
 
 @pytest.mark.parametrize("kind, scheme", [
@@ -468,7 +476,7 @@ def test_one_numerator_off_by_one_is_unequal(kind, scheme, n, k):
     good = scheme(*params, 5)
     nums = [list(row) for row in good._nums]
     nums[n][k] += 1  # same q, so the same denominator rows
-    bad = triangles._IntegerTriangle._of(kind, *params, nums, good._dens, False)
+    bad = Triangle._of(kind, *params, nums, good._dens, False)
     rec = build_recurrence(kind, *params, 5)
     for other in (good, rec, Triangle.from_json(rec.to_json()), Triangle(kind, *params, rec.rows)):
         assert bad != other and other != bad
