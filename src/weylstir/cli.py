@@ -103,14 +103,7 @@ def cmd_triangle(args) -> int:
         tri = symbolic_triangle(args.kind, args.n)
     else:
         tri = build_recurrence(args.kind, args.alpha, args.beta, args.r, args.n)
-    if args.format == "json":
-        print(tri.to_json())
-    elif args.format == "csv":
-        print(tri.to_csv())
-    elif args.format == "latex":
-        print(tri.to_latex())
-    else:
-        print(tri.to_text())
+    print(getattr(tri, f"to_{args.format}")())  # to_text, to_json, to_csv or to_latex
     return 0
 
 

@@ -28,8 +28,12 @@ The sixteen word re-expansion templates (``firstmain``, ``secondmain`` and
 their all-natural prefactored forms ``powerful``, ``powerful2``) are declared
 by one table and built by one builder, ``_reexpansion``, with one prefactor
 table; every sum over a coefficient row is built by ``_expansion``.  A
-special case shares the builder of its general family: ``major.1a``/``1b``
-are the direct form of ``_b_major`` (``major.2a``/``2b``) at ``r = 0``, and
+special case shares the builder of its general family.  The re-expansion
+builder, ``_b_reexpansion``, also builds ``normord`` (kind S, variant a, at
+the words ``(L, R, 0, 0)``), ``s211_triple`` (S, variant b, prefactored, at
+the words of its case) and ``euleriank.1``/``2`` (E, variant a, at
+``(1, 0, 0, 0)`` and ``(0, 1, 0, 0)``).  ``major.1a``/``1b`` are the direct
+form of ``_b_major`` (``major.2a``/``2b``) at ``r = 0``, and
 ``katriel.norm``/``anti`` are ``_b_katrielplus`` at ``alpha = 0``.
 
 Coefficient rows come from the triangle module's integer recurrence, run at
@@ -347,13 +351,6 @@ def _b_katrielplus(anti: bool, strided: bool) -> Builder:
     return build
 
 
-def _b_normord(p, n):
-    q, (L, R) = scale_params(p["L"], p["R"])
-    e = L + R - q
-    lhs = _one(q, -e * n, (L, R, n))
-    return _expansion(lhs, _row("S", q, -e, q, R, n), _normal(q))
-
-
 def _b_cor1(p, n):
     q, (L, R) = scale_params(p["L"], p["R"])
     e = L + R - q
@@ -455,13 +452,20 @@ def _reexpansion(
     return _expansion(lhs, coeffs, factors)
 
 
-def _b_reexpansion(tid: str) -> Builder:
-    kind, variant, prefactored, _ = _REEXPANSIONS[tid]
+def _cell_words(p) -> Tuple[Fraction, ...]:
+    """The word parameters ``(L, R, Lp, Rp)`` of a cell."""
+    return tuple(p[name] for name in _WORDS)
+
+
+def _b_reexpansion(kind: str, variant: str, prefactored: bool, words) -> Builder:
+    """The re-expansion ``(kind, variant)`` at the word parameters
+    ``words(cell) = (L, R, Lp, Rp)``, with the prefactors of ``_PREFACTORS``
+    when ``prefactored``."""
 
     def build(p, n):
-        q, words = scale_params(*(p[name] for name in _WORDS))
-        EL, ER = _prefactors(kind, variant, q, words) if prefactored else (0, 0)
-        return _reexpansion(kind, variant, q, words, n, EL, ER)
+        q, scaled = scale_params(*words(p))
+        EL, ER = _prefactors(kind, variant, q, scaled) if prefactored else (0, 0)
+        return _reexpansion(kind, variant, q, scaled, n, EL, ER)
 
     return build
 
@@ -470,10 +474,11 @@ def _reexpansion_templates(kind: str) -> List[IdentityTemplate]:
     """The re-expansion templates of ``kind``; the prefactored forms take
     natural word parameters, the others rational ones."""
     return [
-        IdentityTemplate(tid, "WC" if prefactored else "WTC", _WORDS, _b_reexpansion(tid),
+        IdentityTemplate(tid, "WC" if prefactored else "WTC", _WORDS,
+                         _b_reexpansion(kind, variant, prefactored, _cell_words),
                          _grid(_WORDS, *[_NAT4] * 4) if prefactored else _grid_wtc4(_WORDS),
                          description=description)
-        for tid, (k, _, prefactored, description) in _REEXPANSIONS.items()
+        for tid, (k, variant, prefactored, description) in _REEXPANSIONS.items()
         if k == kind
     ]
 
@@ -520,27 +525,9 @@ def _b_lah_triple(p, n):
     return _expansion(_one(1, (L, R, n)), coeffs, _normal(1, n))
 
 
+# the words (L, R, Lp, Rp) of the s211_triple cases: excesses 2 and 1, so
+# the prefactored variant b runs the S row at (-2, 1; 1)
 _S211_CASES = ((1, 2, 0, 2), (2, 1, 1, 1), (3, 0, 2, 0))
-
-
-def _b_s211_triple(p, n):
-    L, R, Lp, Rp = _S211_CASES[int(p["case"])]
-    lhs = _one(1, (L, R, n), n)
-    return _expansion(
-        lhs, _row("S", 1, -2, 1, 1, n), lambda k: (2 * n, (Lp, Rp, k), n - k)
-    )
-
-
-def _b_euleriank(R: int):
-    """n! (x^(1-R) D x^R)^n, twisted by the Eulerian row at r = R."""
-
-    def build(p, n):
-        lhs = OperatorExpr.over(1, [(factorial(n), ((1 - R, R, n),))])
-        return _expansion(
-            lhs, _row("E", 1, 0, 1, R, n), lambda k: (k, (0, 0, n), n - k)
-        )
-
-    return build
 
 
 def _b_sampleeulerian(p, n):
@@ -602,7 +589,8 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
     add(IdentityTemplate("katrielplus.anti", "WTC", ("alpha",), _b_katrielplus(True, True),
                          _grid(("alpha",), _Q7),
                          description="normal ordering of the strided (D x) power"))
-    add(IdentityTemplate("normord", "WTC", ("L", "R"), _b_normord,
+    add(IdentityTemplate("normord", "WTC", ("L", "R"),
+                         _b_reexpansion("S", "a", False, lambda p: (p["L"], p["R"], 0, 0)),
                          _grid(("L", "R"), _Q7, _Q7),
                          description="normal ordering of a general word power"))
     add(IdentityTemplate("cor1", "WC", ("L", "R"), _b_cor1,
@@ -624,13 +612,16 @@ def _make_catalog() -> Dict[str, IdentityTemplate]:
                          _grid(("case",), tuple(F(i) for i in range(len(_LAH_CASES)))),
                          cases=len(_LAH_CASES),
                          description="excess-one triple with binomial coefficients"))
-    add(IdentityTemplate("s211_triple", "WC", ("case",), _b_s211_triple,
+    add(IdentityTemplate("s211_triple", "WC", ("case",),
+                         _b_reexpansion("S", "b", True, lambda p: _S211_CASES[int(p["case"])]),
                          _grid(("case",), tuple(F(i) for i in range(len(_S211_CASES)))),
                          cases=len(_S211_CASES),
                          description="excess-two triple sharing one triangle"))
-    add(IdentityTemplate("euleriank.1", "WC", (), _b_euleriank(0), _no_params,
+    add(IdentityTemplate("euleriank.1", "WC", (),
+                         _b_reexpansion("E", "a", False, lambda p: (1, 0, 0, 0)), _no_params,
                          description="Eulerian twisted ordering of (x D)^n"))
-    add(IdentityTemplate("euleriank.2", "WC", (), _b_euleriank(1), _no_params,
+    add(IdentityTemplate("euleriank.2", "WC", (),
+                         _b_reexpansion("E", "a", False, lambda p: (0, 1, 0, 0)), _no_params,
                          description="Eulerian twisted ordering of (D x)^n"))
     t.extend(_reexpansion_templates("E"))
     add(IdentityTemplate("sampleeulerian", "WC", (), _b_sampleeulerian, _no_params,
@@ -827,7 +818,7 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
     if not prefactored:
         raise ValueError(f"{template_id!r} has no prefactor table")
     TEMPLATES[template_id].check_cell(cell)
-    q, words = scale_params(*(cell[name] for name in _WORDS))
+    q, words = scale_params(*_cell_words(cell))
     EL, ER = _prefactors(kind, variant, q, words)
 
     def admissible(EL_v, ER_v) -> bool:

@@ -32,9 +32,6 @@ __all__ = [
     "hyp2f1_hat",
 ]
 
-Rational = Fraction
-
-
 def as_rational(value: Union[int, str, Fraction]) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
@@ -48,14 +45,6 @@ def as_rational(value: Union[int, str, Fraction]) -> Fraction:
         return value
     if isinstance(value, float):
         raise TypeError("floats are not accepted; use 'p/q' strings or Fraction")
-    if type(value) is str:
-        # fast path for ASCII "-?digits(/digits)?"; other strings go to Fraction
-        num, slash, den = value.partition("/")
-        digits = num[1:] if num[:1] == "-" else num
-        if digits.isascii() and digits.isdigit() and (
-            not slash or (den.isascii() and den.isdigit())
-        ):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     if isinstance(value, str) and ("." in value or "e" in value.lower()):
         raise ValueError(f"not an exact rational literal: {value!r}")
     return Fraction(value)
@@ -116,7 +105,8 @@ def strided_falling(r, m: int, alpha):
     """Falling factorial power with stride ``alpha``:
 
     ``r (r - alpha) (r - 2 alpha) ... (r - (m-1) alpha)``, with the empty
-    product (``m == 0``) equal to ``1``.
+    product (``m == 0``) equal to ``1``.  The rising power with stride
+    ``alpha`` is this power at stride ``-alpha`` (:func:`strided_rising`).
     """
     if m < 0:
         raise ValueError(f"power must be a natural number, got {m}")
@@ -129,17 +119,11 @@ def strided_falling(r, m: int, alpha):
 def strided_rising(r, m: int, alpha):
     """Rising factorial power with stride ``alpha``:
 
-    ``r (r + alpha) (r + 2 alpha) ... (r + (m-1) alpha)``, empty product 1.
-
-    Related to the falling power by
-    ``strided_rising(r, m, a) == strided_falling(r + (m-1) a, m, a)``.
+    ``r (r + alpha) (r + 2 alpha) ... (r + (m-1) alpha)``, empty product 1:
+    the falling power at stride ``-alpha``,
+    ``strided_rising(r, m, a) == strided_falling(r, m, -a)``.
     """
-    if m < 0:
-        raise ValueError(f"power must be a natural number, got {m}")
-    out = 1
-    for j in range(m):
-        out = out * (r + j * alpha)
-    return out
+    return strided_falling(r, m, -alpha)
 
 
 def falling(r, m: int):
@@ -148,8 +132,8 @@ def falling(r, m: int):
 
 
 def rising(r, m: int):
-    """Ordinary rising factorial ``r (r+1) ... (r+m-1)`` (stride 1)."""
-    return strided_rising(r, m, 1)
+    """Ordinary rising factorial ``r (r+1) ... (r+m-1)``, the falling one at stride -1."""
+    return strided_falling(r, m, -1)
 
 
 def hyp2f1_hat(N: int, b, c, z, stride=1):

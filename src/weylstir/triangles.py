@@ -196,6 +196,10 @@ class Triangle:
         return ([[v.numerator for v in row] for row in self.rows],
                 [[v.denominator for v in row] for row in self.rows])
 
+    def __getstate__(self):
+        """The pickled fields, less the ``rows`` built from integer pairs."""
+        return {key: v for key, v in vars(self).items() if key != "rows" or self._nums is None}
+
     def __eq__(self, other):
         if not isinstance(other, Triangle):
             return NotImplemented
@@ -284,14 +288,9 @@ class Triangle:
         for n, row in enumerate(json_rows):
             if not isinstance(row, list):
                 raise ValueError(f"triangle JSON row {n} is not a list")
-            try:
-                if any(type(v) is bool for v in row):
-                    raise TypeError("booleans are not accepted")
-                rows.append(tuple(map(as_rational, row)))
-            except (TypeError, ValueError, ZeroDivisionError):
-                for k, v in enumerate(row):  # find the entry, raise naming it
-                    _json_rational(v, f"row {n}, column {k}")
-                raise
+            rows.append(tuple(
+                _json_rational(v, f"row {n}, column {k}") for k, v in enumerate(row)
+            ))
         return cls(kind=kind, rows=tuple(rows), **params)
 
     def to_csv(self) -> str:
@@ -702,28 +701,6 @@ def stirling_cycle(n: int, k: int) -> int:
     return _classical_rows(n, True)[n][k]
 
 
-def _decomposition_entry(n: int, k: int, apow, bpow, rpow, cyc, sub) -> int:
-    """The double sum of :func:`decompose_classical` from power tables
-    ``apow[i] = (-alpha)^i``, ``bpow[i] = beta^i``, ``rpow[i] = r^i`` (so
-    ``0^0 = 1``) and classical rows ``cyc``/``sub`` reaching row ``n``."""
-    total = 0
-    for j in range(k, n + 1):
-        c = cyc[n][j]
-        if not c:
-            continue
-        for p in range(k, j + 1):
-            s = sub[p][k]
-            if s:
-                total += c * comb(j, p) * s * apow[n - j] * rpow[j - p] * bpow[p - k]
-    return total
-
-
-def _decomposition_tables(A: int, B: int, R: int, N: int):
-    """The integer power tables and classical rows for rows up to ``N``."""
-    return ([(-A) ** i for i in range(N + 1)], [B**i for i in range(N + 1)],
-            [R**i for i in range(N + 1)], _classical_rows(N, True), _classical_rows(N, False))
-
-
 def decompose_classical(n: int, k: int, alpha, beta, r) -> Fraction:
     """Single S entry through the classical cycle/subset triangles:
 
@@ -731,12 +708,22 @@ def decompose_classical(n: int, k: int, alpha, beta, r) -> Fraction:
     beta^{p-k} S(p,k)``
 
     with ``c``/``S`` the classical cycle/subset numbers.  Zero-to-the-zero
-    powers count as 1, so every parameter (including 0) is legal.
+    powers count as 1, so every parameter (including 0) is legal.  This is
+    entry ``(n, k)`` of the three factors that
+    :func:`triangle_by_decomposition` multiplies: row ``n`` of the first
+    dotted with the second times column ``k`` of the third, in O(n^2) steps.
     """
     if k < 0 or k > n:
         raise ValueError(f"index (n, k) = ({n}, {k}) outside 0 <= k <= n")
     q, (A, B, R) = scale_params(alpha, beta, r)
-    return Fraction(_decomposition_entry(n, k, *_decomposition_tables(A, B, R, n)), q ** (n - k))
+    apow, bpow, rpow = ([x**i for i in range(n + 1 - k)] for x in (-A, B, R))
+    sub = _classical_rows(n, False)
+    column = [bpow[i] * sub[k + i][k] for i in range(n + 1 - k)]  # p = k..n
+    # rows j = k..n of C(j, p) r^(j-p), p = k..j, times that column
+    mid = [sum(map(mul, [comb(j, p) * rpow[j - p] for p in range(k, j + 1)], column))
+           for j in range(k, n + 1)]
+    cyc = _classical_rows(n, True)[n]
+    return Fraction(sum(cyc[j] * apow[n - j] * m for j, m in enumerate(mid, k)), q ** (n - k))
 
 
 def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
@@ -744,7 +731,8 @@ def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
     product of its three factor matrices in O(N^3) steps."""
     _check_rows(N)
     q, (A, B, R) = scale_params(alpha, beta, r)
-    apow, bpow, rpow, cyc, sub = _decomposition_tables(A, B, R, N)
+    apow, bpow, rpow = ([x**i for i in range(N + 1)] for x in (-A, B, R))
+    cyc, sub = _classical_rows(N, True), _classical_rows(N, False)
     # the double sum is the product of (-alpha)^(n-j) c(n,j), C(j,p) r^(j-p)
     # and beta^(p-k) S(p,k), the last two given by columns
     left = [[apow[n - j] * c for j, c in enumerate(cyc[n])] for n in range(N + 1)]

@@ -13,7 +13,7 @@ import pytest
 from weylstir.cli import main
 from weylstir.identities import TEMPLATES, IdentityTemplate, TemplateInstance
 from weylstir.operators import OperatorExpr, XPower
-from weylstir.triangles import Triangle
+from weylstir.triangles import Triangle, build_recurrence
 
 
 def run(capsys, *argv):
@@ -73,6 +73,15 @@ def test_triangle_csv(capsys):
     assert code == 0
     assert out.splitlines() == ["1", "0,1", "0,1,1"]
     assert out == "1\n0,1\n0,1,1\n"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv", "latex"])
+def test_triangle_format_picks_the_export_of_its_name(capsys, fmt):
+    code, out, _ = run(capsys, "triangle", "--kind", "E", "--alpha", "1/2", "--r", "1",
+                       "--n", "3", "--format", fmt)
+    assert code == 0
+    tri = build_recurrence("E", F(1, 2), 1, 1, 3)
+    assert out == getattr(tri, f"to_{fmt}")() + "\n"
 
 
 @pytest.mark.parametrize("value, message", [
@@ -285,6 +294,38 @@ def test_out_of_domain_word_parameters_exit_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err == f"error: template {argv[2]!r}: L must be a natural number, got -1\n"
+
+
+def test_expand_below_the_template_n_min_exits_two(capsys):
+    code, out, err = run(capsys, "expand", "--template", "sampleappl", "--n", "0")
+    assert code == 2 and out == ""
+    assert err == "error: template 'sampleappl' requires n >= 1\n"
+
+
+def test_expand_prints_the_label_of_each_instance(capsys):
+    code, out, _ = run(capsys, "expand", "--template", "major.2a", "--alpha", "1/2",
+                       "--r", "2", "--n", "3")
+    assert code == 0
+    heads = [line for line in out.splitlines() if not line.startswith(" ")]
+    assert heads == [
+        "major.2a [conjugated]  (n = 3, alpha=1/2, r=2)",
+        "major.2a [direct]  (n = 3, alpha=1/2, r=2)",
+    ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("expand", "--template", "cor1", "--word", "1", "--n", "2"),
+     "argument --word: expected 'L,R', got '1'"),
+    (("verify", "--template", "ttv", "--range", "1-3"),
+     "argument --range: expected 'a..b', got '1-3'"),
+    (("verify", "--template", "ttv", "--range", "1..x"),
+     "argument --range: expected integer bounds in '1..x'"),
+], ids=["word", "range", "range-bounds"])
+def test_malformed_word_and_range_exit_two(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_expand_ambiguous_prefix(capsys):

@@ -184,6 +184,22 @@ def test_adjoint_pairing():
     )
 
 
+def test_adjoint_pairing_fails_without_the_adjoint_sign(monkeypatch):
+    """With an adjoint that leaves out the sign (-1)^m of a word power, the
+    pairing of firstmain.2a with firstmain.2d fails."""
+    cell = {"L": F(2), "R": F(1, 2), "Lp": F(-1), "Rp": F(1)}
+    assert adjoint_pairing_check(cell, n_max=3)
+
+    def unsigned_adjoint(self):
+        return OperatorExpr.over(self.q, [
+            (coeff, tuple(f if f.__class__ is int else (f[1], f[0], f[2]) for f in factors[::-1]))
+            for coeff, factors in self._terms
+        ])
+
+    monkeypatch.setattr(OperatorExpr, "adjoint", unsigned_adjoint)
+    assert not adjoint_pairing_check(cell, n_max=3)
+
+
 def test_reexpansion_sides_are_pinned():
     """The rendered sides and coefficients of the 16 word re-expansion
     templates on their grids at n <= 3 hash to a fixed digest."""

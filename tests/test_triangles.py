@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from weylstir import triangles
+from weylstir import identities, triangles
 from weylstir.egf import egf_coefficients
 from weylstir.identities import adjoint_pairing_check, hermite_identity_check, ttv_check
 from weylstir.kernels import binomial_general, strided_falling, strided_rising
@@ -229,6 +229,15 @@ def test_decomposition_single_entry_and_triangle():
     assert triangle_by_decomposition(0, 0, 0, 5).rows == build_recurrence("S", 0, 0, 0, 5).rows
 
 
+def test_decomposition_single_entries_at_the_row_cap():
+    """Every entry of row 64 at a triple with q = 693, one at a time,
+    equals the recurrence's."""
+    a, b, r = F(17, 11), F(16, 9), F(-11, 7)
+    tri = build_recurrence("S", a, b, r, 64)
+    for k in range(65):
+        assert decompose_classical(64, k, a, b, r) == tri.entry(64, k), k
+
+
 def test_defining_balance_shat():
     """(beta x + r)^(falling n, alpha) = sum_k Shat_{n,k} C(x, k),
     as polynomials in x (checked at non-integer rationals)."""
@@ -306,6 +315,30 @@ def test_ldu_and_reflection():
     assert vandermonde_ldu_check(F(1, 2), F(2), F(-1), 8)
     assert reflection_check(F(1, 2), F(2), F(-1), 8)
     assert reflection_check(F(0), F(1), F(1), 8)
+
+
+@pytest.mark.parametrize("module, check, args", [
+    (triangles, vandermonde_ldu_check, (F(1, 2), F(2), F(-1), 8)),
+    (triangles, reflection_check, (F(1, 2), F(2), F(-1), 8)),
+    (identities, hermite_identity_check, (8,)),
+], ids=["ldu", "reflection", "hermite"])
+def test_a_row_check_fails_on_one_wrong_recurrence_entry(monkeypatch, module, check, args):
+    """Each boolean row check returns False when the first rows it reads
+    from the integer recurrence have entry (5, 2) off by one."""
+    assert check(*args)
+    real = triangles._recurrence_rows
+    calls = []
+
+    def one_entry_off(*call):
+        rows = real(*call)
+        if not calls:
+            rows[5][2] += 1
+        calls.append(call)
+        return rows
+
+    monkeypatch.setattr(module, "_recurrence_rows", one_entry_off)
+    assert not check(*args)
+    assert calls
 
 
 def test_shift_r_newton_series():
@@ -445,6 +478,23 @@ def test_a_read_triangle_behaves_as_the_built_one():
         assert read.to_text() == same.to_text() and read.to_json() == same.to_json()
         assert read != (built if read.is_symbolic else symbolic)
         assert read != build_recurrence("Shat", 0, 1, 0, 5)
+
+
+@pytest.mark.parametrize("make", [
+    lambda t: Triangle.from_json(t.to_json()),
+    lambda t: triangle_by_sum("E", t.alpha, t.beta, t.r, t.N),
+], ids=["read", "sum"])
+def test_a_pair_triangle_pickles_without_its_built_rows(make):
+    """A triangle held as integer pairs pickles the same bytes before and
+    after its rows are read, and comes back equal, with the same rows and
+    hash."""
+    tri = make(build_recurrence("E", F(17, 11), F(16, 9), F(-11, 7), 24))
+    assert tri._nums is not None
+    before = pickle.dumps(tri)
+    rows = tri.rows
+    assert pickle.dumps(tri) == before
+    back = pickle.loads(before)
+    assert back == tri and back.rows == rows and hash(back) == hash(tri)
 
 
 def test_a_scheme_triangle_compares_without_building_rows():
