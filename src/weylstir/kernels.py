@@ -58,9 +58,11 @@ def scale_params(*params) -> Tuple[int, Tuple[int, ...]]:
 
     A polynomial with integer coefficients that is homogeneous of degree
     ``d`` in the parameters takes the value ``P(q * params) / q^d``; the
-    numeric schemes evaluate ``P`` on these integers and divide once.
+    numeric schemes evaluate ``P`` on these integers and divide once.  Ints
+    and Fractions are used as they are, any other value as
+    :func:`as_rational` reads it.
     """
-    rationals = [as_rational(p) for p in params]
+    rationals = [p if type(p) in (int, Fraction) else as_rational(p) for p in params]
     q = lcm(*(p.denominator for p in rationals))
     return q, tuple(p.numerator * (q // p.denominator) for p in rationals)
 

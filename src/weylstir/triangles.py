@@ -33,7 +33,9 @@ The recurrence divides each entry by ``q^degree`` into an exact
 the rows it is given; symbolic entries are ``ParamPoly``.  The other numeric
 schemes, and :meth:`Triangle.from_json`, keep integer numerators over
 integer denominators, build the ``Fraction`` rows once, when ``rows`` is
-first read, and compare with ``==`` in integers.
+first read, and compare with ``==`` in integers.  :meth:`Triangle.to_json`
+joins the entry texts directly, and a read triangle writes back the text
+it read.
 """
 
 from __future__ import annotations
@@ -126,17 +128,17 @@ class Triangle:
     in lowest terms.  Such a triangle builds its ``Fraction`` rows once,
     when ``rows`` is first read; ``==``, ``entry`` and ``N`` use the
     integers, so a cross-check costs no gcd of two entry-sized integers
-    (see :meth:`from_json`)."""
+    (see :meth:`from_json`).  A read triangle also keeps the entry texts it
+    read and writes them back; ``to_json`` joins the entry texts directly."""
 
     kind: str
     alpha: Scalar
     beta: Scalar
     r: Scalar
     rows: Tuple[Tuple[Scalar, ...], ...] = _RowsFromPairs()
-    # set by _of: entry (n, k) is _nums[n][k] / _dens[n][k], and _reduced
-    # says the pairs are in lowest terms, so the text is written from them
-    _nums = _dens = None
-    _reduced = False
+    # set by _of: entry (n, k) is _nums[n][k] / _dens[n][k], written as
+    # _texts[n][k] when from_json kept the text it read
+    _nums = _dens = _texts = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -148,12 +150,12 @@ class Triangle:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
 
     @classmethod
-    def _of(cls, kind, alpha, beta, r, nums, dens, reduced) -> "Triangle":
-        """The triangle whose entry ``(n, k)`` is ``nums[n][k] / dens[n][k]``;
-        ``reduced`` says these pairs are in lowest terms."""
+    def _of(cls, kind, alpha, beta, r, nums, dens, texts=None) -> "Triangle":
+        """The triangle whose entry ``(n, k)`` is ``nums[n][k] / dens[n][k]``,
+        written as ``texts[n][k]`` when ``texts`` is given."""
         tri = object.__new__(cls)
         vars(tri).update(
-            kind=kind, alpha=alpha, beta=beta, r=r, _nums=nums, _dens=dens, _reduced=reduced
+            kind=kind, alpha=alpha, beta=beta, r=r, _nums=nums, _dens=dens, _texts=texts
         )
         return tri
 
@@ -163,7 +165,7 @@ class Triangle:
         ``q``, are ``rows``: each entry is its value times ``q^degree``."""
         qpow = [q**d for d in range(len(rows))]
         dens = [_degree_scales(kind, qpow, n) for n in range(len(rows))]
-        return cls._of(kind, *map(as_rational, params), rows, dens, False)
+        return cls._of(kind, *map(as_rational, params), rows, dens)
 
     @property
     def N(self) -> int:
@@ -230,22 +232,20 @@ class Triangle:
     # -- serialization --------------------------------------------------
 
     def _text_rows(self) -> List[List[str]]:
-        if not self._reduced:
-            return [[str(v) for v in row] for row in self.rows]
-        return [
-            [f"{p}/{d}" if d != 1 else str(p) for p, d in zip(nums, dens)]
-            for nums, dens in zip(self._nums, self._dens)
-        ]
+        """The entry texts row by row: those :meth:`from_json` read, if it
+        kept them, else ``str`` of each entry."""
+        if self._texts is not None:
+            return self._texts
+        return [[str(v) for v in row] for row in self.rows]
 
     def to_json(self) -> str:
-        payload = {
-            "kind": self.kind,
-            "alpha": str(self.alpha),
-            "beta": str(self.beta),
-            "r": str(self.r),
-            "rows": self._text_rows(),
-        }
-        return json.dumps(payload)
+        """The bytes ``json.dumps`` writes for the kind, the parameters and
+        the entry texts, with the rows joined directly: no entry text needs
+        escaping."""
+        head = {"kind": self.kind, "alpha": str(self.alpha), "beta": str(self.beta),
+                "r": str(self.r)}
+        rows = '"], ["'.join(map('", "'.join, self._text_rows()))
+        return f'{json.dumps(head)[:-1]}, "rows": [["{rows}"]]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "Triangle":
@@ -261,9 +261,10 @@ class Triangle:
         ``gcd(p, d) == 1`` exactly when ``gcd(p, gcd(d, q)) == 1``: lowest
         terms costs one remainder ``q^e % d`` and two gcds against the
         word-sized ``q``.  When every entry is written so and passes that
-        check, the triangle keeps the integer pairs; when any entry does not
-        (``"2/4"``, ``"03"``, an entry off the ``q^e`` lattice, a
-        non-string), every entry becomes a ``Fraction`` at once.
+        check, the triangle keeps the integer pairs and the texts, which
+        :meth:`to_json` writes back; when any entry does not (``"2/4"``,
+        ``"03"``, an entry off the ``q^e`` lattice, a non-string), every
+        entry becomes a ``Fraction`` at once.
         """
         try:
             payload = json.loads(text)
@@ -283,7 +284,7 @@ class Triangle:
                 raise ValueError("triangle JSON 'rows' is empty")
             pairs = _lowest_terms_rows(kind, scale_params(*params.values())[0], json_rows)
             if pairs is not None:
-                return cls._of(kind, *params.values(), *pairs, True)
+                return cls._of(kind, *params.values(), *pairs, json_rows)
         rows = []
         for n, row in enumerate(json_rows):
             if not isinstance(row, list):
@@ -673,18 +674,26 @@ def reflection_check(alpha, beta, r, N: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
+# the classical subset (False) and cycle (True) tables, to the tallest N asked for
+_CLASSICAL = {False: ((1,),), True: ((1,),)}
+
+
 def _classical_rows(N: int, cycles: bool):
     """Rows 0..N of the classical subset (``cycles=False``) or unsigned cycle
     (``cycles=True``) Stirling triangle, by
-    ``row[k] = prev[k-1] + w prev[k]`` with ``w = k`` or ``w = n``."""
-    rows = [(1,)]
-    for n in range(N):
-        prev = rows[-1] + (0,)
-        rows.append(tuple(
-            (prev[k - 1] if k else 0) + (n if cycles else k) * prev[k] for k in range(n + 2)
-        ))
-    return tuple(rows)
+    ``row[k] = prev[k-1] + w prev[k]`` with ``w = k`` or ``w = n``.  One
+    table per kind is kept; a taller request extends it, replaced whole,
+    and a shorter one is served as its prefix."""
+    rows = _CLASSICAL[cycles]
+    if N >= len(rows):
+        new = list(rows)
+        for n in range(len(rows) - 1, N):
+            prev = new[-1] + (0,)
+            new.append(tuple(
+                (prev[k - 1] if k else 0) + (n if cycles else k) * prev[k] for k in range(n + 2)
+            ))
+        rows = _CLASSICAL[cycles] = tuple(new)
+    return rows[: N + 1]
 
 
 def stirling_subset(n: int, k: int) -> int:

@@ -61,10 +61,14 @@ def test_triangle_symbolic_row(capsys):
 ], ids=["S-64", "Shat-64", "E-64", "S-symbolic-18", "Shat-symbolic-18", "E-symbolic-18"])
 def test_triangle_json_exports_are_pinned(capsys, argv, digest):
     """The JSON exports hash to the digests of the per-N cached recurrence
-    they replaced: large denominators at the n cap, and the symbolic mode."""
+    they replaced: large denominators at the n cap, and the symbolic mode.
+    A numeric export read back writes the same bytes."""
     code, out, _ = run(capsys, "triangle", *argv, "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+    if "--symbolic" not in argv:
+        again = Triangle.from_json(out).to_json() + "\n"
+        assert hashlib.sha256(again.encode()).hexdigest() == digest
 
 
 def test_triangle_csv(capsys):

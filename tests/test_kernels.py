@@ -1,6 +1,7 @@
 """Arithmetic kernel tests: rationals, binomials, strided powers, the
 desingularized Gauss sum."""
 
+import re
 from fractions import Fraction as F
 from math import factorial
 
@@ -72,6 +73,14 @@ def test_scale_params_clears_denominators():
     assert scale_params(F(3, 4)) == (4, (3,))
     with pytest.raises(TypeError):
         scale_params(0.5)
+    # ints and Fractions are used as they are, every other value as
+    # as_rational reads it: strings parsed, bools as 1 and 0, floats refused
+    assert scale_params(7, F(-5, 6), "1/4", True, False) == (12, (84, -10, 3, 12, 0))
+    for value, error in ((0.5, TypeError), ("0.5", ValueError), ("1/0", ZeroDivisionError)):
+        with pytest.raises(error) as expected:
+            as_rational(value)
+        with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
+            scale_params(3, value)
 
 
 def test_binomial_small_table():

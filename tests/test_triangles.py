@@ -6,7 +6,7 @@ import pickle
 import random
 from fractions import Fraction as F
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -55,6 +55,18 @@ def test_classical_cycle_rows():
     for n in range(6):
         for k in range(n + 1):
             assert tri.entry(n, k) == stirling_cycle(n, k)
+
+
+def test_one_classical_table_per_kind_serves_shorter_requests(monkeypatch):
+    for cycles in (False, True):
+        monkeypatch.setitem(triangles._CLASSICAL, cycles, ((1,),))
+    tall = {cycles: triangles._classical_rows(64, cycles) for cycles in (False, True)}
+    for cycles, rows in tall.items():
+        short = triangles._classical_rows(20, cycles)
+        assert short == rows[:21] and len(short) == 21
+        assert triangles._CLASSICAL[cycles] == rows  # the N = 64 table, not a second one
+    assert tall[False][64][2] == 2**63 - 1 and tall[True][64][63] == comb(64, 2)
+    assert stirling_subset(20, 7) == tall[False][20][7] and stirling_cycle(64, 1) == factorial(63)
 
 
 def test_edge_invariants():
@@ -446,6 +458,7 @@ def test_json_reads_a_tall_export_back(kind, capsys):
     built = build_recurrence(kind, F(17, 11), F(16, 9), F(-11, 7), 64)
     assert read == built and built == read and not read != built
     assert read.to_json() == out.strip()
+    assert "rows" not in vars(read)  # it wrote the text it read
     assert read.entry(64, 30) == built.entry(64, 30)
     assert read.rows == built.rows
 
@@ -495,6 +508,22 @@ def test_a_pair_triangle_pickles_without_its_built_rows(make):
     assert pickle.dumps(tri) == before
     back = pickle.loads(before)
     assert back == tri and back.rows == rows and hash(back) == hash(tri)
+    for fmt in ("json", "text", "csv", "latex"):
+        assert getattr(back, f"to_{fmt}")() == getattr(tri, f"to_{fmt}")()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: build_recurrence("S", F(9, 7), F(-13, 9), F(17, 11), 12),
+    lambda: Triangle("E", F(1, 2), 1, 0, build_recurrence("E", F(1, 2), 1, 0, 6).rows),
+    lambda: triangle_by_sum("Shat", F(-10, 9), F(15, 11), F(13, 7), 12),
+    lambda: Triangle.from_json(build_recurrence("E", F(14, 11), F(-8, 7), F(11, 9), 12).to_json()),
+    lambda: symbolic_triangle("Shat", 6),
+], ids=["recurrence", "given-rows", "sum", "read", "symbolic"])
+def test_to_json_writes_the_bytes_of_json_dumps(make):
+    tri = make()
+    payload = {"kind": tri.kind, "alpha": str(tri.alpha), "beta": str(tri.beta), "r": str(tri.r),
+               "rows": [[str(v) for v in row] for row in tri.rows]}
+    assert tri.to_json() == json.dumps(payload)
 
 
 def test_a_scheme_triangle_compares_without_building_rows():
@@ -526,7 +555,7 @@ def test_one_numerator_off_by_one_is_unequal(kind, scheme, n, k):
     good = scheme(*params, 5)
     nums = [list(row) for row in good._nums]
     nums[n][k] += 1  # same q, so the same denominator rows
-    bad = Triangle._of(kind, *params, nums, good._dens, False)
+    bad = Triangle._of(kind, *params, nums, good._dens)
     rec = build_recurrence(kind, *params, 5)
     for other in (good, rec, Triangle.from_json(rec.to_json()), Triangle(kind, *params, rec.rows)):
         assert bad != other and other != bad
