@@ -26,6 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Sequence, Tuple
 
+from .boson import _normal_order
 from .fixtures import FIXTURES, check_fixture
 from .identities import (
     TEMPLATES,
@@ -36,10 +37,13 @@ from .identities import (
     verify_identity,
 )
 from .kernels import as_rational
+from .operators import _term_action
 from .triangles import KINDS, build_recurrence, conjecture_check, symbolic_triangle
 
 _TRIANGLE_CAP = 64
 _VERIFY_CAP = 10
+# the channel caches whose use a serial ``verify --format json`` reports
+_CHANNEL_CACHES = {"term_action": _term_action, "normal_order": _normal_order}
 
 
 class UsageError(Exception):
@@ -144,6 +148,7 @@ def cmd_verify(args) -> int:
     if vacuous:
         raise UsageError(f"nothing to verify for {', '.join(vacuous)} "
                          "(0 instances; check --range and --n)")
+    caches = None  # the workers' caches are out of reach
     if args.parallel and len(jobs) > 1:
         import multiprocessing  # only --parallel needs it; kept out of start-up
 
@@ -152,7 +157,10 @@ def cmd_verify(args) -> int:
         with multiprocessing.get_context("spawn").Pool() as pool:
             partials = pool.map(_verify_worker, jobs)
     else:
+        before = {name: cache.cache_info() for name, cache in _CHANNEL_CACHES.items()}
         partials = [_verify_worker(job) for job in jobs]
+        caches = {name: _cache_use(before[name], cache.cache_info())
+                  for name, cache in _CHANNEL_CACHES.items()}
     merged: Dict[str, VerifyReport] = {t.id: VerifyReport(template_id=t.id) for t in selected}
     for (tid, _, _), part in zip(jobs, partials):
         merged[tid].merge(part)
@@ -180,6 +188,8 @@ def cmd_verify(args) -> int:
                 for r in reports
             ],
         }
+        if caches is not None:
+            payload["caches"] = caches
         print(json.dumps(payload, indent=2))
     else:
         for r in reports:
@@ -187,6 +197,12 @@ def cmd_verify(args) -> int:
         print(f"verify: {'all templates pass' if ok else 'FAILURES found'} "
               f"({len(reports)} template(s))")
     return 0 if ok else 1
+
+
+def _cache_use(before, after) -> Dict[str, Optional[int]]:
+    """The hits and misses of one run and the cache's bound and size after it."""
+    return {"hits": after.hits - before.hits, "misses": after.misses - before.misses,
+            "maxsize": after.maxsize, "currsize": after.currsize}
 
 
 # ---------------------------------------------------------------------------

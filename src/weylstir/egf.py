@@ -11,12 +11,27 @@ The binomial power ``(1 + alpha z)^{c/alpha}`` is then
 ``strided_falling(q c, m, A)`` at ``z^m``, which is also its ``alpha -> 0``
 limit ``exp(c z)``; a product of two series is their binomial convolution.
 Each entry is divided by ``q^n`` once, at the end.
+
+With ``F = (1 + alpha z)^{r/alpha}`` and ``G = (1 + alpha z)^{beta/alpha}``,
+the ``Shat`` EGF is ``F / (1 - t (G - 1))``, whose ``t^k`` coefficient is
+``F (G - 1)^k``.  The ``E`` EGF is ``(1 - t) F(u) / (1 - t G(u))`` with
+``u = z (1 - t)``.  Expanded as ``(1 - t) sum_j t^j F(u) G(u)^j``, and with
+``u^n = z^n (1 - t)^n``, its entry ``(n, k)`` is
+
+    ``sum_{j=0}^{k} (-1)^{k-j} C(n+1, k-j) [u^n / n!] F G^j``,
+
+so the columns ``F G^j`` (``j <= deg_t``, one series product each) and one
+signed-binomial dot product per entry give all entries in
+``O(deg_t deg_z^2 + deg_t^2 deg_z)`` steps.  Entries with ``k > n`` are
+computed the same way; they vanish because the sum is the ``(n + 1)``-st
+difference of a polynomial of degree ``n`` in ``j``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import mul
 from typing import List
 
 from .kernels import scale_params, strided_falling
@@ -35,11 +50,6 @@ def _egf_mul(f: List[int], g: List[int]) -> List[int]:
         sum(comb(m, j) * f[j] * g[m - j] for j in range(m + 1))
         for m in range(len(f))
     ]
-
-
-def _in_one_minus_t(f: List[int], i: int) -> List[int]:
-    """The ``t^i`` coefficient of ``f(z (1 - t))``, a series in ``z``."""
-    return [(-1) ** i * comb(m, i) * c for m, c in enumerate(f)]
 
 
 def egf_coefficients(kind: str, alpha, beta, r, deg_t: int, deg_z: int):
@@ -63,21 +73,13 @@ def egf_coefficients(kind: str, alpha, beta, r, deg_t: int, deg_z: int):
     if kind == "Shat":
         # [t^k] of F / (1 - t (G - 1)) is F (G - 1)^k
         G[0] -= 1
-        cols = [F]
-        for _ in range(deg_t):
-            cols.append(_egf_mul(cols[-1], G))
-    else:
-        # T = (1 - t) F(z (1 - t)) / (1 - t G(z (1 - t))) solves
-        # T = (1 - t) F(z (1 - t)) + t G(z (1 - t)) T, one t-degree at a time
-        Fs = [_in_one_minus_t(F, i) for i in range(deg_t + 1)]
-        Gs = [_in_one_minus_t(G, i) for i in range(deg_t)]
-        cols = []
-        for i in range(deg_t + 1):
-            col = Fs[i] if i == 0 else [x - y for x, y in zip(Fs[i], Fs[i - 1])]
-            for j in range(i):
-                col = [x + y for x, y in zip(col, _egf_mul(Gs[i - 1 - j], cols[j]))]
-            cols.append(col)
-    return [
-        [Fraction(cols[k][n], q**n) for k in range(deg_t + 1)]
-        for n in range(deg_z + 1)
-    ]
+    cols = [F]  # F G^j, or F (G - 1)^j for Shat
+    for _ in range(deg_t):
+        cols.append(_egf_mul(cols[-1], G))
+    rows = [[col[n] for col in cols] for n in range(deg_z + 1)]
+    if kind == "E":
+        # entry (n, k) is sum_j (-1)^(k-j) C(n+1, k-j) [u^n / n!] F G^j
+        for n, at_n in enumerate(rows):
+            signed = [(-1) ** i * comb(n + 1, i) for i in range(deg_t + 1)]
+            rows[n] = [sum(map(mul, signed[k::-1], at_n)) for k in range(deg_t + 1)]
+    return [[Fraction(v, q**n) for v in row] for n, row in enumerate(rows)]

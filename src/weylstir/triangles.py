@@ -28,14 +28,15 @@ homogeneous of degree ``n - k`` for ``S`` and of degree ``n`` for ``Shat`` and
 ``E``.  The numeric schemes therefore scale the parameters to integers over
 one common denominator ``q`` (:func:`weylstir.kernels.scale_params`) and
 compute in Python ``int``.  Every triangle is one frozen :class:`Triangle`.
-The recurrence divides each entry by ``q^degree`` into an exact
-``fractions.Fraction`` and stores those rows, as ``Triangle(...)`` stores
-the rows it is given; symbolic entries are ``ParamPoly``.  The other numeric
-schemes, and :meth:`Triangle.from_json`, keep integer numerators over
-integer denominators, build the ``Fraction`` rows once, when ``rows`` is
-first read, and compare with ``==`` in integers.  :meth:`Triangle.to_json`
-joins the entry texts directly, and a read triangle writes back the text
-it read.
+``Triangle(...)`` stores the rows it is given; symbolic entries are
+``ParamPoly``.  Every numeric scheme, the recurrence included, and
+:meth:`Triangle.from_json` keep integer numerators over integer
+denominators instead, build the ``Fraction`` rows once, when ``rows`` is
+first read, and compare with ``==`` in integers.  The recurrence cache
+keeps one form per parameter point: the integer rows until some triangle's
+``rows`` are read, then the ``Fraction`` rows, shared by every prefix
+triangle, and the last integer row.  :meth:`Triangle.to_json` joins the
+entry texts directly, and a read triangle writes back the text it read.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd
 from operator import mod, mul
 from typing import Any, List, Sequence, Tuple, Union
 
@@ -103,42 +104,62 @@ __all__ = [
 class _RowsFromPairs:
     """The ``rows`` of a :class:`Triangle` made from integer pairs
     (:meth:`Triangle._of`), built on first read and stored on the instance.
-    As a non-data descriptor it is shadowed by the stored rows, so later
-    reads cost no call; class access raises AttributeError, so the
-    dataclass field ``rows`` has no default."""
+    A triangle linked to a recurrence cache entry takes that entry's shared
+    ``Fraction`` rows instead (:meth:`_CachedRecurrence.fraction_rows`) and
+    drops its integer pairs and the link.  As a non-data descriptor it is
+    shadowed by the stored rows, so later reads cost no call; class access
+    raises AttributeError, so the dataclass field ``rows`` has no default."""
 
     def __get__(self, tri, owner=None):
         if tri is None:
             raise AttributeError("rows")
-        rows = tuple(tuple(map(Fraction, nums, dens)) for nums, dens in zip(tri._nums, tri._dens))
-        vars(tri)["rows"] = rows
+        nums, dens = tri._ints
+        cache = tri._cache
+        if cache is None:
+            vars(tri)["rows"] = rows = _fraction_rows(nums, dens)
+            return rows
+        rows = cache.fraction_rows()
+        # shorter only if another thread replaced the entry meanwhile
+        rows = rows[: len(nums)] if len(rows) >= len(nums) else _fraction_rows(nums, dens)
+        vars(tri).update(rows=rows, _ints=None, _cache=None)
         return rows
+
+
+def _fraction_rows(nums, dens) -> Tuple[Tuple[Fraction, ...], ...]:
+    """The rows ``nums / dens`` as ``Fraction`` rows."""
+    return tuple(tuple(map(Fraction, num, den)) for num, den in zip(nums, dens))
 
 
 @dataclass(frozen=True)
 class Triangle:
     """A lower-triangular section with jagged rows ``rows[n][0..n]``.
 
-    ``Triangle(...)`` and :func:`build_recurrence` store the rows they are
-    given or make: ``Fraction`` rows, or ``ParamPoly`` rows in symbolic
-    mode.  The numeric schemes other than the recurrence, and
+    ``Triangle(...)`` stores the rows it is given: ``Fraction`` rows, or
+    ``ParamPoly`` rows in symbolic mode.  The numeric schemes, and
     :meth:`from_json` when every entry is written as ``to_json`` writes it,
     make the triangle from integer pairs instead (:meth:`_of`): each entry
     a scheme's value times ``q^degree`` over ``q^degree``, or a read entry
     in lowest terms.  Such a triangle builds its ``Fraction`` rows once,
     when ``rows`` is first read; ``==``, ``entry`` and ``N`` use the
     integers, so a cross-check costs no gcd of two entry-sized integers
-    (see :meth:`from_json`).  A read triangle also keeps the entry texts it
-    read and writes them back; ``to_json`` joins the entry texts directly."""
+    (see :meth:`from_json`).  A triangle from :func:`build_recurrence`
+    shares its integer rows with the recurrence cache; on its first
+    ``rows`` read it takes the cache's ``Fraction`` rows and keeps those
+    alone, and once the cache holds ``Fraction`` rows the recurrence
+    returns them as given rows.  A read triangle also keeps the entry texts
+    it read and writes them back; ``to_json`` joins the entry texts
+    directly."""
 
     kind: str
     alpha: Scalar
     beta: Scalar
     r: Scalar
     rows: Tuple[Tuple[Scalar, ...], ...] = _RowsFromPairs()
-    # set by _of: entry (n, k) is _nums[n][k] / _dens[n][k], written as
-    # _texts[n][k] when from_json kept the text it read
-    _nums = _dens = _texts = None
+    # set by _of: entry (n, k) is _ints[0][n][k] / _ints[1][n][k], one
+    # attribute so that the two always belong together; written as
+    # _texts[n][k] when from_json kept the text it read; _cache is the
+    # build_recurrence cache entry the integer rows came from
+    _ints = _texts = _cache = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -150,12 +171,13 @@ class Triangle:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
 
     @classmethod
-    def _of(cls, kind, alpha, beta, r, nums, dens, texts=None) -> "Triangle":
+    def _of(cls, kind, alpha, beta, r, nums, dens, texts=None, cache=None) -> "Triangle":
         """The triangle whose entry ``(n, k)`` is ``nums[n][k] / dens[n][k]``,
-        written as ``texts[n][k]`` when ``texts`` is given."""
+        written as ``texts[n][k]`` when ``texts`` is given; ``cache`` is the
+        recurrence cache entry that holds these rows."""
         tri = object.__new__(cls)
         vars(tri).update(
-            kind=kind, alpha=alpha, beta=beta, r=r, _nums=nums, _dens=dens, _texts=texts
+            kind=kind, alpha=alpha, beta=beta, r=r, _ints=(nums, dens), _texts=texts, _cache=cache
         )
         return tri
 
@@ -169,7 +191,8 @@ class Triangle:
 
     @property
     def N(self) -> int:
-        return len(self.rows if self._nums is None else self._nums) - 1
+        ints = self._ints
+        return len(self.rows if ints is None else ints[0]) - 1
 
     @property
     def is_symbolic(self) -> bool:
@@ -177,13 +200,13 @@ class Triangle:
 
     def entry(self, n: int, k: int) -> Scalar:
         """Entry at (n, k); zero outside ``0 <= k <= n <= N``."""
-        nums = self._nums
-        if nums is None:
+        ints = self._ints
+        if ints is None:
             rows = self.rows
             if 0 <= k <= n < len(rows):
                 return rows[n][k]
-        elif 0 <= k <= n < len(nums):
-            return Fraction(nums[n][k], self._dens[n][k])
+        elif 0 <= k <= n < len(ints[0]):
+            return Fraction(ints[0][n][k], ints[1][n][k])
         if n > self.N:
             raise IndexError(f"row {n} not built (N = {self.N})")
         return ParamPoly() if self.is_symbolic else Fraction(0)
@@ -191,16 +214,21 @@ class Triangle:
     def row(self, n: int) -> List[Scalar]:
         return list(self.rows[n])
 
-    def _pairs(self) -> Tuple[List[List[int]], List[List[int]]]:
+    def _pairs(self) -> Tuple[Sequence[List[int]], Sequence[List[int]]]:
         """The rows as numerator rows and denominator rows."""
-        if self._nums is not None:
-            return self._nums, self._dens
+        ints = self._ints
+        if ints is not None:
+            return ints
         return ([[v.numerator for v in row] for row in self.rows],
                 [[v.denominator for v in row] for row in self.rows])
 
     def __getstate__(self):
-        """The pickled fields, less the ``rows`` built from integer pairs."""
-        return {key: v for key, v in vars(self).items() if key != "rows" or self._nums is None}
+        """The pickled fields: the integer pairs, when the triangle has
+        them, without the ``rows`` built from them or the texts read with
+        them (``str`` of each entry writes the same text, which
+        :meth:`from_json` proved), and never a cache link."""
+        skip = {"_cache", "_texts"} if self._ints is None else {"_cache", "_texts", "rows"}
+        return {key: v for key, v in vars(self).items() if key not in skip}
 
     def __eq__(self, other):
         if not isinstance(other, Triangle):
@@ -209,7 +237,7 @@ class Triangle:
             other.kind, other.alpha, other.beta, other.r, other.N
         ):
             return False
-        if self._nums is not None or other._nums is not None:
+        if self._ints is not None or other._ints is not None:
             try:
                 return all(map(_rows_equal, *self._pairs(), *other._pairs()))
             except AttributeError:  # entries that are not rationals
@@ -371,21 +399,11 @@ def _degree_scales(kind: str, qpow: Sequence[int], n: int) -> Sequence[int]:
     return qpow[n::-1] if kind == "S" else [qpow[n]] * (n + 1)
 
 
-def _unscale(kind: str, q: int, rows) -> Tuple[Tuple[Fraction, ...], ...]:
-    """Integer rows of ``kind`` computed at the parameters scaled by ``q``,
-    each entry divided back by ``q^degree``.  Row ``n`` is the row with
-    ``n + 1`` entries, wherever it stands."""
-    qpow = [q**d for d in range(max(map(len, rows), default=0))]
-    return tuple(
-        tuple(map(Fraction, row, _degree_scales(kind, qpow, len(row) - 1))) for row in rows
-    )
-
-
 def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
-    """The inverse of :func:`_unscale`: the entries of a numeric triangle
-    times ``q^degree``, as ints whenever they are (always, for a triangle
-    built by this module at parameters whose denominators divide ``q``).
-    An entry whose denominator divides ``q^degree`` builds no Fraction."""
+    """The entries of a numeric triangle times ``q^degree``, as ints
+    whenever they are (always, for a triangle built by this module at
+    parameters whose denominators divide ``q``).  An entry whose
+    denominator divides ``q^degree`` builds no Fraction."""
     qpow = [q**d for d in range(tri.N + 1)]
     out = []
     for n, (nums, dens) in enumerate(zip(*tri._pairs())):
@@ -435,26 +453,47 @@ def _recurrence_rows(kind: str, a, b, r, N: int, one, start=None) -> List[List[S
 
 
 class _CachedRecurrence:
-    """Rows 0..built of one numeric recurrence triangle: the common
-    denominator ``q`` and scaled integers of its parameters, its last integer
-    row and its ``Fraction`` rows.  ``upto`` extends the integer recurrence
-    from the last row when asked for more rows than it holds."""
+    """Rows 0..built of one numeric recurrence triangle at its parameters
+    scaled to the integers ``ints`` over their common denominator ``q``.
+
+    ``state``, one attribute replaced whole so that its parts always belong
+    together, holds one form of the rows at a time.  Until some triangle's
+    ``rows`` are read it is ``(None, nums, dens)``: the integer rows and
+    their ``q^degree`` rows, which every prefix triangle shares.  After
+    that it is ``(rows, (last,), None)``: the ``Fraction`` rows, built once
+    and shared by every prefix triangle, and the last integer row.  In both
+    forms ``upto`` extends the integer recurrence from the last integer row
+    when asked for more rows than it holds."""
 
     __slots__ = ("kind", "q", "ints", "state")
 
     def __init__(self, kind: str, a: Fraction, b: Fraction, r: Fraction):
         self.kind = kind
         self.q, self.ints = scale_params(a, b, r)
-        # one attribute, replaced whole, so the two always belong together
-        self.state = ([1], ((Fraction(1),),))
+        self.state = (None, ([1],), ([1],))
 
-    def upto(self, N: int) -> Tuple[Tuple[Fraction, ...], ...]:
-        last, rows = self.state
-        if N >= len(rows):
-            new = _recurrence_rows(self.kind, *self.ints, N, 1, start=last)[1:]
-            rows = rows + _unscale(self.kind, self.q, new)
-            self.state = (new[-1], rows)
-        return rows[: N + 1]
+    def upto(self, N: int):
+        """The state, holding rows 0..N at least."""
+        state = rows, nums, dens = self.state
+        built = len(nums if rows is None else rows) - 1
+        if N > built:
+            new = _recurrence_rows(self.kind, *self.ints, N, 1, start=nums[-1])[1:]
+            qpow = [self.q**d for d in range(N + 1)]
+            new_dens = [_degree_scales(self.kind, qpow, n) for n in range(built + 1, N + 1)]
+            if rows is None:
+                state = (None, nums + tuple(new), dens + tuple(new_dens))
+            else:
+                state = (rows + _fraction_rows(new, new_dens), (new[-1],), None)
+            self.state = state
+        return state
+
+    def fraction_rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
+        """The ``Fraction`` rows, built from the integer rows on first call."""
+        rows, nums, dens = self.state
+        if rows is None:
+            rows = _fraction_rows(nums, dens)
+            self.state = (rows, nums[-1:], None)
+        return rows
 
 
 def _check_rows(N: int) -> None:
@@ -477,10 +516,18 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
     ``(kind, alpha, beta, r)`` triangle do not depend on ``N``, so the cache
     keeps at most one triangle per parameter point, the tallest asked for.
     A request for fewer rows is served as a prefix of it; a request for more
-    continues the integer recurrence from its last row and turns only the
-    new rows into ``Fraction``s.  The cache holds up to 4 096 parameter
-    points, the least recently used leaving first.  Symbolic triangles are
-    not cached.
+    continues the integer recurrence from its last row.  The cache holds up
+    to 4 096 parameter points, the least recently used leaving first.
+
+    A numeric triangle is returned as integer pairs: the entries at the
+    parameters scaled to integers over their common denominator ``q``, each
+    over its ``q^degree``, the rows shared with the cache.  Comparing it,
+    multiplying it or shifting it builds no ``Fraction``.  The first read
+    of its ``rows`` (or of its text, JSON, CSV or LaTeX) turns the cache's
+    rows into ``Fraction`` rows once; from then on the cache keeps only
+    those and its last integer row, turns only new rows into ``Fraction``s,
+    and every triangle of that point shares the ``Fraction`` rows.
+    Symbolic triangles are not cached.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
@@ -489,7 +536,11 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
         rows = _recurrence_rows(kind, alpha, beta, r, N, ParamPoly.constant(1))
         return Triangle(kind, alpha, beta, r, tuple(map(tuple, rows)))
     a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    return Triangle(kind, a, b, rr, _recurrence_rows_cached(kind, a, b, rr).upto(N))
+    cache = _recurrence_rows_cached(kind, a, b, rr)
+    rows, nums, dens = cache.upto(N)
+    if rows is None:
+        return Triangle._of(kind, a, b, rr, nums[: N + 1], dens[: N + 1], cache=cache)
+    return Triangle(kind, a, b, rr, rows[: N + 1])
 
 
 def symbolic_triangle(kind: str, N: int) -> Triangle:
@@ -649,12 +700,11 @@ def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
     rows = _recurrence_rows("S", A, B, R, N, 1)
     table = _falling_power_table(A, B, R, N, N)
     diag = [B**k * factorial(k) for k in range(N + 1)]
-    for n in range(N + 1):
-        for x in range(N + 1):
-            rhs = sum(rows[n][k] * diag[k] * comb(x, k) for k in range(min(n, x) + 1))
-            if table[n][x] != rhs:
-                return False
-    return True
+    # column x of D * U: diag[k] C(x, k), zero past k = x
+    du = [[d * comb(x, k) for k, d in enumerate(diag)] for x in range(N + 1)]
+    return all(
+        table[n][x] == sum(map(mul, rows[n], du[x])) for n in range(N + 1) for x in range(N + 1)
+    )
 
 
 def reflection_check(alpha, beta, r, N: int) -> bool:
@@ -865,13 +915,9 @@ def closed_form_params(family: str, r=0, beta=1):
     return (kind, *(free[p] if isinstance(p, str) else p for p in params))
 
 
-def _scale_pair(r, beta) -> Tuple[int, int, int]:
-    """``scale_params(r, beta)`` as ``(q, R, B)``, coercing only arguments
-    that are not already ints or Fractions."""
-    rn, rd = (r if type(r) in (int, Fraction) else as_rational(r)).as_integer_ratio()
-    bn, bd = (beta if type(beta) in (int, Fraction) else as_rational(beta)).as_integer_ratio()
-    q = lcm(rd, bd)
-    return q, rn * (q // rd), bn * (q // bd)
+# (r, beta, (q, R, B)) of the last closed_form call, one tuple replaced whole;
+# a caller sweeping a family over (n, k) passes the same two objects each time
+_LAST_PAIR = (object(), object(), None)
 
 
 def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
@@ -884,14 +930,22 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
 
     Every family computes one integer numerator at ``(R, B) = q (r, beta)``
     in O(n) steps and divides it once, by ``q^d`` (``d = n - k``),
-    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1.
+    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1.  The scaled pair of
+    the last call is kept and reused when ``r`` and ``beta`` are the same
+    objects again.
     """
     spec = _CLOSED_FORMS.get(family)
     if spec is None:
         raise ValueError(f"unknown closed-form family {family!r}")
     if k < 0 or k > n:
         return Fraction(0)
-    q, R, B = _scale_pair(r, beta)
+    global _LAST_PAIR
+    last_r, last_beta, scaled = _LAST_PAIR
+    if last_r is not r or last_beta is not beta:
+        q, (R, B) = scale_params(r, beta)
+        scaled = (q, R, B)
+        _LAST_PAIR = (r, beta, scaled)
+    q, R, B = scaled
     _, numerator, denominator = spec
     d = n - k
     return Fraction(numerator(n, k, d, q, R, B), denominator(n, d, q))

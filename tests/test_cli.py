@@ -219,6 +219,9 @@ def test_verify_json_is_the_same_with_a_worker_pool(capsys):
                            "--format", "json", *extra)
         assert code == 0
         payload = json.loads(out)
+        # only a serial run can read the caches it used
+        assert ("caches" in payload) == (extra == ())
+        payload.pop("caches", None)
         (report,) = payload["reports"]
         seconds = report.pop("seconds")
         assert set(seconds) == {"build", "action", "strings"}
@@ -226,6 +229,17 @@ def test_verify_json_is_the_same_with_a_worker_pool(capsys):
         reports.append(payload)
     assert reports[0] == reports[1]
     assert reports[0]["reports"][0]["cells"] == 256
+
+
+def test_serial_verify_json_reports_the_channel_caches(capsys):
+    code, out, _ = run(capsys, "verify", "--template", "ttv", "--n", "3", "--format", "json")
+    assert code == 0
+    caches = json.loads(out)["caches"]
+    assert set(caches) == {"term_action", "normal_order"}
+    for info in caches.values():
+        assert set(info) == {"hits", "misses", "maxsize", "currsize"}
+        assert info["hits"] + info["misses"] > 0
+        assert 0 < info["currsize"] <= info["maxsize"]
 
 
 def test_expand_coefficients(capsys):

@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from weylstir import triangles
 from weylstir.kernels import binomial, rising, strided_rising
 from weylstir.triangles import (
     CLOSED_FORM_FAMILIES,
@@ -97,6 +98,27 @@ def test_error_paths_and_coercion():
         closed_form("S_8F_i", 3, 1, r="1.5")
     assert closed_form("E_i", 3, 1, r="1/2", beta="3") == F(-255, 8)
     assert closed_form("E_ii", 2, 2, r=3, beta=0) == 9
+
+
+def _fresh_closed_form(monkeypatch, family, n, k, r, beta):
+    """``closed_form`` with no scaled pair kept from an earlier call."""
+    monkeypatch.setattr(triangles, "_LAST_PAIR", (object(), object(), None))
+    return closed_form(family, n, k, r=r, beta=beta)
+
+
+def test_the_kept_scaled_pair_never_changes_a_value(monkeypatch):
+    """Alternating pairs, pairs sharing one of their objects, and distinct
+    objects of equal value all give what a call with nothing kept gives."""
+    r1, b1, r2, b2 = F(5, 3), F(-3, 4), F(7, 2), F(2, 9)
+    pairs = [(r1, b1), (r2, b2), (r1, b1), (r1, b2), (r2, b1), (r2, b2),
+             (F(5, 3), F(-3, 4)), ("5/3", "-3/4"), (F(10, 6), b1), (3, 2), (3, 2)]
+    for family in ("S_8F_iprime", "S_8F_iiprime", "S_8F_iiiprime", "S_4F_v", "E_i", "E_ii"):
+        for n, k in ((4, 1), (5, 3), (6, 0)):
+            fresh = [_fresh_closed_form(monkeypatch, family, n, k, r, b) for r, b in pairs]
+            monkeypatch.setattr(triangles, "_LAST_PAIR", (object(), object(), None))
+            assert [closed_form(family, n, k, r=r, beta=b) for r, b in pairs] == fresh, family
+    # the first two pairs give different values, so reusing one for the other shows
+    assert len({_fresh_closed_form(monkeypatch, "E_i", 5, 2, r, b) for r, b in pairs[:2]}) == 2
 
 
 def test_every_closed_form_value_is_pinned():

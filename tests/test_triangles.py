@@ -4,6 +4,8 @@ import dataclasses
 import json
 import pickle
 import random
+import sys
+import threading
 from fractions import Fraction as F
 from functools import lru_cache
 from math import comb, factorial
@@ -502,7 +504,7 @@ def test_a_pair_triangle_pickles_without_its_built_rows(make):
     after its rows are read, and comes back equal, with the same rows and
     hash."""
     tri = make(build_recurrence("E", F(17, 11), F(16, 9), F(-11, 7), 24))
-    assert tri._nums is not None
+    assert tri._ints is not None
     before = pickle.dumps(tri)
     rows = tri.rows
     assert pickle.dumps(tri) == before
@@ -510,6 +512,28 @@ def test_a_pair_triangle_pickles_without_its_built_rows(make):
     assert back == tri and back.rows == rows and hash(back) == hash(tri)
     for fmt in ("json", "text", "csv", "latex"):
         assert getattr(back, f"to_{fmt}")() == getattr(tri, f"to_{fmt}")()
+
+
+def test_a_read_triangle_pickles_its_pairs_without_the_texts():
+    """The texts a read triangle keeps are ``str`` of its entries, so the
+    pickle carries the integer pairs alone and the triangle writes the same
+    bytes after a round trip."""
+    text = build_recurrence("E", F(17, 11), F(16, 9), F(-11, 7), 64).to_json()
+    read = Triangle.from_json(text)
+    data = pickle.dumps(read)
+    assert len(data) <= 290_000
+    back = pickle.loads(data)
+    assert back._texts is None and back == read
+    assert back.to_json() == text
+
+
+def test_a_recurrence_triangle_pickles_without_its_cache_link(monkeypatch):
+    _private_cache(monkeypatch)
+    tri = build_recurrence("S", F(9, 7), F(-13, 9), F(17, 11), 12)
+    assert tri._cache is not None
+    back = pickle.loads(pickle.dumps(tri))
+    assert back._cache is None and back == tri
+    assert back.rows == tri.rows
 
 
 @pytest.mark.parametrize("make", [
@@ -553,14 +577,15 @@ def test_a_scheme_triangle_compares_without_building_rows():
 def test_one_numerator_off_by_one_is_unequal(kind, scheme, n, k):
     params = (F(2, 3), F(-1, 2), F(5, 6))
     good = scheme(*params, 5)
-    nums = [list(row) for row in good._nums]
+    good_nums, good_dens = good._ints
+    nums = [list(row) for row in good_nums]
     nums[n][k] += 1  # same q, so the same denominator rows
-    bad = Triangle._of(kind, *params, nums, good._dens)
+    bad = Triangle._of(kind, *params, nums, good_dens)
     rec = build_recurrence(kind, *params, 5)
     for other in (good, rec, Triangle.from_json(rec.to_json()), Triangle(kind, *params, rec.rows)):
         assert bad != other and other != bad
         assert not bad == other and not other == bad
-    assert bad.entry(n, k) == rec.entry(n, k) + F(1, good._dens[n][k])
+    assert bad.entry(n, k) == rec.entry(n, k) + F(1, good_dens[n][k])
 
 
 def test_a_shift_that_does_not_divide_stays_unequal():
@@ -684,3 +709,116 @@ def test_a_small_cache_evicts_whole_parameter_points(monkeypatch):
     runs.clear()
     build_recurrence("S", *points[2], 2)
     assert runs == []
+
+
+class _CountingFraction(F):
+    """``Fraction``, counting the instances built through this name."""
+
+    built = 0
+
+    def __new__(cls, *args, **kwargs):
+        _CountingFraction.built += 1
+        return F(*args, **kwargs)
+
+
+def _count_fractions(monkeypatch):
+    _CountingFraction.built = 0
+    monkeypatch.setattr(triangles, "Fraction", _CountingFraction)
+    return _CountingFraction
+
+
+def test_the_integer_cross_checks_build_no_fraction(monkeypatch):
+    """Recurrence triangles stay integer rows through every ``==`` against
+    the other schemes, as product operands and targets and as shift bases;
+    only reading ``rows`` builds ``Fraction``s."""
+    _private_cache(monkeypatch)
+    counter = _count_fractions(monkeypatch)
+    a, b, r, gamma, r2 = F(-3, 4), F(5, 6), F(7, 3), F(2, 3), F(-1, 2)
+    n = 8
+    rec = {kind: build_recurrence(kind, a, b, r, n) for kind in triangles.KINDS}
+    assert triangle_by_sum("Shat", a, b, r, n) == rec["Shat"]
+    assert triangle_by_sum("E", a, b, r, n) == rec["E"]
+    assert triangle_by_transform("Shat", a, b, r, n) == rec["Shat"]
+    assert triangle_by_transform("E", a, b, r, n) == rec["E"]
+    assert triangle_by_decomposition(a, b, r, n) == rec["S"]
+    assert triangle_product(rec["S"], build_recurrence("S", b, a, -r, n)) == identity_triangle(a, n)
+    assert (triangle_product(rec["S"], build_recurrence("S", b, gamma, r2, n))
+            == build_recurrence("S", a, gamma, r + r2, n))
+    for kind in ("S", "Shat"):
+        base = build_recurrence(kind, a, b, 0, n)
+        for scheme in ("NewtonAlpha", "NewtonBeta"):
+            assert shift_r(base, r, scheme) == rec[kind]
+    assert counter.built == 0
+    rec["E"].rows
+    assert counter.built == (n + 1) * (n + 2) // 2
+
+
+def test_the_first_rows_read_converts_the_cache_entry_once(monkeypatch):
+    """The first read turns the entry's integer rows into ``Fraction`` rows
+    that every prefix triangle of that point shares; the entry keeps only
+    its last integer row, and the triangle only the ``Fraction`` rows."""
+    _private_cache(monkeypatch)
+    counter = _count_fractions(monkeypatch)
+    point = (F(-3, 7), F(5, 9), F(13, 11))
+    short = build_recurrence("E", *point, 6)
+    tall = build_recurrence("E", *point, 12)
+    entry = tall._cache
+    assert short._cache is entry and entry.state[0] is None
+    last = entry.state[1][-1]
+    rows = tall.rows
+    assert counter.built == 13 * 14 // 2
+    assert entry.state == (rows, (last,), None)
+    assert tall._ints is None and tall._cache is None
+    assert all(got is want for got, want in zip(short.rows, rows))
+    again = build_recurrence("E", *point, 12)
+    assert again.rows is rows and again._ints is None
+    assert all(got is want for got, want in zip(build_recurrence("E", *point, 4).rows, rows))
+    assert counter.built == 13 * 14 // 2  # no row converted twice
+    taller = build_recurrence("E", *point, 15)
+    assert counter.built == 16 * 17 // 2  # rows 13..15 only
+    assert all(got is want for got, want in zip(taller.rows, rows))
+    assert len(entry.state[1]) == 1 and entry.state[2] is None
+    assert taller == _fresh("E", *point, 15, monkeypatch)
+
+
+def test_threads_sharing_the_cache_and_the_kept_pair_read_right_values(monkeypatch):
+    """Threads that extend, convert and read one cache entry, and evaluate
+    closed forms at alternating pairs, each get the values a lone caller
+    gets: every state is replaced whole."""
+    _private_cache(monkeypatch)
+    point = (F(-5, 7), F(4, 9), F(3, 11))
+    want = {n: _fresh("Shat", *point, n, monkeypatch).rows for n in range(4, 16)}
+    pairs = [(F(2, 3), F(-5, 4)), (F(7, 5), F(3, 2))]
+    forms = {pair: [triangles.closed_form("E_i", 6, k, *pair) for k in range(7)] for pair in pairs}
+    errors = []
+
+    def work(seed):
+        try:
+            rng = random.Random(seed)
+            for _ in range(60):
+                n = rng.randrange(4, 16)
+                tri = build_recurrence("Shat", *point, n)
+                if rng.random() < 0.5 and tri.rows != want[n]:
+                    errors.append(("rows", n))
+                elif tri != Triangle("Shat", *point, want[n]):
+                    errors.append(("==", n))
+                pair = pairs[rng.randrange(2)]
+                if [triangles.closed_form("E_i", 6, k, *pair) for k in range(7)] != forms[pair]:
+                    errors.append(("closed_form", pair))
+                if rng.random() < 0.2:
+                    triangles._recurrence_rows_cached.cache_clear()
+        except Exception as exc:  # a thread's failure is reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
