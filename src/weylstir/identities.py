@@ -39,7 +39,9 @@ form of ``_b_major`` (``major.2a``/``2b``) at ``r = 0``, and
 Coefficient rows come from the triangle module's integer recurrence, run at
 the integers of the scaled cell; each entry is divided once, by ``q`` to the
 entry's degree in the parameters (``triangles._degree_scales``), into the
-exact coefficient.  A verification failure would implicate either the
+exact coefficient.  So does the polynomial ``prod_{j<n} (w + r - j alpha)``
+in the word ``w`` on the left of ``major.*`` and ``katriel*``: row ``n`` of
+S at ``(alpha, 0; r)``.  A verification failure would implicate either the
 triangles, the operator engine, or the identity itself; their mutual
 agreement is the point.
 """
@@ -91,19 +93,6 @@ def _one(q: int, *factors) -> OperatorExpr:
     return OperatorExpr.over(q, [(1, factors)])
 
 
-def _poly_in_word(q: int, word: Tuple[int, int], shifts: Sequence[int]) -> OperatorExpr:
-    """Expand ``prod_j (w + shifts[j] / q)`` into powers of the word
-    ``w = (L, R)``; the ``q``-scaled shifts give integer coefficients of
-    ``w^m`` over ``q^(len(shifts) - m)``."""
-    coeffs = [1]
-    for c in shifts:
-        coeffs = [c * a + b for a, b in zip(coeffs + [0], [0] + coeffs)]
-    top = len(shifts)
-    return OperatorExpr.over(q, [
-        (_exact_quotient(a, q ** (top - m)), ((*word, m),)) for m, a in enumerate(coeffs)
-    ])
-
-
 def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Coefficient]:
     """Row ``n`` of the recurrence triangle ``kind`` at ``(A, B, R) / q``:
     the integer row at ``(A, B, R)``, each entry divided by ``q`` to its
@@ -112,6 +101,13 @@ def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Coeffici
     if q == 1:
         return row
     return list(map(_exact_quotient, row, _degree_scales(kind, [q**i for i in range(n + 1)], n)))
+
+
+def _word_poly(q: int, word: Tuple[int, int], a: int, r: int, n: int) -> OperatorExpr:
+    """``prod_{j<n} (w + (r - j a) / q)`` in powers of the word ``w = (L, R)``:
+    row ``n`` of the S recurrence at ``(a, 0; r) / q``."""
+    row = _row("S", q, a, 0, r, n)
+    return OperatorExpr.over(q, [(c, ((*word, m),)) for m, c in enumerate(row)])
 
 
 def _xs(*pairs) -> Tuple[int, ...]:
@@ -276,7 +272,7 @@ def _b_major(powers_right: bool, shifted: bool) -> Builder:
 
     def build(p, n):
         q, (a, r) = scale_params(p["alpha"], p["r"] if shifted else 0)
-        lhs = _poly_in_word(q, (q, 0), [r - j * a for j in range(n)])
+        lhs = _word_poly(q, (q, 0), a, r, n)
         if powers_right:
             conj = _one(q, -r, (q, a, n), -n * a, r)
             direct = _one(q, (q - r, a + r, n), -n * a)
@@ -345,7 +341,7 @@ def _b_katrielplus(anti: bool, strided: bool) -> Builder:
 
     def build(p, n):
         q, (a,) = scale_params(p["alpha"] if strided else 0)
-        lhs = _poly_in_word(q, (0, q) if anti else (q, 0), [-j * a for j in range(n)])
+        lhs = _word_poly(q, (0, q) if anti else (q, 0), a, 0, n)
         return _expansion(lhs, _row("S", q, a, q, q if anti else 0, n), _normal(q))
 
     return build

@@ -162,6 +162,8 @@ class Triangle:
     _ints = _texts = _cache = None
 
     def __post_init__(self):
+        if type(self.rows) is not tuple or any(type(row) is not tuple for row in self.rows):
+            object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))  # hashable
         if self.kind not in KINDS:
             raise ValueError(f"unknown triangle kind {self.kind!r}")
         if not self.rows:
@@ -730,19 +732,15 @@ _CLASSICAL = {False: ((1,),), True: ((1,),)}
 
 def _classical_rows(N: int, cycles: bool):
     """Rows 0..N of the classical subset (``cycles=False``) or unsigned cycle
-    (``cycles=True``) Stirling triangle, by
-    ``row[k] = prev[k-1] + w prev[k]`` with ``w = k`` or ``w = n``.  One
-    table per kind is kept; a taller request extends it, replaced whole,
-    and a shorter one is served as its prefix."""
+    (``cycles=True``) Stirling triangle: the S recurrence at ``(0, 1; 0)`` or
+    ``(-1, 0; 0)``.  One table per kind is kept; a taller request extends it
+    from its last row, replaced whole, and a shorter one is served as its
+    prefix."""
     rows = _CLASSICAL[cycles]
     if N >= len(rows):
-        new = list(rows)
-        for n in range(len(rows) - 1, N):
-            prev = new[-1] + (0,)
-            new.append(tuple(
-                (prev[k - 1] if k else 0) + (n if cycles else k) * prev[k] for k in range(n + 2)
-            ))
-        rows = _CLASSICAL[cycles] = tuple(new)
+        point = (-1, 0, 0) if cycles else (0, 1, 0)
+        new = _recurrence_rows("S", *point, N, 1, start=rows[-1])[1:]
+        rows = _CLASSICAL[cycles] = rows + tuple(map(tuple, new))
     return rows[: N + 1]
 
 
@@ -814,9 +812,7 @@ def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
 
 def _e_vi(n: int, k: int, d: int, q: int, R: int, B: int) -> int:
     """The (zeta, p) Eulerian family: r = 2 - zeta + 2 p with zeta in {0, 1}
-    and p natural, i.e. an integer r >= 1."""
-    if R % q or R < q:
-        raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
+    and p natural, i.e. an integer r >= 1 (checked by closed_form_params)."""
     rint = R // q
     zeta = rint % 2
     p = (rint - 2 + zeta) // 2
@@ -926,7 +922,8 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
     ``r`` is honored by the primed/Eulerian families and ignored by the
     fixed-parameter ones; ``beta`` is honored only by the four families with
     a free stride (S_8F_iprime, S_8F_iiprime, E_i, E_ii).  The (zeta, p)
-    Eulerian family ``E_vi`` requires an integer ``r >= 1``.
+    Eulerian family ``E_vi`` requires an integer ``r >= 1``, at every
+    ``(n, k)``.
 
     Every family computes one integer numerator at ``(R, B) = q (r, beta)``
     in O(n) steps and divides it once, by ``q^d`` (``d = n - k``),
@@ -937,6 +934,8 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
     spec = _CLOSED_FORMS.get(family)
     if spec is None:
         raise ValueError(f"unknown closed-form family {family!r}")
+    if family == "E_vi":
+        closed_form_params(family, r)  # checks r before the triangle bounds
     if k < 0 or k > n:
         return Fraction(0)
     global _LAST_PAIR

@@ -47,13 +47,18 @@ def test_eulerian_binomial_families():
 
 
 def test_e_vi_requires_integer_r():
-    with pytest.raises(ValueError):
-        closed_form("E_vi", 3, 1, r=F(1, 2))
-    with pytest.raises(ValueError):
-        closed_form_params("E_vi", r=0)
+    """r = 0, 1/2 and -3 raise at every (n, k), inside the triangle or not,
+    also when another family kept the same r object as its scaled pair."""
+    for r in (0, F(1, 2), -3, F(-3), "1/2"):
+        closed_form("E_i", 3, 1, r=r)  # leaves r as the kept pair
+        for n, k in ((3, 1), (3, 0), (3, 3), (3, -1), (3, 4), (0, 5)):
+            with pytest.raises(ValueError, match="integer r >= 1"):
+                closed_form("E_vi", n, k, r=r)
+        with pytest.raises(ValueError, match="integer r >= 1"):
+            closed_form_params("E_vi", r=r)
     # valid values line up with the dedicated small-r families
     for n in range(7):
-        for k in range(n + 1):
+        for k in range(-1, n + 2):
             assert closed_form("E_vi", n, k, r=1) == closed_form("E_iv", n, k)
             assert closed_form("E_vi", n, k, r=2) == closed_form("E_v", n, k)
 
@@ -76,20 +81,23 @@ def test_outside_triangle_is_zero():
 
 
 def test_error_paths_and_coercion():
-    """Family first, then the triangle bounds, then r and beta are coerced
-    (for every family), then E_vi checks its r."""
+    """Family first, then E_vi checks its r, then the triangle bounds, then
+    r and beta are coerced (for every family)."""
     with pytest.raises(ValueError, match="unknown closed-form family"):
         closed_form("nope", 1, 5)
     with pytest.raises(TypeError):
         closed_form_params("nope", r=0.5)
     for r in (F(1, 2), 0):
-        with pytest.raises(ValueError, match="integer r >= 1"):
-            closed_form("E_vi", 3, 1, r=r)
-        assert closed_form("E_vi", 3, 4, r=r) == 0
+        for n, k in ((3, 1), (3, 4)):
+            with pytest.raises(ValueError, match="integer r >= 1"):
+                closed_form("E_vi", n, k, r=r)
     for family in ("S_8F_i", "E_i", "E_vi"):
         with pytest.raises(TypeError):
             closed_form(family, 3, 1, r=0.5)
+    for family in ("S_8F_i", "E_i"):
         assert closed_form(family, 3, 4, r=0.5) == 0
+    with pytest.raises(TypeError):
+        closed_form("E_vi", 3, 4, r=0.5)
     with pytest.raises(TypeError):
         closed_form("E_vi", 3, 1, r=3, beta=0.5)
     with pytest.raises(TypeError):

@@ -430,6 +430,30 @@ def test_catalog_building_leaves_the_recurrence_cache_alone():
     assert _recurrence_rows_cached.cache_info() == before
 
 
+def test_the_word_polynomial_acts_as_the_direct_product():
+    """The LHS of major.* and katriel* is ``prod_{j<n} (w + r - j alpha)``
+    in the word ``w = x D`` (``D x`` for the anti forms); on ``x^s`` it
+    multiplies by the product of ``s + r - j alpha`` (``s + 1 + ...``),
+    computed here factor by factor."""
+    probes = (F(0), F(-7, 3), F(5, 2))
+    checked = 0
+    for tid in ("major.1a", "major.2a", "major.2b", "katriel.norm", "katriel.anti",
+                "katrielplus.norm", "katrielplus.anti"):
+        template = TEMPLATES[tid]
+        shift = 1 if tid.endswith("anti") else 0
+        for cell in template.grid():
+            alpha, r = cell.get("alpha", F(0)), cell.get("r", F(0))
+            for n in range(template.n_min, 9):
+                lhs = template.build(cell, n)[0].lhs
+                for s in probes:
+                    value = F(1)
+                    for j in range(n):
+                        value *= s + shift + r - j * alpha
+                    assert lhs.act_on_monomial(s) == ({s: value} if value else {}), (tid, cell, n)
+                    checked += 1
+    assert checked > 1000
+
+
 def test_certificates_and_strings_are_pinned():
     """The action certificates and boson strings of both sides of every
     catalog instance at n <= 4 hash to the digest of the rational-exponent

@@ -60,6 +60,9 @@ def test_classical_cycle_rows():
 
 
 def test_one_classical_table_per_kind_serves_shorter_requests(monkeypatch):
+    """One table per kind, built at once or extended from its last row
+    (N = 5, 20, 64) to the same tuple rows, matching the closed columns
+    and diagonals."""
     for cycles in (False, True):
         monkeypatch.setitem(triangles._CLASSICAL, cycles, ((1,),))
     tall = {cycles: triangles._classical_rows(64, cycles) for cycles in (False, True)}
@@ -67,8 +70,17 @@ def test_one_classical_table_per_kind_serves_shorter_requests(monkeypatch):
         short = triangles._classical_rows(20, cycles)
         assert short == rows[:21] and len(short) == 21
         assert triangles._CLASSICAL[cycles] == rows  # the N = 64 table, not a second one
-    assert tall[False][64][2] == 2**63 - 1 and tall[True][64][63] == comb(64, 2)
-    assert stirling_subset(20, 7) == tall[False][20][7] and stirling_cycle(64, 1) == factorial(63)
+        assert all(type(row) is tuple for row in rows)
+        monkeypatch.setitem(triangles._CLASSICAL, cycles, ((1,),))
+        for N in (5, 20, 64):
+            triangles._classical_rows(N, cycles)
+        assert triangles._CLASSICAL[cycles] == rows
+    sub, cyc = tall[False], tall[True]
+    for n in range(1, 65):
+        assert cyc[n][1] == factorial(n - 1)
+        assert cyc[n][n - 1] == sub[n][n - 1] == comb(n, 2)
+        assert n < 2 or sub[n][2] == 2 ** (n - 1) - 1
+    assert stirling_subset(20, 7) == sub[20][7] and stirling_cycle(64, 1) == factorial(63)
 
 
 def test_edge_invariants():
@@ -469,13 +481,17 @@ def test_a_read_triangle_behaves_as_the_built_one():
     params = (F(2, 3), F(-1, 2), F(5, 6))
     built = build_recurrence("Shat", *params, 5)
     symbolic = symbolic_triangle("Shat", 5)
-    # triangles holding the rows they were given, a read triangle, two held
-    # as unreduced integers over q^degree, and a fresh symbolic one
+    # triangles holding the rows they were given (tuples or lists), a read
+    # triangle, two held as unreduced integers over q^degree, and symbolic ones
+    listed = Triangle("Shat", *params, [list(row) for row in built.rows])
     cases = [(made, built) for made in (
-        build_recurrence("Shat", *params, 5), Triangle("Shat", *params, built.rows),
+        build_recurrence("Shat", *params, 5), Triangle("Shat", *params, built.rows), listed,
         Triangle.from_json(built.to_json()), triangle_by_sum("Shat", *params, 5),
         triangle_by_transform("Shat", *params, 5),
-    )] + [(symbolic_triangle("Shat", 5), symbolic)]
+    )] + [(made, symbolic) for made in (
+        symbolic_triangle("Shat", 5),
+        Triangle("Shat", ALPHA, BETA, R, [list(row) for row in symbolic.rows]),
+    )]
     for read, same in cases:
         assert hash(read) == hash(same) and repr(read) == repr(same)
         assert read.N == 5 and read.entry(5, 6) == 0 and read.entry(2, -1) == 0
@@ -682,13 +698,19 @@ def test_a_taller_request_extends_the_cached_triangle_in_integers(kind, monkeypa
 
 def test_the_integer_row_checks_leave_the_recurrence_cache_alone(monkeypatch):
     """The LDU, reflection and Hermite checks compare integer recurrence
-    rows at the scaled point, so they neither fill nor read the cache behind
+    rows at the scaled point, and the classical tables grow by the integer
+    recurrence, so none of them fills or reads the cache behind
     build_recurrence."""
     cache, _ = _private_cache(monkeypatch)
+    for cycles in (False, True):
+        monkeypatch.setitem(triangles._CLASSICAL, cycles, ((1,),))
     point = (F(-3, 7), F(5, 9), F(13, 11))
     assert vandermonde_ldu_check(*point, 8)
     assert reflection_check(*point, 8)
     assert hermite_identity_check(8)
+    assert triangle_by_decomposition(*point, 10).N == 10
+    assert decompose_classical(12, 5, *point) != 0
+    assert stirling_subset(14, 3) == 788970 and stirling_cycle(16, 2) == 4339163001600
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
