@@ -33,6 +33,7 @@ from .identities import (
     TEMPLATE_ORDER,
     VacuousRunError,
     VerifyReport,
+    _coefficient_rows,
     templates_matching,
     verify_identity,
 )
@@ -42,8 +43,9 @@ from .triangles import KINDS, build_recurrence, conjecture_check, symbolic_trian
 
 _TRIANGLE_CAP = 64
 _VERIFY_CAP = 10
-# the channel caches whose use a serial ``verify --format json`` reports
-_CHANNEL_CACHES = {"term_action": _term_action, "normal_order": _normal_order}
+# the build and channel caches whose use a serial ``verify --format json`` reports
+_CHANNEL_CACHES = {"coefficient_rows": _coefficient_rows, "term_action": _term_action,
+                   "normal_order": _normal_order}
 
 
 class UsageError(Exception):

@@ -41,7 +41,13 @@ the integers of the scaled cell; each entry is divided once, by ``q`` to the
 entry's degree in the parameters (``triangles._degree_scales``), into the
 exact coefficient.  So does the polynomial ``prod_{j<n} (w + r - j alpha)``
 in the word ``w`` on the left of ``major.*`` and ``katriel*``: row ``n`` of
-S at ``(alpha, 0; r)``.  A verification failure would implicate either the
+S at ``(alpha, 0; r)``.  The build memoizes its own exact work too: the
+integer rows of a coefficient triangle, keyed by its kind and scaled
+integers (``_coefficient_rows``, the 1 024 most recent triangles), grow
+from their last row when a taller power asks, and
+:func:`kernels.scale_params` returns its last result for the same cell
+objects, so verifying a cell at every ``n`` scales its values once and
+builds each row once.  A verification failure would implicate either the
 triangles, the operator engine, or the identity itself; their mutual
 agreement is the point.
 """
@@ -51,6 +57,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 from time import perf_counter
@@ -93,11 +100,25 @@ def _one(q: int, *factors) -> OperatorExpr:
     return OperatorExpr.over(q, [(1, factors)])
 
 
+@lru_cache(maxsize=1 << 10)
+def _coefficient_rows(kind: str, A: int, B: int, R: int) -> List[Tuple[Tuple[int, ...], ...]]:
+    """A one-item list holding the integer rows of the recurrence triangle
+    ``kind`` at ``(A, B, R)`` built so far; ``_row`` replaces the item whole."""
+    return [()]
+
+
 def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Coefficient]:
     """Row ``n`` of the recurrence triangle ``kind`` at ``(A, B, R) / q``:
     the integer row at ``(A, B, R)``, each entry divided by ``q`` to its
-    degree (``triangles._degree_scales``), an int where that is integral."""
-    row = _recurrence_rows(kind, A, B, R, n, 1)[n]
+    degree (``triangles._degree_scales``), an int where that is integral.
+    The integer rows are memoized by ``(kind, A, B, R)``; a taller request
+    extends them from their last row."""
+    memo = _coefficient_rows(kind, A, B, R)
+    rows = memo[0]
+    if n >= len(rows):
+        new = _recurrence_rows(kind, A, B, R, n, 1, start=rows[-1] if rows else None)
+        rows = memo[0] = rows[:-1] + tuple(map(tuple, new))
+    row = rows[n]
     if q == 1:
         return row
     return list(map(_exact_quotient, row, _degree_scales(kind, [q**i for i in range(n + 1)], n)))

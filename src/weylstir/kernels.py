@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, lcm
+from operator import is_
 from typing import Tuple, Union
 
 __all__ = [
@@ -50,6 +51,11 @@ def as_rational(value: Union[int, str, Fraction]) -> Fraction:
     return Fraction(value)
 
 
+# (params, (q, scaled)) of the last scale_params call, one tuple replaced
+# whole; the unique first item matches no call, the empty one included
+_LAST_SCALED = ((object(),), None)
+
+
 def scale_params(*params) -> Tuple[int, Tuple[int, ...]]:
     """The common denominator ``q`` of rational ``params`` and the integers
     ``q * p``::
@@ -61,10 +67,27 @@ def scale_params(*params) -> Tuple[int, Tuple[int, ...]]:
     numeric schemes evaluate ``P`` on these integers and divide once.  Ints
     and Fractions are used as they are, any other value as
     :func:`as_rational` reads it.
+
+    The result of the last call is kept and returned again when the call
+    passes the very same objects (compared by ``is``, never by ``==``, so a
+    float equal to the last ``Fraction`` still raises), as a builder does
+    at every power of one cell and ``closed_form`` at every entry of one
+    family.
     """
+    global _LAST_SCALED
+    last, kept = _LAST_SCALED
+    # closed_form passes the pair (r, beta) at every entry; two ``is`` tests
+    # cost a fifth of what the map(is_, ...) iterator costs
+    if len(params) == len(last) and (
+        params[0] is last[0] and params[1] is last[1] if len(params) == 2
+        else all(map(is_, params, last))
+    ):
+        return kept
     rationals = [p if type(p) in (int, Fraction) else as_rational(p) for p in params]
     q = lcm(*(p.denominator for p in rationals))
-    return q, tuple(p.numerator * (q // p.denominator) for p in rationals)
+    kept = q, tuple(p.numerator * (q // p.denominator) for p in rationals)
+    _LAST_SCALED = (params, kept)
+    return kept
 
 
 def binomial(n: int, k: int) -> int:

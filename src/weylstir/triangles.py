@@ -911,11 +911,6 @@ def closed_form_params(family: str, r=0, beta=1):
     return (kind, *(free[p] if isinstance(p, str) else p for p in params))
 
 
-# (r, beta, (q, R, B)) of the last closed_form call, one tuple replaced whole;
-# a caller sweeping a family over (n, k) passes the same two objects each time
-_LAST_PAIR = (object(), object(), None)
-
-
 def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
     """Evaluate one of the sixteen closed-form families exactly.
 
@@ -927,9 +922,9 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
 
     Every family computes one integer numerator at ``(R, B) = q (r, beta)``
     in O(n) steps and divides it once, by ``q^d`` (``d = n - k``),
-    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1.  The scaled pair of
-    the last call is kept and reused when ``r`` and ``beta`` are the same
-    objects again.
+    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1.  A sweep over
+    ``(n, k)`` that passes the same ``r`` and ``beta`` objects each time
+    scales them once: :func:`kernels.scale_params` keeps its last result.
     """
     spec = _CLOSED_FORMS.get(family)
     if spec is None:
@@ -938,13 +933,7 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
         closed_form_params(family, r)  # checks r before the triangle bounds
     if k < 0 or k > n:
         return Fraction(0)
-    global _LAST_PAIR
-    last_r, last_beta, scaled = _LAST_PAIR
-    if last_r is not r or last_beta is not beta:
-        q, (R, B) = scale_params(r, beta)
-        scaled = (q, R, B)
-        _LAST_PAIR = (r, beta, scaled)
-    q, R, B = scaled
+    q, (R, B) = scale_params(r, beta)
     _, numerator, denominator = spec
     d = n - k
     return Fraction(numerator(n, k, d, q, R, B), denominator(n, d, q))

@@ -232,10 +232,11 @@ def test_verify_json_is_the_same_with_a_worker_pool(capsys):
 
 
 def test_serial_verify_json_reports_the_channel_caches(capsys):
-    code, out, _ = run(capsys, "verify", "--template", "ttv", "--n", "3", "--format", "json")
+    code, out, _ = run(capsys, "verify", "--template", "katriel.norm", "--n", "3",
+                       "--format", "json")
     assert code == 0
     caches = json.loads(out)["caches"]
-    assert set(caches) == {"term_action", "normal_order"}
+    assert set(caches) == {"coefficient_rows", "term_action", "normal_order"}
     for info in caches.values():
         assert set(info) == {"hits", "misses", "maxsize", "currsize"}
         assert info["hits"] + info["misses"] > 0

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from weylstir import triangles
+from weylstir import kernels
 from weylstir.kernels import binomial, rising, strided_rising
 from weylstir.triangles import (
     CLOSED_FORM_FAMILIES,
@@ -110,7 +110,7 @@ def test_error_paths_and_coercion():
 
 def _fresh_closed_form(monkeypatch, family, n, k, r, beta):
     """``closed_form`` with no scaled pair kept from an earlier call."""
-    monkeypatch.setattr(triangles, "_LAST_PAIR", (object(), object(), None))
+    monkeypatch.setattr(kernels, "_LAST_SCALED", ((object(),), None))
     return closed_form(family, n, k, r=r, beta=beta)
 
 
@@ -123,7 +123,7 @@ def test_the_kept_scaled_pair_never_changes_a_value(monkeypatch):
     for family in ("S_8F_iprime", "S_8F_iiprime", "S_8F_iiiprime", "S_4F_v", "E_i", "E_ii"):
         for n, k in ((4, 1), (5, 3), (6, 0)):
             fresh = [_fresh_closed_form(monkeypatch, family, n, k, r, b) for r, b in pairs]
-            monkeypatch.setattr(triangles, "_LAST_PAIR", (object(), object(), None))
+            monkeypatch.setattr(kernels, "_LAST_SCALED", ((object(),), None))
             assert [closed_form(family, n, k, r=r, beta=b) for r, b in pairs] == fresh, family
     # the first two pairs give different values, so reusing one for the other shows
     assert len({_fresh_closed_form(monkeypatch, "E_i", 5, 2, r, b) for r, b in pairs[:2]}) == 2

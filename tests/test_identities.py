@@ -3,9 +3,11 @@
 import dataclasses
 import hashlib
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
+from weylstir import identities, kernels
 from weylstir.identities import (
     N_DEFAULT,
     TEMPLATES,
@@ -428,6 +430,34 @@ def test_catalog_building_leaves_the_recurrence_cache_alone():
             for n in n_values:
                 template.build(cell, n)
     assert _recurrence_rows_cached.cache_info() == before
+
+
+def test_a_cell_is_scaled_once_and_its_rows_built_once(monkeypatch):
+    """Verifying one rational cell at n = 0..6 scales its words once and
+    builds each of the 7 rows of its coefficient triangle once (a builder
+    that starts every power afresh builds rows 0..n at each n, 28 rows)."""
+    monkeypatch.setattr(kernels, "_LAST_SCALED", ((object(),), None))
+    monkeypatch.setattr(identities, "_coefficient_rows",
+                        lru_cache(maxsize=1 << 10)(identities._coefficient_rows.__wrapped__))
+    scalings, rows = [], []
+    real_lcm, recurrence = kernels.lcm, identities._recurrence_rows
+
+    def lcm(*args):
+        scalings.append(args)
+        return real_lcm(*args)
+
+    def recurrence_rows(*args, start=None):
+        out = recurrence(*args, start=start)
+        rows.extend(out if start is None else out[1:])
+        return out
+
+    monkeypatch.setattr(kernels, "lcm", lcm)
+    monkeypatch.setattr(identities, "_recurrence_rows", recurrence_rows)
+    cell = {"L": F(1, 2), "R": F(3, 2), "Lp": F(1), "Rp": F(-1, 2)}
+    report = verify_identity(TEMPLATES["firstmain.2a"], [cell], n_max=6)
+    assert report.ok and report.instances == 7
+    assert len(scalings) == 1 and scalings[0] == (2, 2, 1, 2)
+    assert [len(row) for row in rows] == [1, 2, 3, 4, 5, 6, 7]
 
 
 def test_the_word_polynomial_acts_as_the_direct_product():

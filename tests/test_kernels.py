@@ -7,6 +7,7 @@ from math import factorial
 
 import pytest
 
+from weylstir import kernels
 from weylstir.kernels import (
     as_rational,
     binomial,
@@ -81,6 +82,53 @@ def test_scale_params_clears_denominators():
             as_rational(value)
         with pytest.raises(error, match=f"^{re.escape(str(expected.value))}$"):
             scale_params(3, value)
+
+
+def _forget_the_last_call(monkeypatch):
+    monkeypatch.setattr(kernels, "_LAST_SCALED", ((object(),), None))
+
+
+def test_scale_params_keeps_the_result_for_the_same_objects(monkeypatch):
+    _forget_the_last_call(monkeypatch)
+    half, third = F(1, 2), F(-1, 3)
+    first = scale_params(half, third)
+    assert first == (6, (3, -2))
+    assert scale_params(half, third) is first
+    # a prefix or an extension of the last arguments is another call
+    assert scale_params(half) == (2, (1,))
+    assert scale_params(half, third, half) == (6, (3, -2, 3))
+    assert scale_params(half, third) == first
+
+
+def test_scale_params_compares_by_identity_not_by_value(monkeypatch):
+    _forget_the_last_call(monkeypatch)
+    # a float equal to the last Fraction is still refused
+    assert scale_params(F(1, 2)) == (2, (1,))
+    with pytest.raises(TypeError):
+        scale_params(0.5)
+    one = 1
+    assert scale_params(F(1, 2), one) == (2, (1, 2))
+    with pytest.raises(TypeError):
+        scale_params(0.5, one)
+    # a string equal in value to the last Fraction is parsed afresh
+    half = F(1, 2)
+    scale_params(half)
+    parsed = []
+    monkeypatch.setattr(kernels, "as_rational", lambda v: parsed.append(v) or as_rational(v))
+    assert scale_params("1/2") == (2, (1,))
+    assert parsed == ["1/2"]
+    # True after 1 is its own call, and scales to the int 1
+    of_one = scale_params(1)
+    scaled = scale_params(True)
+    assert scaled == (1, (1,)) and scaled is not of_one and type(scaled[1][0]) is int
+
+
+def test_scale_params_of_nothing_is_one_even_first(monkeypatch):
+    _forget_the_last_call(monkeypatch)
+    assert scale_params() == (1, ())
+    scale_params(F(3, 4))
+    assert scale_params() == (1, ())
+    assert scale_params() == (1, ())
 
 
 def test_binomial_small_table():

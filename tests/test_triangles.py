@@ -12,7 +12,7 @@ from math import comb, factorial
 
 import pytest
 
-from weylstir import identities, triangles
+from weylstir import identities, kernels, triangles
 from weylstir.egf import egf_coefficients
 from weylstir.identities import adjoint_pairing_check, hermite_identity_check, ttv_check
 from weylstir.kernels import binomial_general, strided_falling, strided_rising
@@ -804,14 +804,17 @@ def test_the_first_rows_read_converts_the_cache_entry_once(monkeypatch):
 
 
 def test_threads_sharing_the_cache_and_the_kept_pair_read_right_values(monkeypatch):
-    """Threads that extend, convert and read one cache entry, and evaluate
-    closed forms at alternating pairs, each get the values a lone caller
-    gets: every state is replaced whole."""
+    """Threads that extend, convert and read one cache entry, evaluate
+    closed forms at alternating pairs, and scale argument tuples of
+    alternating lengths, each get the values a lone caller gets: every
+    state is replaced whole."""
     _private_cache(monkeypatch)
     point = (F(-5, 7), F(4, 9), F(3, 11))
     want = {n: _fresh("Shat", *point, n, monkeypatch).rows for n in range(4, 16)}
     pairs = [(F(2, 3), F(-5, 4)), (F(7, 5), F(3, 2))]
     forms = {pair: [triangles.closed_form("E_i", 6, k, *pair) for k in range(7)] for pair in pairs}
+    calls = [(), (F(2, 3),), pairs[0], (*point, F(1, 6))]
+    scaled = {args: kernels.scale_params(*args) for args in calls}
     errors = []
 
     def work(seed):
@@ -827,6 +830,9 @@ def test_threads_sharing_the_cache_and_the_kept_pair_read_right_values(monkeypat
                 pair = pairs[rng.randrange(2)]
                 if [triangles.closed_form("E_i", 6, k, *pair) for k in range(7)] != forms[pair]:
                     errors.append(("closed_form", pair))
+                args = calls[rng.randrange(len(calls))]
+                if kernels.scale_params(*args) != scaled[args]:
+                    errors.append(("scale_params", args))
                 if rng.random() < 0.2:
                     triangles._recurrence_rows_cached.cache_clear()
         except Exception as exc:  # a thread's failure is reported by the main thread
