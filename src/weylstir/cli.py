@@ -33,18 +33,18 @@ from .identities import (
     TEMPLATE_ORDER,
     VacuousRunError,
     VerifyReport,
-    _coefficient_rows,
     templates_matching,
     verify_identity,
 )
 from .kernels import as_rational
 from .operators import _term_action
-from .triangles import KINDS, build_recurrence, conjecture_check, symbolic_triangle
+from .triangles import (KINDS, _integer_row_memo, build_recurrence, conjecture_check,
+                        symbolic_triangle)
 
 _TRIANGLE_CAP = 64
 _VERIFY_CAP = 10
 # the build and channel caches whose use a serial ``verify --format json`` reports
-_CHANNEL_CACHES = {"coefficient_rows": _coefficient_rows, "term_action": _term_action,
+_CHANNEL_CACHES = {"coefficient_rows": _integer_row_memo, "term_action": _term_action,
                    "normal_order": _normal_order}
 
 

@@ -36,20 +36,18 @@ the words of its case) and ``euleriank.1``/``2`` (E, variant a, at
 form of ``_b_major`` (``major.2a``/``2b``) at ``r = 0``, and
 ``katriel.norm``/``anti`` are ``_b_katrielplus`` at ``alpha = 0``.
 
-Coefficient rows come from the triangle module's integer recurrence, run at
-the integers of the scaled cell; each entry is divided once, by ``q`` to the
-entry's degree in the parameters (``triangles._degree_scales``), into the
-exact coefficient.  So does the polynomial ``prod_{j<n} (w + r - j alpha)``
-in the word ``w`` on the left of ``major.*`` and ``katriel*``: row ``n`` of
-S at ``(alpha, 0; r)``.  The build memoizes its own exact work too: the
-integer rows of a coefficient triangle, keyed by its kind and scaled
-integers (``_coefficient_rows``, the 1 024 most recent triangles), grow
-from their last row when a taller power asks, and
-:func:`kernels.scale_params` returns its last result for the same cell
-objects, so verifying a cell at every ``n`` scales its values once and
-builds each row once.  A verification failure would implicate either the
-triangles, the operator engine, or the identity itself; their mutual
-agreement is the point.
+Coefficient rows come from the triangle module's memo of integer
+recurrence rows (``triangles._integer_rows``), read at the integers of the
+scaled cell; each entry is divided once, by ``q`` to the entry's degree in
+the parameters (``triangles._degree_scales``), into the exact coefficient.
+So does the polynomial ``prod_{j<n} (w + r - j alpha)`` in the word ``w``
+on the left of ``major.*`` and ``katriel*``: row ``n`` of S at
+``(alpha, 0; r)``.  That memo grows a triangle from its last row when a
+taller power asks, and :func:`kernels.scale_params` returns its last result
+for the same cell objects, so verifying a cell at every ``n`` scales its
+values once and builds each row once.  A verification failure would
+implicate either the triangles, the operator engine, or the identity
+itself; their mutual agreement is the point.
 """
 
 from __future__ import annotations
@@ -57,7 +55,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 from math import factorial, lcm
 from time import perf_counter
@@ -66,7 +63,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .boson import MAX_STRING_LENGTH, NormalForm, normal_order_oracle
 from .kernels import _exact_quotient, as_rational, binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
-from .triangles import _degree_scales, _recurrence_rows, closed_form
+from .triangles import _degree_scales, _integer_rows, _recurrence_rows, closed_form
 from .triangles import build_recurrence  # noqa: F401  (perfbench looks it up here)
 
 F = Fraction
@@ -100,25 +97,12 @@ def _one(q: int, *factors) -> OperatorExpr:
     return OperatorExpr.over(q, [(1, factors)])
 
 
-@lru_cache(maxsize=1 << 10)
-def _coefficient_rows(kind: str, A: int, B: int, R: int) -> List[Tuple[Tuple[int, ...], ...]]:
-    """A one-item list holding the integer rows of the recurrence triangle
-    ``kind`` at ``(A, B, R)`` built so far; ``_row`` replaces the item whole."""
-    return [()]
-
-
 def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Coefficient]:
     """Row ``n`` of the recurrence triangle ``kind`` at ``(A, B, R) / q``:
-    the integer row at ``(A, B, R)``, each entry divided by ``q`` to its
-    degree (``triangles._degree_scales``), an int where that is integral.
-    The integer rows are memoized by ``(kind, A, B, R)``; a taller request
-    extends them from their last row."""
-    memo = _coefficient_rows(kind, A, B, R)
-    rows = memo[0]
-    if n >= len(rows):
-        new = _recurrence_rows(kind, A, B, R, n, 1, start=rows[-1] if rows else None)
-        rows = memo[0] = rows[:-1] + tuple(map(tuple, new))
-    row = rows[n]
+    the integer row at ``(A, B, R)`` (``triangles._integer_rows``), each
+    entry divided by ``q`` to its degree (``triangles._degree_scales``), an
+    int where that is integral."""
+    row = _integer_rows(kind, A, B, R, n)[n]
     if q == 1:
         return row
     return list(map(_exact_quotient, row, _degree_scales(kind, [q**i for i in range(n + 1)], n)))

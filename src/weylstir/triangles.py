@@ -32,11 +32,13 @@ compute in Python ``int``.  Every triangle is one frozen :class:`Triangle`.
 ``ParamPoly``.  Every numeric scheme, the recurrence included, and
 :meth:`Triangle.from_json` keep integer numerators over integer
 denominators instead, build the ``Fraction`` rows once, when ``rows`` is
-first read, and compare with ``==`` in integers.  The recurrence cache
-keeps one form per parameter point: the integer rows until some triangle's
-``rows`` are read, then the ``Fraction`` rows, shared by every prefix
-triangle, and the last integer row.  :meth:`Triangle.to_json` joins the
-entry texts directly, and a read triangle writes back the text it read.
+first read, in place of the integers, and compare with ``==`` in
+integers.  The recurrence cache holds the tallest triangle built at each
+parameter point and serves a shorter one as its prefix.  Consumers that
+need only integer rows (the classical Stirling tables and the identity
+catalog) read one memo of them instead, :func:`_integer_rows`.
+:meth:`Triangle.to_json` joins the entry texts directly, and a read
+triangle writes back the text it read.
 """
 
 from __future__ import annotations
@@ -103,25 +105,20 @@ __all__ = [
 
 class _RowsFromPairs:
     """The ``rows`` of a :class:`Triangle` made from integer pairs
-    (:meth:`Triangle._of`), built on first read and stored on the instance.
-    A triangle linked to a recurrence cache entry takes that entry's shared
-    ``Fraction`` rows instead (:meth:`_CachedRecurrence.fraction_rows`) and
-    drops its integer pairs and the link.  As a non-data descriptor it is
-    shadowed by the stored rows, so later reads cost no call; class access
-    raises AttributeError, so the dataclass field ``rows`` has no default."""
+    (:meth:`Triangle._of`), built on first read and stored on the instance
+    in place of the pairs, so the triangle holds one form at a time.  As a
+    non-data descriptor it is shadowed by the stored rows, so later reads
+    cost no call; class access raises AttributeError, so the dataclass
+    field ``rows`` has no default."""
 
     def __get__(self, tri, owner=None):
         if tri is None:
             raise AttributeError("rows")
-        nums, dens = tri._ints
-        cache = tri._cache
-        if cache is None:
-            vars(tri)["rows"] = rows = _fraction_rows(nums, dens)
-            return rows
-        rows = cache.fraction_rows()
-        # shorter only if another thread replaced the entry meanwhile
-        rows = rows[: len(nums)] if len(rows) >= len(nums) else _fraction_rows(nums, dens)
-        vars(tri).update(rows=rows, _ints=None, _cache=None)
+        ints = tri._ints
+        if ints is None:  # another thread built the rows meanwhile
+            return vars(tri)["rows"]
+        rows = _fraction_rows(*ints)
+        vars(tri).update(rows=rows, _ints=None)
         return rows
 
 
@@ -139,16 +136,12 @@ class Triangle:
     :meth:`from_json` when every entry is written as ``to_json`` writes it,
     make the triangle from integer pairs instead (:meth:`_of`): each entry
     a scheme's value times ``q^degree`` over ``q^degree``, or a read entry
-    in lowest terms.  Such a triangle builds its ``Fraction`` rows once,
-    when ``rows`` is first read; ``==``, ``entry`` and ``N`` use the
-    integers, so a cross-check costs no gcd of two entry-sized integers
-    (see :meth:`from_json`).  A triangle from :func:`build_recurrence`
-    shares its integer rows with the recurrence cache; on its first
-    ``rows`` read it takes the cache's ``Fraction`` rows and keeps those
-    alone, and once the cache holds ``Fraction`` rows the recurrence
-    returns them as given rows.  A read triangle also keeps the entry texts
-    it read and writes them back; ``to_json`` joins the entry texts
-    directly."""
+    in lowest terms.  Until ``rows`` is first read, ``==``, ``entry`` and
+    ``N`` use the integers, so a cross-check costs no gcd of two
+    entry-sized integers (see :meth:`from_json`); that read builds the
+    ``Fraction`` rows once and keeps them in place of the integers.  A read
+    triangle also keeps the entry texts it read and writes them back;
+    ``to_json`` joins the entry texts directly."""
 
     kind: str
     alpha: Scalar
@@ -156,10 +149,9 @@ class Triangle:
     r: Scalar
     rows: Tuple[Tuple[Scalar, ...], ...] = _RowsFromPairs()
     # set by _of: entry (n, k) is _ints[0][n][k] / _ints[1][n][k], one
-    # attribute so that the two always belong together; written as
-    # _texts[n][k] when from_json kept the text it read; _cache is the
-    # build_recurrence cache entry the integer rows came from
-    _ints = _texts = _cache = None
+    # attribute so that the two always belong together, until the first
+    # rows read; written as _texts[n][k] when from_json kept the text it read
+    _ints = _texts = None
 
     def __post_init__(self):
         if type(self.rows) is not tuple or any(type(row) is not tuple for row in self.rows):
@@ -173,14 +165,11 @@ class Triangle:
                 raise ValueError(f"row {n} has {len(row)} entries, expected {n + 1}")
 
     @classmethod
-    def _of(cls, kind, alpha, beta, r, nums, dens, texts=None, cache=None) -> "Triangle":
+    def _of(cls, kind, alpha, beta, r, nums, dens, texts=None) -> "Triangle":
         """The triangle whose entry ``(n, k)`` is ``nums[n][k] / dens[n][k]``,
-        written as ``texts[n][k]`` when ``texts`` is given; ``cache`` is the
-        recurrence cache entry that holds these rows."""
+        written as ``texts[n][k]`` when ``texts`` is given."""
         tri = object.__new__(cls)
-        vars(tri).update(
-            kind=kind, alpha=alpha, beta=beta, r=r, _ints=(nums, dens), _texts=texts, _cache=cache
-        )
+        vars(tri).update(kind=kind, alpha=alpha, beta=beta, r=r, _ints=(nums, dens), _texts=texts)
         return tri
 
     @classmethod
@@ -214,6 +203,9 @@ class Triangle:
         return ParamPoly() if self.is_symbolic else Fraction(0)
 
     def row(self, n: int) -> List[Scalar]:
+        """Row ``n``; raises IndexError outside ``0 <= n <= N``."""
+        if not 0 <= n <= self.N:
+            raise IndexError(f"row {n} outside 0..{self.N}")
         return list(self.rows[n])
 
     def _pairs(self) -> Tuple[Sequence[List[int]], Sequence[List[int]]]:
@@ -225,12 +217,9 @@ class Triangle:
                 [[v.denominator for v in row] for row in self.rows])
 
     def __getstate__(self):
-        """The pickled fields: the integer pairs, when the triangle has
-        them, without the ``rows`` built from them or the texts read with
-        them (``str`` of each entry writes the same text, which
-        :meth:`from_json` proved), and never a cache link."""
-        skip = {"_cache", "_texts"} if self._ints is None else {"_cache", "_texts", "rows"}
-        return {key: v for key, v in vars(self).items() if key not in skip}
+        """The pickled fields, without the texts :meth:`from_json` read
+        (``str`` of each entry writes the same text, which it proved)."""
+        return {key: v for key, v in vars(self).items() if key != "_texts"}
 
     def __eq__(self, other):
         if not isinstance(other, Triangle):
@@ -454,58 +443,17 @@ def _recurrence_rows(kind: str, a, b, r, N: int, one, start=None) -> List[List[S
     return rows
 
 
-class _CachedRecurrence:
-    """Rows 0..built of one numeric recurrence triangle at its parameters
-    scaled to the integers ``ints`` over their common denominator ``q``.
-
-    ``state``, one attribute replaced whole so that its parts always belong
-    together, holds one form of the rows at a time.  Until some triangle's
-    ``rows`` are read it is ``(None, nums, dens)``: the integer rows and
-    their ``q^degree`` rows, which every prefix triangle shares.  After
-    that it is ``(rows, (last,), None)``: the ``Fraction`` rows, built once
-    and shared by every prefix triangle, and the last integer row.  In both
-    forms ``upto`` extends the integer recurrence from the last integer row
-    when asked for more rows than it holds."""
-
-    __slots__ = ("kind", "q", "ints", "state")
-
-    def __init__(self, kind: str, a: Fraction, b: Fraction, r: Fraction):
-        self.kind = kind
-        self.q, self.ints = scale_params(a, b, r)
-        self.state = (None, ([1],), ([1],))
-
-    def upto(self, N: int):
-        """The state, holding rows 0..N at least."""
-        state = rows, nums, dens = self.state
-        built = len(nums if rows is None else rows) - 1
-        if N > built:
-            new = _recurrence_rows(self.kind, *self.ints, N, 1, start=nums[-1])[1:]
-            qpow = [self.q**d for d in range(N + 1)]
-            new_dens = [_degree_scales(self.kind, qpow, n) for n in range(built + 1, N + 1)]
-            if rows is None:
-                state = (None, nums + tuple(new), dens + tuple(new_dens))
-            else:
-                state = (rows + _fraction_rows(new, new_dens), (new[-1],), None)
-            self.state = state
-        return state
-
-    def fraction_rows(self) -> Tuple[Tuple[Fraction, ...], ...]:
-        """The ``Fraction`` rows, built from the integer rows on first call."""
-        rows, nums, dens = self.state
-        if rows is None:
-            rows = _fraction_rows(nums, dens)
-            self.state = (rows, nums[-1:], None)
-        return rows
-
-
 def _check_rows(N: int) -> None:
     if N < 0:
         raise ValueError("N must be a natural number")
 
 
 @lru_cache(maxsize=4096)
-def _recurrence_rows_cached(kind: str, a: Fraction, b: Fraction, r: Fraction) -> _CachedRecurrence:
-    return _CachedRecurrence(kind, a, b, r)
+def _recurrence_rows_cached(kind: str, a: Fraction, b: Fraction, r: Fraction) -> List[Triangle]:
+    """A one-item list holding the tallest numeric recurrence triangle built
+    at the point, row 0 at first; :func:`build_recurrence` replaces the
+    item whole."""
+    return [Triangle._of(kind, a, b, r, [[1]], [[1]])]
 
 
 def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
@@ -516,20 +464,19 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
 
     Numeric triangles are cached by parameters alone: rows 0..N of a
     ``(kind, alpha, beta, r)`` triangle do not depend on ``N``, so the cache
-    keeps at most one triangle per parameter point, the tallest asked for.
-    A request for fewer rows is served as a prefix of it; a request for more
-    continues the integer recurrence from its last row.  The cache holds up
-    to 4 096 parameter points, the least recently used leaving first.
+    keeps one triangle per parameter point, the tallest asked for, and
+    returns that very triangle when asked for it again.  A request for
+    fewer rows is served as a prefix of it; a request for more continues
+    the integer recurrence from its last row, or from row 0 once the cached
+    triangle's ``rows`` were read.  The cache holds up to 4 096 parameter
+    points, the least recently used leaving first.
 
-    A numeric triangle is returned as integer pairs: the entries at the
+    A numeric triangle is made from integer pairs: the entries at the
     parameters scaled to integers over their common denominator ``q``, each
-    over its ``q^degree``, the rows shared with the cache.  Comparing it,
-    multiplying it or shifting it builds no ``Fraction``.  The first read
-    of its ``rows`` (or of its text, JSON, CSV or LaTeX) turns the cache's
-    rows into ``Fraction`` rows once; from then on the cache keeps only
-    those and its last integer row, turns only new rows into ``Fraction``s,
-    and every triangle of that point shares the ``Fraction`` rows.
-    Symbolic triangles are not cached.
+    over its ``q^degree``.  Comparing it, multiplying it or shifting it
+    builds no ``Fraction``; the first read of its ``rows`` (or of its text,
+    JSON, CSV or LaTeX) builds them, and a prefix of a read triangle shares
+    its ``Fraction`` rows.  Symbolic triangles are not cached.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
@@ -538,11 +485,45 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
         rows = _recurrence_rows(kind, alpha, beta, r, N, ParamPoly.constant(1))
         return Triangle(kind, alpha, beta, r, tuple(map(tuple, rows)))
     a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
-    cache = _recurrence_rows_cached(kind, a, b, rr)
-    rows, nums, dens = cache.upto(N)
-    if rows is None:
-        return Triangle._of(kind, a, b, rr, nums[: N + 1], dens[: N + 1], cache=cache)
-    return Triangle(kind, a, b, rr, rows[: N + 1])
+    held = _recurrence_rows_cached(kind, a, b, rr)
+    tall = held[0]
+    ints = tall._ints  # read once: a rows read in another thread swaps it for rows
+    built = len(tall.rows if ints is None else ints[0]) - 1
+    if N == built:
+        return tall
+    if N < built:
+        if ints is None:
+            return Triangle(kind, a, b, rr, tall.rows[: N + 1])
+        return Triangle._of(kind, a, b, rr, ints[0][: N + 1], ints[1][: N + 1])
+    nums, dens = ints or ([[1]], [[1]])  # after a rows read, from row 0
+    q, scaled = scale_params(a, b, rr)
+    qpow = [q**d for d in range(N + 1)]
+    nums = nums + _recurrence_rows(kind, *scaled, N, 1, start=nums[-1])[1:]
+    dens = dens + [_degree_scales(kind, qpow, n) for n in range(len(dens), N + 1)]
+    held[0] = tall = Triangle._of(kind, a, b, rr, nums, dens)
+    return tall
+
+
+@lru_cache(maxsize=1 << 10)
+def _integer_row_memo(kind: str, A: int, B: int, R: int) -> List[Tuple[Tuple[int, ...], ...]]:
+    """A one-item list holding the integer rows of the recurrence triangle
+    ``kind`` at the integers ``(A, B, R)`` built so far; :func:`_integer_rows`
+    replaces the item whole."""
+    return [()]
+
+
+def _integer_rows(kind: str, A: int, B: int, R: int, N: int) -> Tuple[Tuple[int, ...], ...]:
+    """Rows 0..N of the integer recurrence ``kind`` at ``(A, B, R)``, memoized
+    by those four (the 1 024 most recent): a taller request extends the
+    rows from their last one, and a shorter one is served as their prefix.
+    Kept apart from the :func:`build_recurrence` cache, so no integer
+    consumer evicts a triangle a caller built."""
+    memo = _integer_row_memo(kind, A, B, R)
+    rows = memo[0]
+    if N >= len(rows):
+        new = _recurrence_rows(kind, A, B, R, N, 1, start=rows[-1] if rows else None)
+        rows = memo[0] = rows[:-1] + tuple(map(tuple, new))
+    return rows[: N + 1]
 
 
 def symbolic_triangle(kind: str, N: int) -> Triangle:
@@ -726,22 +707,11 @@ def reflection_check(alpha, beta, r, N: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-# the classical subset (False) and cycle (True) tables, to the tallest N asked for
-_CLASSICAL = {False: ((1,),), True: ((1,),)}
-
-
 def _classical_rows(N: int, cycles: bool):
     """Rows 0..N of the classical subset (``cycles=False``) or unsigned cycle
     (``cycles=True``) Stirling triangle: the S recurrence at ``(0, 1; 0)`` or
-    ``(-1, 0; 0)``.  One table per kind is kept; a taller request extends it
-    from its last row, replaced whole, and a shorter one is served as its
-    prefix."""
-    rows = _CLASSICAL[cycles]
-    if N >= len(rows):
-        point = (-1, 0, 0) if cycles else (0, 1, 0)
-        new = _recurrence_rows("S", *point, N, 1, start=rows[-1])[1:]
-        rows = _CLASSICAL[cycles] = rows + tuple(map(tuple, new))
-    return rows[: N + 1]
+    ``(-1, 0; 0)``, read from the integer-row memo."""
+    return _integer_rows("S", *((-1, 0, 0) if cycles else (0, 1, 0)), N)
 
 
 def stirling_subset(n: int, k: int) -> int:

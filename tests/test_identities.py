@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from weylstir import identities, kernels
+from weylstir import identities, kernels, triangles
 from weylstir.identities import (
     N_DEFAULT,
     TEMPLATES,
@@ -437,10 +437,10 @@ def test_a_cell_is_scaled_once_and_its_rows_built_once(monkeypatch):
     builds each of the 7 rows of its coefficient triangle once (a builder
     that starts every power afresh builds rows 0..n at each n, 28 rows)."""
     monkeypatch.setattr(kernels, "_LAST_SCALED", ((object(),), None))
-    monkeypatch.setattr(identities, "_coefficient_rows",
-                        lru_cache(maxsize=1 << 10)(identities._coefficient_rows.__wrapped__))
+    monkeypatch.setattr(triangles, "_integer_row_memo",
+                        lru_cache(maxsize=1 << 10)(triangles._integer_row_memo.__wrapped__))
     scalings, rows = [], []
-    real_lcm, recurrence = kernels.lcm, identities._recurrence_rows
+    real_lcm, recurrence = kernels.lcm, triangles._recurrence_rows
 
     def lcm(*args):
         scalings.append(args)
@@ -452,7 +452,7 @@ def test_a_cell_is_scaled_once_and_its_rows_built_once(monkeypatch):
         return out
 
     monkeypatch.setattr(kernels, "lcm", lcm)
-    monkeypatch.setattr(identities, "_recurrence_rows", recurrence_rows)
+    monkeypatch.setattr(triangles, "_recurrence_rows", recurrence_rows)
     cell = {"L": F(1, 2), "R": F(3, 2), "Lp": F(1), "Rp": F(-1, 2)}
     report = verify_identity(TEMPLATES["firstmain.2a"], [cell], n_max=6)
     assert report.ok and report.instances == 7

@@ -14,7 +14,13 @@ import pytest
 
 from weylstir import identities, kernels, triangles
 from weylstir.egf import egf_coefficients
-from weylstir.identities import adjoint_pairing_check, hermite_identity_check, ttv_check
+from weylstir.identities import (
+    TEMPLATES,
+    adjoint_pairing_check,
+    hermite_identity_check,
+    ttv_check,
+    verify_identity,
+)
 from weylstir.kernels import binomial_general, strided_falling, strided_rising
 from weylstir.poly import ALPHA, BETA, R, ParamPoly
 from weylstir.triangles import (
@@ -59,22 +65,32 @@ def test_classical_cycle_rows():
             assert tri.entry(n, k) == stirling_cycle(n, k)
 
 
+_CLASSICAL_POINTS = {False: (0, 1, 0), True: (-1, 0, 0)}
+
+
+def _private_integer_row_memo(monkeypatch):
+    """Give the integer-row memo a cache of its own, empty."""
+    memo = lru_cache(maxsize=1 << 10)(triangles._integer_row_memo.__wrapped__)
+    monkeypatch.setattr(triangles, "_integer_row_memo", memo)
+    return memo
+
+
 def test_one_classical_table_per_kind_serves_shorter_requests(monkeypatch):
     """One table per kind, built at once or extended from its last row
     (N = 5, 20, 64) to the same tuple rows, matching the closed columns
     and diagonals."""
-    for cycles in (False, True):
-        monkeypatch.setitem(triangles._CLASSICAL, cycles, ((1,),))
+    memo = _private_integer_row_memo(monkeypatch)
     tall = {cycles: triangles._classical_rows(64, cycles) for cycles in (False, True)}
     for cycles, rows in tall.items():
         short = triangles._classical_rows(20, cycles)
         assert short == rows[:21] and len(short) == 21
-        assert triangles._CLASSICAL[cycles] == rows  # the N = 64 table, not a second one
+        held = memo("S", *_CLASSICAL_POINTS[cycles])
+        assert held[0] == rows  # the N = 64 table, not a second one
         assert all(type(row) is tuple for row in rows)
-        monkeypatch.setitem(triangles._CLASSICAL, cycles, ((1,),))
+        held[0] = ()
         for N in (5, 20, 64):
             triangles._classical_rows(N, cycles)
-        assert triangles._CLASSICAL[cycles] == rows
+        assert held[0] == rows
     sub, cyc = tall[False], tall[True]
     for n in range(1, 65):
         assert cyc[n][1] == factorial(n - 1)
@@ -498,6 +514,9 @@ def test_a_read_triangle_behaves_as_the_built_one():
         assert read.entry(4, 2) == same.entry(4, 2)
         with pytest.raises(IndexError):
             read.entry(6, 0)
+        for n in (-1, 6):
+            with pytest.raises(IndexError):
+                read.row(n)
         for name in ("rows", "kind", "other"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(read, name, None)
@@ -516,18 +535,20 @@ def test_a_read_triangle_behaves_as_the_built_one():
     lambda t: triangle_by_sum("E", t.alpha, t.beta, t.r, t.N),
 ], ids=["read", "sum"])
 def test_a_pair_triangle_pickles_without_its_built_rows(make):
-    """A triangle held as integer pairs pickles the same bytes before and
-    after its rows are read, and comes back equal, with the same rows and
-    hash."""
+    """A triangle held as integer pairs pickles them alone before its rows
+    are read, and the rows alone after, and either way comes back equal,
+    with the same rows and hash."""
     tri = make(build_recurrence("E", F(17, 11), F(16, 9), F(-11, 7), 24))
     assert tri._ints is not None
     before = pickle.dumps(tri)
     rows = tri.rows
-    assert pickle.dumps(tri) == before
-    back = pickle.loads(before)
-    assert back == tri and back.rows == rows and hash(back) == hash(tri)
-    for fmt in ("json", "text", "csv", "latex"):
-        assert getattr(back, f"to_{fmt}")() == getattr(tri, f"to_{fmt}")()
+    after = pickle.dumps(tri)
+    assert pickle.loads(before)._ints is not None and pickle.loads(after)._ints is None
+    for data in (before, after):
+        back = pickle.loads(data)
+        assert back == tri and back.rows == rows and hash(back) == hash(tri)
+        for fmt in ("json", "text", "csv", "latex"):
+            assert getattr(back, f"to_{fmt}")() == getattr(tri, f"to_{fmt}")()
 
 
 def test_a_read_triangle_pickles_its_pairs_without_the_texts():
@@ -541,15 +562,6 @@ def test_a_read_triangle_pickles_its_pairs_without_the_texts():
     back = pickle.loads(data)
     assert back._texts is None and back == read
     assert back.to_json() == text
-
-
-def test_a_recurrence_triangle_pickles_without_its_cache_link(monkeypatch):
-    _private_cache(monkeypatch)
-    tri = build_recurrence("S", F(9, 7), F(-13, 9), F(17, 11), 12)
-    assert tri._cache is not None
-    back = pickle.loads(pickle.dumps(tri))
-    assert back._cache is None and back == tri
-    assert back.rows == tri.rows
 
 
 @pytest.mark.parametrize("make", [
@@ -644,7 +656,7 @@ def test_conjecture_checker_reports_both_conventions():
 # ---------------------------------------------------------------------------
 
 
-_integer_rows = triangles._recurrence_rows
+_real_recurrence_rows = triangles._recurrence_rows
 
 
 def _private_cache(monkeypatch, maxsize=4096):
@@ -656,7 +668,7 @@ def _private_cache(monkeypatch, maxsize=4096):
 
     def recording(kind, a, b, r, N, one, start=None):
         runs.append((1 if start is None else len(start), N))
-        return _integer_rows(kind, a, b, r, N, one, start)
+        return _real_recurrence_rows(kind, a, b, r, N, one, start)
 
     monkeypatch.setattr(triangles, "_recurrence_rows", recording)
     return cache, runs
@@ -696,14 +708,30 @@ def test_a_taller_request_extends_the_cached_triangle_in_integers(kind, monkeypa
     assert cache.cache_info().currsize == 1
 
 
+def test_the_catalog_and_the_classical_tables_share_the_integer_row_memo(monkeypatch):
+    """katriel.norm reads row n of S at (0, 1; 0), the subset table, so
+    after verifying it to n = 6 the subset numbers of row 6 build no row."""
+    _private_integer_row_memo(monkeypatch)
+    assert verify_identity(TEMPLATES["katriel.norm"], n_max=6).ok
+    runs = []
+    recurrence = triangles._recurrence_rows
+
+    def recording(*args, **kwargs):
+        runs.append(args)
+        return recurrence(*args, **kwargs)
+
+    monkeypatch.setattr(triangles, "_recurrence_rows", recording)
+    assert [stirling_subset(6, k) for k in range(7)] == [0, 1, 31, 90, 65, 15, 1]
+    assert runs == []
+
+
 def test_the_integer_row_checks_leave_the_recurrence_cache_alone(monkeypatch):
     """The LDU, reflection and Hermite checks compare integer recurrence
     rows at the scaled point, and the classical tables grow by the integer
     recurrence, so none of them fills or reads the cache behind
     build_recurrence."""
     cache, _ = _private_cache(monkeypatch)
-    for cycles in (False, True):
-        monkeypatch.setitem(triangles._CLASSICAL, cycles, ((1,),))
+    _private_integer_row_memo(monkeypatch)
     point = (F(-3, 7), F(5, 9), F(13, 11))
     assert vandermonde_ldu_check(*point, 8)
     assert reflection_check(*point, 8)
@@ -775,32 +803,74 @@ def test_the_integer_cross_checks_build_no_fraction(monkeypatch):
     assert counter.built == (n + 1) * (n + 2) // 2
 
 
-def test_the_first_rows_read_converts_the_cache_entry_once(monkeypatch):
-    """The first read turns the entry's integer rows into ``Fraction`` rows
-    that every prefix triangle of that point shares; the entry keeps only
-    its last integer row, and the triangle only the ``Fraction`` rows."""
+def test_a_repeated_request_returns_the_cached_triangle(monkeypatch):
     _private_cache(monkeypatch)
+    point = (F(2, 5), F(-7, 3), F(1, 4))
+    for kind in triangles.KINDS:
+        tri = build_recurrence(kind, *point, 9)
+        assert build_recurrence(kind, *point, 9) is tri
+        tri.rows
+        assert build_recurrence(kind, *point, 9) is tri
+
+
+def test_the_first_rows_read_converts_the_tall_triangle_once(monkeypatch):
+    """The first read turns the cached triangle's integer rows into
+    ``Fraction`` rows, which it keeps in place of the integers and every
+    later prefix of that point shares; a taller request after it builds the
+    integer rows again from row 0."""
+    _, runs = _private_cache(monkeypatch)
     counter = _count_fractions(monkeypatch)
     point = (F(-3, 7), F(5, 9), F(13, 11))
     short = build_recurrence("E", *point, 6)
     tall = build_recurrence("E", *point, 12)
-    entry = tall._cache
-    assert short._cache is entry and entry.state[0] is None
-    last = entry.state[1][-1]
+    assert short._ints is not None and tall._ints is not None
     rows = tall.rows
     assert counter.built == 13 * 14 // 2
-    assert entry.state == (rows, (last,), None)
-    assert tall._ints is None and tall._cache is None
-    assert all(got is want for got, want in zip(short.rows, rows))
-    again = build_recurrence("E", *point, 12)
-    assert again.rows is rows and again._ints is None
+    assert tall._ints is None and vars(tall)["rows"] is rows
+    assert build_recurrence("E", *point, 12) is tall
     assert all(got is want for got, want in zip(build_recurrence("E", *point, 4).rows, rows))
     assert counter.built == 13 * 14 // 2  # no row converted twice
+    assert short.rows == rows[:7]
+    runs.clear()
     taller = build_recurrence("E", *point, 15)
-    assert counter.built == 16 * 17 // 2  # rows 13..15 only
-    assert all(got is want for got, want in zip(taller.rows, rows))
-    assert len(entry.state[1]) == 1 and entry.state[2] is None
+    assert runs == [(1, 15)]
     assert taller == _fresh("E", *point, 15, monkeypatch)
+
+
+def test_threads_reading_a_shared_triangle_first_get_its_rows(monkeypatch):
+    """Threads that read ``rows`` of one unread cached triangle at once each
+    get its rows, and the triangle keeps them in place of its integers; a
+    read that finds the integers gone returns the stored rows."""
+    cache, _ = _private_cache(monkeypatch)
+    point = (F(-5, 7), F(4, 9), F(3, 11))
+    want = _fresh("E", *point, 24, monkeypatch).rows
+
+    def read(tri, barrier, got):
+        try:
+            barrier.wait(timeout=60)
+            got.append(tri.rows)
+        except Exception as exc:  # reported by the main thread
+            got.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            cache.cache_clear()
+            tri = build_recurrence("E", *point, 24)
+            barrier, got = threading.Barrier(6), []
+            threads = [threading.Thread(target=read, args=(tri, barrier, got)) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == [want] * 6
+            assert tri._ints is None and tri.rows == want
+    finally:
+        sys.setswitchinterval(interval)
+    # a thread that found no rows stored, just before another stored them
+    assert vars(Triangle)["rows"].__get__(tri) is tri.rows
 
 
 def test_threads_sharing_the_cache_and_the_kept_pair_read_right_values(monkeypatch):
