@@ -12,17 +12,19 @@ semantic and exact, through two independent channels:
    (:meth:`OperatorExpr.certificate`), and the two maps are compared in
    integers, which certifies the identity at every ``s`` and any degree;
    the same walk checks that all terms of a side share one excess;
-2. *string rewriting*: whenever a side lives in the creation/annihilation
-   dialect (all exponents natural) and is short enough, both sides are
-   spelled as boson strings in one walk each and normally ordered by the
-   independent rewriting oracle, and the normal forms are compared in
-   integers, cross-multiplied.
+2. *string rewriting*: whenever both sides live in the creation/annihilation
+   dialect (all exponents natural) and every term is at most
+   ``MAX_STRING_LENGTH`` letters long, counted from its exponents before
+   anything is spelled, both sides are spelled as boson strings and
+   normally ordered by the independent rewriting oracle, and the normal
+   forms are compared in integers, cross-multiplied.
 
 Each channel memoizes its own exact work in its own bounded cache: the
 action walk of a term (``operators._term_action``) and the normal form of a
-string (``boson._normal_order``).  Builders write integral coefficients as
-``int``; :meth:`IdentityTemplate.run_powers` refuses a run outside the
-domain or one that would certify nothing, so no PASS is vacuous.
+string prefix (``boson._normal_order``).  Builders write integral
+coefficients as ``int``; :meth:`IdentityTemplate.run_powers` refuses a run
+outside the domain or one that would certify nothing, so no PASS is
+vacuous.
 
 The sixteen word re-expansion templates (``firstmain``, ``secondmain`` and
 their all-natural prefactored forms ``powerful``, ``powerful2``) are declared
@@ -737,10 +739,10 @@ def verify_identity(
     Checks, per instance: uniform excess on both sides and equal symbolic
     monomial action (one integer certificate in ``s`` per side, read off one
     walk), and (for admissible sides short enough) equal normal forms under
-    the independent string-rewriting oracle.  Strings longer than
-    ``MAX_STRING_LENGTH`` letters are left to the action channel.  Raises
-    ValueError for a run outside the template's domain or one that would
-    certify nothing (:meth:`IdentityTemplate.run_powers`).
+    the independent string-rewriting oracle.  Sides with a term longer than
+    ``MAX_STRING_LENGTH`` letters are left to the action channel, unspelled.
+    Raises ValueError for a run outside the template's domain or one that
+    would certify nothing (:meth:`IdentityTemplate.run_powers`).
     """
     cells = template.grid() if cells is None else list(cells)
     n_values = template.run_powers(cells, n_max)
@@ -777,11 +779,9 @@ def verify_identity(
                 if left != right:
                     fail(cell, n, inst, "action differs")
                 t0 = perf_counter()
-                lstr = inst.lhs.boson_strings()
-                rstr = inst.rhs.boson_strings() if lstr is not None else None
-                if rstr is not None and max(
-                    (len(string) for _, string in lstr + rstr), default=0
-                ) <= MAX_STRING_LENGTH:
+                lstr = inst.lhs.boson_strings(MAX_STRING_LENGTH)
+                rstr = inst.rhs.boson_strings(MAX_STRING_LENGTH) if lstr is not None else None
+                if rstr is not None:
                     report.string_probes += 1
                     if not _same_normal_form(lstr, rstr):
                         fail(cell, n, inst, "normal forms differ")

@@ -29,13 +29,21 @@ denominator, computed in one walk over the terms
 (:meth:`OperatorExpr.certificate`, which raises :class:`MixedExcessError` at
 the first term of another excess).  Two expressions are equal as operators on
 monomials exactly when their certificates are equal, which certifies an
-identity at every ``s``, at any degree; certificates compare in integers.
+identity at every ``s``, at any degree; certificates compare in integers:
+over one ``q`` as coefficient lists (each scaled by the other's denominator
+when the denominators differ), over two ``q`` coefficient by coefficient.
 The walk over one term's factors is memoized per ``(q, factors)`` in a
 bounded ``lru_cache`` (``_term_action``, the 1 024 most recent terms), since
 the same factor products recur at every ``n``, in every cell and across
 templates; only the sum over the coefficients is redone per expression.
 :meth:`Certificate.action` reads a certificate in ``Fraction`` values of ``s``;
 :meth:`OperatorExpr.act_on_monomial` is the pointwise reference.
+
+An expression whose exponents are all natural numbers lives in the
+creation/annihilation dialect and spells as boson strings
+(:meth:`OperatorExpr.boson_strings`); the letters of a term are counted
+from its integer exponents as it is spelled, so a caller that bounds the
+length gets None before any longer string is spelled.
 """
 
 from __future__ import annotations
@@ -189,7 +197,10 @@ class Certificate:
 
     def __eq__(self, other):
         """Equal actions, compared in integers: coefficient ``k`` is
-        ``a_k q^k / denom`` on either side, cross-multiplied."""
+        ``a_k q^k / denom`` on either side, cross-multiplied.  Over one
+        ``q`` the powers ``q^k`` cancel, so the lists compare whole: as
+        they are over one denominator, each scaled by the other's
+        denominator otherwise."""
         if not isinstance(other, Certificate):
             return NotImplemented
         a, b = self.poly, other.poly
@@ -197,9 +208,10 @@ class Certificate:
             return a == b
         if len(a) != len(b) or self.shift * other.q != other.shift * self.q:
             return False
-        # over one q the powers q^k cancel
-        p, q = (1, 1) if self.q == other.q else (self.q, other.q)
         da, db = self.denom, other.denom
+        if self.q == other.q:
+            return a == b if da == db else [x * db for x in a] == [y * da for y in b]
+        p, q = self.q, other.q
         return all(x * p**k * db == y * q**k * da for k, (x, y) in enumerate(zip(a, b)))
 
 
@@ -347,24 +359,35 @@ class OperatorExpr:
         the expression lives in the creation/annihilation dialect."""
         return self.boson_strings() is not None
 
-    def boson_strings(self) -> Optional[List[Tuple[Fraction, str]]]:
+    def boson_strings(self, max_len: Optional[int] = None) -> Optional[List[Tuple[Fraction, str]]]:
         """Spell each term as a string over '+', '-' ('+' the creation
         letter) in one walk; None if the expression is not admissible
-        (:meth:`is_wc_admissible`)."""
+        (:meth:`is_wc_admissible`) or, with ``max_len``, if some term has
+        more than ``max_len`` letters.  The letters are counted from the
+        exponents before each factor is spelled, so no string longer than
+        ``max_len`` is spelled."""
         q = self.q
         out = []
         for coeff, factors in self._terms:
             chunks = []
+            letters = 0
             for f in factors:
                 if f.__class__ is int:
                     if f < 0 or f % q:
+                        return None
+                    letters += f // q
+                    if max_len is not None and letters > max_len:
                         return None
                     chunks.append("+" * (f // q))
                 else:
                     L, R, m = f
                     if L < 0 or R < 0 or L % q or R % q:
                         return None
-                    chunks.append(("+" * (L // q) + "-" + "+" * (R // q)) * m)
+                    L, R = L // q, R // q
+                    letters += (L + 1 + R) * m
+                    if max_len is not None and letters > max_len:
+                        return None
+                    chunks.append(("+" * L + "-" + "+" * R) * m)
             out.append((coeff, "".join(chunks)))
         return out
 

@@ -23,7 +23,7 @@ from weylstir.identities import (
     verify_identity,
     wc_admissibility_check,
 )
-from weylstir.boson import _normal_order
+from weylstir.boson import MAX_STRING_LENGTH, _normal_order
 from weylstir.operators import OperatorExpr, Word, WordPower, XPower, _term_action
 from weylstir.triangles import _recurrence_rows_cached
 
@@ -621,6 +621,30 @@ def test_each_channel_cache_is_bounded_and_reused():
 def test_cells_may_be_any_iterable():
     rep = verify_identity(TEMPLATES["cor1"], cells=iter([_COR1_CELL]), n_max=2)
     assert rep.ok and (rep.cells, rep.instances) == (1, 3)
+
+
+def test_the_string_channel_never_spells_a_string_over_the_guard(monkeypatch):
+    """``sampleeulerian`` has sides with terms longer than
+    ``MAX_STRING_LENGTH`` letters at three of its seven powers: those sides
+    are neither spelled nor normal-ordered, and the other four are probed."""
+    spelled, ordered = [], []
+    boson_strings, oracle = OperatorExpr.boson_strings, identities.normal_order_oracle
+
+    def recording_boson_strings(self, *args):
+        strings = boson_strings(self, *args)
+        spelled.extend(string for _, string in strings or ())
+        return strings
+
+    def recording_oracle(string, *args):
+        ordered.append(string)
+        return oracle(string, *args)
+
+    monkeypatch.setattr(OperatorExpr, "boson_strings", recording_boson_strings)
+    monkeypatch.setattr(identities, "normal_order_oracle", recording_oracle)
+    rep = verify_identity(TEMPLATES["sampleeulerian"])
+    assert rep.ok and (rep.instances, rep.string_probes) == (7, 4)
+    assert ordered and set(ordered) <= set(spelled)
+    assert max(map(len, spelled)) <= MAX_STRING_LENGTH
 
 
 def test_string_channel_compares_across_denominators():

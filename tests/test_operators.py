@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from weylstir.operators import (
+    Certificate,
     MixedExcessError,
     OperatorExpr,
     Word,
@@ -129,6 +130,22 @@ def test_boson_strings_spells_word_powers():
     assert string == "+" + "++-+" * 2
 
 
+def test_boson_strings_is_none_exactly_when_a_term_is_too_long():
+    """With ``max_len`` a side is spelled only if every term has at most
+    that many letters, counted from the exponents."""
+    e = OperatorExpr([(F(1), (XPower(F(2)), WordPower(Word(F(1), F(2)), 3))),  # 2 + 4 * 3
+                      (F(1, 2), (WordPower(Word(F(0), F(0)), 5),))])  # 5
+    spelled = e.boson_strings()
+    assert [len(string) for _, string in spelled] == [14, 5]
+    for max_len in (14, 15, 100):
+        assert e.boson_strings(max_len) == spelled
+    for max_len in (0, 4, 5, 13):
+        assert e.boson_strings(max_len) is None
+    assert OperatorExpr.zero().boson_strings(0) == []
+    # an inadmissible side stays None at any bound
+    assert _expr(XPower(F(1, 2))).boson_strings(100) is None
+
+
 def test_render_styles():
     e = _expr(XPower(F(2)), WordPower(Word(F(2), F(0)), 3))
     assert e.render("x") == "x^2 (x^2 D x^0)^3"
@@ -200,6 +217,30 @@ def test_certificates_compare_in_integers():
     # on the other
     assert OperatorExpr.over(4, [(1, ((6, 0, 2),))]).certificate() == cert
     assert OperatorExpr.over(4, [(F(3, 2), ((6, 0, 2),))]).certificate() != cert
+
+
+def test_certificate_equality_on_one_q_and_across_q():
+    """Same ``q`` and denominator, same ``q`` with another denominator, and
+    another ``q``: equal, and a coefficient off by one in any place unequal,
+    as their ``Fraction`` actions say."""
+    # (x^(3/2) D)^2 x^s = s (s + 1/2) x^(s + 1): u = 2s, poly u + u^2 over 4
+    cert = _expr(WordPower(Word(F(3, 2), F(0)), 2)).certificate()
+    assert (cert.q, cert.denom, cert.poly) == (2, 4, [0, 1, 1])
+    # the same action as thirds summed over the denominator 3 * 4, on one q
+    thirds = OperatorExpr.over(2, [(F(1, 3), ((3, 0, 2),)), (F(2, 3), ((3, 0, 2),))])
+    same_q = thirds.certificate()
+    assert (same_q.q, same_q.denom, same_q.poly) == (2, 12, [0, 3, 3])
+    # the same action over q = 4
+    other_q = OperatorExpr.over(4, [(1, ((6, 0, 2),))]).certificate()
+    assert (other_q.q, other_q.denom) == (4, 16)
+    for twin in (cert, same_q, other_q):
+        assert twin == cert and cert == twin
+        for k in range(len(twin.poly)):
+            poly = list(twin.poly)
+            poly[k] += 1
+            mutant = Certificate(twin.q, twin.shift, twin.denom, poly)
+            assert mutant != cert and cert != mutant
+            assert mutant.action() != cert.action()
 
 
 def test_integer_exponents_round_trip():
