@@ -13,7 +13,7 @@ Exit codes: 0 = all checks pass, 1 = mathematical counterexample found,
 ``verify --range`` value outside a template's parameter domain
 (:meth:`IdentityTemplate.domain_error`).  The environment variable
 WEYLSTIR_MAX_N overrides the hard caps on ``--n`` (default 64 for triangle/expand/conjecture
-work, 10 for verification sweeps).
+work, 10 for verification sweeps and for expanding a template of 2^n words).
 """
 
 from __future__ import annotations
@@ -305,6 +305,8 @@ def cmd_expand(args) -> int:
         raise UsageError(f"--template must name exactly one template "
                          f"(got {len(matches)} matches for {args.template!r})")
     template = matches[0]
+    if template.id == "special_corollary":  # 2^n words on its left: capped as verify is
+        _check_n(args.n, _VERIFY_CAP)
     cell = _collect_params(template, args)
     try:
         template.check_cell(cell)

@@ -26,16 +26,18 @@ coefficients as ``int``; :meth:`IdentityTemplate.run_powers` refuses a run
 outside the domain or one that would certify nothing, so no PASS is
 vacuous.
 
-The sixteen word re-expansion templates (``firstmain``, ``secondmain`` and
-their all-natural prefactored forms ``powerful``, ``powerful2``) are declared
-by one table and built by one builder, ``_reexpansion``, with one prefactor
-table; every sum over a coefficient row is built by ``_expansion``.  A
-special case shares the builder of its general family.  The re-expansion
-builder, ``_b_reexpansion``, also builds ``normord`` (kind S, variant a, at
-the words ``(L, R, 0, 0)``), ``s211_triple`` (S, variant b, prefactored, at
-the words of its case) and ``euleriank.1``/``2`` (E, variant a, at
-``(1, 0, 0, 0)`` and ``(0, 1, 0, 0)``).  ``major.1a``/``1b`` are the direct
-form of ``_b_major`` (``major.2a``/``2b``) at ``r = 0``, and
+The catalog is one table, ``_CATALOG``: a row per template, in catalog
+order, gives its id, domain, parameters, builder and description, and
+``_declare`` derives its grid from the domain.  The sixteen word
+re-expansion templates (``firstmain``, ``secondmain`` and their all-natural
+prefactored forms ``powerful``, ``powerful2``) are rows of
+``_REEXPANSIONS``, built by ``_reexpansion`` with one factor rule for every
+kind and variant and one prefactor table; every sum over a coefficient row
+is built by ``_expansion``.  A special case shares the builder of its
+general family: ``_b_reexpansion`` also builds ``normord`` (S, variant a, at
+``(L, R, 0, 0)``), ``s211_triple`` (S, b, prefactored, at the words of its
+case) and ``euleriank.1``/``2`` (E, a, at ``(1, 0, 0, 0)``/``(0, 1, 0, 0)``);
+``major.1a``/``1b`` are the direct form of ``_b_major`` at ``r = 0``, and
 ``katriel.norm``/``anti`` are ``_b_katrielplus`` at ``alpha = 0``.
 
 Coefficient rows come from the triangle module's memo of integer
@@ -243,28 +245,21 @@ _Q3 = (F(-1), F(1, 2), F(2))
 _NAT4 = (F(0), F(1), F(2), F(3))
 
 
-def _grid(names: Sequence[str], *valuelists) -> Callable[[], List[Dict[str, Fraction]]]:
+def _grid(names: Sequence[str], axes) -> Callable[[], List[Dict[str, Fraction]]]:
     def make():
-        return [dict(zip(names, combo)) for combo in product(*valuelists)]
+        return [dict(zip(names, combo)) for combo in product(*axes)]
 
     return make
 
 
-def _grid_wtc4(names: Sequence[str]) -> Callable[[], List[Dict[str, Fraction]]]:
-    """Cross product of a 3-value core plus a seeded sample of the full
-    7-value rational set, deduplicated, in deterministic order."""
-
-    def make():
-        rng = random.Random(97531)
-        sample = rng.sample(list(product(_Q7, repeat=4)), 48)
-        cells = dict.fromkeys([*product(_Q3, repeat=4), *sample])
-        return [dict(zip(names, combo)) for combo in cells]
-
-    return make
-
-
-def _no_params() -> List[Dict[str, Fraction]]:
-    return [{}]
+def _grid_wtc4() -> List[Dict[str, Fraction]]:
+    """The grid of four rational words: the cross product of a 3-value core
+    plus a seeded sample of the full 7-value rational set, deduplicated, in
+    deterministic order."""
+    rng = random.Random(97531)
+    sample = rng.sample(list(product(_Q7, repeat=4)), 48)
+    cells = dict.fromkeys([*product(_Q3, repeat=4), *sample])
+    return [dict(zip(_WORDS, combo)) for combo in cells]
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +365,7 @@ def _b_special_corollary(p, n):
 
 
 # Template id -> (kind, variant, prefactored, description) of the 16 word
-# re-expansions, in catalog order within each kind.
+# re-expansions, in catalog order within each kind; _CATALOG declares them.
 # Kind S expands a power of the word w = x^L D x^R in powers of w' = x^L' D x^R'
 # (generalized Stirling coefficients), kind E in twisted copies of w'^n
 # (generalized Eulerian coefficients).  In variants a and b the excess
@@ -425,7 +420,8 @@ def _reexpansion(
     beta = -ep if twist_left else ep
     r = R - Rp + (0 if twist_left else ep) - (0 if lhs_left else e)
     coeffs = _row(kind, q, alpha, beta, r, n)
-    if kind == "S":
+    S = kind == "S"
+    if S:
         EL, ER = (0 if variant == "d" else EL), (0 if variant == "a" else ER)
         scale = 1
     else:
@@ -433,24 +429,17 @@ def _reexpansion(
     xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
     lhs = OperatorExpr.over(q, [(scale, (*_xs((xl, n)), (L, R, n), *_xs((xr, n))))])
     dL, dR = EL - ep, ER - ep
-    if kind == "E":
-        word_n = (Lp, Rp, n)
+    word_n = (Lp, Rp, n)  # one tuple for every E term: the term cache keys share it
 
-        def factors(k):
-            j = k if twist_left else n - k
-            return (*_xs((EL, n - j), (dL, j)), word_n, *_xs((dR, n - j), (ER, j)))
-
-    elif twist_left:
-        tail = _xs((ER, n))
-
-        def factors(k):
-            return (*_xs((EL, n - k), (dL, k)), (Lp, Rp, k), *tail)
-
-    else:
-        head = _xs((EL, n))
-
-        def factors(k):
-            return (*head, (Lp, Rp, k), *_xs((dR, k), (ER, n - k)))
+    def factors(k):
+        # x^(EL (n-i) + dL i) (x^Lp D x^Rp)^m x^(dR (n-j) + ER j) with m = k
+        # for S and n for E, and the twist t counted on the left (t = k) or
+        # the right (t = n - k) of w'; S twists only that side
+        t = k if twist_left else n - k
+        i = 0 if S and not twist_left else t
+        j = n if S and twist_left else t
+        word = (Lp, Rp, k) if S else word_n
+        return (*_xs((EL, n - i), (dL, i)), word, *_xs((dR, n - j), (ER, j)))
 
     return _expansion(lhs, coeffs, factors)
 
@@ -460,10 +449,10 @@ def _cell_words(p) -> Tuple[Fraction, ...]:
     return tuple(p[name] for name in _WORDS)
 
 
-def _b_reexpansion(kind: str, variant: str, prefactored: bool, words) -> Builder:
+def _b_reexpansion(kind: str, variant: str, prefactored: bool, words=_cell_words) -> Builder:
     """The re-expansion ``(kind, variant)`` at the word parameters
-    ``words(cell) = (L, R, Lp, Rp)``, with the prefactors of ``_PREFACTORS``
-    when ``prefactored``."""
+    ``words(cell) = (L, R, Lp, Rp)`` (by default the cell's own), with the
+    prefactors of ``_PREFACTORS`` when ``prefactored``."""
 
     def build(p, n):
         q, scaled = scale_params(*words(p))
@@ -471,19 +460,6 @@ def _b_reexpansion(kind: str, variant: str, prefactored: bool, words) -> Builder
         return _reexpansion(kind, variant, q, scaled, n, EL, ER)
 
     return build
-
-
-def _reexpansion_templates(kind: str) -> List[IdentityTemplate]:
-    """The re-expansion templates of ``kind``; the prefactored forms take
-    natural word parameters, the others rational ones."""
-    return [
-        IdentityTemplate(tid, "WC" if prefactored else "WTC", _WORDS,
-                         _b_reexpansion(kind, variant, prefactored, _cell_words),
-                         _grid(_WORDS, *[_NAT4] * 4) if prefactored else _grid_wtc4(_WORDS),
-                         description=description)
-        for tid, (k, variant, prefactored, description) in _REEXPANSIONS.items()
-        if k == kind
-    ]
 
 
 def _b_proposition(p, n):
@@ -550,92 +526,85 @@ def _b_last(p, n):
 # ---------------------------------------------------------------------------
 
 
-def _make_catalog() -> Dict[str, IdentityTemplate]:
-    t: List[IdentityTemplate] = []
-    add = t.append
-
-    add(IdentityTemplate("major.1a", "WTC", ("alpha",), _b_major(False, False),
-                         _grid(("alpha",), _Q7),
-                         description="strided diagonal power split, powers left"))
-    add(IdentityTemplate("major.1b", "WTC", ("alpha",), _b_major(True, False),
-                         _grid(("alpha",), _Q7),
-                         description="strided diagonal power split, powers right"))
-    add(IdentityTemplate("major.2a", "WTC", ("alpha", "r"), _b_major(False, True),
-                         _grid(("alpha", "r"), _Q7, _Q7),
-                         description="shifted strided diagonal split, powers left"))
-    add(IdentityTemplate("major.2b", "WTC", ("alpha", "r"), _b_major(True, True),
-                         _grid(("alpha", "r"), _Q7, _Q7),
-                         description="shifted strided diagonal split, powers right"))
-    add(IdentityTemplate("major.lemma", "WTC", ("L", "R"), _b_major_lemma,
-                         _grid(("L", "R"), _Q7, _Q7),
-                         description="word-power transposition lemma"))
-    add(IdentityTemplate("otherpair.a", "WC", ("L", "R"), _b_otherpair,
-                         _grid(("L", "R"), tuple(F(i) for i in range(5)),
-                               tuple(F(i) for i in range(5))),
-                         uses_n=False,
-                         description="symmetrized word pair, natural exponents"))
-    add(IdentityTemplate("otherpair.b", "WTC", ("L", "R"), _b_otherpair,
-                         _grid(("L", "R"), _Q7, _Q7), uses_n=False,
-                         description="symmetrized word pair, rational exponents"))
-    add(IdentityTemplate("ttv", "WC", (), _b_ttv, _no_params,
-                         description="triple product power identity"))
-    add(IdentityTemplate("difflr", "WC", ("m",), _b_difflr,
-                         _grid(("m",), tuple(F(i) for i in range(7))),
-                         description="two-index normal ordering of D^m x^n"))
-    add(IdentityTemplate("katriel.norm", "WC", (), _b_katrielplus(False, False), _no_params,
-                         description="normal ordering of (x D)^n"))
-    add(IdentityTemplate("katriel.anti", "WC", (), _b_katrielplus(True, False), _no_params,
-                         description="normal ordering of (D x)^n"))
-    add(IdentityTemplate("katrielplus.norm", "WTC", ("alpha",), _b_katrielplus(False, True),
-                         _grid(("alpha",), _Q7),
-                         description="normal ordering of the strided (x D) power"))
-    add(IdentityTemplate("katrielplus.anti", "WTC", ("alpha",), _b_katrielplus(True, True),
-                         _grid(("alpha",), _Q7),
-                         description="normal ordering of the strided (D x) power"))
-    add(IdentityTemplate("normord", "WTC", ("L", "R"),
-                         _b_reexpansion("S", "a", False, lambda p: (p["L"], p["R"], 0, 0)),
-                         _grid(("L", "R"), _Q7, _Q7),
-                         description="normal ordering of a general word power"))
-    add(IdentityTemplate("cor1", "WC", ("L", "R"), _b_cor1,
-                         _grid(("L", "R"), _NAT4, _NAT4),
-                         description="prefactored normal ordering, natural word"))
-    add(IdentityTemplate("special_corollary", "WC", ("L", "R"), _b_special_corollary,
-                         _grid(("L", "R"), _NAT4, _NAT4),
-                         description="normal ordering of the symmetrized word power"))
-    t.extend(_reexpansion_templates("S"))
-    add(IdentityTemplate("proposition", "WC", (), _b_proposition, _no_params,
-                         description="cubic word normal ordering via the Gauss sum"))
-    add(IdentityTemplate("sampleappl", "WC", (), _b_sampleappl, _no_params, n_min=1,
-                         description="cubic word through the quadratic word"))
-    add(IdentityTemplate("viewedas", "WC", (), _b_viewedas, _no_params,
-                         description="quadratic word through the cubic word"))
-    add(IdentityTemplate("companion", "WC", (), _b_companion, _no_params,
-                         description="balanced cubic word through the quadratic word"))
-    add(IdentityTemplate("lah_triple", "WC", ("case",), _b_lah_triple,
-                         _grid(("case",), tuple(F(i) for i in range(len(_LAH_CASES)))),
-                         cases=len(_LAH_CASES),
-                         description="excess-one triple with binomial coefficients"))
-    add(IdentityTemplate("s211_triple", "WC", ("case",),
-                         _b_reexpansion("S", "b", True, lambda p: _S211_CASES[int(p["case"])]),
-                         _grid(("case",), tuple(F(i) for i in range(len(_S211_CASES)))),
-                         cases=len(_S211_CASES),
-                         description="excess-two triple sharing one triangle"))
-    add(IdentityTemplate("euleriank.1", "WC", (),
-                         _b_reexpansion("E", "a", False, lambda p: (1, 0, 0, 0)), _no_params,
-                         description="Eulerian twisted ordering of (x D)^n"))
-    add(IdentityTemplate("euleriank.2", "WC", (),
-                         _b_reexpansion("E", "a", False, lambda p: (0, 1, 0, 0)), _no_params,
-                         description="Eulerian twisted ordering of (D x)^n"))
-    t.extend(_reexpansion_templates("E"))
-    add(IdentityTemplate("sampleeulerian", "WC", (), _b_sampleeulerian, _no_params,
-                         description="Eulerian twisted quadratic/cubic word pair"))
-    add(IdentityTemplate("last", "WC", (), _b_last, _no_params,
-                         description="balanced word with signed binomial twisting"))
-
-    return {tmpl.id: tmpl for tmpl in t}
+# One row per template, in catalog order: its id, domain, parameters, builder
+# and description, then optionally the other IdentityTemplate fields it sets
+# and "values", the value set of each parameter where the grid rule of
+# _declare does not fit.
+_CATALOG = (
+    ("major.1a", "WTC", "alpha", _b_major(False, False),
+     "strided diagonal power split, powers left"),
+    ("major.1b", "WTC", "alpha", _b_major(True, False),
+     "strided diagonal power split, powers right"),
+    ("major.2a", "WTC", "alpha r", _b_major(False, True),
+     "shifted strided diagonal split, powers left"),
+    ("major.2b", "WTC", "alpha r", _b_major(True, True),
+     "shifted strided diagonal split, powers right"),
+    ("major.lemma", "WTC", "L R", _b_major_lemma, "word-power transposition lemma"),
+    ("otherpair.a", "WC", "L R", _b_otherpair, "symmetrized word pair, natural exponents",
+     {"uses_n": False, "values": range(5)}),
+    ("otherpair.b", "WTC", "L R", _b_otherpair, "symmetrized word pair, rational exponents",
+     {"uses_n": False}),
+    ("ttv", "WC", "", _b_ttv, "triple product power identity"),
+    ("difflr", "WC", "m", _b_difflr, "two-index normal ordering of D^m x^n",
+     {"values": range(7)}),
+    ("katriel.norm", "WC", "", _b_katrielplus(False, False), "normal ordering of (x D)^n"),
+    ("katriel.anti", "WC", "", _b_katrielplus(True, False), "normal ordering of (D x)^n"),
+    ("katrielplus.norm", "WTC", "alpha", _b_katrielplus(False, True),
+     "normal ordering of the strided (x D) power"),
+    ("katrielplus.anti", "WTC", "alpha", _b_katrielplus(True, True),
+     "normal ordering of the strided (D x) power"),
+    ("normord", "WTC", "L R", _b_reexpansion("S", "a", False, lambda p: (p["L"], p["R"], 0, 0)),
+     "normal ordering of a general word power"),
+    ("cor1", "WC", "L R", _b_cor1, "prefactored normal ordering, natural word"),
+    ("special_corollary", "WC", "L R", _b_special_corollary,
+     "normal ordering of the symmetrized word power"),
+    *((tid, "WC" if pre else "WTC", "L R Lp Rp", _b_reexpansion(k, v, pre), about)
+      for tid, (k, v, pre, about) in _REEXPANSIONS.items() if k == "S"),
+    ("proposition", "WC", "", _b_proposition, "cubic word normal ordering via the Gauss sum"),
+    ("sampleappl", "WC", "", _b_sampleappl, "cubic word through the quadratic word",
+     {"n_min": 1}),
+    ("viewedas", "WC", "", _b_viewedas, "quadratic word through the cubic word"),
+    ("companion", "WC", "", _b_companion, "balanced cubic word through the quadratic word"),
+    ("lah_triple", "WC", "case", _b_lah_triple, "excess-one triple with binomial coefficients",
+     {"cases": len(_LAH_CASES)}),
+    ("s211_triple", "WC", "case",
+     _b_reexpansion("S", "b", True, lambda p: _S211_CASES[int(p["case"])]),
+     "excess-two triple sharing one triangle", {"cases": len(_S211_CASES)}),
+    ("euleriank.1", "WC", "", _b_reexpansion("E", "a", False, lambda p: (1, 0, 0, 0)),
+     "Eulerian twisted ordering of (x D)^n"),
+    ("euleriank.2", "WC", "", _b_reexpansion("E", "a", False, lambda p: (0, 1, 0, 0)),
+     "Eulerian twisted ordering of (D x)^n"),
+    *((tid, "WC" if pre else "WTC", "L R Lp Rp", _b_reexpansion(k, v, pre), about)
+      for tid, (k, v, pre, about) in _REEXPANSIONS.items() if k == "E"),
+    ("sampleeulerian", "WC", "", _b_sampleeulerian, "Eulerian twisted quadratic/cubic word pair"),
+    ("last", "WC", "", _b_last, "balanced word with signed binomial twisting"),
+)
 
 
-TEMPLATES: Dict[str, IdentityTemplate] = _make_catalog()
+def _declare(tid, domain, params, build, description, options=None) -> IdentityTemplate:
+    """The template of one catalog row.  Its grid is the product over its
+    parameters of ``options["values"]`` where given, else ``range(cases)``
+    for ``case``, ``_NAT4`` for a natural word and ``_Q7`` for a rational
+    parameter; four rational words take ``_grid_wtc4``."""
+    options = dict(options or {})
+    values = options.pop("values", None)
+    names = tuple(params.split())
+
+    def axis(name):
+        if values is not None:
+            return tuple(map(F, values))
+        if name == "case":
+            return tuple(map(F, range(options["cases"])))
+        return _NAT4 if domain == "WC" and name in _WORDS else _Q7
+
+    if names == _WORDS and domain == "WTC":
+        grid = _grid_wtc4
+    else:
+        grid = _grid(names, [axis(name) for name in names])
+    return IdentityTemplate(tid, domain, names, build, grid, description=description, **options)
+
+
+TEMPLATES: Dict[str, IdentityTemplate] = {row[0]: _declare(*row) for row in _CATALOG}
 TEMPLATE_ORDER: Tuple[str, ...] = tuple(TEMPLATES)
 
 

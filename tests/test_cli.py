@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -140,6 +141,21 @@ def test_verify_cap(capsys, monkeypatch):
     monkeypatch.setenv("WEYLSTIR_MAX_N", "12")
     code, _, _ = run(capsys, "verify", "--template", "ttv", "--n", "11")
     assert code == 0
+
+
+def test_expand_caps_the_template_of_2_to_the_n_words_as_verify(capsys, monkeypatch):
+    """``special_corollary`` has 2^n words on its left, so ``expand`` refuses
+    it above the verification cap before building, unless overridden."""
+    monkeypatch.delenv("WEYLSTIR_MAX_N", raising=False)
+    argv = ("expand", "--template", "special_corollary", "--word", "1,0", "--format", "json")
+    code, out, err = run(capsys, *argv, "--n", "11")
+    assert (code, out) == (2, "")
+    assert err == "error: --n 11 exceeds the cap 10 (override with WEYLSTIR_MAX_N)\n"
+    code, out, _ = run(capsys, *argv, "--n", "10")
+    assert code == 0 and json.loads(out)[0]["lhs"].count("+") == 2**10 - 1
+    monkeypatch.setenv("WEYLSTIR_MAX_N", "11")
+    code, out, _ = run(capsys, *argv, "--n", "11")
+    assert code == 0 and json.loads(out)[0]["lhs"].count("+") == 2**11 - 1
 
 
 def test_verify_counterexample_exit_one(capsys):
@@ -404,6 +420,25 @@ def test_python_dash_m_runs_the_command_line():
     proc = subprocess.run([sys.executable, "-m", "weylstir", "triangle", "--n", "-1"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2
+    env.pop("WEYLSTIR_MAX_N", None)
+    proc = subprocess.run([sys.executable, "-m", "weylstir", "triangle", "--n", "65"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2 and "exceeds the cap 64" in proc.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("verify", "--template", "ttv", "--n", "2"), 0),
+    (("triangle", "--n", "65"), 2),
+], ids=["verify", "over-the-cap"])
+def test_the_module_entry_point_exits_with_the_code_of_main(capsys, monkeypatch, argv, code):
+    """``__main__.py`` run in process, as ``python -m weylstir`` runs it."""
+    monkeypatch.delenv("WEYLSTIR_MAX_N", raising=False)
+    monkeypatch.setattr(sys, "argv", ["weylstir", *argv])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("weylstir", run_name="__main__")
+    assert info.value.code == code
+    out = capsys.readouterr()
+    assert run(capsys, *argv) == (code, out.out, out.err)
 
 
 def test_importing_the_command_line_leaves_multiprocessing_out():

@@ -517,6 +517,26 @@ def test_off_by_one_coefficient_fails_the_integer_comparison():
     assert rep.failures == ["offbyone(L=1/2, R=2, Lp=-1, Rp=1/2) n=3: action differs"]
 
 
+def test_a_report_labels_each_failure_and_lists_ten():
+    """A failing labelled instance is named with its label, and the summary
+    lists the first ten failures and counts the rest."""
+    base = TEMPLATES["major.2a"]
+
+    def build(p, n):
+        conj, direct = base.build(p, n)
+        return [TemplateInstance(conj.lhs, conj.rhs.scaled(2), label=conj.label), direct]
+
+    template = IdentityTemplate(id="doubled", domain="WTC", params=base.params, build=build,
+                                grid=base.grid)
+    cells = [{"alpha": F(1, 2), "r": F(r)} for r in range(1, 13)]  # x^-r: no strings
+    rep = verify_identity(template, cells, n_max=0)
+    assert rep.instances == 24 and len(rep.failures) == 12
+    assert rep.failures[0] == "doubled(alpha=1/2, r=1) n=0 [conjugated]: action differs"
+    lines = rep.summary().splitlines()
+    assert lines[0].startswith("doubled: FAIL (cells=12, instances=24,")
+    assert lines[1:] == [f"  {failure}" for failure in rep.failures[:10]] + ["  ... and 2 more"]
+
+
 _COR1_BAD = {"L": F(-1), "R": F(1)}
 _POWERFUL_BAD = {"L": F(-1), "R": F(0), "Lp": F(2), "Rp": F(0)}
 

@@ -3,6 +3,8 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from weylstir.poly import ALPHA, BETA, R, ParamPoly
 
 
@@ -72,3 +74,13 @@ def test_a_constant_hashes_as_the_int_it_equals():
 def test_total_degrees():
     p = ALPHA * ALPHA * BETA + R
     assert p.total_degrees() == {3, 1}
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ParamPoly({(1, 0, 0): F(1, 2)}), TypeError, "coefficients must be int, got Fraction"),
+    (lambda: ParamPoly({(0, -1, 0): 1}), ValueError, r"negative exponent in monomial \(0, -1, 0\)"),
+    (lambda: ParamPoly.variable("gamma"), ValueError, "unknown parameter 'gamma'"),
+], ids=["fraction-coefficient", "negative-exponent", "unknown-variable"])
+def test_a_malformed_polynomial_is_refused(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

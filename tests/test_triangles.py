@@ -21,12 +21,14 @@ from weylstir.identities import (
     ttv_check,
     verify_identity,
 )
-from weylstir.kernels import binomial_general, strided_falling, strided_rising
+from weylstir.kernels import binomial_general, hyp2f1_hat, strided_falling, strided_rising
+from weylstir.operators import Word, WordPower
 from weylstir.poly import ALPHA, BETA, R, ParamPoly
 from weylstir.triangles import (
     Triangle,
     binomial_transform,
     build_recurrence,
+    closed_form_params,
     conjecture_check,
     decompose_classical,
     entry_by_sum,
@@ -189,6 +191,11 @@ _NEGATIVE_BOUNDS = [
     (row_polynomial_euler, (-1, 0, 1, 1)),
     (vandermonde_ldu_check, (0, 1, 0, -1)),
     (reflection_check, (0, 1, 0, -1)),
+    (binomial_general, (F(1, 2), -1)),
+    (strided_falling, (1, -1, 0)),
+    (hyp2f1_hat, (-1, 1, 1, 1)),
+    (ALPHA.__pow__, (-1,)),
+    (WordPower, (Word(1, 0), -1)),
 ]
 
 
@@ -198,6 +205,63 @@ def test_a_negative_bound_is_a_value_error(func, args):
     """A negative size or degree is refused, never read as an empty check."""
     with pytest.raises(ValueError, match="natural"):
         func(*args)
+
+
+def _s(alpha, beta, r, N=2):
+    return build_recurrence("S", alpha, beta, r, N)
+
+
+_BAD_ARGUMENTS = {
+    "triangle-kind": (lambda: Triangle("X", 0, 1, 0, ((F(1),),)), "unknown triangle kind 'X'"),
+    "row-length": (lambda: Triangle("S", 0, 1, 0, ((F(1),), (F(1),))),
+                   "row 1 has 1 entries, expected 2"),
+    "recurrence-kind": (lambda: build_recurrence("X", 0, 1, 0, 2), "unknown triangle kind 'X'"),
+    "sum-kind": (lambda: triangle_by_sum("S", 0, 1, 0, 2), "supports kinds 'Shat' and 'E'"),
+    "direction": (lambda: binomial_transform([1], "Sideways"), "unknown direction 'Sideways'"),
+    "transform-kind": (lambda: triangle_by_transform("S", 0, 1, 0, 2),
+                       "supports kinds 'Shat' and 'E'"),
+    "product-kind": (lambda: triangle_product(build_recurrence("E", 0, 1, 0, 2), _s(1, 1, 0)),
+                     "defined for S-kind triangles"),
+    "product-symbolic": (lambda: triangle_product(symbolic_triangle("S", 2),
+                                                  symbolic_triangle("S", 2)),
+                         "defined for numeric triangles"),
+    "product-size": (lambda: triangle_product(_s(0, 1, 0), _s(1, 1, 0, 3)), "matching size"),
+    "decomposition-index": (lambda: decompose_classical(2, 3, 0, 1, 0),
+                            r"\(n, k\) = \(2, 3\) outside"),
+    "closed-form-family": (lambda: closed_form_params("S_nope"), "unknown closed-form family"),
+    "shift-kind": (lambda: shift_r(build_recurrence("E", 1, 1, 0, 2), 1, "NewtonAlpha"),
+                   "supports kinds 'S' and 'Shat'"),
+    "shift-symbolic": (lambda: shift_r(symbolic_triangle("S", 2), 1, "NewtonAlpha"),
+                       "defined for numeric triangles"),
+    "shift-base-r": (lambda: shift_r(_s(1, 1, 1), 1, "NewtonAlpha"), "must sit at r = 0"),
+    "shift-alpha": (lambda: shift_r(_s(0, 1, 0), 1, "NewtonAlpha"), "requires alpha != 0"),
+    "shift-beta": (lambda: shift_r(_s(1, 0, 0), 1, "NewtonBeta"), "requires beta != 0"),
+    "shift-scheme": (lambda: shift_r(_s(1, 1, 0), 1, "NewtonGamma"),
+                     "unknown shift scheme 'NewtonGamma'"),
+}
+
+
+@pytest.mark.parametrize("call, message", _BAD_ARGUMENTS.values(), ids=_BAD_ARGUMENTS)
+def test_a_bad_argument_is_a_value_error_that_names_it(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_classical_stirling_numbers_vanish_outside_the_triangle():
+    for n, k in ((3, -1), (3, 4), (0, 1)):
+        assert stirling_subset(n, k) == 0 and stirling_cycle(n, k) == 0
+
+
+def test_equality_with_entries_that_are_not_rationals_compares_the_rows():
+    """A triangle of float entries has no integer pairs, so ``==`` against
+    one made from integers falls back to comparing the rows."""
+    floats = Triangle("S", 0, 1, 0, ((1.0,), (0.0, 1.0), (0.0, 1.0, 1.0)))
+    for left, right in ((triangle_by_decomposition(0, 1, 0, 2), floats),
+                        (floats, triangle_by_decomposition(0, 1, 0, 2))):
+        assert (left._ints or right._ints) is not None  # uncached, never read
+        assert left == right
+    wrong = Triangle("S", 0, 1, 0, ((1.0,), (0.0, 1.0), (0.0, 1.0, 2.0)))
+    assert triangle_by_decomposition(0, 1, 0, 2) != wrong
 
 
 def test_binomial_transform_round_trip():
