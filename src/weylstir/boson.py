@@ -12,7 +12,7 @@ appending an annihilation letter is free.  This reaches the same fixed point
 as rewriting the full string, one letter at a time.
 
 Normal forms are memoized per prefix in a bounded ``lru_cache``
-(``_normal_order``, the 512 most recent strings and prefixes): a string
+(``_normal_order``, the 1 024 most recent strings and prefixes): a string
 missing from it is the normal form of its prefix without the last letter,
 itself looked up there, with that one letter folded on.  A catalog run
 spells the same strings, and strings sharing long prefixes, at every ``n``
@@ -52,7 +52,7 @@ def normal_order_oracle(string: str, max_len: int = MAX_STRING_LENGTH) -> Normal
     return dict(_normal_order(string))
 
 
-@lru_cache(maxsize=1 << 9)
+@lru_cache(maxsize=1 << 10)
 def _normal_order(string: str) -> Tuple[Tuple[Tuple[int, int], int], ...]:
     """The items of the normal form of ``string``, memoized per prefix, as a
     tuple so that no caller can change the cached form: the form of

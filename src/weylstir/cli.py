@@ -37,15 +37,13 @@ from .identities import (
     verify_identity,
 )
 from .kernels import as_rational
-from .operators import _term_action
 from .triangles import (KINDS, _integer_row_memo, build_recurrence, conjecture_check,
                         symbolic_triangle)
 
 _TRIANGLE_CAP = 64
 _VERIFY_CAP = 10
 # the build and channel caches whose use a serial ``verify --format json`` reports
-_CHANNEL_CACHES = {"coefficient_rows": _integer_row_memo, "term_action": _term_action,
-                   "normal_order": _normal_order}
+_CHANNEL_CACHES = {"coefficient_rows": _integer_row_memo, "normal_order": _normal_order}
 
 
 class UsageError(Exception):

@@ -19,12 +19,12 @@ semantic and exact, through two independent channels:
    normally ordered by the independent rewriting oracle, and the normal
    forms are compared in integers, cross-multiplied.
 
-Each channel memoizes its own exact work in its own bounded cache: the
-action walk of a term (``operators._term_action``) and the normal form of a
-string prefix (``boson._normal_order``).  Builders write integral
-coefficients as ``int``; :meth:`IdentityTemplate.run_powers` refuses a run
-outside the domain or one that would certify nothing, so no PASS is
-vacuous.
+The string channel memoizes the normal form of each string prefix in a
+bounded cache (``boson._normal_order``); the action channel caches
+nothing, as one walk evaluates each term's polynomial as a single integer.
+Builders write integral coefficients as ``int``;
+:meth:`IdentityTemplate.run_powers` refuses a run outside the domain or one
+that would certify nothing, so no PASS is vacuous.
 
 The catalog is one table, ``_CATALOG``: a row per template, in catalog
 order, gives its id, domain, parameters, builder and description, and
@@ -429,7 +429,6 @@ def _reexpansion(
     xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
     lhs = OperatorExpr.over(q, [(scale, (*_xs((xl, n)), (L, R, n), *_xs((xr, n))))])
     dL, dR = EL - ep, ER - ep
-    word_n = (Lp, Rp, n)  # one tuple for every E term: the term cache keys share it
 
     def factors(k):
         # x^(EL (n-i) + dL i) (x^Lp D x^Rp)^m x^(dR (n-j) + ER j) with m = k
@@ -438,7 +437,7 @@ def _reexpansion(
         t = k if twist_left else n - k
         i = 0 if S and not twist_left else t
         j = n if S and twist_left else t
-        word = (Lp, Rp, k) if S else word_n
+        word = (Lp, Rp, k if S else n)
         return (*_xs((EL, n - i), (dL, i)), word, *_xs((dR, n - j), (ER, j)))
 
     return _expansion(lhs, coeffs, factors)
@@ -775,8 +774,10 @@ class AdmissibilityReport:
     EL: Fraction
     ER: Fraction
     admissible: bool
-    EL_decrement_breaks: bool
-    ER_decrement_breaks: bool
+    # None for a prefactor the form lacks: kind S variant a has no right
+    # one, variant d no left one
+    EL_decrement_breaks: Optional[bool]
+    ER_decrement_breaks: Optional[bool]
 
 
 def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> AdmissibilityReport:
@@ -799,14 +800,15 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
         return True
 
     ok = admissible(EL, ER)
+    S = kind == "S"
     return AdmissibilityReport(
         template_id=template_id,
         cell=tuple(sorted(cell.items())),
         EL=F(EL, q),
         ER=F(ER, q),
         admissible=ok,
-        EL_decrement_breaks=not admissible(EL - q, ER),
-        ER_decrement_breaks=not admissible(EL, ER - q),
+        EL_decrement_breaks=None if S and variant == "d" else not admissible(EL - q, ER),
+        ER_decrement_breaks=None if S and variant == "a" else not admissible(EL, ER - q),
     )
 
 

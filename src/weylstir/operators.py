@@ -32,10 +32,11 @@ monomials exactly when their certificates are equal, which certifies an
 identity at every ``s``, at any degree; certificates compare in integers:
 over one ``q`` as coefficient lists (each scaled by the other's denominator
 when the denominators differ), over two ``q`` coefficient by coefficient.
-The walk over one term's factors is memoized per ``(q, factors)`` in a
-bounded ``lru_cache`` (``_term_action``, the 1 024 most recent terms), since
-the same factor products recur at every ``n``, in every cell and across
-templates; only the sum over the coefficients is redone per expression.
+The walk keeps each term's polynomial as one int, its value at ``u = 2^W``
+(Kronecker substitution: one shift and one small product per linear
+factor), sums the terms there and reads the coefficients back as balanced
+base-``2^W`` digits, with ``W`` wide enough for a bound on every
+coefficient; nothing is cached, as a walk costs about what a lookup did.
 :meth:`Certificate.action` reads a certificate in ``Fraction`` values of ``s``;
 :meth:`OperatorExpr.act_on_monomial` is the pointwise reference.
 
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -128,27 +128,6 @@ def _unscale(factor: Scaled, q: int) -> Factor:
         return XPower(Fraction(factor, q))
     L, R, m = factor
     return WordPower(Word(Fraction(L, q), Fraction(R, q)), m)
-
-
-@lru_cache(maxsize=1 << 10)
-def _term_action(q: int, factors: Tuple[Scaled, ...]) -> Tuple[int, Tuple[int, ...]]:
-    """The shift of the factors of one term, in units of ``1/q``, and the
-    integer coefficients of the polynomial ``prod (u + c)`` of its word
-    powers (constant first), read right to left; memoized."""
-    shift = 0
-    poly = [1]
-    for f in reversed(factors):
-        if f.__class__ is int:
-            shift += f
-            continue
-        L, R, m = f
-        e = L + R - q
-        c = shift + R
-        for _ in range(m):
-            poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
-            c += e
-        shift += m * e
-    return shift, tuple(poly)
 
 
 class Certificate:
@@ -300,41 +279,66 @@ class OperatorExpr:
                 collected[exp] = collected.get(exp, Fraction(0)) + c
         return {e: v for e, v in collected.items() if v}
 
-    def certificate(self) -> Certificate:
+    def certificate(self, W: int = 64) -> Certificate:
         """The symbolic action in integers, from one walk over the terms;
         raises MixedExcessError at the first term whose excess differs.
 
-        A term's factors, right to left, give its shift and the integer
-        polynomial ``prod (u + c)`` of its word powers (memoized,
-        :func:`_term_action`); the terms are then
-        summed over the common denominator ``d q^(top - 1)``, with ``d`` the
-        lcm of the coefficient denominators and ``top - 1`` the highest
-        degree.
+        A term's factors, right to left, give its shift and its polynomial
+        ``prod (u + c)``, evaluated at ``u = 2^W`` (``W`` 64 unless given)
+        as one int (Kronecker substitution); the terms are summed there over
+        the common denominator ``d q^top``, with ``d`` the lcm of the
+        coefficient denominators and ``top`` the highest degree, and the sum
+        is read back in balanced base-``2^W`` digits.  Every coefficient of
+        a term is at most its ``|lift| prod (|c| + 1)`` in size, so below a
+        summed bound of ``2^(W-1)`` the digits are the coefficients; above
+        it the certificate is redone once with a ``W`` that clears the bound.
         """
         q = self.q
         first = None
         walked = []
-        top = 1
+        top = 0
         for coeff, factors in self._terms:
-            shift, poly = _term_action(q, factors)
+            shift = deg = 0
+            P = bound = 1
+            for f in reversed(factors):
+                if f.__class__ is int:
+                    shift += f
+                    continue
+                L, R, m = f
+                e = L + R - q
+                c = shift + R
+                for _ in range(m):
+                    P = (P << W) + c * P
+                    bound *= abs(c) + 1
+                    c += e
+                deg += m
+                shift += m * e
             if first is None:
                 first = shift
             elif shift != first:
                 raise MixedExcessError(
                     f"terms of mixed excess: {Fraction(first, q)} vs {Fraction(shift, q)}"
                 )
-            walked.append((coeff, poly))
-            if len(poly) > top:
-                top = len(poly)
-        d = lcm(*(coeff.denominator for coeff, _ in walked))
-        acc = [0] * top
-        for coeff, poly in walked:
-            lift = coeff.numerator * (d // coeff.denominator) * q ** (top - len(poly))
-            for k, a in enumerate(poly):
-                acc[k] += lift * a
-        while acc and not acc[-1]:
-            acc.pop()
-        return Certificate(q, first, d * q ** (top - 1), acc)
+            walked.append((coeff, deg, P, bound))
+            if deg > top:
+                top = deg
+        d = lcm(*(coeff.denominator for coeff, _, _, _ in walked))
+        total = bound_sum = 0
+        for coeff, deg, P, bound in walked:
+            lift = coeff.numerator * (d // coeff.denominator) * q ** (top - deg)
+            total += lift * P
+            bound_sum += abs(lift) * bound
+        if bound_sum >> (W - 1):
+            return self.certificate(bound_sum.bit_length() + 2)
+        poly = []
+        mask, half = (1 << W) - 1, 1 << (W - 1)
+        while total:
+            a = total & mask
+            if a >= half:
+                a -= mask + 1
+            poly.append(a)
+            total = (total - a) >> W
+        return Certificate(q, first, d * q**top, poly)
 
     def adjoint(self) -> "OperatorExpr":
         """Formal adjoint: reverses factor order, fixes pure powers, and

@@ -193,7 +193,8 @@ def test_criterion_5_operator_identity_catalog():
 
 
 # per template: cells that are admissible, where decrementing E_L breaks
-# admissibility, where decrementing E_R breaks it (of 256)
+# admissibility, where decrementing E_R breaks it (of 256; a prefactor the
+# form lacks counts as not breaking)
 _ADMISSIBILITY_COUNTS = {
     "powerful.main1a": (256, 255, 0),
     "powerful.main1b": (256, 256, 256),
@@ -204,12 +205,16 @@ _ADMISSIBILITY_COUNTS = {
     "powerful2.2main2a": (256, 235, 225),
     "powerful2.2main2b": (256, 235, 225),
 }
+# the cells whose report has no decrement flag, as the form lacks that
+# prefactor: kind S variant a has no E_R, variant d no E_L
+_LACKING_COUNTS = {("powerful.main1a", "ER"): 256, ("powerful.main2b", "EL"): 256}
 
 
 def test_criterion_6_prefactor_admissibility():
     bad = []
     checks = 0
     counts = {}
+    lacking = {}
     for tid in _ADMISSIBILITY_COUNTS:
         flags = [0, 0, 0]
         for L, R, Lp, Rp in itertools.product(range(4), repeat=4):
@@ -221,7 +226,10 @@ def test_criterion_6_prefactor_admissibility():
             for i, flag in enumerate(
                 (rep.admissible, rep.EL_decrement_breaks, rep.ER_decrement_breaks)
             ):
-                flags[i] += flag
+                flags[i] += bool(flag)
+            for side in ("EL", "ER"):
+                if getattr(rep, f"{side}_decrement_breaks") is None:
+                    lacking[tid, side] = lacking.get((tid, side), 0) + 1
         counts[tid] = tuple(flags)
     ok = not bad
     _report(6, ok, f"prefactor exponent tables admissible on every cell "
@@ -230,6 +238,7 @@ def test_criterion_6_prefactor_admissibility():
     # which prefactor is sharp is part of each form: kind S variant a has
     # no right prefactor to decrement, variant d no left one
     assert counts == _ADMISSIBILITY_COUNTS
+    assert lacking == _LACKING_COUNTS
 
 
 def test_criterion_7_hermite_identities():

@@ -252,7 +252,7 @@ def test_serial_verify_json_reports_the_channel_caches(capsys):
                        "--format", "json")
     assert code == 0
     caches = json.loads(out)["caches"]
-    assert set(caches) == {"coefficient_rows", "term_action", "normal_order"}
+    assert set(caches) == {"coefficient_rows", "normal_order"}
     for info in caches.values():
         assert set(info) == {"hits", "misses", "maxsize", "currsize"}
         assert info["hits"] + info["misses"] > 0

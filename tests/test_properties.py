@@ -1,5 +1,7 @@
 """Property tests: at random rational parameters every scheme, the EGFs and
-the closed forms with a free parameter reproduce the recurrence.
+the closed forms with a free parameter reproduce the recurrence, and at
+random operator expressions the action certificate is the product of its
+linear factors, summed.
 
 The numeric schemes compute over the parameters scaled to integers, so
 mixed denominators, zero and sign changes are what these tests vary.
@@ -11,6 +13,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction as F
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -23,9 +26,10 @@ os.environ.setdefault(
     str(Path(__file__).resolve().parent.parent / ".pytest_cache" / "hypothesis"),
 )
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from weylstir.egf import egf_coefficients  # noqa: E402
+from weylstir.operators import MixedExcessError, OperatorExpr  # noqa: E402
 from weylstir.triangles import (  # noqa: E402
     Triangle,
     build_recurrence,
@@ -113,6 +117,112 @@ def test_free_closed_forms_equal_the_recurrence(family, r, beta, n):
     for m in range(n + 1):
         for k in range(m + 1):
             assert closed_form(family, m, k, r=r, beta=beta) == rec.entry(m, k)
+
+
+def _list_certificate(expr):
+    """``(q, shift, denom, poly)`` of ``expr.certificate()``, the way it was
+    computed before the walk became one integer per term: each term's
+    ``prod (u + c)`` multiplied out as a coefficient list, factor by factor,
+    and the lists summed coefficient by coefficient."""
+    q = expr.q
+    first, walked, top = None, [], 1
+    for coeff, factors in expr._terms:
+        shift, poly = 0, [1]
+        for f in reversed(factors):
+            if isinstance(f, int):
+                shift += f
+                continue
+            L, R, m = f
+            c = shift + R
+            for _ in range(m):
+                poly = [c * a + b for a, b in zip(poly + [0], [0] + poly)]
+                c += L + R - q
+            shift += m * (L + R - q)
+        if first is None:
+            first = shift
+        elif shift != first:
+            raise MixedExcessError(f"{first} vs {shift}")
+        walked.append((coeff, poly))
+        top = max(top, len(poly))
+    d = lcm(*(coeff.denominator for coeff, _ in walked))
+    acc = [0] * top
+    for coeff, poly in walked:
+        lift = coeff.numerator * (d // coeff.denominator) * q ** (top - len(poly))
+        for k, a in enumerate(poly):
+            acc[k] += lift * a
+    while acc and not acc[-1]:
+        acc.pop()
+    return q, first, d * q ** (top - 1), acc
+
+
+@st.composite
+def expressions(draw):
+    """``OperatorExpr.over`` at a random ``q``: up to four terms of up to
+    four int and word factors of either sign, with int or Fraction
+    coefficients; half of them have every term padded by a pure power to
+    one shift, so that they have an action certificate."""
+    q = draw(st.integers(1, 6))
+    exps = st.integers(-3 * q, 3 * q)
+    factor = st.one_of(exps, st.tuples(exps, exps, st.integers(0, 3)))
+    coeff = st.one_of(st.integers(-9, 9), st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
+    terms = draw(st.lists(st.tuples(coeff, st.lists(factor, max_size=4)), max_size=4))
+    if draw(st.booleans()):
+        target = draw(exps)
+        terms = [
+            (c, [target - sum(f if isinstance(f, int) else f[2] * (f[0] + f[1] - q)
+                              for f in factors), *factors])
+            for c, factors in terms
+        ]
+    return OperatorExpr.over(q, [(c, tuple(factors)) for c, factors in terms])
+
+
+# x^2 D - x D x = -x: the top coefficients cancel
+_CANCELLING = OperatorExpr.over(1, [(1, ((2, 0, 1),)), (-1, ((1, 1, 1),))])
+# (x^40 D)^12 x^s = prod_{j<12} (s + 39 j) x^(s + 468): coefficients past 2^63
+_WIDE = OperatorExpr.over(1, [(1, ((40, 0, 12),))])
+
+
+@SETTINGS
+@given(expressions())
+@example(OperatorExpr.zero())
+@example(_CANCELLING.scaled(F(1, 3)))
+@example(_CANCELLING + _CANCELLING.scaled(-1))
+@example(OperatorExpr.over(2, [(1, (1,)), (F(1, 2), ((1, 1, 1),))]))  # mixed excess
+@example(_WIDE)
+def test_the_certificate_is_the_product_of_its_linear_factors(expr):
+    """The certificate equals the coefficient-list reference field for
+    field, also when its digits are read at a narrow width that forces the
+    wider redo, and agrees with ``act_on_monomial`` at degree + 1 points."""
+    try:
+        want = _list_certificate(expr)
+    except MixedExcessError:
+        with pytest.raises(MixedExcessError):
+            expr.certificate()
+        return
+    for cert in (expr.certificate(), expr.certificate(8)):
+        assert (cert.q, cert.shift, cert.denom, cert.poly) == want
+    action = cert.action()
+    for j in range(cert.degree + 1):
+        s = F(2 * j - 3, 5)
+        pointwise = {}
+        for shift, poly in action.items():
+            value = sum(c * s**k for k, c in enumerate(poly))
+            if value:
+                pointwise[s + shift] = value
+        assert pointwise == expr.act_on_monomial(s)
+
+
+def test_the_special_certificates():
+    """The zero action, a cancelled top coefficient and a coefficient too
+    wide for 64-bit digits."""
+    cert = OperatorExpr.zero().certificate()
+    assert (cert.q, cert.shift, cert.denom, cert.poly) == (1, None, 1, [])
+    cert = _CANCELLING.certificate()
+    assert (cert.shift, cert.denom, cert.poly, cert.degree) == (1, 1, [-1], 0)
+    assert (_CANCELLING + _CANCELLING.scaled(-1)).certificate().poly == []
+    cert = _WIDE.certificate()
+    assert max(abs(c) for c in cert.poly).bit_length() > 64
+    assert (cert.q, cert.shift, cert.denom, cert.poly) == _list_certificate(_WIDE)
 
 
 def test_a_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
