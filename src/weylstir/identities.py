@@ -396,6 +396,8 @@ _PREFACTORS = {
     **dict.fromkeys((("E", "a"), ("E", "b")), lambda e, ep: (max(e, ep, 0), max(ep, 0))),
     **dict.fromkeys((("E", "c"), ("E", "d")), lambda e, ep: (max(ep, 0), max(e, ep, 0))),
 }
+# the prefactor a form lacks: kind S variant a has no right one, d no left one
+_LACKS = {("S", "a"): "ER", ("S", "d"): "EL"}
 
 
 def _prefactors(kind: str, variant: str, q: int, words: Sequence[int]) -> Tuple[int, int]:
@@ -409,8 +411,8 @@ def _reexpansion(
     """Both sides of the re-expansion ``(kind, variant)`` at the word
     parameters ``words = (L, R, Lp, Rp)``, in units of ``1/q``, multiplied by
     the prefactors ``x^(EL n)`` (left) and ``x^(ER n)`` (right), in the same
-    units; kind S variant a has no right prefactor and variant d no left
-    one.  Unit factors ``x^0`` are left out."""
+    units, less the prefactor the form lacks (``_LACKS``).  Unit factors
+    ``x^0`` are left out."""
     L, R, Lp, Rp = words
     e = L + R - q
     ep = Lp + Rp - q
@@ -420,12 +422,10 @@ def _reexpansion(
     beta = -ep if twist_left else ep
     r = R - Rp + (0 if twist_left else ep) - (0 if lhs_left else e)
     coeffs = _row(kind, q, alpha, beta, r, n)
+    lacks = _LACKS.get((kind, variant))
+    EL, ER = (0 if lacks == "EL" else EL), (0 if lacks == "ER" else ER)
     S = kind == "S"
-    if S:
-        EL, ER = (0 if variant == "d" else EL), (0 if variant == "a" else ER)
-        scale = 1
-    else:
-        scale = _exact_quotient(factorial(n) * beta**n, q**n)
+    scale = 1 if S else _exact_quotient(factorial(n) * beta**n, q**n)
     xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
     lhs = OperatorExpr.over(q, [(scale, (*_xs((xl, n)), (L, R, n), *_xs((xr, n))))])
     dL, dR = EL - ep, ER - ep
@@ -774,8 +774,7 @@ class AdmissibilityReport:
     EL: Fraction
     ER: Fraction
     admissible: bool
-    # None for a prefactor the form lacks: kind S variant a has no right
-    # one, variant d no left one
+    # None for the prefactor the form lacks (_LACKS)
     EL_decrement_breaks: Optional[bool]
     ER_decrement_breaks: Optional[bool]
 
@@ -800,15 +799,15 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
         return True
 
     ok = admissible(EL, ER)
-    S = kind == "S"
+    lacks = _LACKS.get((kind, variant))
     return AdmissibilityReport(
         template_id=template_id,
         cell=tuple(sorted(cell.items())),
         EL=F(EL, q),
         ER=F(ER, q),
         admissible=ok,
-        EL_decrement_breaks=None if S and variant == "d" else not admissible(EL - q, ER),
-        ER_decrement_breaks=None if S and variant == "a" else not admissible(EL, ER - q),
+        EL_decrement_breaks=None if lacks == "EL" else not admissible(EL - q, ER),
+        ER_decrement_breaks=None if lacks == "ER" else not admissible(EL, ER - q),
     )
 
 

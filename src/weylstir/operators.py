@@ -279,12 +279,12 @@ class OperatorExpr:
                 collected[exp] = collected.get(exp, Fraction(0)) + c
         return {e: v for e, v in collected.items() if v}
 
-    def certificate(self, W: int = 64) -> Certificate:
+    def certificate(self) -> Certificate:
         """The symbolic action in integers, from one walk over the terms;
         raises MixedExcessError at the first term whose excess differs.
 
         A term's factors, right to left, give its shift and its polynomial
-        ``prod (u + c)``, evaluated at ``u = 2^W`` (``W`` 64 unless given)
+        ``prod (u + c)``, evaluated at ``u = 2^W`` (first with ``W = 64``)
         as one int (Kronecker substitution); the terms are summed there over
         the common denominator ``d q^top``, with ``d`` the lcm of the
         coefficient denominators and ``top`` the highest degree, and the sum
@@ -293,6 +293,10 @@ class OperatorExpr:
         summed bound of ``2^(W-1)`` the digits are the coefficients; above
         it the certificate is redone once with a ``W`` that clears the bound.
         """
+        return self._certificate(64)
+
+    def _certificate(self, W: int) -> Certificate:
+        """:meth:`certificate` read in digits of ``W`` bits."""
         q = self.q
         first = None
         walked = []
@@ -329,7 +333,7 @@ class OperatorExpr:
             total += lift * P
             bound_sum += abs(lift) * bound
         if bound_sum >> (W - 1):
-            return self.certificate(bound_sum.bit_length() + 2)
+            return self._certificate(bound_sum.bit_length() + 2)
         poly = []
         mask, half = (1 << W) - 1, 1 << (W - 1)
         while total:

@@ -199,7 +199,7 @@ def test_the_certificate_is_the_product_of_its_linear_factors(expr):
         with pytest.raises(MixedExcessError):
             expr.certificate()
         return
-    for cert in (expr.certificate(), expr.certificate(8)):
+    for cert in (expr.certificate(), expr._certificate(8)):
         assert (cert.q, cert.shift, cert.denom, cert.poly) == want
     action = cert.action()
     for j in range(cert.degree + 1):
