@@ -42,6 +42,7 @@ from .triangles import (KINDS, _integer_row_memo, build_recurrence, conjecture_c
 
 _TRIANGLE_CAP = 64
 _VERIFY_CAP = 10
+_CONJECTURE_CELL_CAP = 1 << 16  # the most (r, n, k) cells a conjecture report holds
 # the build and channel caches whose use a serial ``verify --format json`` reports
 _CHANNEL_CACHES = {"coefficient_rows": _integer_row_memo, "normal_order": _normal_order}
 
@@ -136,8 +137,8 @@ def cmd_verify(args) -> int:
 
     jobs, vacuous = [], []
     for template in selected:
-        cells = template.grid() if args.range is None else template.range_cells(*args.range)
         try:
+            cells = template.grid() if args.range is None else template.range_cells(*args.range)
             template.run_powers(cells, args.n)
         except VacuousRunError:
             vacuous.append(template.id)
@@ -215,6 +216,10 @@ def cmd_conjecture(args) -> int:
     if args.r_min > args.r_max:
         raise UsageError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}: "
                          "no cells to check")
+    cells = (args.r_max - args.r_min + 1) * (args.n + 1) * (args.n + 2) // 2
+    if cells > _CONJECTURE_CELL_CAP:
+        raise UsageError(f"r in [{args.r_min}, {args.r_max}] at n <= {args.n} makes {cells} "
+                         f"cells, more than the bound {_CONJECTURE_CELL_CAP}")
     report = conjecture_check(n_max=args.n, r_min=args.r_min, r_max=args.r_max)
     stated = report.mismatches_stated
     trunc = report.mismatches_truncated

@@ -16,8 +16,8 @@ semantic and exact, through two independent channels:
    dialect (all exponents natural) and every term is at most
    ``MAX_STRING_LENGTH`` letters long, counted from its exponents before
    anything is spelled, both sides are spelled as boson strings and
-   normally ordered by the independent rewriting oracle, and the normal
-   forms are compared in integers, cross-multiplied.
+   normally ordered by the independent rewriting oracle, and the difference
+   of the two sides normal-orders to zero.
 
 The string channel memoizes the normal form of each string prefix in a
 bounded cache (``boson._normal_order``); the action channel caches
@@ -60,7 +60,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -232,14 +232,18 @@ class IdentityTemplate:
 
     def range_cells(self, lo: int, hi: int) -> List[Dict[str, Fraction]]:
         """Every parameter over the integers ``lo..hi``, ``case`` clipped to
-        the case table."""
-        cells: List[Dict[str, Fraction]] = [{}]
-        for name in self.params:
-            a, b = (max(lo, 0), min(hi, self.cases - 1)) if name == "case" else (lo, hi)
-            cells = [dict(c, **{name: F(i)}) for c in cells for i in range(a, b + 1)]
-        return cells
+        the case table.  Raises ValueError, before building any, when that
+        makes more than ``_RANGE_CELL_CAP`` (4 096) cells."""
+        axes = [range(max(lo, 0), min(hi, self.cases - 1) + 1) if name == "case"
+                else range(lo, hi + 1) for name in self.params]
+        count = prod(map(len, axes))
+        if count > _RANGE_CELL_CAP:
+            raise ValueError(f"template {self.id!r}: the range {lo}..{hi} makes {count} "
+                             f"cells, more than the bound {_RANGE_CELL_CAP}")
+        return [dict(zip(self.params, map(F, combo))) for combo in product(*axes)]
 
 
+_RANGE_CELL_CAP = 1 << 12  # the most cells range_cells builds for one template
 _Q7 = (F(-2), F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2))
 _Q3 = (F(-1), F(1, 2), F(2))
 _NAT4 = (F(0), F(1), F(2), F(3))
@@ -406,13 +410,13 @@ def _prefactors(kind: str, variant: str, q: int, words: Sequence[int]) -> Tuple[
 
 
 def _reexpansion(
-    kind: str, variant: str, q: int, words: Sequence[int], n: int, EL=0, ER=0
+    kind: str, variant: str, q: int, words: Sequence[int], n: int, EL: int, ER: int
 ) -> List[TemplateInstance]:
     """Both sides of the re-expansion ``(kind, variant)`` at the word
     parameters ``words = (L, R, Lp, Rp)``, in units of ``1/q``, multiplied by
     the prefactors ``x^(EL n)`` (left) and ``x^(ER n)`` (right), in the same
-    units, less the prefactor the form lacks (``_LACKS``).  Unit factors
-    ``x^0`` are left out."""
+    units, as given: ``(0, 0)`` for the bare form.  Unit factors ``x^0`` are
+    left out."""
     L, R, Lp, Rp = words
     e = L + R - q
     ep = Lp + Rp - q
@@ -422,8 +426,6 @@ def _reexpansion(
     beta = -ep if twist_left else ep
     r = R - Rp + (0 if twist_left else ep) - (0 if lhs_left else e)
     coeffs = _row(kind, q, alpha, beta, r, n)
-    lacks = _LACKS.get((kind, variant))
-    EL, ER = (0 if lacks == "EL" else EL), (0 if lacks == "ER" else ER)
     S = kind == "S"
     scale = 1 if S else _exact_quotient(factorial(n) * beta**n, q**n)
     xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
@@ -641,12 +643,6 @@ def _normal_form(strings: Sequence[Tuple[Coefficient, str]]) -> Tuple[int, Norma
     return d, {key: value for key, value in out.items() if value}
 
 
-def _same_normal_form(left, right) -> bool:
-    """Equal normal forms of two weighted string lists, cross-multiplied."""
-    (da, a), (db, b) = _normal_form(left), _normal_form(right)
-    return a.keys() == b.keys() and all(v * db == b[key] * da for key, v in a.items())
-
-
 @dataclass
 class VerifyReport:
     template_id: str
@@ -751,7 +747,7 @@ def verify_identity(
                 rstr = inst.rhs.boson_strings(MAX_STRING_LENGTH) if lstr is not None else None
                 if rstr is not None:
                     report.string_probes += 1
-                    if not _same_normal_form(lstr, rstr):
+                    if _normal_form(lstr + [(-c, s) for c, s in rstr])[1]:
                         fail(cell, n, inst, "normal forms differ")
                 report.string_s += perf_counter() - t0
     if not report.instances:
@@ -818,8 +814,6 @@ def wc_admissibility_check(template_id: str, cell: Dict[str, Fraction]) -> Admis
 
 def ttv_check(n_max: int = 8) -> bool:
     """Exact check of the triple product power identity up to n_max."""
-    if n_max < 0:
-        raise ValueError("n_max must be a natural number")
     return verify_identity(TEMPLATES["ttv"], n_max=n_max).ok
 
 
@@ -845,8 +839,8 @@ def hermite_identity_check(n_max: int = 12) -> bool:
         raise ValueError("hermite_identity_check is capped at n_max = 12")
     he = _he_polynomials(2 * n_max + 1)
     # both triangles have integer parameters, so their rows are integers
-    rows1 = _recurrence_rows("S", -1, 2, 1, n_max, 1)
-    rows2 = _recurrence_rows("S", -2, 1, 1, n_max, 1)
+    rows1 = _recurrence_rows("S", -1, 2, 1, n_max)
+    rows2 = _recurrence_rows("S", -2, 1, 1, n_max)
     for n in range(n_max + 1):
         rhs1, rhs2 = [0] * (2 * n + 1), [0] * (2 * n + 1)  # the length of He_2n
         for k in range(n + 1):

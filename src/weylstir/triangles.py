@@ -319,7 +319,8 @@ class Triangle:
     def to_latex(self) -> str:
         lines = [" & ".join(row) + r" \\" for row in self._text_rows()]
         cols = "r" * (self.N + 1)
-        return "\n".join([rf"\begin{{array}}{{{cols}}}"] + lines + [r"\end{array}"])
+        text = "\n".join([rf"\begin{{array}}{{{cols}}}"] + lines + [r"\end{array}"])
+        return re.sub(r"\^(\d+)", r"^{\1}", text)  # every exponent braced: r^{10}, not r^1 0
 
     def to_text(self) -> str:
         return "\n".join(", ".join(row) for row in self._text_rows())
@@ -422,11 +423,11 @@ def _columns(rows) -> List[List[Any]]:
 # ---------------------------------------------------------------------------
 
 
-def _recurrence_rows(kind: str, a, b, r, N: int, one, start=None) -> List[List[Scalar]]:
-    """Rows of the triangular recurrence up to row ``N``: from row 0
-    (``[one]``), or from ``start`` (row ``len(start) - 1``) when it is given.
-    The first row returned is row 0 or ``start``."""
-    rows: List[List[Scalar]] = [[one] if start is None else start]
+def _recurrence_rows(kind: str, a, b, r, N: int, start=None) -> List[List[Scalar]]:
+    """Rows of the triangular recurrence up to row ``N``, from row 0
+    (``[1]``) or from ``start`` (row ``len(start) - 1``; the symbolic apex
+    is ``[ParamPoly.constant(1)]``), which is the first row returned."""
+    rows: List[List[Scalar]] = [[1] if start is None else start]
     for n in range(len(rows[0]) - 1, N):
         prev = [0, *rows[-1], 0]  # entry k of row n is prev[k + 1]
         row = []
@@ -482,7 +483,7 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
         raise ValueError(f"unknown triangle kind {kind!r}")
     _check_rows(N)
     if any(isinstance(p, ParamPoly) for p in (alpha, beta, r)):
-        rows = _recurrence_rows(kind, alpha, beta, r, N, ParamPoly.constant(1))
+        rows = _recurrence_rows(kind, alpha, beta, r, N, start=[ParamPoly.constant(1)])
         return Triangle(kind, alpha, beta, r, tuple(map(tuple, rows)))
     a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
     held = _recurrence_rows_cached(kind, a, b, rr)
@@ -495,12 +496,10 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
         if ints is None:
             return Triangle(kind, a, b, rr, tall.rows[: N + 1])
         return Triangle._of(kind, a, b, rr, ints[0][: N + 1], ints[1][: N + 1])
-    nums, dens = ints or ([[1]], [[1]])  # after a rows read, from row 0
+    nums = ints[0] if ints else [[1]]  # after a rows read, from row 0
     q, scaled = scale_params(a, b, rr)
-    qpow = [q**d for d in range(N + 1)]
-    nums = nums + _recurrence_rows(kind, *scaled, N, 1, start=nums[-1])[1:]
-    dens = dens + [_degree_scales(kind, qpow, n) for n in range(len(dens), N + 1)]
-    held[0] = tall = Triangle._of(kind, a, b, rr, nums, dens)
+    nums = nums + _recurrence_rows(kind, *scaled, N, start=nums[-1])[1:]
+    held[0] = tall = Triangle._scaled(kind, (a, b, rr), q, nums)
     return tall
 
 
@@ -521,7 +520,7 @@ def _integer_rows(kind: str, A: int, B: int, R: int, N: int) -> Tuple[Tuple[int,
     memo = _integer_row_memo(kind, A, B, R)
     rows = memo[0]
     if N >= len(rows):
-        new = _recurrence_rows(kind, A, B, R, N, 1, start=rows[-1] if rows else None)
+        new = _recurrence_rows(kind, A, B, R, N, start=rows[-1] if rows else None)
         rows = memo[0] = rows[:-1] + tuple(map(tuple, new))
     return rows[: N + 1]
 
@@ -680,7 +679,7 @@ def vandermonde_ldu_check(alpha, beta, r, N: int) -> bool:
     _check_rows(N)
     # at the parameters scaled by q both sides are q^n times their value
     _, (A, B, R) = scale_params(alpha, beta, r)
-    rows = _recurrence_rows("S", A, B, R, N, 1)
+    rows = _recurrence_rows("S", A, B, R, N)
     table = _falling_power_table(A, B, R, N, N)
     diag = [B**k * factorial(k) for k in range(N + 1)]
     # column x of D * U: diag[k] C(x, k), zero past k = x
@@ -697,8 +696,8 @@ def reflection_check(alpha, beta, r, N: int) -> bool:
     # the reflected point has the same common denominator q, and every E
     # entry of row n is q^n times its value at both points
     _, (A, B, R) = scale_params(alpha, beta, r)
-    rows = _recurrence_rows("E", A, B, R, N, 1)
-    reflected = _recurrence_rows("E", -A, B, B - R, N, 1)
+    rows = _recurrence_rows("E", A, B, R, N)
+    reflected = _recurrence_rows("E", -A, B, B - R, N)
     return all(row[::-1] == other for row, other in zip(rows, reflected))
 
 
@@ -1008,9 +1007,9 @@ class ConjectureCell:
     n: int
     k: int
     r: int
-    recurrence: Fraction
-    sum_stated: Fraction
-    sum_truncated: Fraction
+    recurrence: int
+    sum_stated: int
+    sum_truncated: int
     match_stated: bool
     match_truncated: bool
 
@@ -1049,25 +1048,25 @@ def conjecture_check(n_max: int = 10, r_min: int = -4, r_max: int = 6) -> Conjec
 
     The stated summation range dips below ``j = 0`` once ``r >= 3``; since
     the intent there is ambiguous, both the stated range and its truncation
-    to ``j >= 0`` are evaluated and reported.  This function never raises on
-    a mismatch; it reports.
+    to ``j >= 0`` are evaluated and reported, in ints.  This function never
+    raises on a mismatch; it reports.
     """
+    _check_rows(n_max)
     report = ConjectureReport(n_max=n_max, r_min=r_min, r_max=r_max)
     for r in range(r_min, r_max + 1):
-        tri = build_recurrence("Shat", -1, 2, r, n_max)
+        rows = _integer_rows("Shat", -1, 2, r, n_max)
+        lo = (2 - r) // 2  # floor division, may be negative
         for n in range(n_max + 1):
             nfact = factorial(n)
+            hi = (n + 2 - r) // 2
             for k in range(n + 1):
-                lo = (2 - r) // 2  # floor division, may be negative
-                hi = (n + 2 - r) // 2
-                total_stated = Fraction(0)
-                total_trunc = Fraction(0)
+                total_stated = total_trunc = 0
                 for j in range(lo, hi + 1):
                     term = binomial(n - j, n - k) * nfact * binomial(n + 1, 2 * j + r - 1)
                     total_stated += term
                     if j >= 0:
                         total_trunc += term
-                rec = tri.rows[n][k]
+                rec = rows[n][k]
                 report.cells.append(
                     ConjectureCell(
                         n=n,

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from weylstir import cli
 from weylstir.cli import main
 from weylstir.identities import TEMPLATES, IdentityTemplate, TemplateInstance
 from weylstir.operators import OperatorExpr, XPower
@@ -397,6 +399,58 @@ def test_conjecture_json(capsys):
     payload = json.loads(out)
     assert payload["mismatches_stated_range"] == 0
     assert payload["convention_sensitive_cells"] > 0
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("verify", "--template", "firstmain.2a", "--range", "0..99"), 100000000),
+    (("verify", "--all", "--range", "0..99"), 10000),
+    (("conjecture", "--n", "64", "--r-min=-15", "--r-max", "15"), 66495),
+], ids=["range", "all-range", "conjecture"])
+def test_a_run_past_its_cell_bound_exits_two_naming_the_count(capsys, argv, count):
+    """The size bounds of verify --range (4 096 cells per template) and
+    conjecture (65 536 cells) are refused before any work, with the count."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f" makes {count} cells, more than the bound " in err and err.count("\n") == 1
+
+
+def test_the_conjecture_bound_admits_65536_cells_and_is_checked_first(capsys, monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def reached(**kwargs):
+        raise Reached
+
+    monkeypatch.setattr(cli, "conjecture_check", reached)
+    with pytest.raises(Reached):  # one cell per r at n = 0
+        main(["conjecture", "--n", "0", "--r-min", "1", "--r-max", "65536"])
+    code, _, err = run(capsys, "conjecture", "--n", "0", "--r-min", "0", "--r-max", "65536")
+    assert code == 2
+    assert err == "error: r in [0, 65536] at n <= 0 makes 65537 cells, more than the bound 65536\n"
+
+
+# sha256 of the conjecture outputs, taken before the checker summed in ints
+_CONJECTURE_DIGESTS = {
+    (): "8d0b9dc7aefac6995e0977861edc287ac9e943ccbe52d1ed0d29ae2b05275388",
+    ("--format", "json"): "fca23bf1cb94299e3bc290a36cb95327111db90b53ac4fb94ccfd89d24ebf47c",
+    ("--n", "30", "--r-min", "-6", "--r-max", "9", "--format", "json"):
+        "45c84193631bbbaf4e4dbe411a5a209015b1d631d3c1f88e675e08956f297f02",
+}
+
+
+@pytest.mark.parametrize("argv", list(_CONJECTURE_DIGESTS), ids=["text", "json", "n30-json"])
+def test_conjecture_output_is_pinned(capsys, argv):
+    code, out, _ = run(capsys, "conjecture", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CONJECTURE_DIGESTS[argv]
+
+
+def test_symbolic_latex_braces_every_exponent(capsys):
+    """LaTeX reads r^10 as r^1 0; the export writes r^{10}."""
+    code, out, _ = run(capsys, "triangle", "--symbolic", "--n", "10", "--format", "latex")
+    assert code == 0
+    assert "r^{10} - 45*alpha*r^{9}" in out
+    assert not re.search(r"\^(?!\{[0-9]+\})", out)  # no bare exponent is left
 
 
 def test_verify_all_range_is_clipped_to_case_tables(capsys):

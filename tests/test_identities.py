@@ -383,6 +383,22 @@ def test_range_cells_clip_case_to_the_case_table():
     assert cells == [{"L": F(a), "R": F(b)} for a in (-1, 0) for b in (-1, 0)]
 
 
+def test_range_cells_refuse_more_cells_than_their_bound():
+    """4 096 cells at most: four words over 0..7, and not over 0..8.  The
+    count is taken before any cell is built, so a range of 10^24 cells
+    is refused at once."""
+    template = TEMPLATES["firstmain.2a"]
+    assert identities._RANGE_CELL_CAP == 4096
+    cells = template.range_cells(0, 7)
+    assert len(cells) == 4096 and cells[-1] == {name: F(7) for name in template.params}
+    with pytest.raises(ValueError, match=r"^template 'firstmain.2a': the range 0..8 makes "
+                                         r"6561 cells, more than the bound 4096$"):
+        template.range_cells(0, 8)
+    with pytest.raises(ValueError, match=f"makes {(10**6 + 1)**4} cells"):
+        template.range_cells(0, 10**6)
+    assert len(TEMPLATES["cor1"].range_cells(0, 63)) == 4096
+
+
 def test_catalog_declarations_are_pinned():
     """Id, domain, parameters, power bounds, case table, description and
     grid of every template, in catalog order, hash to a fixed digest."""

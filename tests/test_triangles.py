@@ -381,6 +381,10 @@ def test_symbolic_triangle_entries_and_homogeneity():
     sym = symbolic_triangle("S", 4)
     assert sym.entry(1, 0) == R
     assert sym.entry(1, 1) == ParamPoly.constant(1)
+    # == would also pass for an int entry: every entry, the apex included,
+    # is a ParamPoly in each kind
+    for tri in (sym, symbolic_triangle("Shat", 2), symbolic_triangle("E", 2)):
+        assert {type(v) for row in tri.rows for v in row} == {ParamPoly}
     assert sym.entry(2, 1) == -ALPHA + BETA + 2 * R
     # every monomial alpha^i beta^j r^l in S_{n,k} has i + j + l = n - k
     for n in range(5):
@@ -713,6 +717,10 @@ def test_conjecture_checker_reports_both_conventions():
     # ...while truncating j to naturals loses the r >= 3 cells
     assert rep.mismatches_truncated
     assert all(c.r >= 3 for c in rep.convention_sensitive)
+    # the (-1, 2; r) rows are integer rows, and so are both sums
+    assert {type(getattr(c, name)) for c in rep.cells
+            for name in ("recurrence", "sum_stated", "sum_truncated")} == {int}
+
 
 
 # ---------------------------------------------------------------------------
@@ -730,9 +738,9 @@ def _private_cache(monkeypatch, maxsize=4096):
     monkeypatch.setattr(triangles, "_recurrence_rows_cached", cache)
     runs = []
 
-    def recording(kind, a, b, r, N, one, start=None):
+    def recording(kind, a, b, r, N, start=None):
         runs.append((1 if start is None else len(start), N))
-        return _real_recurrence_rows(kind, a, b, r, N, one, start)
+        return _real_recurrence_rows(kind, a, b, r, N, start)
 
     monkeypatch.setattr(triangles, "_recurrence_rows", recording)
     return cache, runs
