@@ -30,9 +30,10 @@ difference of a polynomial of degree ``n`` in ``j``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from operator import mul
-from typing import List
+from typing import List, Tuple
 
 from .kernels import scale_params, strided_falling
 
@@ -44,11 +45,18 @@ def _binomial_power(c: int, a: int, deg: int) -> List[int]:
     return [strided_falling(c, m, a) for m in range(deg + 1)]
 
 
+@lru_cache(maxsize=256)
+def _pascal(deg: int) -> Tuple[Tuple[int, ...], ...]:
+    """Rows ``0..deg`` of Pascal's triangle, row ``m`` holding ``C(m, j)``."""
+    return tuple(tuple(comb(m, j) for j in range(m + 1)) for m in range(deg + 1))
+
+
 def _egf_mul(f: List[int], g: List[int]) -> List[int]:
-    """Product of two EGF-normalised series of one length."""
+    """Product of two EGF-normalised series of one length: entry ``m`` is
+    ``sum_j C(m, j) f[j] g[m - j]``, one dot product per entry."""
     return [
-        sum(comb(m, j) * f[j] * g[m - j] for j in range(m + 1))
-        for m in range(len(f))
+        sum(map(mul, row, map(mul, f, g[m::-1])))
+        for m, row in enumerate(_pascal(len(f) - 1))
     ]
 
 
@@ -82,4 +90,9 @@ def egf_coefficients(kind: str, alpha, beta, r, deg_t: int, deg_z: int):
         for n, at_n in enumerate(rows):
             signed = [(-1) ** i * comb(n + 1, i) for i in range(deg_t + 1)]
             rows[n] = [sum(map(mul, signed[k::-1], at_n)) for k in range(deg_t + 1)]
-    return [[Fraction(v, q**n) for v in row] for n, row in enumerate(rows)]
+    out = []
+    den = 1  # q^n, one power per row
+    for row in rows:
+        out.append([Fraction(v, den) for v in row])
+        den *= q
+    return out

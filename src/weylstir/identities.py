@@ -67,7 +67,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .boson import MAX_STRING_LENGTH, NormalForm, normal_order_oracle
 from .kernels import _exact_quotient, as_rational, binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
-from .triangles import _degree_scales, _integer_rows, _recurrence_rows, closed_form
+from .triangles import _closed_form_ints, _degree_scales, _integer_rows, _recurrence_rows
 from .triangles import build_recurrence  # noqa: F401  (perfbench looks it up here)
 
 F = Fraction
@@ -464,8 +464,7 @@ def _b_reexpansion(kind: str, variant: str, prefactored: bool, words=_cell_words
 
 
 def _b_proposition(p, n):
-    values = (closed_form("S_4F_vi", n, k, r=0) for k in range(n + 1))
-    coeffs = [_exact_quotient(c.numerator, c.denominator) for c in values]
+    coeffs = [_exact_quotient(*_closed_form_ints("S_4F_vi", n, k, 0, 1)) for k in range(n + 1)]
     return _expansion(_one(1, (3, 0, n)), coeffs, _normal(1, 2 * n))
 
 

@@ -178,22 +178,22 @@ def hyp2f1_hat(N: int, b, c, z, stride=1):
     ``q^N`` times the sum at ``b / q``, computed without division through
     ``q^k rising(b / q, k) == strided_rising(b, k, q)``.
 
-    One O(N) pass: the tails ``t_k = q^(N-k) rising(c + k, N - k)`` come from
-    the right, ``t_N = 1`` and ``t_k = t_{k+1} q (c + k)``, while the heads
-    ``h_k = strided_rising(b, k, q) z^k`` go forward,
-    ``h_{k+1} = h_k (b + k q) z``, and ``C(N, k)`` is carried as an ``int``.
-    Only ``+``, ``-`` and ``*`` touch ``b``, ``c`` and ``z``.
+    One O(N) forward pass in Horner form.  With the heads
+    ``h_k = strided_rising(b, k, q) z^k`` (``h_k = h_{k-1} (b + (k-1) q) z``)
+    and ``C(N, k)`` carried as an ``int``, each tail
+    ``q^(N-k) rising(c + k, N - k)`` is the product of the factors
+    ``q (c + j)`` for ``j = k..N-1``, so the sum folds from ``total = 1`` as
+    ``total = total q (c + k - 1) + (-1)^k C(N, k) h_k`` for ``k = 1..N``.
+    No list is built, and only ``+``, ``-`` and ``*`` touch ``b``, ``c``
+    and ``z``.
     """
     if N < 0:
         raise ValueError(f"series order must be a natural number, got {N}")
-    tails = [1] * (N + 1)
-    for k in range(N - 1, -1, -1):
-        tails[k] = tails[k + 1] * (stride * (c + k))
-    total = 0
+    total = 1
     head = 1
     weight = 1  # (-1)^k C(N, k)
-    for k in range(N + 1):
-        total = total + weight * head * tails[k]
-        head = head * (b + k * stride) * z
-        weight = -weight * (N - k) // (k + 1)
+    for k in range(1, N + 1):
+        head = head * (b + (k - 1) * stride) * z
+        weight = -weight * (N - k + 1) // k
+        total = total * (stride * (c + k - 1)) + weight * head
     return total

@@ -33,10 +33,13 @@ compute in Python ``int``.  Every triangle is one frozen :class:`Triangle`.
 :meth:`Triangle.from_json` keep integer numerators over integer
 denominators instead, build the ``Fraction`` rows once, when ``rows`` is
 first read, in place of the integers, and compare with ``==`` in
-integers.  The recurrence cache holds the tallest triangle built at each
-parameter point and serves a shorter one as its prefix.  Consumers that
-need only integer rows (the classical Stirling tables and the identity
-catalog) read one memo of them instead, :func:`_integer_rows`.
+integers.  The ``q^degree`` denominator rows are memoized per
+``(kind, q, N)`` and shared by every triangle made there, so two scheme
+triangles compare their numerators alone.  The recurrence cache holds the
+tallest triangle built at each parameter point and serves a shorter one as
+its prefix.  Consumers that need only integer rows (the classical Stirling
+tables and the identity catalog) read one memo of them instead,
+:func:`_integer_rows`.
 :meth:`Triangle.to_json` joins the entry texts directly, and a read
 triangle writes back the text it read.
 """
@@ -175,9 +178,9 @@ class Triangle:
     @classmethod
     def _scaled(cls, kind: str, params, q: int, rows) -> "Triangle":
         """The triangle whose rows 0..N, computed at ``params`` scaled by
-        ``q``, are ``rows``: each entry is its value times ``q^degree``."""
-        qpow = [q**d for d in range(len(rows))]
-        dens = [_degree_scales(kind, qpow, n) for n in range(len(rows))]
+        ``q``, are ``rows``: each entry is its value times ``q^degree``,
+        over the shared rows :func:`_denominator_rows` gives."""
+        dens = _denominator_rows(kind, q, len(rows) - 1)
         return cls._of(kind, *map(as_rational, params), rows, dens)
 
     @property
@@ -317,13 +320,23 @@ class Triangle:
         return "\n".join(",".join(row) for row in self._text_rows())
 
     def to_latex(self) -> str:
+        """The rows as a LaTeX ``array``: a rational entry as ``\\frac{p}{q}``
+        with its sign outside, the parameters as ``\\alpha`` and ``\\beta``,
+        products as spaces and every exponent braced (``r^{10}``)."""
         lines = [" & ".join(row) + r" \\" for row in self._text_rows()]
         cols = "r" * (self.N + 1)
-        text = "\n".join([rf"\begin{{array}}{{{cols}}}"] + lines + [r"\end{array}"])
-        return re.sub(r"\^(\d+)", r"^{\1}", text)  # every exponent braced: r^{10}, not r^1 0
+        body = "\n".join(lines)
+        body = _LATEX_FRACTION.sub(r"\\frac{\1}{\2}", body)
+        body = body.replace("*", " ").replace("alpha", r"\alpha").replace("beta", r"\beta")
+        body = re.sub(r"\^(\d+)", r"^{\1}", body)  # LaTeX reads r^10 as r^1 0
+        return "\n".join([rf"\begin{{array}}{{{cols}}}", body, r"\end{array}"])
 
     def to_text(self) -> str:
         return "\n".join(", ".join(row) for row in self._text_rows())
+
+
+# an unsigned p/q in an entry text; a minus sign stays outside the \frac
+_LATEX_FRACTION = re.compile(r"(\d+)/(\d+)")
 
 
 def _rows_equal(nums, dens, other_nums, other_dens) -> bool:
@@ -391,19 +404,27 @@ def _degree_scales(kind: str, qpow: Sequence[int], n: int) -> Sequence[int]:
     return qpow[n::-1] if kind == "S" else [qpow[n]] * (n + 1)
 
 
+@lru_cache(maxsize=256)
+def _denominator_rows(kind: str, q: int, N: int) -> Tuple[List[int], ...]:
+    """Rows 0..N of ``q^degree`` (:func:`_degree_scales`), shared by every
+    triangle of ``(kind, q, N)`` so that two of them compare their
+    numerators alone.  The rows are lists, as :meth:`Triangle.from_json`
+    and :meth:`Triangle._pairs` give them, so they compare equal to those;
+    no caller changes them."""
+    qpow = [q**d for d in range(N + 1)]
+    return tuple(_degree_scales(kind, qpow, n) for n in range(N + 1))
+
+
 def _scaled_rows(tri: "Triangle", q: int) -> List[List[Any]]:
     """The entries of a numeric triangle times ``q^degree``, as ints
     whenever they are (always, for a triangle built by this module at
     parameters whose denominators divide ``q``).  An entry whose
     denominator divides ``q^degree`` builds no Fraction."""
-    qpow = [q**d for d in range(tri.N + 1)]
-    out = []
-    for n, (nums, dens) in enumerate(zip(*tri._pairs())):
-        out.append([
-            num * (scale // den) if scale % den == 0 else _exact_quotient(num * scale, den)
-            for num, den, scale in zip(nums, dens, _degree_scales(tri.kind, qpow, n))
-        ])
-    return out
+    return [
+        [num * (scale // den) if scale % den == 0 else _exact_quotient(num * scale, den)
+         for num, den, scale in zip(nums, dens, scales)]
+        for nums, dens, scales in zip(*tri._pairs(), _denominator_rows(tri.kind, q, tri.N))
+    ]
 
 
 def _lower_product(rows, cols) -> List[List[Any]]:
@@ -591,7 +612,25 @@ def triangle_by_sum(kind: str, alpha, beta, r, N: int) -> Triangle:
 
 def shat_from_s_row(row: Sequence[Scalar], beta) -> List[Scalar]:
     """Rescale an S row to the modified row: entry k times ``beta^k k!``,
-    the weight carried along the row as ``w_k = w_{k-1} beta k``."""
+    the weight carried along the row as ``w_k = w_{k-1} beta k``.
+
+    For a ``Fraction`` ``beta = p / q`` and rational entries the weight is
+    carried as the two ints ``p^k k!`` and ``q^k``, and each entry is one
+    ``Fraction`` of integer products; any other row or ``beta`` (ints,
+    ``ParamPoly``) multiplies through the scalars."""
+    if type(beta) is Fraction:
+        p, q = beta.numerator, beta.denominator
+        out = []
+        num = den = 1  # p^k k!, q^k
+        try:
+            for k, v in enumerate(row):
+                if k:
+                    num *= p * k
+                    den *= q
+                out.append(Fraction(v.numerator * num, v.denominator * den))
+            return out
+        except AttributeError:  # entries that are not rationals
+            pass
     weights = accumulate(range(1, len(row)), lambda w, k: w * beta * k, initial=1)
     return list(map(mul, row, weights))
 
@@ -781,7 +820,7 @@ def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
 
 def _e_vi(n: int, k: int, d: int, q: int, R: int, B: int) -> int:
     """The (zeta, p) Eulerian family: r = 2 - zeta + 2 p with zeta in {0, 1}
-    and p natural, i.e. an integer r >= 1 (checked by closed_form_params)."""
+    and p natural, i.e. an integer r >= 1 (checked by _check_e_vi)."""
     rint = R // q
     zeta = rint % 2
     p = (rint - 2 + zeta) // 2
@@ -867,14 +906,19 @@ _CLOSED_FORMS = {
 CLOSED_FORM_FAMILIES = tuple(_CLOSED_FORMS)
 
 
+def _check_e_vi(rr: Fraction) -> None:
+    if rr.denominator != 1 or rr < 1:
+        raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
+
+
 def closed_form_params(family: str, r=0, beta=1):
     """The (kind, alpha, beta, r) tuple a family's closed form evaluates."""
     rr = as_rational(r)
     b = as_rational(beta)
     if family not in _CLOSED_FORMS:
         raise ValueError(f"unknown closed-form family {family!r}")
-    if family == "E_vi" and (rr.denominator != 1 or rr < 1):
-        raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
+    if family == "E_vi":
+        _check_e_vi(rr)
     free = {"r": rr, "b": b, "-b": -b}
     kind, *params = _CLOSED_FORMS[family][0]
     return (kind, *(free[p] if isinstance(p, str) else p for p in params))
@@ -891,21 +935,31 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
 
     Every family computes one integer numerator at ``(R, B) = q (r, beta)``
     in O(n) steps and divides it once, by ``q^d`` (``d = n - k``),
-    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1.  A sweep over
-    ``(n, k)`` that passes the same ``r`` and ``beta`` objects each time
-    scales them once: :func:`kernels.scale_params` keeps its last result.
+    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1: this function is that
+    unreduced pair (:func:`_closed_form_ints`) made one ``Fraction``.
+    ``E_vi`` checks its ``r`` once per call, before the triangle bounds.  A
+    sweep over ``(n, k)`` that passes the same ``r`` and ``beta`` objects
+    each time scales them once: :func:`kernels.scale_params` keeps its last
+    result.
     """
+    return Fraction(*_closed_form_ints(family, n, k, r, beta))
+
+
+def _closed_form_ints(family: str, n: int, k: int, r, beta) -> Tuple[int, int]:
+    """The value of :func:`closed_form` as one integer numerator over one
+    nonzero integer denominator, unreduced; ``(0, 1)`` outside the
+    triangle."""
     spec = _CLOSED_FORMS.get(family)
     if spec is None:
         raise ValueError(f"unknown closed-form family {family!r}")
     if family == "E_vi":
-        closed_form_params(family, r)  # checks r before the triangle bounds
+        _check_e_vi(as_rational(r))  # before the triangle bounds
     if k < 0 or k > n:
-        return Fraction(0)
+        return 0, 1
     q, (R, B) = scale_params(r, beta)
     _, numerator, denominator = spec
     d = n - k
-    return Fraction(numerator(n, k, d, q, R, B), denominator(n, d, q))
+    return numerator(n, k, d, q, R, B), denominator(n, d, q)
 
 
 # ---------------------------------------------------------------------------

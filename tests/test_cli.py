@@ -446,11 +446,25 @@ def test_conjecture_output_is_pinned(capsys, argv):
 
 
 def test_symbolic_latex_braces_every_exponent(capsys):
-    """LaTeX reads r^10 as r^1 0; the export writes r^{10}."""
+    """LaTeX reads r^10 as r^1 0; the export writes r^{10}, the parameters
+    as \\alpha and \\beta, and a product as a space."""
     code, out, _ = run(capsys, "triangle", "--symbolic", "--n", "10", "--format", "latex")
     assert code == 0
-    assert "r^{10} - 45*alpha*r^{9}" in out
+    assert "r^{10} - 45 \\alpha r^{9}" in out
     assert not re.search(r"\^(?!\{[0-9]+\})", out)  # no bare exponent is left
+    assert "*" not in out and not re.search(r"(?<!\\)(alpha|beta)", out)
+
+
+def test_rational_latex_writes_fractions_with_the_sign_outside(capsys):
+    code, out, _ = run(capsys, "triangle", "--kind", "S", "--alpha=1/2", "--beta=3",
+                       "--r=-1/3", "--n", "3", "--format", "latex")
+    assert code == 0
+    assert out.splitlines()[2] == r"-\frac{1}{3} & 1 \\"
+    assert "/" not in out
+    tri = build_recurrence("S", F(1, 2), 3, F(-1, 3), 3)
+    texts = [r"\frac{%d}{%d}" % (abs(v.numerator), v.denominator) if v.denominator > 1
+             else str(abs(v)) for row in tri.rows for v in row]
+    assert all(text in out for text in texts)
 
 
 def test_verify_all_range_is_clipped_to_case_tables(capsys):

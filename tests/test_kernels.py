@@ -1,9 +1,10 @@
 """Arithmetic kernel tests: rationals, binomials, strided powers, the
 desingularized Gauss sum."""
 
+import random
 import re
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial, prod
 
 import pytest
 
@@ -218,13 +219,18 @@ def test_hyp2f1_hat_at_z_zero():
 
 
 def test_hyp2f1_hat_equals_its_defining_sum():
-    """The one-pass evaluation against the sum term by term, at integer and
-    rational b and c (nonpositive c included), strides 1..3 and a few z."""
+    """The one-pass evaluation against the sum term by term, written out as
+    signed binomials, strided rising powers and powers of z: on a grid of
+    integer and rational b and c (nonpositive c included), on a seeded
+    sample with N <= 12 and strides 1, 2, 3 and -2, and at a symbolic b."""
+
+    def up(x, m, stride):  # x (x + stride) ... (x + (m - 1) stride)
+        return prod((x + j * stride for j in range(m)), start=1)
 
     def direct(N, b, c, z, stride):
         return sum(
-            (-1) ** k * binomial(N, k) * strided_rising(b, k, stride)
-            * stride ** (N - k) * rising(c + k, N - k) * z**k
+            (-1) ** k * comb(N, k) * up(b, k, stride)
+            * stride ** (N - k) * up(c + k, N - k, 1) * z**k
             for k in range(N + 1)
         )
 
@@ -234,6 +240,14 @@ def test_hyp2f1_hat_equals_its_defining_sum():
                 for c in (-N, -2, 0, 5, F(1, 2), F(-9, 4)):
                     for z in (-1, 2, F(1, 3)):
                         assert hyp2f1_hat(N, b, c, z, stride) == direct(N, b, c, z, stride)
+    rng = random.Random(20)
+    values = [F(p, q) for p in range(-9, 10) for q in (1, 1, 2, 3, 5)]
+    for _ in range(2000):
+        N = rng.randint(0, 12)
+        stride = rng.choice((1, 2, 3, -2))
+        b, z = rng.choice(values), rng.choice(values)
+        c = rng.choice((rng.randint(-N - 2, 0), rng.choice(values)))  # c <= 0 half the time
+        assert hyp2f1_hat(N, b, c, z, stride) == direct(N, b, c, z, stride), (N, b, c, z, stride)
     b = ParamPoly.r() * 2 - ParamPoly.beta()
     for N in range(6):
         assert hyp2f1_hat(N, b, -3, 2, 2) == direct(N, b, -3, 2, 2)

@@ -137,12 +137,23 @@ def test_entry_indexing():
 
 
 def test_shat_is_modified_s():
-    # the symbolic point checks the rescaling on ParamPoly rows
-    for a, b, r in [(F(1), b, F(3)) for b in (F(0), F(2), F(-1, 2))] + [(ALPHA, BETA, R)]:
+    # rational rows at beta zero, negative, non-integer and integer go
+    # through the integer rescaling; the symbolic point checks it on
+    # ParamPoly rows
+    betas = (F(0), F(2), F(-3), F(-1, 2), F(5, 3))
+    for a, b, r in [(F(1), b, F(3)) for b in betas] + [(ALPHA, BETA, R)]:
         s = build_recurrence("S", a, b, r, 8)
         sh = build_recurrence("Shat", a, b, r, 8)
         for n in range(9):
-            assert shat_from_s_row(s.row(n), b) == sh.row(n)
+            row = s.row(n)
+            got = shat_from_s_row(row, b)
+            assert got == sh.row(n)
+            assert got == [v * b**k * factorial(k) for k, v in enumerate(row)]
+    # a row of ints, at a Fraction beta and at an int one
+    row = [3, -1, 0, 7, 2]
+    for b in (F(-2, 3), F(0), F(4), 5, -1):
+        assert shat_from_s_row(row, b) == [v * b**k * factorial(k) for k, v in enumerate(row)]
+    assert shat_from_s_row([], F(1, 2)) == []
 
 
 def test_sum_scheme_matches_recurrence():
@@ -576,6 +587,8 @@ def test_a_read_triangle_behaves_as_the_built_one():
         symbolic_triangle("Shat", 5),
         Triangle("Shat", ALPHA, BETA, R, [list(row) for row in symbolic.rows]),
     )]
+    # two triangles of one (kind, q, N) share their denominator rows
+    assert cases[4][0]._ints[1] is cases[5][0]._ints[1]
     for read, same in cases:
         assert hash(read) == hash(same) and repr(read) == repr(same)
         assert read.N == 5 and read.entry(5, 6) == 0 and read.entry(2, -1) == 0
