@@ -455,18 +455,6 @@ def test_symbolic_latex_braces_every_exponent(capsys):
     assert "*" not in out and not re.search(r"(?<!\\)(alpha|beta)", out)
 
 
-def test_rational_latex_writes_fractions_with_the_sign_outside(capsys):
-    code, out, _ = run(capsys, "triangle", "--kind", "S", "--alpha=1/2", "--beta=3",
-                       "--r=-1/3", "--n", "3", "--format", "latex")
-    assert code == 0
-    assert out.splitlines()[2] == r"-\frac{1}{3} & 1 \\"
-    assert "/" not in out
-    tri = build_recurrence("S", F(1, 2), 3, F(-1, 3), 3)
-    texts = [r"\frac{%d}{%d}" % (abs(v.numerator), v.denominator) if v.denominator > 1
-             else str(abs(v)) for row in tri.rows for v in row]
-    assert all(text in out for text in texts)
-
-
 def test_verify_all_range_is_clipped_to_case_tables(capsys):
     code, out, _ = run(capsys, "verify", "--all", "--range", "0..3", "--n", "1",
                        "--format", "json")

@@ -246,7 +246,7 @@ def test_hyp2f1_hat_equals_its_defining_sum():
         N = rng.randint(0, 12)
         stride = rng.choice((1, 2, 3, -2))
         b, z = rng.choice(values), rng.choice(values)
-        c = rng.choice((rng.randint(-N - 2, 0), rng.choice(values)))  # c <= 0 half the time
+        c = rng.choice((rng.randint(-N - 2, 0), rng.choice(values)))  # an integer c <= 0 half the time
         assert hyp2f1_hat(N, b, c, z, stride) == direct(N, b, c, z, stride), (N, b, c, z, stride)
     b = ParamPoly.r() * 2 - ParamPoly.beta()
     for N in range(6):

@@ -720,6 +720,13 @@ def test_csv_and_latex_and_text():
     assert tri.to_csv().splitlines() == ["1", "0,1", "0,1,1"]
     assert "\\\\" in tri.to_latex()
     assert tri.to_text().splitlines()[2] == "0, 1, 1"
+    # rational entries: LaTeX writes \frac{p}{q} with the sign outside,
+    # text and CSV keep p/q
+    tri = build_recurrence("S", F(1, 2), 3, F(-1, 3), 2)
+    assert tri.to_latex().splitlines()[2:4] == [
+        r"-\frac{1}{3} & 1 \\", r"\frac{5}{18} & \frac{11}{6} & 1 \\"]
+    assert tri.to_csv().splitlines()[2] == "5/18,11/6,1"
+    assert tri.to_text().splitlines()[1] == "-1/3, 1"
 
 
 def test_conjecture_checker_reports_both_conventions():
