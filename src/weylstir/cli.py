@@ -118,8 +118,8 @@ def cmd_triangle(args) -> int:
 
 
 def _verify_worker(job) -> VerifyReport:
-    tid, cell, n_max = job
-    return verify_identity(TEMPLATES[tid], cells=[cell], n_max=n_max)
+    tid, cells, n_max = job
+    return verify_identity(TEMPLATES[tid], cells=cells, n_max=n_max)
 
 
 def cmd_verify(args) -> int:
@@ -144,8 +144,8 @@ def cmd_verify(args) -> int:
             vacuous.append(template.id)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
-        jobs.extend((template.id, cell, args.n)
-                    for cell in sorted(cells, key=lambda c: tuple(sorted(c.items()))))
+        jobs.append((template.id, sorted(cells, key=lambda c: tuple(sorted(c.items()))),
+                     args.n))
     if vacuous:
         raise UsageError(f"nothing to verify for {', '.join(vacuous)} "
                          "(0 instances; check --range and --n)")
@@ -153,19 +153,15 @@ def cmd_verify(args) -> int:
     if args.parallel and len(jobs) > 1:
         import multiprocessing  # only --parallel needs it; kept out of start-up
 
-        # one pool of spawned workers for the whole run; map hands the
-        # (template, cell) jobs out in chunks of about len(jobs) / (4 * workers)
+        # one pool of spawned workers for the whole run, one template per
+        # task: a worker takes the next template as soon as it is free
         with multiprocessing.get_context("spawn").Pool() as pool:
-            partials = pool.map(_verify_worker, jobs)
+            reports = pool.map(_verify_worker, jobs, chunksize=1)
     else:
         before = {name: cache.cache_info() for name, cache in _CHANNEL_CACHES.items()}
-        partials = [_verify_worker(job) for job in jobs]
+        reports = [_verify_worker(job) for job in jobs]
         caches = {name: _cache_use(before[name], cache.cache_info())
                   for name, cache in _CHANNEL_CACHES.items()}
-    merged: Dict[str, VerifyReport] = {t.id: VerifyReport(template_id=t.id) for t in selected}
-    for (tid, _, _), part in zip(jobs, partials):
-        merged[tid].merge(part)
-    reports = list(merged.values())
     ok = all(r.ok for r in reports)
     if args.format == "json":
         payload = {
@@ -384,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the parameter grid with integers A..B")
     p_ver.add_argument("--n", type=int, default=None, help="maximum power n")
     p_ver.add_argument("--parallel", action="store_true",
-                       help="fan cells out across worker processes")
+                       help="verify the selected templates in worker processes")
     p_ver.add_argument("--format", choices=("text", "json"), default="text")
     p_ver.set_defaults(func=cmd_verify)
 

@@ -661,17 +661,6 @@ class VerifyReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def merge(self, other: "VerifyReport") -> None:
-        self.cells += other.cells
-        self.instances += other.instances
-        self.action_probes += other.action_probes
-        self.action_degree = max(self.action_degree, other.action_degree)
-        self.string_probes += other.string_probes
-        self.failures.extend(other.failures)
-        self.build_s += other.build_s
-        self.action_s += other.action_s
-        self.string_s += other.string_s
-
     def summary(self) -> str:
         status = "PASS" if self.ok else "FAIL"
         line = (

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import neg
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Tuple
 
 Monomial = Tuple[int, int, int]
 
@@ -67,9 +67,6 @@ class ParamPoly:
         return cls.variable("r")
 
     # -- inspection ---------------------------------------------------
-
-    def items(self) -> Iterator[Tuple[Monomial, int]]:
-        return iter(sorted(self._terms.items()))
 
     def is_zero(self) -> bool:
         return not self._terms

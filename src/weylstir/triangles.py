@@ -614,23 +614,20 @@ def shat_from_s_row(row: Sequence[Scalar], beta) -> List[Scalar]:
     """Rescale an S row to the modified row: entry k times ``beta^k k!``,
     the weight carried along the row as ``w_k = w_{k-1} beta k``.
 
-    For a ``Fraction`` ``beta = p / q`` and rational entries the weight is
-    carried as the two ints ``p^k k!`` and ``q^k``, and each entry is one
-    ``Fraction`` of integer products; any other row or ``beta`` (ints,
-    ``ParamPoly``) multiplies through the scalars."""
+    For a ``Fraction`` ``beta = p / q`` the entries must be rationals: the
+    weight is carried as the two ints ``p^k k!`` and ``q^k``, and each entry
+    is one ``Fraction`` of integer products.  Any other ``beta`` (an int or
+    a ``ParamPoly``) multiplies through the scalars."""
     if type(beta) is Fraction:
         p, q = beta.numerator, beta.denominator
         out = []
         num = den = 1  # p^k k!, q^k
-        try:
-            for k, v in enumerate(row):
-                if k:
-                    num *= p * k
-                    den *= q
-                out.append(Fraction(v.numerator * num, v.denominator * den))
-            return out
-        except AttributeError:  # entries that are not rationals
-            pass
+        for k, v in enumerate(row):
+            if k:
+                num *= p * k
+                den *= q
+            out.append(Fraction(v.numerator * num, v.denominator * den))
+        return out
     weights = accumulate(range(1, len(row)), lambda w, k: w * beta * k, initial=1)
     return list(map(mul, row, weights))
 

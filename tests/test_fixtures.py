@@ -1,5 +1,9 @@
 """Embedded reference rows regenerate from the recurrence."""
 
+from dataclasses import replace
+from fractions import Fraction as F
+
+from weylstir import cli
 from weylstir.fixtures import FIXTURES, check_fixture, fixture_triangle
 
 
@@ -32,3 +36,20 @@ def test_fixture_triangle_wrapper():
     assert tri.kind == "S"
     assert tri.entry(5, 2) == 15
     tri.validate()
+
+
+def test_a_wrong_fixture_is_reported_and_fails_the_cli(monkeypatch, capsys):
+    """A frozen row that the recurrence does not regenerate is a
+    counterexample: ``check_fixture`` diffs it and ``weylstir fixtures``
+    prints the diff and exits 1."""
+    fx = FIXTURES["A008277"]
+    wrong = fx.rows[:3] + ((0, 1, 3, 2),) + fx.rows[4:]
+    monkeypatch.setitem(FIXTURES, "A008277", replace(fx, rows=wrong))
+    diff = (f"A008277 row 3: frozen {[F(0), F(1), F(3), F(2)]} "
+            f"!= {[F(0), F(1), F(3), F(1)]}")
+    assert check_fixture("A008277") == (False, [diff])
+    assert cli.main(["fixtures"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "A008277 (subset-counting triangle): MISMATCH" in lines
+    assert sum(line.endswith(": OK") for line in lines) == len(FIXTURES) - 1
+    assert lines[-1] == "  " + diff

@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from weylstir.operators import Certificate, OperatorExpr, XPower
 from weylstir.poly import ALPHA, BETA, R, ParamPoly
+from weylstir.triangles import build_recurrence
 
 
 def test_constructors_and_str():
@@ -24,6 +26,23 @@ def test_arithmetic_basics():
     assert p**3 == p * p * p
     assert ALPHA * 0 == ParamPoly.constant(0)
     assert (ALPHA - ALPHA).is_zero()
+
+
+def test_truth_is_nonzero():
+    assert not ParamPoly()
+    assert ParamPoly.constant(2)
+
+
+@pytest.mark.parametrize("value", [
+    Certificate(1, 0, 1, [0, 1]),
+    OperatorExpr.single(1, XPower(F(1))),
+    build_recurrence("S", F(0), F(1), F(0), 2),
+    ALPHA + 1,
+], ids=["Certificate", "OperatorExpr", "Triangle", "ParamPoly"])
+def test_equality_with_a_foreign_type_is_false(value):
+    for foreign in ("x", 1.5, object()):
+        assert not value == foreign
+        assert value != foreign
 
 
 def test_int_coercion():
@@ -80,7 +99,14 @@ def test_total_degrees():
     (lambda: ParamPoly({(1, 0, 0): F(1, 2)}), TypeError, "coefficients must be int, got Fraction"),
     (lambda: ParamPoly({(0, -1, 0): 1}), ValueError, r"negative exponent in monomial \(0, -1, 0\)"),
     (lambda: ParamPoly.variable("gamma"), ValueError, "unknown parameter 'gamma'"),
-], ids=["fraction-coefficient", "negative-exponent", "unknown-variable"])
+    # no floats, ever: a sum, difference or product with one is refused
+    (lambda: ALPHA + 1.5, TypeError, r"for \+: 'ParamPoly' and 'float'"),
+    (lambda: 1.5 + ALPHA, TypeError, r"for \+: 'float' and 'ParamPoly'"),
+    (lambda: ALPHA - 1.5, TypeError, r"for -: 'ParamPoly' and 'float'"),
+    (lambda: 1.5 - ALPHA, TypeError, r"for -: 'float' and 'ParamPoly'"),
+    (lambda: ALPHA * 1.5, TypeError, r"for \*: 'ParamPoly' and 'float'"),
+], ids=["fraction-coefficient", "negative-exponent", "unknown-variable",
+        "float-add", "float-radd", "float-sub", "float-rsub", "float-mul"])
 def test_a_malformed_polynomial_is_refused(call, error, message):
     with pytest.raises(error, match=message):
         call()

@@ -154,6 +154,9 @@ def test_shat_is_modified_s():
     for b in (F(-2, 3), F(0), F(4), 5, -1):
         assert shat_from_s_row(row, b) == [v * b**k * factorial(k) for k, v in enumerate(row)]
     assert shat_from_s_row([], F(1, 2)) == []
+    # a Fraction beta takes rational entries only: a ParamPoly row is refused
+    with pytest.raises(AttributeError):
+        shat_from_s_row([ParamPoly.constant(1), ALPHA], F(1, 2))
 
 
 def test_sum_scheme_matches_recurrence():
