@@ -119,12 +119,6 @@ def _word_poly(q: int, word: Tuple[int, int], a: int, r: int, n: int) -> Operato
     return OperatorExpr.over(q, [(c, ((*word, m),)) for m, c in enumerate(row)])
 
 
-def _xs(*pairs) -> Tuple[int, ...]:
-    """The factors ``x^(a m)`` of the ``(a, m)`` pairs, in order; a pair
-    with ``a`` or ``m`` zero is a unit factor and is left out."""
-    return tuple(a * m for a, m in pairs if a and m)
-
-
 # ---------------------------------------------------------------------------
 # template plumbing
 # ---------------------------------------------------------------------------
@@ -273,23 +267,24 @@ def _grid_wtc4() -> List[Dict[str, Fraction]]:
 
 def _b_major(powers_right: bool, shifted: bool) -> Builder:
     """The strided diagonal split with its powers left (``major.2a``) or
-    right (``2b``), in a conjugated and a direct form; ``major.1a``/``1b``
+    right (``2b``), in a direct form and a conjugated one: the direct form
+    at ``r = 0`` between ``x^-r`` and ``x^r``.  ``major.1a``/``1b``
     (``shifted`` false) are the direct form alone at ``r = 0``."""
 
     def build(p, n):
         q, (a, r) = scale_params(p["alpha"], p["r"] if shifted else 0)
         lhs = _word_poly(q, (q, 0), a, r, n)
-        if powers_right:
-            conj = _one(q, -r, (q, a, n), -n * a, r)
-            direct = _one(q, (q - r, a + r, n), -n * a)
-        else:
-            conj = _one(q, -r, n * a, (q - a, 0, n), r)
-            direct = _one(q, n * a, (q - a - r, r, n))
+
+        def direct(s):  # the factors of the direct form at the shift s
+            if powers_right:
+                return (q - s, a + s, n), -n * a
+            return n * a, (q - a - s, s, n)
+
         if not shifted:
-            return [TemplateInstance(lhs, direct)]
+            return [TemplateInstance(lhs, _one(q, *direct(0)))]
         return [
-            TemplateInstance(lhs, conj, label="conjugated"),
-            TemplateInstance(lhs, direct, label="direct"),
+            TemplateInstance(lhs, _one(q, -r, *direct(0), r), label="conjugated"),
+            TemplateInstance(lhs, _one(q, *direct(r)), label="direct"),
         ]
 
     return build
@@ -415,8 +410,9 @@ def _reexpansion(
     """Both sides of the re-expansion ``(kind, variant)`` at the word
     parameters ``words = (L, R, Lp, Rp)``, in units of ``1/q``, multiplied by
     the prefactors ``x^(EL n)`` (left) and ``x^(ER n)`` (right), in the same
-    units, as given: ``(0, 0)`` for the bare form.  Unit factors ``x^0`` are
-    left out."""
+    units, as given: ``(0, 0)`` for the bare form.  Every factor of the
+    formula stays, unit factors ``x^0`` too, as in every other template;
+    ``render`` hides them."""
     L, R, Lp, Rp = words
     e = L + R - q
     ep = Lp + Rp - q
@@ -429,7 +425,7 @@ def _reexpansion(
     S = kind == "S"
     scale = 1 if S else _exact_quotient(factorial(n) * beta**n, q**n)
     xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
-    lhs = OperatorExpr.over(q, [(scale, (*_xs((xl, n)), (L, R, n), *_xs((xr, n))))])
+    lhs = OperatorExpr.over(q, [(scale, (xl * n, (L, R, n), xr * n))])
     dL, dR = EL - ep, ER - ep
 
     def factors(k):
@@ -440,7 +436,7 @@ def _reexpansion(
         i = 0 if S and not twist_left else t
         j = n if S and twist_left else t
         word = (Lp, Rp, k if S else n)
-        return (*_xs((EL, n - i), (dL, i)), word, *_xs((dR, n - j), (ER, j)))
+        return (EL * (n - i), dL * i, word, dR * (n - j), ER * j)
 
     return _expansion(lhs, coeffs, factors)
 

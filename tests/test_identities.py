@@ -221,6 +221,45 @@ def test_reexpansion_sides_are_pinned():
     assert digest == "24567d00e91f0cbfc9a2f69bd1bd8de9c5d65ae7bf90a48aeb8c8365f983515c"
 
 
+def test_reexpansion_instances_keep_their_unit_factors():
+    """Every factor of the formula stays, ``x^0`` too: on the grids of the
+    16 word re-expansion templates at n <= 3, the left side is one term
+    ``x^(xl n) w^n x^(xr n)`` and each right-side term has the five
+    factors ``x^. x^. w'^m x^. x^.``.  A kind-E left side is scaled by
+    ``n! beta^n``, so at the excess ``e' = 0`` it is zero and has no term."""
+    sides = 0
+    for tid in TEMPLATE_ORDER:
+        if not tid.startswith(("firstmain.", "secondmain.", "powerful.", "powerful2.")):
+            continue
+        for cell in TEMPLATES[tid].grid():
+            for n in range(4):
+                (inst,) = TEMPLATES[tid].build(cell, n)
+                zero = (n > 0 and tid.startswith(("secondmain.", "powerful2."))
+                        and cell["Lp"] + cell["Rp"] == 1)
+                assert [len(factors) for _, factors in inst.lhs.terms] == ([] if zero else [3])
+                assert {len(factors) for _, factors in inst.rhs.terms} <= {5}
+                sides += not zero
+    assert sides == 11508
+
+
+@pytest.mark.parametrize("side", ["a", "b"])
+def test_the_conjugated_major_form_is_the_unshifted_direct_form_between_powers(side):
+    """The conjugated right side of ``major.2a``/``2b`` is ``x^-r``, then
+    the right side of ``major.1a``/``1b`` at the same ``alpha``, then
+    ``x^r``; compared as rational terms, as the two may scale over
+    different ``q``."""
+    shifted, direct = TEMPLATES[f"major.2{side}"], TEMPLATES[f"major.1{side}"]
+    for cell in shifted.grid():
+        r = cell["r"]
+        for n in range(4):
+            conj = next(i for i in shifted.build(cell, n) if i.label == "conjugated")
+            (plain,) = direct.build({"alpha": cell["alpha"]}, n)
+            expected = tuple(
+                (c, (XPower(-r), *factors, XPower(r))) for c, factors in plain.rhs.terms
+            )
+            assert conj.rhs.terms == expected
+
+
 def test_admissibility_tables():
     cell = {"L": F(3), "R": F(0), "Lp": F(2), "Rp": F(0)}
     rep = wc_admissibility_check("powerful.main1a", cell)
