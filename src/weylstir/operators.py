@@ -409,9 +409,9 @@ class OperatorExpr:
         parts = []
         for coeff, factors in self.terms:
             body = " ".join(_render_factor(f, style) for f in factors if not _is_unit(f))
-            if not body:
-                body = "1"
-            if coeff == 1:
+            if not body:  # a constant term is its coefficient
+                parts.append(str(coeff))
+            elif coeff == 1:
                 parts.append(body)
             elif coeff == -1:
                 parts.append(f"- {body}" if not parts else f"-{body}")

@@ -218,7 +218,7 @@ def test_reexpansion_sides_are_pinned():
                     )
     assert len(lines) == 12288
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "24567d00e91f0cbfc9a2f69bd1bd8de9c5d65ae7bf90a48aeb8c8365f983515c"
+    assert digest == "5e423357018ba0be68f27b60f261398ca0d05692ef8348670e35976578aae018"
 
 
 def test_reexpansion_instances_keep_their_unit_factors():

@@ -151,6 +151,14 @@ def test_render_styles():
     assert e.render("x") == "x^2 (x^2 D x^0)^3"
     assert e.render("adag") == "a†^2 (a†^2 a)^3"
     assert OperatorExpr([]).render() == "0"
+    # a term of unit factors alone renders as its coefficient, in both styles
+    unit = (XPower(F(0)), WordPower(Word(F(1), F(0)), 0))
+    for c, text in ((F(-3), "-3"), (F(-3, 2), "-3/2"), (F(1), "1"), (F(-1), "-1")):
+        const = OperatorExpr.single(c, *unit)
+        assert const.render("x") == const.render("adag") == text
+    sum_ = OperatorExpr([(F(-3, 2), unit), (F(1), (XPower(F(2)),)), (F(-1), ())])
+    assert sum_.render("x") == "-3/2 + x^2 - 1"
+    assert sum_.render("adag") == "-3/2 + a†^2 - 1"
 
 
 def test_scaled():
