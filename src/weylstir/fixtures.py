@@ -97,7 +97,8 @@ def check_fixture(oeis: str) -> Tuple[bool, List[str]]:
     diffs = []
     for n in range(frozen.N + 1):
         if frozen.row(n) != fresh.row(n):
-            diffs.append(f"{oeis} row {n}: frozen {frozen.row(n)} != {fresh.row(n)}")
+            old, new = (", ".join(map(str, t.row(n))) for t in (frozen, fresh))
+            diffs.append(f"{oeis} row {n}: frozen [{old}] != [{new}]")
     return (not diffs, diffs)
 
 

@@ -1,7 +1,6 @@
 """Embedded reference rows regenerate from the recurrence."""
 
 from dataclasses import replace
-from fractions import Fraction as F
 
 from weylstir import cli
 from weylstir.fixtures import FIXTURES, check_fixture, fixture_triangle
@@ -45,8 +44,7 @@ def test_a_wrong_fixture_is_reported_and_fails_the_cli(monkeypatch, capsys):
     fx = FIXTURES["A008277"]
     wrong = fx.rows[:3] + ((0, 1, 3, 2),) + fx.rows[4:]
     monkeypatch.setitem(FIXTURES, "A008277", replace(fx, rows=wrong))
-    diff = (f"A008277 row 3: frozen {[F(0), F(1), F(3), F(2)]} "
-            f"!= {[F(0), F(1), F(3), F(1)]}")
+    diff = "A008277 row 3: frozen [0, 1, 3, 2] != [0, 1, 3, 1]"
     assert check_fixture("A008277") == (False, [diff])
     assert cli.main(["fixtures"]) == 1
     lines = capsys.readouterr().out.splitlines()
