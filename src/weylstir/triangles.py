@@ -580,10 +580,33 @@ def _alternating_sum(kind: str, n: int, k: int, table) -> int:
     return sum(map(mul, _signed_pascal(k if kind == "Shat" else n + 1), table[n][k::-1]))
 
 
+@lru_cache(maxsize=16)
+def _sum_row_memo(kind: str, A: int, B: int, R: int) -> List[List[List[int]]]:
+    """A one-item list holding the tallest explicit-sum rows of ``kind``
+    built at the integers ``(A, B, R)``; :func:`_sum_rows` replaces the item
+    whole."""
+    return [[]]
+
+
 def _sum_rows(kind: str, A: int, B: int, R: int, N: int) -> List[List[int]]:
-    """Integer rows 0..N by the explicit sums at the scaled parameters."""
-    table = _falling_power_table(A, B, R, N, N)
-    return [[_alternating_sum(kind, n, k, table) for k in range(n + 1)] for n in range(N + 1)]
+    """Integer rows 0..N by the explicit sums at the scaled parameters.
+
+    Entry ``(n, k)`` reads only ``table[n][0..k]``, so rows 0..N do not
+    depend on ``N``: they are memoized by ``(kind, A, B, R)`` (the 16 most
+    recent points), a shorter request served as a prefix of the tallest
+    rows built there and a taller one rebuilding them.  So
+    :func:`triangle_by_transform` reads the dual rows that
+    :func:`triangle_by_sum` built at the same point, and the reverse.  The
+    rows are lists, which :func:`_rows_equal` compares with the recurrence's
+    list rows; :meth:`Triangle._scaled` keeps them as numerators and
+    :func:`binomial_transform` only reads them, so no caller changes them."""
+    memo = _sum_row_memo(kind, A, B, R)
+    rows = memo[0]
+    if N >= len(rows):
+        table = _falling_power_table(A, B, R, N, N)
+        rows = memo[0] = [[_alternating_sum(kind, n, k, table) for k in range(n + 1)]
+                          for n in range(N + 1)]
+    return rows[: N + 1]
 
 
 def entry_by_sum(kind: str, n: int, k: int, alpha, beta, r) -> Fraction:
@@ -659,7 +682,9 @@ def _transform_weights(n: int, sign: int) -> Tuple[Tuple[int, ...], ...]:
 
 def triangle_by_transform(kind: str, alpha, beta, r, N: int) -> Triangle:
     """Build ``Shat`` (or ``E``) rows by transforming the dual kind's rows,
-    where the dual rows come from the explicit sum scheme."""
+    where the dual rows come from the explicit sum scheme: the memoized
+    rows of :func:`_sum_rows`, so after :func:`triangle_by_sum` of the dual
+    kind at the same point and as many rows or more, no sum is redone."""
     if kind not in ("Shat", "E"):
         raise ValueError("triangle_by_transform supports kinds 'Shat' and 'E'")
     _check_rows(N)
@@ -1005,6 +1030,11 @@ def shift_r(base: Triangle, target_r, scheme: str) -> Triangle:
       entries down the rows;
     - ``"NewtonBeta"``: stride beta (requires ``beta != 0``), mixing entries
       along each row.
+
+    A Shat triangle is shifted as the S triangle it scales: column ``k``
+    divided by ``beta^k k!`` (an entry that does not divide stays a
+    ``Fraction``), shifted as S along beta, and multiplied back.  Along
+    alpha the series mixes whole columns, so both kinds shift alike.
     """
     if base.kind not in ("S", "Shat"):
         raise ValueError("shift_r supports kinds 'S' and 'Shat'")
@@ -1033,18 +1063,17 @@ def shift_r(base: Triangle, target_r, scheme: str) -> Triangle:
     base_rows = _scaled_rows(base, q)
     if scheme == "NewtonAlpha":  # entry (n, k) is sum_j C(n, j) fall[n-j] base[j][k]
         weights = [[comb(n, j) * fall[n - j] for j in range(n + 1)] for n in range(N + 1)]
-        rows = _lower_product(weights, _columns(base_rows))
-    elif base.kind == "S":  # entry (n, k) is sum_m base[n][k+m] C(k+m, m) fall[m]
-        rows = _lower_product(
-            base_rows, [[comb(k + m, m) * fall[m] for m in range(N + 1 - k)] for k in range(N + 1)]
-        )
-    else:
-        # the Shat terms divide by B^m m!; sum them over B^d d!, d = n - k
-        weights = [[fall[m] * B ** (d - m) * (factorial(d) // factorial(m)) for m in range(d + 1)]
-                   for d in range(N + 1)]
-        scales = [B**d * factorial(d) for d in range(N + 1)]
-        rows = [[_exact_quotient(sum(map(mul, row[k:], weights[n - k])), scales[n - k])
-                 for k in range(n + 1)] for n, row in enumerate(base_rows)]
+        return Triangle._scaled(base.kind, (a, b, rho), q,
+                                _lower_product(weights, _columns(base_rows)))
+    if base.kind == "Shat":  # scaled by q, Shat[n][k] is B^k k! S[n][k]
+        scales = list(accumulate(range(1, N + 1), lambda w, k: w * B * k, initial=1))
+        base_rows = [list(map(_exact_quotient, row, scales)) for row in base_rows]
+    # entry (n, k) of S is sum_m base[n][k+m] C(k+m, m) fall[m]
+    rows = _lower_product(
+        base_rows, [[comb(k + m, m) * fall[m] for m in range(N + 1 - k)] for k in range(N + 1)]
+    )
+    if base.kind == "Shat":
+        rows = [list(map(mul, row, scales)) for row in rows]
     return Triangle._scaled(base.kind, (a, b, rho), q, rows)
 
 
@@ -1101,6 +1130,18 @@ def conjecture_check(n_max: int = 10, r_min: int = -4, r_max: int = 6) -> Conjec
     the intent there is ambiguous, both the stated range and its truncation
     to ``j >= 0`` are evaluated and reported, in ints.  This function never
     raises on a mismatch; it reports.
+
+    The stated range is a proof for every integer ``r`` once ``r`` runs over
+    ``0..2N+1`` (``n <= N``).  Write ``r = 2p + zeta`` with ``zeta`` in
+    ``{0, 1}``.  Then ``hi - lo`` does not depend on ``p``, and with ``j``
+    counted from ``lo`` the second binomial's lower index ``2j + r - 1`` is
+    ``p``-free while the first binomial's upper index is linear in ``p``.
+    :func:`weylstir.kernels.binomial` is the generalized ``falling / k!``,
+    a polynomial in its upper index, so for each parity the stated sum is
+    a polynomial in ``p`` of degree ``n - k``, and ``Shat(-1, 2; r)[n][k]``
+    is one of degree ``n``.  Their difference vanishes at ``p = 0..N`` for
+    both parities exactly when it is zero.  The truncated (``j >= 0``) sum
+    is not polynomial in ``p`` and stays sampled.
     """
     _check_rows(n_max)
     report = ConjectureReport(n_max=n_max, r_min=r_min, r_max=r_max)

@@ -3,7 +3,8 @@
 One test per criterion; each prints a single ``[PASS]``/``[FAIL]`` line and
 asserts exact equality (never a tolerance).  The criteria:
 
-  1. cross-scheme triangle equality on a 7^3 parameter grid, n <= 12;
+  1. cross-scheme triangle equality on a 7^3 parameter grid and, for all
+     parameters, on the order-12 principal lattice, n <= 12;
   2. all sixteen closed-form families match the recurrence, n <= 12;
   3. matrix algebra: product rule, inverse pair, LDU, reflection (N <= 10);
   4. truncated EGFs reproduce triangle entries (n, k <= 10, 8 triples);
@@ -12,7 +13,8 @@ asserts exact equality (never a tolerance).  The criteria:
   6. prefactor exponent tables stay admissible on every grid cell;
   7. both Hermite expansion identities, n <= 12;
   8. the conjecture report completes, its stated range matches the
-     recurrence, and neighboring closed forms agree for r in {0..3};
+     recurrence (for every integer r at n <= 12), and neighboring closed
+     forms agree for r in {0..3};
   9. embedded fixture rows regenerate and enumeration oracles agree, n <= 8.
 """
 
@@ -53,9 +55,16 @@ def _report(num: int, ok: bool, text: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {num}: {text}")
 
 
-def test_criterion_1_cross_scheme_triangle_equality():
+# the order-12 principal lattice in (alpha, beta, r), mapped by a -> (a - 3)/2:
+# a polynomial of total degree <= 12 that vanishes on it is zero (Chung and
+# Yao, 1977), and every scheme's entry at rows <= 12 is one
+LATTICE12 = [(F(i - 3, 2), F(j - 3, 2), F(k - 3, 2))
+             for i in range(13) for j in range(13 - i) for k in range(13 - i - j)]
+
+
+def _scheme_mismatches(points):
     bad = []
-    for a, b, r in itertools.product(GRID7, repeat=3):
+    for a, b, r in points:
         rec_s = build_recurrence("S", a, b, r, 12)
         rec_shat = build_recurrence("Shat", a, b, r, 12)
         rec_e = build_recurrence("E", a, b, r, 12)
@@ -73,9 +82,17 @@ def test_criterion_1_cross_scheme_triangle_equality():
             if shat_from_s_row(rec_s.row(n), b) != rec_shat.row(n):
                 bad.append(("rescale/Shat", a, b, r, n))
                 break
+    return bad
+
+
+def test_criterion_1_cross_scheme_triangle_equality():
+    bad = _scheme_mismatches(itertools.product(GRID7, repeat=3))
+    bad += _scheme_mismatches(LATTICE12)
     ok = not bad
-    _report(1, ok, "recurrence, summation, transform, and decomposition "
-                   "schemes agree (343 triples, n <= 12)")
+    _report(1, ok, f"recurrence, summation, transform, and decomposition "
+                   f"schemes agree (343 triples, n <= 12; {len(LATTICE12)} "
+                   f"lattice triples: for all parameters, n <= 12)")
+    assert len(LATTICE12) == 455
     assert ok, f"{len(bad)} scheme mismatches, first: {bad[:3]}"
 
 
@@ -261,12 +278,20 @@ def test_criterion_8_conjecture_report():
             erow = [closed_form(family, n, k, r=r) for k in range(n + 1)]
             if binomial_transform(erow, "EToShat") != list(shat.row(n)):
                 transform_bad.append((family, r, n))
-    ok = complete and stated_clean and not transform_bad
+    # r = 0..25 holds 13 values of p per parity of r = 2p + zeta, one more
+    # than the degree in p (conjecture_check gives the argument)
+    every_r = conjecture_check(n_max=12, r_min=0, r_max=25)
+    ok = (complete and stated_clean and not transform_bad
+          and every_r.total == 2366 and not every_r.mismatches_stated)
     _report(8, ok, f"conjecture report complete ({report.total} cells; "
                    f"{len(report.mismatches_stated)} stated-range mismatches; "
-                   f"closed-form neighbors consistent for r in 0..3)")
+                   f"closed-form neighbors consistent for r in 0..3); stated "
+                   f"range for every integer r, n <= 12 ({every_r.total} cells; "
+                   f"{len(every_r.mismatches_stated)} mismatches)")
     assert complete, f"expected 726 cells, saw {report.total}"
     assert stated_clean, f"stated-range mismatches: {report.mismatches_stated[:3]}"
+    assert every_r.total == 2366, f"expected 2366 cells, saw {every_r.total}"
+    assert not every_r.mismatches_stated, f"every-r mismatches: {every_r.mismatches_stated[:3]}"
     assert not transform_bad, f"neighbor transform failures: {transform_bad[:3]}"
 
 

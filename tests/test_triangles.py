@@ -340,6 +340,72 @@ def test_the_schemes_match_the_recurrence_at_tall_sizes():
             assert shift_r(base, r, scheme) == target, (kind, scheme)
 
 
+def test_every_shift_holds_for_all_nonzero_parameters_to_row_12():
+    """Both sides of each shift are polynomials of total degree <= 12 in
+    (alpha, beta, r) at rows <= 12, so agreeing on the order-12 principal
+    lattice proves them equal (Chung and Yao, 1977).  The lattice is mapped
+    by a -> (2a + 1)/3, which is never zero, so both Newton series apply at
+    each of its 455 points."""
+    lattice = [(F(2 * i + 1, 3), F(2 * j + 1, 3), F(2 * k + 1, 3))
+               for i in range(13) for j in range(13 - i) for k in range(13 - i - j)]
+    assert len(lattice) == 455
+    for a, b, r in lattice:
+        for kind in ("S", "Shat"):
+            base, target = build_recurrence(kind, a, b, 0, 12), build_recurrence(kind, a, b, r, 12)
+            for scheme in ("NewtonAlpha", "NewtonBeta"):
+                assert shift_r(base, r, scheme) == target, (kind, scheme, a, b, r)
+
+
+def _counted_sums(monkeypatch):
+    """Give the explicit-sum row memo a cache of its own, empty, and record
+    the ``(kind, n, k)`` of every explicit sum computed."""
+    monkeypatch.setattr(triangles, "_sum_row_memo",
+                        lru_cache(maxsize=16)(triangles._sum_row_memo.__wrapped__))
+    calls = []
+    alternating_sum = triangles._alternating_sum
+
+    def counting(kind, n, k, table):
+        calls.append((kind, n, k))
+        return alternating_sum(kind, n, k, table)
+
+    monkeypatch.setattr(triangles, "_alternating_sum", counting)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["Shat", "E"])
+def test_the_transform_and_the_sum_share_their_rows_at_one_point(kind, monkeypatch):
+    """After the explicit sums of the dual kind to 12 rows, the transform to
+    ``kind`` at the same point and 9 rows computes no sum, and after that
+    transform the dual sums to 5 rows compute none either; 14 rows rebuild
+    them.  Reading a sum triangle's rows changes no later result."""
+    dual = "E" if kind == "Shat" else "Shat"
+    point = (F(-3, 7), F(5, 9), F(13, 11))
+    calls = _counted_sums(monkeypatch)
+    summed = triangle_by_sum(dual, *point, 12)
+    assert len(calls) == 13 * 14 // 2
+    calls.clear()
+    assert triangle_by_transform(kind, *point, 9) == build_recurrence(kind, *point, 9)
+    assert calls == []
+    summed.rows  # the Fraction rows replace the summed triangle's integers
+    assert triangle_by_transform(kind, *point, 12) == build_recurrence(kind, *point, 12)
+    assert triangle_by_sum(dual, *point, 5) == build_recurrence(dual, *point, 5)
+    assert calls == []
+    assert triangle_by_sum(dual, *point, 14) == build_recurrence(dual, *point, 14)
+    assert len(calls) == 15 * 16 // 2
+
+
+def test_the_sum_reads_the_rows_a_transform_built(monkeypatch):
+    """The reverse order: a transform to E computes the Shat sums, which
+    the Shat sum scheme then reads without computing one."""
+    point = (F(7, 2), F(-1, 3), F(2, 5))
+    calls = _counted_sums(monkeypatch)
+    assert triangle_by_transform("E", *point, 10) == build_recurrence("E", *point, 10)
+    assert {c[0] for c in calls} == {"Shat"}
+    calls.clear()
+    assert triangle_by_sum("Shat", *point, 10) == build_recurrence("Shat", *point, 10)
+    assert calls == []
+
+
 def test_decomposition_single_entry_and_triangle():
     t1 = build_recurrence("S", F(3), F(-1, 2), F(2), 8)
     t2 = triangle_by_decomposition(F(3), F(-1, 2), F(2), 8)
