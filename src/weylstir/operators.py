@@ -414,7 +414,7 @@ class OperatorExpr:
             elif coeff == 1:
                 parts.append(body)
             elif coeff == -1:
-                parts.append(f"- {body}" if not parts else f"-{body}")
+                parts.append(f"-{body}")
             else:
                 parts.append(f"{coeff} {body}")
         return " + ".join(parts).replace("+ -", "- ")

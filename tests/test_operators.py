@@ -159,6 +159,11 @@ def test_render_styles():
     sum_ = OperatorExpr([(F(-3, 2), unit), (F(1), (XPower(F(2)),)), (F(-1), ())])
     assert sum_.render("x") == "-3/2 + x^2 - 1"
     assert sum_.render("adag") == "-3/2 + a†^2 - 1"
+    # a leading coefficient -1 is a bare sign, as a leading -2 is "-2 "
+    for c, text in ((F(-1), "-x^2 - x^3"), (F(-2), "-2 x^2 - x^3")):
+        neg = OperatorExpr([(c, (XPower(F(2)),)), (F(-1), (XPower(F(3)),))])
+        assert neg.render("x") == text
+    assert OperatorExpr.single(F(-1), XPower(F(1))).render("adag") == "-a†"
 
 
 def test_scaled():
