@@ -218,7 +218,7 @@ def test_reexpansion_sides_are_pinned():
                     )
     assert len(lines) == 12288
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "5e423357018ba0be68f27b60f261398ca0d05692ef8348670e35976578aae018"
+    assert digest == "5e09cbc8725c6139fcb6a3187b63918dd5e4dfdca981d52933c3861c2a9857bb"
 
 
 def test_reexpansion_instances_keep_their_unit_factors():
