@@ -376,8 +376,8 @@ def _counted_sums(monkeypatch):
 def test_the_transform_and_the_sum_share_their_rows_at_one_point(kind, monkeypatch):
     """After the explicit sums of the dual kind to 12 rows, the transform to
     ``kind`` at the same point and 9 rows computes no sum, and after that
-    transform the dual sums to 5 rows compute none either; 14 rows rebuild
-    them.  Reading a sum triangle's rows changes no later result."""
+    transform the dual sums to 5 rows compute none either; one more row
+    than built rebuilds them.  Reading a sum triangle's rows changes no later result."""
     dual = "E" if kind == "Shat" else "Shat"
     point = (F(-3, 7), F(5, 9), F(13, 11))
     calls = _counted_sums(monkeypatch)
@@ -390,8 +390,8 @@ def test_the_transform_and_the_sum_share_their_rows_at_one_point(kind, monkeypat
     assert triangle_by_transform(kind, *point, 12) == build_recurrence(kind, *point, 12)
     assert triangle_by_sum(dual, *point, 5) == build_recurrence(dual, *point, 5)
     assert calls == []
-    assert triangle_by_sum(dual, *point, 14) == build_recurrence(dual, *point, 14)
-    assert len(calls) == 15 * 16 // 2
+    assert triangle_by_sum(dual, *point, 13) == build_recurrence(dual, *point, 13)
+    assert len(calls) == 14 * 15 // 2
 
 
 def test_the_sum_reads_the_rows_a_transform_built(monkeypatch):
