@@ -21,7 +21,11 @@ can be cross-checked against each other exactly.  All arithmetic is exact.
 Each entry of the sum, transform, shift and decomposition schemes is one dot
 product of an integer weight row with a row or column of scaled integers; the
 sum and transform weights are memoized (256 rows or matrices each), and the
-decomposition is the product of its three factor matrices.
+decomposition is the product of its three factor matrices.  Schemes run at
+one point share work: the explicit-sum rows are memoized per scaled point
+(:func:`_sum_rows`), so a transform reads the dual rows the sum scheme
+built, and a ``Shat`` shift along ``beta`` runs as the ``S`` shift between
+two diagonal scalings, ``Shat = S diag(beta^k k!)``.
 
 Every entry is a polynomial with integer coefficients in ``(alpha, beta, r)``,
 homogeneous of degree ``n - k`` for ``S`` and of degree ``n`` for ``Shat`` and
