@@ -13,7 +13,8 @@ Exit codes: 0 = all checks pass, 1 = mathematical counterexample found,
 ``verify --range`` value outside a template's parameter domain
 (:meth:`IdentityTemplate.domain_error`).  The environment variable
 WEYLSTIR_MAX_N overrides the hard caps on ``--n`` (default 64 for triangle/expand/conjecture
-work, 10 for verification sweeps and for expanding a template of 2^n words).
+work, 32 for symbolic triangles, 10 for verification sweeps and for expanding a template
+of 2^n words).
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .triangles import (KINDS, _integer_row_memo, build_recurrence, conjecture_c
                         symbolic_triangle)
 
 _TRIANGLE_CAP = 64
+_SYMBOLIC_CAP = 32  # a symbolic triangle multiplies ParamPolys: under a second at n = 32
 _VERIFY_CAP = 10
 _CONJECTURE_CELL_CAP = 1 << 16  # the most (r, n, k) cells a conjecture report holds
 # the build and channel caches whose use a serial ``verify --format json`` reports
@@ -103,7 +105,7 @@ def _int_range(text: str) -> Tuple[int, int]:
 
 
 def cmd_triangle(args) -> int:
-    _check_n(args.n, _TRIANGLE_CAP)
+    _check_n(args.n, _SYMBOLIC_CAP if args.symbolic else _TRIANGLE_CAP)
     if args.symbolic:
         tri = symbolic_triangle(args.kind, args.n)
     else:

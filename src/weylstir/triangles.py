@@ -21,11 +21,10 @@ can be cross-checked against each other exactly.  All arithmetic is exact.
 Each entry of the sum, transform, shift and decomposition schemes is one dot
 product of an integer weight row with a row or column of scaled integers; the
 sum and transform weights are memoized (256 rows or matrices each), and the
-decomposition is the product of its three factor matrices.  Schemes run at
-one point share work: the explicit-sum rows are memoized per scaled point
-(:func:`_sum_rows`), so a transform reads the dual rows the sum scheme
-built, and a ``Shat`` shift along ``beta`` runs as the ``S`` shift between
-two diagonal scalings, ``Shat = S diag(beta^k k!)``.
+decomposition is the product of its three factor matrices.  A transform
+reads the dual kind's rows from the integer recurrence, and a ``Shat`` shift
+along ``beta`` runs as the ``S`` shift between two diagonal scalings,
+``Shat = S diag(beta^k k!)``.
 
 Every entry is a polynomial with integer coefficients in ``(alpha, beta, r)``,
 homogeneous of degree ``n - k`` for ``S`` and of degree ``n`` for ``Shat`` and
@@ -584,35 +583,6 @@ def _alternating_sum(kind: str, n: int, k: int, table) -> int:
     return sum(map(mul, _signed_pascal(k if kind == "Shat" else n + 1), table[n][k::-1]))
 
 
-@lru_cache(maxsize=16)
-def _sum_row_memo(kind: str, A: int, B: int, R: int) -> List[List[List[int]]]:
-    """A one-item list holding the tallest explicit-sum rows of ``kind``
-    built at the integers ``(A, B, R)``; :func:`_sum_rows` replaces the item
-    whole."""
-    return [[]]
-
-
-def _sum_rows(kind: str, A: int, B: int, R: int, N: int) -> List[List[int]]:
-    """Integer rows 0..N by the explicit sums at the scaled parameters.
-
-    Entry ``(n, k)`` reads only ``table[n][0..k]``, so rows 0..N do not
-    depend on ``N``: they are memoized by ``(kind, A, B, R)`` (the 16 most
-    recent points), a shorter request served as a prefix of the tallest
-    rows built there and a taller one rebuilding them.  So
-    :func:`triangle_by_transform` reads the dual rows that
-    :func:`triangle_by_sum` built at the same point, and the reverse.  The
-    rows are lists, which :func:`_rows_equal` compares with the recurrence's
-    list rows; :meth:`Triangle._scaled` keeps them as numerators and
-    :func:`binomial_transform` only reads them, so no caller changes them."""
-    memo = _sum_row_memo(kind, A, B, R)
-    rows = memo[0]
-    if N >= len(rows):
-        table = _falling_power_table(A, B, R, N, N)
-        rows = memo[0] = [[_alternating_sum(kind, n, k, table) for k in range(n + 1)]
-                          for n in range(N + 1)]
-    return rows[: N + 1]
-
-
 def entry_by_sum(kind: str, n: int, k: int, alpha, beta, r) -> Fraction:
     """Single entry from the explicit alternating sum.
 
@@ -629,12 +599,15 @@ def entry_by_sum(kind: str, n: int, k: int, alpha, beta, r) -> Fraction:
 
 
 def triangle_by_sum(kind: str, alpha, beta, r, N: int) -> Triangle:
-    """All rows 0..N from the explicit sums, sharing one falling-power table."""
+    """All rows 0..N from the explicit sums at the scaled parameters, every
+    entry one dot product over one shared falling-power table."""
     if kind not in ("Shat", "E"):
         raise ValueError("triangle_by_sum supports kinds 'Shat' and 'E'")
     _check_rows(N)
-    q, ints = scale_params(alpha, beta, r)
-    return Triangle._scaled(kind, (alpha, beta, r), q, _sum_rows(kind, *ints, N))
+    q, (A, B, R) = scale_params(alpha, beta, r)
+    table = _falling_power_table(A, B, R, N, N)
+    rows = [[_alternating_sum(kind, n, k, table) for k in range(n + 1)] for n in range(N + 1)]
+    return Triangle._scaled(kind, (alpha, beta, r), q, rows)
 
 
 def shat_from_s_row(row: Sequence[Scalar], beta) -> List[Scalar]:
@@ -686,16 +659,16 @@ def _transform_weights(n: int, sign: int) -> Tuple[Tuple[int, ...], ...]:
 
 def triangle_by_transform(kind: str, alpha, beta, r, N: int) -> Triangle:
     """Build ``Shat`` (or ``E``) rows by transforming the dual kind's rows,
-    where the dual rows come from the explicit sum scheme: the memoized
-    rows of :func:`_sum_rows`, so after :func:`triangle_by_sum` of the dual
-    kind at the same point and as many rows or more, no sum is redone."""
+    where the dual rows come from the integer triangular recurrence at the
+    scaled parameters (O(N^2) work, no cache): the two kinds are binomial
+    transforms of each other, as the paper states them."""
     if kind not in ("Shat", "E"):
         raise ValueError("triangle_by_transform supports kinds 'Shat' and 'E'")
     _check_rows(N)
     dual_kind = "E" if kind == "Shat" else "Shat"
     direction = "EToShat" if kind == "Shat" else "ShatToE"
     q, ints = scale_params(alpha, beta, r)
-    rows = [binomial_transform(row, direction) for row in _sum_rows(dual_kind, *ints, N)]
+    rows = [binomial_transform(row, direction) for row in _recurrence_rows(dual_kind, *ints, N)]
     return Triangle._scaled(kind, (alpha, beta, r), q, rows)
 
 

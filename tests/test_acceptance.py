@@ -5,7 +5,8 @@ asserts exact equality (never a tolerance).  The criteria:
 
   1. cross-scheme triangle equality on a 7^3 parameter grid and, for all
      parameters, on the order-12 principal lattice, n <= 12;
-  2. all sixteen closed-form families match the recurrence, n <= 12;
+  2. all sixteen closed-form families match the recurrence, n <= 12, for
+     all r and beta (the piecewise E_vi on its sampled r);
   3. matrix algebra: product rule, inverse pair, LDU, reflection (N <= 10);
   4. truncated EGFs reproduce triangle entries (n, k <= 10, 8 triples);
   5. the full 42-template operator identity catalog on its declared grids,
@@ -104,6 +105,25 @@ _R_GRID = (F(-3), F(-2), F(-1), F(0), F(1), F(2), F(3), F(1, 2), F(-5, 2))
 _BETA_GRID = (F(-2), F(-1), F(1, 2), F(1), F(3))
 
 
+# Criterion 2 for all parameters.  At fixed alpha and beta an S entry is a
+# polynomial of degree <= n - k in r, and so is each r-only closed form, so 13
+# distinct r prove rows n <= 12; with alpha = +-beta an entry and each
+# free-stride closed form have total degree <= n in (beta, r), so the order-12
+# principal lattice in (beta, r) proves them (Chung and Yao, 1977).  E_vi is
+# piecewise in r and stays sampled.
+_R_ONLY = ("S_8F_iiiprime", "S_8F_ivprime", "S_4F_v", "S_4F_vi")
+R13 = [F(2 * i + 1, 3) for i in range(13)]
+LATTICE12_BETA_R = [(F(i - 3, 2), F(j - 3, 2)) for i in range(13) for j in range(13 - i)]
+
+
+def _closed_form_mismatches(family, r, b):
+    kind, aa, bb, rr = closed_form_params(family, r=r, beta=b)
+    rec = build_recurrence(kind, aa, bb, rr, 12)
+    return [(family, str(r), str(b), n, k)
+            for n in range(13) for k in range(n + 1)
+            if closed_form(family, n, k, r=r, beta=b) != rec.entry(n, k)]
+
+
 def test_criterion_2_closed_form_conformance():
     bad = []
     combos = 0
@@ -112,18 +132,20 @@ def test_criterion_2_closed_form_conformance():
         betas = _BETA_GRID if family in _FREE_BETA else (F(1),)
         for r, b in itertools.product(rs, betas):
             try:
-                kind, aa, bb, rr = closed_form_params(family, r=r, beta=b)
+                closed_form_params(family, r=r, beta=b)
             except ValueError:
                 continue  # family undefined at this r (integer r >= 1 only)
             combos += 1
-            rec = build_recurrence(kind, aa, bb, rr, 12)
-            for n in range(13):
-                for k in range(n + 1):
-                    if closed_form(family, n, k, r=r, beta=b) != rec.entry(n, k):
-                        bad.append((family, str(r), str(b), n, k))
+            bad += _closed_form_mismatches(family, r, b)
+    lattice = [(family, r, F(1)) for family in _R_ONLY for r in R13]
+    lattice += [(family, r, b) for family in sorted(_FREE_BETA) for b, r in LATTICE12_BETA_R]
+    for family, r, b in lattice:
+        bad += _closed_form_mismatches(family, r, b)
     ok = not bad
     _report(2, ok, f"all 16 closed-form families match the recurrence "
-                   f"({combos} parameter combinations, n <= 12)")
+                   f"({combos} parameter combinations, n <= 12; {len(lattice)} "
+                   f"lattice points: for all r and beta, n <= 12, E_vi sampled)")
+    assert (combos, len(lattice)) == (226, 416)
     assert ok, f"{len(bad)} closed-form mismatches, first: {bad[:3]}"
 
 

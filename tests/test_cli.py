@@ -119,6 +119,19 @@ def test_triangle_cap_and_override(capsys, monkeypatch):
     assert len(out.splitlines()) == 66
 
 
+def test_symbolic_triangle_cap_and_override(capsys, monkeypatch):
+    """A symbolic triangle is capped at n = 32, below the numeric 64, and the
+    one override lifts it."""
+    monkeypatch.delenv("WEYLSTIR_MAX_N", raising=False)
+    code, _, err = run(capsys, "triangle", "--symbolic", "--n", "33")
+    assert code == 2
+    assert err == "error: --n 33 exceeds the cap 32 (override with WEYLSTIR_MAX_N)\n"
+    monkeypatch.setenv("WEYLSTIR_MAX_N", "40")
+    code, out, _ = run(capsys, "triangle", "--symbolic", "--n", "33")
+    assert code == 0
+    assert len(out.splitlines()) == 34
+
+
 def test_verify_pass_and_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--template", "ttv", "--n", "6")
     assert code == 0
