@@ -42,7 +42,7 @@ from .triangles import (KINDS, _integer_row_memo, build_recurrence, conjecture_c
                         symbolic_triangle)
 
 _TRIANGLE_CAP = 64
-_SYMBOLIC_CAP = 32  # a symbolic triangle multiplies ParamPolys: under a second at n = 32
+_SYMBOLIC_CAP = 32  # the output grows as n^4: E at n = 32 writes 155 433 terms in about 0.25 s
 _VERIFY_CAP = 10
 _CONJECTURE_CELL_CAP = 1 << 16  # the most (r, n, k) cells a conjecture report holds
 # the build and channel caches whose use a serial ``verify --format json`` reports

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import neg
-from typing import Dict, Tuple
+from typing import Dict, Iterable, Tuple
 
 Monomial = Tuple[int, int, int]
 
@@ -74,6 +74,10 @@ class ParamPoly:
     def total_degrees(self) -> set[int]:
         """Set of total degrees i+j+k present (for homogeneity checks)."""
         return {i + j + k for (i, j, k) in self._terms}
+
+    def coefficient(self, mono: Monomial) -> int:
+        """The coefficient of ``alpha^i beta^j r^k`` for ``mono = (i, j, k)``."""
+        return self._terms.get(mono, 0)
 
     def evaluate(self, alpha: Fraction, beta: Fraction, r: Fraction) -> Fraction:
         """Exact evaluation at a rational parameter point."""
@@ -180,30 +184,47 @@ class ParamPoly:
 
     def __str__(self):
         terms = self._terms
-        if not terms:
-            return "0"
-        parts = []
         # highest total degree first, then lexicographic, for stable output
-        for _, mono, coeff in sorted(zip(map(neg, map(sum, terms)), terms, terms.values())):
-            text = _MONOMIAL_TEXT.get(mono)
-            if text is None:
-                text = _MONOMIAL_TEXT[mono] = "*".join(
-                    name if exp == 1 else f"{name}^{exp}" for name, exp in zip(_VAR_NAMES, mono) if exp
-                )
-            mag = abs(coeff)
-            if not text:
-                body = str(mag)
-            elif mag == 1:
-                body = text
-            else:
-                body = f"{mag}*{text}"
-            parts.append((" - " if coeff < 0 else " + ") + body)
-        text = "".join(parts)
-        return text[3:] if text[1] == "+" else "-" + text[3:]
+        return terms_text([
+            (coeff, monomial_text(mono))
+            for _, mono, coeff in sorted(zip(map(neg, map(sum, terms)), terms, terms.values()))
+        ])
 
 
 # the text of each monomial met so far (``alpha^2*beta``, empty for 1)
 _MONOMIAL_TEXT: Dict[Monomial, str] = {}
+
+
+def monomial_text(mono: Monomial) -> str:
+    """The text of ``alpha^i beta^j r^k`` as ``str`` writes it in a term:
+    ``alpha^2*beta`` for ``(2, 1, 0)``, empty for ``(0, 0, 0)``."""
+    text = _MONOMIAL_TEXT.get(mono)
+    if text is None:
+        text = _MONOMIAL_TEXT[mono] = "*".join(
+            name if exp == 1 else f"{name}^{exp}" for name, exp in zip(_VAR_NAMES, mono) if exp
+        )
+    return text
+
+
+def terms_text(terms: Iterable[Tuple[int, str]]) -> str:
+    """The text of a sum of nonzero terms, each a coefficient and its
+    :func:`monomial_text`, in the order given: ``-3*alpha^2*r + beta - 2``,
+    or ``0`` for no terms.  ``ParamPoly.__str__`` and the symbolic triangle
+    export both write their entries with it."""
+    parts = []
+    for coeff, text in terms:
+        mag = abs(coeff)
+        if not text:
+            body = str(mag)
+        elif mag == 1:
+            body = text
+        else:
+            body = f"{mag}*{text}"
+        parts.append((" - " if coeff < 0 else " + ") + body)
+    if not parts:
+        return "0"
+    text = "".join(parts)
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 ALPHA = ParamPoly.alpha()

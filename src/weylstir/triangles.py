@@ -42,7 +42,12 @@ triangles compare their numerators alone.  The recurrence cache holds the
 tallest triangle built at each parameter point and serves a shorter one as
 its prefix.  Consumers that need only integer rows (the classical Stirling
 tables and the identity catalog) read one memo of them instead,
-:func:`_integer_rows`.
+:func:`_integer_rows`.  The symbolic recurrence runs at linear-form
+parameters and packs each entry into one ``int``, its coefficients as
+fixed-width digits (a Kronecker substitution, :class:`_Packing`): a
+product by a factor of the recurrence is two shifts and three small
+multiples, the exports are written from the digits, and the ``ParamPoly``
+rows are built the same lazy way, only when ``rows`` is first read.
 :meth:`Triangle.to_json` joins the entry texts directly, and a read
 triangle writes back the text it read.
 """
@@ -54,9 +59,10 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from math import comb, factorial, gcd
 from operator import mod, mul
+from struct import Struct
 from typing import Any, List, Sequence, Tuple, Union
 
 from .kernels import (
@@ -69,7 +75,7 @@ from .kernels import (
     strided_falling,
     strided_rising,
 )
-from .poly import ParamPoly
+from .poly import ParamPoly, monomial_text, terms_text
 
 Scalar = Union[Fraction, ParamPoly]
 
@@ -111,8 +117,9 @@ __all__ = [
 
 class _RowsFromPairs:
     """The ``rows`` of a :class:`Triangle` made from integer pairs
-    (:meth:`Triangle._of`), built on first read and stored on the instance
-    in place of the pairs, so the triangle holds one form at a time.  As a
+    (:meth:`Triangle._of`) or from packed symbolic entries (:class:`_Packing`),
+    built on first read and stored on the instance in place of the
+    integers, so the triangle holds one form at a time.  As a
     non-data descriptor it is shadowed by the stored rows, so later reads
     cost no call; class access raises AttributeError, so the dataclass
     field ``rows`` has no default."""
@@ -123,7 +130,11 @@ class _RowsFromPairs:
         ints = tri._ints
         if ints is None:  # another thread built the rows meanwhile
             return vars(tri)["rows"]
-        rows = _fraction_rows(*ints)
+        nums, dens = ints
+        if type(dens) is _Packing:
+            rows = dens.poly_rows(tri.kind, nums)
+        else:
+            rows = _fraction_rows(nums, dens)
         vars(tri).update(rows=rows, _ints=None)
         return rows
 
@@ -138,7 +149,10 @@ class Triangle:
     """A lower-triangular section with jagged rows ``rows[n][0..n]``.
 
     ``Triangle(...)`` stores the rows it is given: ``Fraction`` rows, or
-    ``ParamPoly`` rows in symbolic mode.  The numeric schemes, and
+    ``ParamPoly`` rows in symbolic mode.  A symbolic
+    :func:`build_recurrence` holds each entry as one packed int instead
+    (:class:`_Packing`), which it writes from the digits and unpacks to
+    ``ParamPoly`` rows on the first read of ``rows``.  The numeric schemes, and
     :meth:`from_json` when every entry is written as ``to_json`` writes it,
     make the triangle from integer pairs instead (:meth:`_of`): each entry
     a scheme's value times ``q^degree`` over ``q^degree``, or a read entry
@@ -156,7 +170,8 @@ class Triangle:
     rows: Tuple[Tuple[Scalar, ...], ...] = _RowsFromPairs()
     # set by _of: entry (n, k) is _ints[0][n][k] / _ints[1][n][k], one
     # attribute so that the two always belong together, until the first
-    # rows read; written as _texts[n][k] when from_json kept the text it read
+    # rows read; written as _texts[n][k] when from_json kept the text it read.
+    # A symbolic triangle holds (packed rows, _Packing) there instead
     _ints = _texts = None
 
     def __post_init__(self):
@@ -203,7 +218,10 @@ class Triangle:
             if 0 <= k <= n < len(rows):
                 return rows[n][k]
         elif 0 <= k <= n < len(ints[0]):
-            return Fraction(ints[0][n][k], ints[1][n][k])
+            try:
+                return Fraction(ints[0][n][k], ints[1][n][k])
+            except TypeError:  # a packed symbolic entry: its _Packing has no rows
+                return self.rows[n][k]
         if n > self.N:
             raise IndexError(f"row {n} not built (N = {self.N})")
         return ParamPoly() if self.is_symbolic else Fraction(0)
@@ -237,7 +255,7 @@ class Triangle:
         if self._ints is not None or other._ints is not None:
             try:
                 return all(map(_rows_equal, *self._pairs(), *other._pairs()))
-            except AttributeError:  # entries that are not rationals
+            except (AttributeError, TypeError):  # entries that are not rationals
                 pass
         return self.rows == other.rows
 
@@ -258,9 +276,13 @@ class Triangle:
 
     def _text_rows(self) -> List[List[str]]:
         """The entry texts row by row: those :meth:`from_json` read, if it
-        kept them, else ``str`` of each entry."""
+        kept them, those of packed symbolic entries written from their
+        digits, else ``str`` of each entry."""
         if self._texts is not None:
             return self._texts
+        ints = self._ints
+        if ints is not None and type(ints[1]) is _Packing:
+            return ints[1].text_rows(self.kind, ints[0])
         return [[str(v) for v in row] for row in self.rows]
 
     def to_json(self) -> str:
@@ -449,8 +471,9 @@ def _columns(rows) -> List[List[Any]]:
 
 def _recurrence_rows(kind: str, a, b, r, N: int, start=None) -> List[List[Scalar]]:
     """Rows of the triangular recurrence up to row ``N``, from row 0
-    (``[1]``) or from ``start`` (row ``len(start) - 1``; the symbolic apex
-    is ``[ParamPoly.constant(1)]``), which is the first row returned."""
+    (``[1]``) or from ``start`` (row ``len(start) - 1``), which is the first
+    row returned.  Generic over the scalars of ``a``, ``b``, ``r`` and
+    ``start``."""
     rows: List[List[Scalar]] = [[1] if start is None else start]
     for n in range(len(rows[0]) - 1, N):
         prev = [0, *rows[-1], 0]  # entry k of row n is prev[k + 1]
@@ -466,6 +489,118 @@ def _recurrence_rows(kind: str, a, b, r, N: int, start=None) -> List[List[Scalar
             row.append(val)
         rows.append(row)
     return rows
+
+
+@dataclass(frozen=True)
+class _Packing:
+    """How a symbolic triangle with rows 0..N holds each entry as one int.
+
+    At linear-form parameters an entry of degree ``d`` (:func:`_degree_scales`)
+    is a form of degree ``d`` in ``(alpha, beta, r)``.  Its coefficient of
+    ``alpha^i beta^j r^(d-i-j)`` is the balanced base-``2^W`` digit at
+    position ``i (N + 1) + j``: the int is the form at ``alpha = 2^((N+1) W)``,
+    ``beta = 2^W`` and ``r = 1``, a Kronecker substitution.  Since
+    ``j <= d <= N`` no two monomials share a position, and :func:`_packed_rows`
+    chooses ``W``, a whole number of bytes, so that every coefficient lies
+    strictly inside ``+-2^(W-1)``.  Positions in increasing order are the
+    monomials in ``ParamPoly.__str__``'s order, so the entry texts are
+    written straight from the digits."""
+
+    N: int
+    W: int
+
+    def text_rows(self, kind: str, packed) -> List[List[str]]:
+        """The entry texts row by row, as ``str`` of each entry writes them."""
+        return self._rows(kind, packed, monomial_text, terms_text)
+
+    def poly_rows(self, kind: str, packed) -> Tuple[Tuple[ParamPoly, ...], ...]:
+        """The entries as ``ParamPoly`` rows."""
+        rows = self._rows(kind, packed, tuple, lambda terms: ParamPoly({m: c for c, m in terms}))
+        return tuple(map(tuple, rows))
+
+    def _rows(self, kind: str, packed, key, make) -> List[list]:
+        """Each entry as ``make`` of its nonzero terms in order, each term a
+        coefficient and ``key`` of its monomial.  An entry plus ``2^(W-1)``
+        in every digit up to its last has digits ``0 < c + 2^(W-1) < 2^W``,
+        so its bytes hold each digit in ``W / 8`` of them: one ``to_bytes``
+        per entry, and one ``Struct`` per degree that cuts out the digit of
+        each monomial and skips the unused positions."""
+        width, stride = self.W // 8, self.N + 1
+        half = 1 << (self.W - 1)
+        zero = half.to_bytes(width, "little")  # the bytes of a zero coefficient
+        layouts = []  # per degree: offset, byte length, digit reader, keys
+        for d in range(self.N + 1):
+            digits = d * stride + 1  # up to alpha^d's position
+            # block i holds beta^0..beta^(d-i) and skips to alpha^(i+1)
+            read = Struct("".join(f"{width}s" * (d - i + 1) + f"{width * (stride - d + i - 1)}x"
+                                  for i in range(d)) + f"{width}s").unpack
+            keys = [key((i, j, d - i - j)) for i in range(d + 1) for j in range(d - i + 1)]
+            layouts.append((int.from_bytes(zero * digits, "little"), width * digits, read, keys))
+        out = []
+        for n, row in enumerate(packed):
+            line = []
+            for k, value in enumerate(row):
+                offset, size, read, keys = layouts[n - k if kind == "S" else n]
+                found = read((value + offset).to_bytes(size, "little"))
+                line.append(make([
+                    (int.from_bytes(digit, "little") - half, mono)
+                    for digit, mono in compress(zip(found, keys), map(zero.__ne__, found))
+                ]))
+            out.append(line)
+        return out
+
+
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
+def _linear_form(name: str, value) -> Tuple[int, ...]:
+    """The coefficients of ``alpha``, ``beta`` and ``r`` in the symbolic
+    parameter ``name``; ValueError unless it is a ``ParamPoly`` linear form."""
+    if not isinstance(value, ParamPoly) or value.total_degrees() - {1}:
+        raise ValueError(f"symbolic parameter {name} must be a linear form in alpha, beta "
+                         f"and r, got {value}")
+    return tuple(value.coefficient(unit) for unit in _UNITS)
+
+
+def _form_rows(kind: str, a, b, r, N: int, times) -> List[list]:
+    """Rows 0..N of the triangular recurrence at linear-form parameters, each
+    given by its coefficients of ``(alpha, beta, r)``: every factor of
+    :func:`_recurrence_rows` is then a linear form, given the same way, and
+    ``times(u, v)`` multiplies the entry ``v`` by the form ``u``."""
+    rows = [[1]]
+    for n in range(N):
+        prev = [0, *rows[-1], 0]  # entry k of row n is prev[k + 1]
+        row = []
+        for k in range(n + 2):
+            val = times([y * k + z - x * n for x, y, z in zip(a, b, r)], prev[k + 1])
+            if kind == "S":
+                val += prev[k]
+            elif kind == "Shat":
+                val += times([y * k for y in b], prev[k])
+            else:  # E
+                val += times([(x + y) * n - y * (k - 1) + (y - z) for x, y, z in zip(a, b, r)],
+                             prev[k])
+            row.append(val)
+        rows.append(row)
+    return rows
+
+
+def _packed_rows(kind: str, a, b, r, N: int) -> Tuple[List[List[int]], _Packing]:
+    """Rows 0..N of ``kind`` at the linear forms ``a``, ``b``, ``r``
+    (coefficient triples), each entry packed as :class:`_Packing` says.
+
+    The recurrence run on absolute coefficient sums, each factor replaced by
+    the sum of its coefficients' absolute values, bounds every coefficient
+    of the entry it gives, which fixes ``W`` before the first packed row.  A
+    product by a form is then two shifts and three small multiples."""
+    bounds = _form_rows(kind, a, b, r, N, lambda u, v: sum(map(abs, u)) * v)
+    W = -(-(max(map(max, bounds)).bit_length() + 1) // 8) * 8
+    shift = (N + 1) * W  # alpha's position
+
+    def times(u, v):
+        return u[0] * (v << shift) + u[1] * (v << W) + u[2] * v
+
+    return _form_rows(kind, a, b, r, N, times), _Packing(N, W)
 
 
 def _check_rows(N: int) -> None:
@@ -484,8 +619,11 @@ def _recurrence_rows_cached(kind: str, a: Fraction, b: Fraction, r: Fraction) ->
 def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
     """Build rows 0..N by the one-step triangular recurrence.
 
-    Parameters may be rationals (ints, ``"p/q"`` strings, Fractions) or
-    :class:`ParamPoly` values for the symbolic mode.
+    Parameters may be rationals (ints, ``"p/q"`` strings, Fractions) or,
+    for the symbolic mode, three :class:`ParamPoly` linear forms in
+    ``(alpha, beta, r)`` (:func:`symbolic_triangle` passes the variables
+    themselves); a symbolic call with any other parameter raises
+    ``ValueError`` naming it.
 
     Numeric triangles are cached by parameters alone: rows 0..N of a
     ``(kind, alpha, beta, r)`` triangle do not depend on ``N``, so the cache
@@ -501,14 +639,21 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
     over its ``q^degree``.  Comparing it, multiplying it or shifting it
     builds no ``Fraction``; the first read of its ``rows`` (or of its text,
     JSON, CSV or LaTeX) builds them, and a prefix of a read triangle shares
-    its ``Fraction`` rows.  Symbolic triangles are not cached.
+    its ``Fraction`` rows.
+
+    A symbolic triangle holds each entry as one int, its coefficients
+    packed as digits (:class:`_Packing`), and runs the recurrence in those
+    ints (:func:`_packed_rows`).  Its text, JSON, CSV and LaTeX are written
+    from the digits; the ``ParamPoly`` rows are built on the first read of
+    ``rows``, as a numeric triangle builds its ``Fraction`` rows.  Symbolic
+    triangles are not cached.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")
     _check_rows(N)
     if any(isinstance(p, ParamPoly) for p in (alpha, beta, r)):
-        rows = _recurrence_rows(kind, alpha, beta, r, N, start=[ParamPoly.constant(1)])
-        return Triangle(kind, alpha, beta, r, tuple(map(tuple, rows)))
+        forms = map(_linear_form, ("alpha", "beta", "r"), (alpha, beta, r))
+        return Triangle._of(kind, alpha, beta, r, *_packed_rows(kind, *forms, N))
     a, b, rr = as_rational(alpha), as_rational(beta), as_rational(r)
     held = _recurrence_rows_cached(kind, a, b, rr)
     tall = held[0]

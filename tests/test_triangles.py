@@ -1,6 +1,7 @@
 """Triangle construction schemes, serialization, transforms and shifts."""
 
 import dataclasses
+import hashlib
 import json
 import pickle
 import random
@@ -453,6 +454,80 @@ def test_symbolic_triangle_all_kinds():
         for n in range(4):
             for k in range(n + 1):
                 assert sym.entry(n, k).evaluate(F(-2), F(3), F(1)) == num.entry(n, k)
+
+
+# the variables, and a point of wide linear forms whose coefficients need
+# digits well past 64 bits at N = 14
+_FORM_POINTS = {"variables": (ALPHA, BETA, R),
+                "wide": (37 * ALPHA - 5 * BETA, 11 * BETA + 3 * R, -13 * R)}
+
+
+@pytest.mark.parametrize("kind", ["S", "Shat", "E"])
+@pytest.mark.parametrize("point", list(_FORM_POINTS), ids=list(_FORM_POINTS))
+def test_the_packed_recurrence_is_the_generic_one(kind, point):
+    """The packed symbolic recurrence gives the rows of the generic scalar
+    recurrence over ParamPoly at every N <= 14, and every coefficient lies
+    strictly inside the balanced digit range of its packing."""
+    params = _FORM_POINTS[point]
+    want = triangles._recurrence_rows(kind, *params, 14, start=[ParamPoly.constant(1)])
+    widths = set()
+    for N in range(15):
+        tri = build_recurrence(kind, *params, N)
+        packing = tri._ints[1]
+        widths.add(packing.W)
+        assert packing.N == N and packing.W % 8 == 0
+        assert [list(row) for row in tri.rows] == want[: N + 1]
+        half = 1 << (packing.W - 1)
+        assert all(-half < c < half for row in want[: N + 1] for v in row
+                   for c in v._terms.values())
+    assert point == "variables" or max(widths) > 96
+
+
+@pytest.mark.parametrize("params, name", [
+    ((ALPHA + 1, BETA, R), "alpha"),
+    ((ALPHA, ALPHA * BETA, R), "beta"),
+    ((ALPHA, 1, R), "beta"),
+], ids=["affine", "quadratic", "constant"])
+def test_a_symbolic_parameter_must_be_a_linear_form(params, name):
+    for kind in ("S", "Shat", "E"):
+        with pytest.raises(ValueError, match=f"symbolic parameter {name} must be a linear form"):
+            build_recurrence(kind, *params, 3)
+
+
+_SYMBOLIC_EXPORT_DIGESTS = {
+    ("S", "text"): "64c9353fc2e8c5f297544679739cf4eaf576b5294354e8480080ec0246c5bc80",
+    ("S", "csv"): "d086e8c1928925d725bee6aea7d0b5b80d0fdee1bb7044704d5d74306803746e",
+    ("S", "latex"): "f70cc056b0a9c916d72ba134d0336c084e3e1687cda4be41b468bd9eaa31506b",
+    ("Shat", "text"): "f50bac2d0b6475feaf9baf2093c94c12102bc951ad80ccb031439e739869a711",
+    ("Shat", "csv"): "ba9e1c675c1ca0f4438d1e87e2e197f8a865b3f573253c37681a7b7c37796f8f",
+    ("Shat", "latex"): "cdbcc7e0747db314116a4a5f2557400fa682d8fdbbf720c548e5823f6dbd7d28",
+    ("E", "text"): "532112d20cd04a5e6ea4112e4ff46b979f6bd310488ee5a6d80e727e6c9e9bc2",
+    ("E", "csv"): "c8cacd9f0ff2fc4f1284389213a40f59342006c1a34d2d1b8fc84521c0f22d14",
+    ("E", "latex"): "144fbb71ec28d76899b0f26ac3c6907ddc6f9f2e9c74cad461063b0f404dbb6e",
+}
+
+
+@pytest.mark.parametrize("kind, fmt", list(_SYMBOLIC_EXPORT_DIGESTS),
+                         ids=[f"{kind}-{fmt}" for kind, fmt in _SYMBOLIC_EXPORT_DIGESTS])
+def test_symbolic_exports_are_pinned(kind, fmt):
+    """The n = 12 symbolic text, CSV and LaTeX exports hash to the digests
+    of the ParamPoly-built triangles they replaced."""
+    text = getattr(symbolic_triangle(kind, 12), f"to_{fmt}")()
+    assert hashlib.sha256(text.encode()).hexdigest() == _SYMBOLIC_EXPORT_DIGESTS[kind, fmt]
+
+
+def test_writing_a_symbolic_triangle_builds_no_param_poly():
+    """A symbolic triangle writes its exports from the packed entries; its
+    ParamPoly rows are built on the first rows read, and the texts after it
+    are the same."""
+    tri = symbolic_triangle("E", 12)
+    written = {fmt: getattr(tri, f"to_{fmt}")() for fmt in ("json", "text", "csv", "latex")}
+    texts = tri._text_rows()
+    assert "rows" not in vars(tri) and tri._ints is not None
+    rows = tri.rows
+    assert tri._ints is None and {type(v) for row in rows for v in row} == {ParamPoly}
+    assert tri._text_rows() == texts
+    assert {fmt: getattr(tri, f"to_{fmt}")() for fmt in written} == written
 
 
 def test_product_rule_and_inverse():
