@@ -44,7 +44,7 @@ its prefix.  Consumers that need only integer rows (the classical Stirling
 tables and the identity catalog) read one memo of them instead,
 :func:`_integer_rows`.  The symbolic recurrence runs at linear-form
 parameters and packs each entry into one ``int``, its coefficients as
-fixed-width digits (a Kronecker substitution, :class:`_Packing`): a
+fixed-width digits (a Kronecker substitution, :func:`_packed_rows`): a
 product by a factor of the recurrence is two shifts and three small
 multiples, the exports are written from the digits, and the ``ParamPoly``
 rows are built the same lazy way, only when ``rows`` is first read.
@@ -117,7 +117,7 @@ __all__ = [
 
 class _RowsFromPairs:
     """The ``rows`` of a :class:`Triangle` made from integer pairs
-    (:meth:`Triangle._of`) or from packed symbolic entries (:class:`_Packing`),
+    (:meth:`Triangle._of`) or from packed symbolic entries (:func:`_packed_rows`),
     built on first read and stored on the instance in place of the
     integers, so the triangle holds one form at a time.  As a
     non-data descriptor it is shadowed by the stored rows, so later reads
@@ -131,12 +131,17 @@ class _RowsFromPairs:
         if ints is None:  # another thread built the rows meanwhile
             return vars(tri)["rows"]
         nums, dens = ints
-        if type(dens) is _Packing:
-            rows = dens.poly_rows(tri.kind, nums)
+        if type(dens) is int:  # packed symbolic entries, digits dens bits wide
+            rows = tuple(map(tuple, _unpacked(tri.kind, nums, dens, tuple, _param_poly)))
         else:
             rows = _fraction_rows(nums, dens)
         vars(tri).update(rows=rows, _ints=None)
         return rows
+
+
+def _param_poly(terms) -> ParamPoly:
+    """The ``ParamPoly`` of ``(coefficient, monomial)`` terms."""
+    return ParamPoly({mono: coeff for coeff, mono in terms})
 
 
 def _fraction_rows(nums, dens) -> Tuple[Tuple[Fraction, ...], ...]:
@@ -151,7 +156,7 @@ class Triangle:
     ``Triangle(...)`` stores the rows it is given: ``Fraction`` rows, or
     ``ParamPoly`` rows in symbolic mode.  A symbolic
     :func:`build_recurrence` holds each entry as one packed int instead
-    (:class:`_Packing`), which it writes from the digits and unpacks to
+    (:func:`_packed_rows`), which it writes from the digits and unpacks to
     ``ParamPoly`` rows on the first read of ``rows``.  The numeric schemes, and
     :meth:`from_json` when every entry is written as ``to_json`` writes it,
     make the triangle from integer pairs instead (:meth:`_of`): each entry
@@ -171,7 +176,7 @@ class Triangle:
     # set by _of: entry (n, k) is _ints[0][n][k] / _ints[1][n][k], one
     # attribute so that the two always belong together, until the first
     # rows read; written as _texts[n][k] when from_json kept the text it read.
-    # A symbolic triangle holds (packed rows, _Packing) there instead
+    # A symbolic triangle holds (packed rows, digit width) there instead
     _ints = _texts = None
 
     def __post_init__(self):
@@ -220,7 +225,7 @@ class Triangle:
         elif 0 <= k <= n < len(ints[0]):
             try:
                 return Fraction(ints[0][n][k], ints[1][n][k])
-            except TypeError:  # a packed symbolic entry: its _Packing has no rows
+            except TypeError:  # a packed symbolic entry: its digit width has no rows
                 return self.rows[n][k]
         if n > self.N:
             raise IndexError(f"row {n} not built (N = {self.N})")
@@ -281,8 +286,8 @@ class Triangle:
         if self._texts is not None:
             return self._texts
         ints = self._ints
-        if ints is not None and type(ints[1]) is _Packing:
-            return ints[1].text_rows(self.kind, ints[0])
+        if ints is not None and type(ints[1]) is int:
+            return _unpacked(self.kind, *ints, monomial_text, terms_text)
         return [[str(v) for v in row] for row in self.rows]
 
     def to_json(self) -> str:
@@ -491,82 +496,20 @@ def _recurrence_rows(kind: str, a, b, r, N: int, start=None) -> List[List[Scalar
     return rows
 
 
-@dataclass(frozen=True)
-class _Packing:
-    """How a symbolic triangle with rows 0..N holds each entry as one int.
-
-    At linear-form parameters an entry of degree ``d`` (:func:`_degree_scales`)
-    is a form of degree ``d`` in ``(alpha, beta, r)``.  Its coefficient of
-    ``alpha^i beta^j r^(d-i-j)`` is the balanced base-``2^W`` digit at
-    position ``i (N + 1) + j``: the int is the form at ``alpha = 2^((N+1) W)``,
-    ``beta = 2^W`` and ``r = 1``, a Kronecker substitution.  Since
-    ``j <= d <= N`` no two monomials share a position, and :func:`_packed_rows`
-    chooses ``W``, a whole number of bytes, so that every coefficient lies
-    strictly inside ``+-2^(W-1)``.  Positions in increasing order are the
-    monomials in ``ParamPoly.__str__``'s order, so the entry texts are
-    written straight from the digits."""
-
-    N: int
-    W: int
-
-    def text_rows(self, kind: str, packed) -> List[List[str]]:
-        """The entry texts row by row, as ``str`` of each entry writes them."""
-        return self._rows(kind, packed, monomial_text, terms_text)
-
-    def poly_rows(self, kind: str, packed) -> Tuple[Tuple[ParamPoly, ...], ...]:
-        """The entries as ``ParamPoly`` rows."""
-        rows = self._rows(kind, packed, tuple, lambda terms: ParamPoly({m: c for c, m in terms}))
-        return tuple(map(tuple, rows))
-
-    def _rows(self, kind: str, packed, key, make) -> List[list]:
-        """Each entry as ``make`` of its nonzero terms in order, each term a
-        coefficient and ``key`` of its monomial.  An entry plus ``2^(W-1)``
-        in every digit up to its last has digits ``0 < c + 2^(W-1) < 2^W``,
-        so its bytes hold each digit in ``W / 8`` of them: one ``to_bytes``
-        per entry, and one ``Struct`` per degree that cuts out the digit of
-        each monomial and skips the unused positions."""
-        width, stride = self.W // 8, self.N + 1
-        half = 1 << (self.W - 1)
-        zero = half.to_bytes(width, "little")  # the bytes of a zero coefficient
-        layouts = []  # per degree: offset, byte length, digit reader, keys
-        for d in range(self.N + 1):
-            digits = d * stride + 1  # up to alpha^d's position
-            # block i holds beta^0..beta^(d-i) and skips to alpha^(i+1)
-            read = Struct("".join(f"{width}s" * (d - i + 1) + f"{width * (stride - d + i - 1)}x"
-                                  for i in range(d)) + f"{width}s").unpack
-            keys = [key((i, j, d - i - j)) for i in range(d + 1) for j in range(d - i + 1)]
-            layouts.append((int.from_bytes(zero * digits, "little"), width * digits, read, keys))
-        out = []
-        for n, row in enumerate(packed):
-            line = []
-            for k, value in enumerate(row):
-                offset, size, read, keys = layouts[n - k if kind == "S" else n]
-                found = read((value + offset).to_bytes(size, "little"))
-                line.append(make([
-                    (int.from_bytes(digit, "little") - half, mono)
-                    for digit, mono in compress(zip(found, keys), map(zero.__ne__, found))
-                ]))
-            out.append(line)
-        return out
-
-
-_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-def _linear_form(name: str, value) -> Tuple[int, ...]:
+def _linear_form(name: str, value) -> List[int]:
     """The coefficients of ``alpha``, ``beta`` and ``r`` in the symbolic
     parameter ``name``; ValueError unless it is a ``ParamPoly`` linear form."""
     if not isinstance(value, ParamPoly) or value.total_degrees() - {1}:
         raise ValueError(f"symbolic parameter {name} must be a linear form in alpha, beta "
                          f"and r, got {value}")
-    return tuple(value.coefficient(unit) for unit in _UNITS)
+    return [value.coefficient(unit) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
 
 def _form_rows(kind: str, a, b, r, N: int, times) -> List[list]:
-    """Rows 0..N of the triangular recurrence at linear-form parameters, each
-    given by its coefficients of ``(alpha, beta, r)``: every factor of
-    :func:`_recurrence_rows` is then a linear form, given the same way, and
-    ``times(u, v)`` multiplies the entry ``v`` by the form ``u``."""
+    """Rows 0..N of :func:`_recurrence_rows` at parameters given by their
+    coefficients of ``(alpha, beta, r)``: each factor is then a linear form,
+    given the same way, and ``times(u, v)`` multiplies the entry ``v`` by
+    the form ``u``."""
     rows = [[1]]
     for n in range(N):
         prev = [0, *rows[-1], 0]  # entry k of row n is prev[k + 1]
@@ -585,22 +528,54 @@ def _form_rows(kind: str, a, b, r, N: int, times) -> List[list]:
     return rows
 
 
-def _packed_rows(kind: str, a, b, r, N: int) -> Tuple[List[List[int]], _Packing]:
-    """Rows 0..N of ``kind`` at the linear forms ``a``, ``b``, ``r``
-    (coefficient triples), each entry packed as :class:`_Packing` says.
+def _packed_rows(kind: str, a, b, r, N: int) -> Tuple[List[List[int]], int]:
+    """Rows 0..N of ``kind`` at the linear forms ``a``, ``b``, ``r``, each
+    entry packed into one int, and the digit width ``W``.
 
-    The recurrence run on absolute coefficient sums, each factor replaced by
-    the sum of its coefficients' absolute values, bounds every coefficient
-    of the entry it gives, which fixes ``W`` before the first packed row.  A
+    An entry of degree ``d`` (:func:`_degree_scales`) is a form of degree
+    ``d``; its coefficient of ``alpha^i beta^j r^(d-i-j)`` is the balanced
+    base-``2^W`` digit at position ``i (N + 1) + j``, so the int is the form
+    at ``alpha = 2^((N+1) W)``, ``beta = 2^W``, ``r = 1`` (a Kronecker
+    substitution), and ``j <= d <= N`` keeps the positions apart.  The
+    recurrence on absolute coefficient sums bounds every coefficient, which
+    fixes ``W``, rounded up to whole bytes, before the first packed row; a
     product by a form is then two shifts and three small multiples."""
     bounds = _form_rows(kind, a, b, r, N, lambda u, v: sum(map(abs, u)) * v)
     W = -(-(max(map(max, bounds)).bit_length() + 1) // 8) * 8
-    shift = (N + 1) * W  # alpha's position
+    shift = (N + 1) * W
 
     def times(u, v):
         return u[0] * (v << shift) + u[1] * (v << W) + u[2] * v
 
-    return _form_rows(kind, a, b, r, N, times), _Packing(N, W)
+    return _form_rows(kind, a, b, r, N, times), W
+
+
+def _unpacked(kind: str, packed, W: int, key, make) -> List[list]:
+    """Each entry of :func:`_packed_rows` as ``make`` of its nonzero terms,
+    each a coefficient and ``key`` of its monomial, in ``ParamPoly.__str__``'s
+    order, which is the order of the positions.  The entry plus ``2^(W-1)``
+    in every digit has its digits in ``(0, 2^W)``, each in ``W / 8`` bytes:
+    one ``to_bytes`` per entry, and a ``Struct`` per degree that cuts out
+    the monomials' digits and skips the unused positions."""
+    width, stride, half = W // 8, len(packed), 1 << (W - 1)
+    zero = half.to_bytes(width, "little")  # a zero coefficient
+    layouts = []
+    for d in range(stride):
+        read = Struct("".join(f"{width}s" * (d - i + 1) + f"{width * (stride - d + i - 1)}x"
+                              for i in range(d)) + f"{width}s").unpack
+        keys = [key((i, j, d - i - j)) for i in range(d + 1) for j in range(d - i + 1)]
+        pad = zero * (d * stride + 1)  # every digit up to alpha^d's
+        layouts.append((int.from_bytes(pad, "little"), len(pad), read, keys))
+    out = []
+    for n, row in enumerate(packed):
+        line = []
+        for k, value in enumerate(row):
+            offset, size, read, keys = layouts[n - k if kind == "S" else n]
+            found = read((value + offset).to_bytes(size, "little"))
+            line.append(make([(int.from_bytes(digit, "little") - half, mono) for digit, mono
+                              in compress(zip(found, keys), map(zero.__ne__, found))]))
+        out.append(line)
+    return out
 
 
 def _check_rows(N: int) -> None:
@@ -641,12 +616,11 @@ def build_recurrence(kind: str, alpha, beta, r, N: int) -> Triangle:
     JSON, CSV or LaTeX) builds them, and a prefix of a read triangle shares
     its ``Fraction`` rows.
 
-    A symbolic triangle holds each entry as one int, its coefficients
-    packed as digits (:class:`_Packing`), and runs the recurrence in those
-    ints (:func:`_packed_rows`).  Its text, JSON, CSV and LaTeX are written
-    from the digits; the ``ParamPoly`` rows are built on the first read of
-    ``rows``, as a numeric triangle builds its ``Fraction`` rows.  Symbolic
-    triangles are not cached.
+    A symbolic triangle runs the recurrence with each entry packed into one
+    int, its coefficients as digits (:func:`_packed_rows`).  Its text, JSON,
+    CSV and LaTeX are written from the digits; the ``ParamPoly`` rows are
+    built on the first read of ``rows``, as a numeric triangle builds its
+    ``Fraction`` rows.  Symbolic triangles are not cached.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown triangle kind {kind!r}")

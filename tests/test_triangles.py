@@ -473,11 +473,11 @@ def test_the_packed_recurrence_is_the_generic_one(kind, point):
     widths = set()
     for N in range(15):
         tri = build_recurrence(kind, *params, N)
-        packing = tri._ints[1]
-        widths.add(packing.W)
-        assert packing.N == N and packing.W % 8 == 0
+        W = tri._ints[1]  # the digit width of the packed entries
+        widths.add(W)
+        assert W % 8 == 0 and len(tri._ints[0]) == N + 1
         assert [list(row) for row in tri.rows] == want[: N + 1]
-        half = 1 << (packing.W - 1)
+        half = 1 << (W - 1)
         assert all(-half < c < half for row in want[: N + 1] for v in row
                    for c in v._terms.values())
     assert point == "variables" or max(widths) > 96
