@@ -130,11 +130,10 @@ class _RowsFromPairs:
         ints = tri._ints
         if ints is None:  # another thread built the rows meanwhile
             return vars(tri)["rows"]
-        nums, dens = ints
-        if type(dens) is int:  # packed symbolic entries, digits dens bits wide
-            rows = tuple(map(tuple, _unpacked(tri.kind, nums, dens, tuple, _param_poly)))
+        if type(ints[1]) is int:  # packed symbolic entries, digits ints[1] bits wide
+            rows = tuple(map(tuple, _unpacked(tri.kind, *ints, tuple, _param_poly)))
         else:
-            rows = _fraction_rows(nums, dens)
+            rows = _fraction_rows(*ints)
         vars(tri).update(rows=rows, _ints=None)
         return rows
 
