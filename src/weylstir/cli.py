@@ -9,12 +9,14 @@ Subcommands:
 * ``expand``     — pretty-print one instantiated identity with coefficients.
 
 Exit codes: 0 = all checks pass, 1 = mathematical counterexample found,
-2 = usage or parameter error, including an ``expand`` option or
-``verify --range`` value outside a template's parameter domain
-(:meth:`IdentityTemplate.domain_error`).  The environment variable
-WEYLSTIR_MAX_N overrides the hard caps on ``--n`` (default 64 for triangle/expand/conjecture
-work, 32 for symbolic triangles, 10 for verification sweeps and for expanding a template
-of 2^n words).
+2 = usage or parameter error.  Commands raise ``ValueError`` for those, and
+:func:`main` alone prints it as one ``error:`` line and returns 2; that
+includes an ``expand`` option or ``verify --range`` value outside a
+template's parameter domain (:meth:`IdentityTemplate.domain_error`) and an
+entry longer than Python's 4 300-digit int-to-string limit.  The environment
+variable WEYLSTIR_MAX_N overrides the hard caps on ``--n`` (default 64 for
+triangle/expand/conjecture work, 32 for symbolic triangles, 10 for verification
+sweeps and for expanding a template of 2^n words), but not that digit limit.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ _CONJECTURE_CELL_CAP = 1 << 16  # the most (r, n, k) cells a conjecture report h
 _CHANNEL_CACHES = {"coefficient_rows": _integer_row_memo, "normal_order": _normal_order}
 
 
-class UsageError(Exception):
-    """Usage or parameter error; :func:`main` prints it and exits 2."""
-
-
 def _cap(default: int) -> int:
     env = os.environ.get("WEYLSTIR_MAX_N")
     if env is None:
@@ -60,16 +58,16 @@ def _cap(default: int) -> int:
     try:
         return int(env)
     except ValueError:
-        raise UsageError(f"WEYLSTIR_MAX_N is not an integer: {env!r}")
+        raise ValueError(f"WEYLSTIR_MAX_N is not an integer: {env!r}")
 
 
 def _check_n(n: int, default_cap: int) -> None:
     """Reject a negative ``--n`` and one above the cap."""
     if n < 0:
-        raise UsageError(f"--n must be nonnegative, got {n}")
+        raise ValueError(f"--n must be nonnegative, got {n}")
     cap = _cap(default_cap)
     if n > cap:
-        raise UsageError(f"--n {n} exceeds the cap {cap} (override with WEYLSTIR_MAX_N)")
+        raise ValueError(f"--n {n} exceeds the cap {cap} (override with WEYLSTIR_MAX_N)")
 
 
 def _rational(text: str) -> Fraction:
@@ -132,10 +130,10 @@ def cmd_verify(args) -> int:
     elif args.template:
         selected = templates_matching(args.template)
         if not selected:
-            raise UsageError(f"no template matches {args.template!r}; known ids: "
+            raise ValueError(f"no template matches {args.template!r}; known ids: "
                              + ", ".join(TEMPLATE_ORDER))
     else:
-        raise UsageError("pass --template ID (or a prefix) or --all")
+        raise ValueError("pass --template ID (or a prefix) or --all")
 
     jobs, vacuous = [], []
     for template in selected:
@@ -144,12 +142,10 @@ def cmd_verify(args) -> int:
             template.run_powers(cells, args.n)
         except VacuousRunError:
             vacuous.append(template.id)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
         jobs.append((template.id, sorted(cells, key=lambda c: tuple(sorted(c.items()))),
                      args.n))
     if vacuous:
-        raise UsageError(f"nothing to verify for {', '.join(vacuous)} "
+        raise ValueError(f"nothing to verify for {', '.join(vacuous)} "
                          "(0 instances; check --range and --n)")
     caches = None  # the workers' caches are out of reach
     if args.parallel and len(jobs) > 1:
@@ -212,11 +208,11 @@ def _cache_use(before, after) -> Dict[str, Optional[int]]:
 def cmd_conjecture(args) -> int:
     _check_n(args.n, _TRIANGLE_CAP)
     if args.r_min > args.r_max:
-        raise UsageError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}: "
+        raise ValueError(f"--r-min {args.r_min} exceeds --r-max {args.r_max}: "
                          "no cells to check")
     cells = (args.r_max - args.r_min + 1) * (args.n + 1) * (args.n + 2) // 2
     if cells > _CONJECTURE_CELL_CAP:
-        raise UsageError(f"r in [{args.r_min}, {args.r_max}] at n <= {args.n} makes {cells} "
+        raise ValueError(f"r in [{args.r_min}, {args.r_max}] at n <= {args.n} makes {cells} "
                          f"cells, more than the bound {_CONJECTURE_CELL_CAP}")
     report = conjecture_check(n_max=args.n, r_min=args.r_min, r_max=args.r_max)
     stated = report.mismatches_stated
@@ -294,7 +290,7 @@ def _collect_params(template, args) -> Dict[str, Fraction]:
         value = getattr(args, option)
         if value is None:
             pair = "" if idx is None else " L,R"
-            raise UsageError(f"template {template.id!r} needs --{option}{pair}")
+            raise ValueError(f"template {template.id!r} needs --{option}{pair}")
         cell[name] = Fraction(value if idx is None else value[idx])
     return cell
 
@@ -303,18 +299,15 @@ def cmd_expand(args) -> int:
     _check_n(args.n, _TRIANGLE_CAP)
     matches = templates_matching(args.template)
     if len(matches) != 1:
-        raise UsageError(f"--template must name exactly one template "
+        raise ValueError(f"--template must name exactly one template "
                          f"(got {len(matches)} matches for {args.template!r})")
     template = matches[0]
     if template.id == "special_corollary":  # 2^n words on its left: capped as verify is
         _check_n(args.n, _VERIFY_CAP)
     cell = _collect_params(template, args)
-    try:
-        template.check_cell(cell)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    template.check_cell(cell)
     if args.n < template.n_min:
-        raise UsageError(f"template {template.id!r} requires n >= {template.n_min}")
+        raise ValueError(f"template {template.id!r} requires n >= {template.n_min}")
 
     instances = template.build(cell, args.n)
     payload = []
@@ -421,7 +414,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -155,8 +155,9 @@ class Triangle:
     ``Triangle(...)`` stores the rows it is given: ``Fraction`` rows, or
     ``ParamPoly`` rows in symbolic mode.  A symbolic
     :func:`build_recurrence` holds each entry as one packed int instead
-    (:func:`_packed_rows`), which it writes from the digits and unpacks to
-    ``ParamPoly`` rows on the first read of ``rows``.  The numeric schemes, and
+    (:func:`_packed_rows`), which it writes from the digits, compares as
+    ints and unpacks to ``ParamPoly`` rows on the first read of ``rows``.
+    The numeric schemes, and
     :meth:`from_json` when every entry is written as ``to_json`` writes it,
     make the triangle from integer pairs instead (:meth:`_of`): each entry
     a scheme's value times ``q^degree`` over ``q^degree``, or a read entry
@@ -260,7 +261,10 @@ class Triangle:
             try:
                 return all(map(_rows_equal, *self._pairs(), *other._pairs()))
             except (AttributeError, TypeError):  # entries that are not rationals
-                pass
+                ints, other_ints = self._ints, other._ints
+                if ints is not None and other_ints is not None:
+                    # both packed symbolic: equal parameters and N give one digit width
+                    return ints == other_ints
         return self.rows == other.rows
 
     def validate(self) -> None:

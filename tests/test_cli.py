@@ -218,6 +218,24 @@ def test_vacuous_or_negative_runs_exit_two(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+# entries of these runs pass Python's 4 300-digit int-to-string limit at n = 24
+_LONG_ALPHA = f"--alpha={10**200 + 7}/{10**200 + 9}"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no int-to-string digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv", [
+    *(("triangle", "--kind", "Shat", _LONG_ALPHA, "--n", "24", "--format", fmt)
+      for fmt in ("json", "text", "csv", "latex")),
+    ("expand", "--template", "katrielplus.norm", _LONG_ALPHA, "--n", "24"),
+], ids=["triangle-json", "triangle-text", "triangle-csv", "triangle-latex", "expand"])
+def test_an_entry_too_long_to_write_exits_two(capsys, argv):
+    """An entry past the digit limit is a parameter error inside the --n cap."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "4300" in err
+
+
 def test_bad_max_n_environment_exits_two(capsys, monkeypatch):
     monkeypatch.setenv("WEYLSTIR_MAX_N", "abc")
     code, _, err = run(capsys, "triangle", "--n", "3")

@@ -530,6 +530,24 @@ def test_writing_a_symbolic_triangle_builds_no_param_poly():
     assert {fmt: getattr(tri, f"to_{fmt}")() for fmt in written} == written
 
 
+def test_packed_symbolic_triangles_compare_without_building_rows():
+    """Two packed triangles of one kind, parameters and N share a digit
+    width, so ``==`` compares the packed ints and builds no ParamPoly rows."""
+    left, right = symbolic_triangle("E", 18), symbolic_triangle("E", 18)
+    assert left == right and not left != right
+    assert "rows" not in vars(left) and "rows" not in vars(right)
+    packed, W = left._ints
+    for n, k in ((0, 0), (9, 4), (18, 18)):
+        rows = [list(row) for row in packed]
+        rows[n][k] += 1
+        bad = Triangle._of("E", ALPHA, BETA, R, rows, W)
+        assert bad != left and left != bad
+    assert symbolic_triangle("E", 18) != symbolic_triangle("S", 18)
+    assert symbolic_triangle("E", 18) != symbolic_triangle("E", 17)
+    assert left == Triangle("E", ALPHA, BETA, R, right.rows)
+    assert Triangle("E", ALPHA, BETA, R, right.rows) == left
+
+
 def test_product_rule_and_inverse():
     left = build_recurrence("S", F(1, 2), F(2), F(1), 8)
     right = build_recurrence("S", F(2), F(-1), F(1, 2), 8)
