@@ -19,7 +19,12 @@ spells the same strings, and strings sharing long prefixes, at every ``n``
 and in every cell, so each letter of a prefix is folded once while the
 prefix stays cached.  Past ``MAX_STRING_LENGTH`` letters the fold goes on
 in a loop, so the memo's recursion depth stays bounded whatever the length.
-:func:`normal_order_oracle` returns a fresh copy on every call, so a caller
+Each entry also holds the form packed into one int, the coefficient of
+``a†^(q + delta) a^q`` as digit ``q`` in base ``2^DIGIT_BITS``, with ``delta``
+and the coefficient sum, a digit bound: the verifier sums these ints and
+takes the oracle's dicts past a bound of ``2^(DIGIT_BITS - 1)`` or across
+two ``delta`` (:func:`packed_normal_order`).
+:func:`normal_order_oracle` returns a fresh dict on every call, so a caller
 may change what it gets.
 """
 
@@ -31,8 +36,9 @@ from typing import Dict, Tuple
 # the longest string normal-ordered: the oracle's guard, and the length up
 # to which the verifier's string channel runs
 MAX_STRING_LENGTH = 20
+DIGIT_BITS = 64  # the digit width of a packed normal form
 
-__all__ = ["MAX_STRING_LENGTH", "normal_order_oracle"]
+__all__ = ["DIGIT_BITS", "MAX_STRING_LENGTH", "normal_order_oracle", "packed_normal_order"]
 
 NormalForm = Dict[Tuple[int, int], int]
 
@@ -49,35 +55,44 @@ def normal_order_oracle(string: str, max_len: int = MAX_STRING_LENGTH) -> Normal
         raise ValueError(
             f"string of length {len(string)} exceeds the guard ({max_len})"
         )
-    return dict(_normal_order(string))
+    coeffs, top, (_, delta, _) = _normal_order(string)
+    return {(q + delta, q): c for q, c in zip(range(top, top - len(coeffs), -1), coeffs)}
+
+
+def packed_normal_order(string: str) -> Tuple[int, int, int]:
+    """``(packed, delta, bound)`` of a string's normal form, as the memo
+    holds it: ``delta`` is the number of '+' less the number of '-'."""
+    return _normal_order(string)[2]
 
 
 @lru_cache(maxsize=1 << 10)
-def _normal_order(string: str) -> Tuple[Tuple[Tuple[int, int], int], ...]:
-    """The items of the normal form of ``string``, memoized per prefix, as a
-    tuple so that no caller can change the cached form: the form of
-    ``string[:-1]``, looked up here, with the last letter folded on; a
-    string longer than ``MAX_STRING_LENGTH`` folds its tail onto its first
-    ``MAX_STRING_LENGTH`` letters in a loop."""
+def _normal_order(string: str) -> Tuple[Tuple[int, ...], int, Tuple[int, int, int]]:
+    """The normal form of ``string``, memoized per prefix: its coefficients
+    by falling ``q`` from ``top`` without a gap, ``top``, and the packed
+    form.  It is the form of ``string[:-1]``, looked up here, with the last
+    letter folded on, in a loop past ``MAX_STRING_LENGTH`` letters."""
     if not string:
-        return (((0, 0), 1),)
+        return (1,), 0, (1, 0, 1)
     cut = min(len(string) - 1, MAX_STRING_LENGTH)
-    state = _normal_order(string[:cut])
+    coeffs, top, (_, delta, _) = _normal_order(string[:cut])
     for ch in string[cut:]:
         if ch == "-":
-            state = tuple([((p, q + 1), c) for (p, q), c in state])
+            top += 1
+            delta -= 1
         elif ch == "+":
-            # a†^p a^q a† = a†^(p+1) a^q + q a†^p a^(q-1).  The items share
-            # p - q and run by falling q without a gap, so the second term
-            # is the first one of the next item, or a new last item
-            new = []
-            carry = 0
-            for (p, q), c in state:
-                new.append(((p + 1, q), c + carry))
-                carry = c * q
+            # a†^p a^q a† = a†^(p+1) a^q + q a†^p a^(q-1): the second term
+            # adds to the next coefficient down, or is a new last one
+            new, carry = [], 0
+            for i, c in enumerate(coeffs):
+                new.append(c + carry)
+                carry = c * (top - i)
             if carry:
-                new.append(((p, q - 1), carry))
-            state = tuple(new)
+                new.append(carry)
+            coeffs = tuple(new)
+            delta += 1
         else:
             raise ValueError(f"invalid letter {ch!r}; expected '+' or '-'")
-    return state
+    packed = 0
+    for c in coeffs:
+        packed = (packed << DIGIT_BITS) + c
+    return coeffs, top, (packed << (DIGIT_BITS * (top + 1 - len(coeffs))), delta, sum(coeffs))

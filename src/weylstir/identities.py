@@ -7,21 +7,20 @@ integers over one denominator ``q`` (:func:`kernels.scale_params`) and
 writes every exponent as an integer in units of ``1/q``.  Verification is
 semantic and exact, through two independent channels:
 
-1. *monomial action*: the action of each side on ``x^s`` is computed
-   symbolically as ``{exponent shift: polynomial in s}`` in one integer walk
-   (:meth:`OperatorExpr.certificate`), and the two maps are compared in
-   integers, which certifies the identity at every ``s`` and any degree;
-   the same walk checks that all terms of a side share one excess;
+1. *monomial action*: one integer walk per side (:meth:`OperatorExpr.certificate`)
+   checks that its terms share one excess and packs its action on ``x^s``,
+   a polynomial in ``s``, into one int; the two ints compare, cross-multiplied
+   by the denominators, which certifies the identity at every ``s`` and degree;
 2. *string rewriting*: whenever both sides live in the creation/annihilation
    dialect (all exponents natural) and every term is at most
    ``MAX_STRING_LENGTH`` letters long, counted from its exponents before
-   anything is spelled, both sides are spelled as boson strings and
-   normally ordered by the independent rewriting oracle, and the difference
-   of the two sides normal-orders to zero.
+   anything is spelled, both sides are spelled as boson strings, and the
+   weighted sum of the packed normal forms (the independent rewriting
+   oracle's, ``boson.packed_normal_order``) of their difference is 0.
 
-The string channel memoizes the normal form of each string prefix in a
-bounded cache (``boson._normal_order``); the action channel caches
-nothing, as one walk evaluates each term's polynomial as a single integer.
+Each int compare stands while a bound on its ``W``-bit digits stays below
+``2^(W-1)`` and the ints share one layout (``q`` and ``W``; ``delta``), else
+the exact coefficients compare.  The string channel memoizes normal forms.
 Builders write integral coefficients as ``int``;
 :meth:`IdentityTemplate.run_powers` refuses a run outside the domain or one
 that would certify nothing, so no PASS is vacuous.
@@ -64,7 +63,8 @@ from math import factorial, lcm, prod
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .boson import MAX_STRING_LENGTH, NormalForm, normal_order_oracle
+from .boson import DIGIT_BITS, MAX_STRING_LENGTH, NormalForm, normal_order_oracle
+from .boson import packed_normal_order
 from .kernels import _exact_quotient, as_rational, binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
 from .triangles import _closed_form_ints, _degree_scales, _integer_rows, _recurrence_rows
@@ -617,10 +617,12 @@ def templates_matching(prefix: str) -> List[IdentityTemplate]:
 
 
 def normal_form(expr: OperatorExpr) -> Dict[Tuple[int, int], Fraction]:
-    """Normal form of an admissible expression via the string oracle."""
-    strings = expr.boson_strings()
-    if strings is None:
+    """Normal form of a short admissible expression via the string oracle."""
+    if not expr.is_wc_admissible():
         raise ValueError("expression has non-natural exponents")
+    strings = expr.boson_strings(MAX_STRING_LENGTH)
+    if strings is None:
+        raise ValueError(f"a term's string exceeds the guard ({MAX_STRING_LENGTH})")
     d, counts = _normal_form(strings)
     return {key: Fraction(value, d) for key, value in counts.items()}
 
@@ -636,6 +638,25 @@ def _normal_form(strings: Sequence[Tuple[Coefficient, str]]) -> Tuple[int, Norma
         for key, count in normal_order_oracle(string).items():
             out[key] = out.get(key, 0) + c * count
     return d, {key: value for key, value in out.items() if value}
+
+
+def _orders_to_zero(strings: List[Tuple[Coefficient, str]]) -> bool:
+    """Whether weighted strings sum to the zero normal form: ``sum lift *
+    packed`` is 0 (:func:`boson.packed_normal_order`) while all share one
+    ``delta`` and ``sum |lift| * bound < 2^(DIGIT_BITS - 1)``, else as
+    :func:`_normal_form` says."""
+    d = lcm(*(coeff.denominator for coeff, _ in strings))
+    total = size = 0
+    deltas = set()
+    for coeff, string in strings:
+        packed, delta, bound = packed_normal_order(string)
+        c = coeff.numerator * (d // coeff.denominator)
+        total += c * packed
+        size += abs(c) * bound
+        deltas.add(delta)
+    if len(deltas) <= 1 and not size >> (DIGIT_BITS - 1):
+        return not total
+    return not _normal_form(strings)[1]
 
 
 @dataclass
@@ -731,7 +752,7 @@ def verify_identity(
                 rstr = inst.rhs.boson_strings(MAX_STRING_LENGTH) if lstr is not None else None
                 if rstr is not None:
                     report.string_probes += 1
-                    if _normal_form(lstr + [(-c, s) for c, s in rstr])[1]:
+                    if not _orders_to_zero(lstr + [(-c, s) for c, s in rstr]):
                         fail(cell, n, inst, "normal forms differ")
                 report.string_s += perf_counter() - t0
     if not report.instances:

@@ -29,15 +29,13 @@ denominator, computed in one walk over the terms
 (:meth:`OperatorExpr.certificate`, which raises :class:`MixedExcessError` at
 the first term of another excess).  Two expressions are equal as operators on
 monomials exactly when their certificates are equal, which certifies an
-identity at every ``s``, at any degree; certificates compare in integers:
-over one ``q`` as coefficient lists (each scaled by the other's denominator
-when the denominators differ), over two ``q`` coefficient by coefficient.
-The walk keeps each term's polynomial as one int, its value at ``u = 2^W``
-(Kronecker substitution: one shift and one small product per linear
-factor), sums the terms there and reads the coefficients back as balanced
-base-``2^W`` digits, with ``W`` wide enough for a bound on every
-coefficient; nothing is cached, as a walk costs about what a lookup did.
-:meth:`Certificate.action` reads a certificate in ``Fraction`` values of ``s``;
+identity at every ``s``, at any degree.  The walk keeps each term's
+polynomial as one int, its value at ``u = 2^W`` (Kronecker substitution:
+one shift and one small product per linear factor), and the certificate
+their sum, with a bound below ``2^(W-1)`` on every coefficient.  Over one
+``q`` and ``W`` certificates compare as these ints, cross-multiplied by the
+denominators while every digit stays below ``2^(W-1)``; other pairs compare
+their ``Fraction`` actions (:meth:`Certificate.action`).
 :meth:`OperatorExpr.act_on_monomial` is the pointwise reference.
 
 An expression whose exponents are all natural numbers lives in the
@@ -134,16 +132,33 @@ class Certificate:
     """The symbolic action of an expression of one excess, in integers.
 
     With ``u = q s``, the expression sends ``x^s`` to ``P(u) / denom`` times
-    ``x^(s + shift / q)``, where ``poly`` lists the integer coefficients of
-    ``P`` (constant first, no trailing zero; empty when the action is zero).
-    ``shift`` is the common excess in units of ``1/q``, None for the zero
-    expression.
+    ``x^(s + shift / q)``; ``shift`` is the common excess in units of
+    ``1/q``, None for the zero expression.  ``packed`` is ``P(2^W)``, whose
+    balanced base-``2^W`` digits, each at most ``bound < 2^(W-1)`` in size,
+    are the coefficients ``poly`` of ``P`` (constant first).  Without ``W``
+    the constructor packs the list ``poly`` at ``W >= 64``.
     """
 
-    __slots__ = ("q", "shift", "denom", "poly")
+    __slots__ = ("q", "shift", "denom", "packed", "W", "bound")
 
-    def __init__(self, q: int, shift: Optional[int], denom: int, poly: List[int]):
-        self.q, self.shift, self.denom, self.poly = q, shift, denom, poly
+    def __init__(self, q: int, shift: Optional[int], denom: int, poly, W=0, bound=0):
+        if not W:
+            bound = max(map(abs, poly), default=0)
+            W = max(64, bound.bit_length() + 2)
+            poly = sum(a << (W * k) for k, a in enumerate(poly))
+        self.q, self.shift, self.denom = q, shift, denom
+        self.packed, self.W, self.bound = poly, W, bound
+
+    @property
+    def poly(self) -> List[int]:
+        """The balanced base-``2^W`` digits of ``packed``, read on each call."""
+        poly, total, W = [], self.packed, self.W
+        half = 1 << (W - 1)
+        while total:
+            a = ((total + half) & ((half << 1) - 1)) - half
+            poly.append(a)
+            total = (total - a) >> W
+        return poly
 
     @property
     def excess(self) -> Optional[Fraction]:
@@ -152,8 +167,9 @@ class Certificate:
 
     @property
     def degree(self) -> int:
-        """The degree in ``s`` of the action."""
-        return max(len(self.poly) - 1, 0)
+        """The degree in ``s`` of the action: a nonzero ``packed`` whose top
+        digit sits at ``t`` lies between ``2^(W t - 1)`` and ``2^(W t + W - 1)``."""
+        return abs(self.packed).bit_length() // self.W
 
     def excess_matches(self, other: "Certificate") -> bool:
         """False only if both expressions have an excess and they differ."""
@@ -165,7 +181,7 @@ class Certificate:
         """{exponent shift: coefficients of the polynomial in ``s``} as
         Fractions, empty for the zero action: ``u^k / denom`` is
         ``q^k s^k / denom``."""
-        if not self.poly:
+        if not self.packed:
             return {}
         q, denom = self.q, self.denom
         return {
@@ -175,23 +191,16 @@ class Certificate:
         }
 
     def __eq__(self, other):
-        """Equal actions, compared in integers: coefficient ``k`` is
-        ``a_k q^k / denom`` on either side, cross-multiplied.  Over one
-        ``q`` the powers ``q^k`` cancel, so the lists compare whole: as
-        they are over one denominator, each scaled by the other's
-        denominator otherwise."""
+        """Equal actions: over one ``q`` and ``W`` the packed ints, each
+        times the other's denominator while every digit stays below
+        ``2^(W-1)``; any other pair compares its ``Fraction`` actions."""
         if not isinstance(other, Certificate):
             return NotImplemented
-        a, b = self.poly, other.poly
-        if not a or not b:
-            return a == b
-        if len(a) != len(b) or self.shift * other.q != other.shift * self.q:
-            return False
-        da, db = self.denom, other.denom
-        if self.q == other.q:
-            return a == b if da == db else [x * db for x in a] == [y * da for y in b]
-        p, q = self.q, other.q
-        return all(x * p**k * db == y * q**k * da for k, (x, y) in enumerate(zip(a, b)))
+        a, b, da, db = self.packed, other.packed, self.denom, other.denom
+        if self.q == other.q and self.W == other.W:
+            if da == db or max(self.bound * db, other.bound * da) >> (self.W - 1) == 0:
+                return a * db == b * da and (not a or self.shift == other.shift)
+        return self.action() == other.action()
 
 
 class OperatorExpr:
@@ -284,14 +293,13 @@ class OperatorExpr:
         raises MixedExcessError at the first term whose excess differs.
 
         A term's factors, right to left, give its shift and its polynomial
-        ``prod (u + c)``, evaluated at ``u = 2^W`` (first with ``W = 64``)
-        as one int (Kronecker substitution); the terms are summed there over
-        the common denominator ``d q^top``, with ``d`` the lcm of the
-        coefficient denominators and ``top`` the highest degree, and the sum
-        is read back in balanced base-``2^W`` digits.  Every coefficient of
-        a term is at most its ``|lift| prod (|c| + 1)`` in size, so below a
-        summed bound of ``2^(W-1)`` the digits are the coefficients; above
-        it the certificate is redone once with a ``W`` that clears the bound.
+        ``prod (u + c)`` as one int, its value at ``u = 2^W`` (Kronecker
+        substitution, first with ``W = 64``); the certificate keeps their sum
+        over the common denominator ``d q^top`` (``d`` the lcm of the
+        coefficient denominators, ``top`` the highest degree).  A term's
+        coefficients are at most its ``|lift| prod (|c| + 1)`` in size; when
+        that bound, summed, reaches ``2^(W-1)``, the walk is redone once at a
+        ``W`` that clears it.
         """
         return self._certificate(64)
 
@@ -334,15 +342,7 @@ class OperatorExpr:
             bound_sum += abs(lift) * bound
         if bound_sum >> (W - 1):
             return self._certificate(bound_sum.bit_length() + 2)
-        poly = []
-        mask, half = (1 << W) - 1, 1 << (W - 1)
-        while total:
-            a = total & mask
-            if a >= half:
-                a -= mask + 1
-            poly.append(a)
-            total = (total - a) >> W
-        return Certificate(q, first, d * q**top, poly)
+        return Certificate(q, first, d * q**top, total, W, bound_sum)
 
     def adjoint(self) -> "OperatorExpr":
         """Formal adjoint: reverses factor order, fixes pure powers, and
@@ -364,8 +364,11 @@ class OperatorExpr:
 
     def is_wc_admissible(self) -> bool:
         """True if every exponent in sight is a nonnegative integer, i.e.
-        the expression lives in the creation/annihilation dialect."""
-        return self.boson_strings() is not None
+        the expression lives in the creation/annihilation dialect: read off
+        each pure power and each ``L``, ``R``, with nothing spelled."""
+        q = self.q
+        return all(x >= 0 and not x % q for _, factors in self._terms
+                   for f in factors for x in ((f,) if f.__class__ is int else f[:2]))
 
     def boson_strings(self, max_len: Optional[int] = None) -> Optional[List[Tuple[Fraction, str]]]:
         """Spell each term as a string over '+', '-' ('+' the creation

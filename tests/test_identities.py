@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 
@@ -165,6 +166,25 @@ def test_normal_form_agrees_with_direct_action():
     assert nf == {(3, 2): 1, (2, 1): 1}
     with pytest.raises(ValueError):
         normal_form(OperatorExpr.single(1, XPower(F(-1))))
+
+
+def test_normal_form_is_refused_before_anything_is_spelled():
+    """Admissibility and length are read off the exponents: a 10^7-letter
+    power, alone or before a non-natural one, is refused without its string
+    being spelled, each with its own message."""
+    long = XPower(F(10**7))
+    for expr, message in [
+        (OperatorExpr.single(1, long), r"exceeds the guard \(20\)"),
+        (OperatorExpr.single(1, long, XPower(F(-1, 2))), "non-natural exponents"),
+    ]:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=message):
+                normal_form(expr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_ttv():
@@ -366,6 +386,38 @@ def test_one_walk_spelling_matches_the_admissibility_helpers():
                         letters += sum(len(s) for _, s in strings)
                         longest = max(longest, length)
     assert (sides, admissible, letters, longest) == (34646, 23698, 559620, 48)
+
+
+def test_admissibility_agrees_with_spelling_without_spelling(monkeypatch):
+    """On both sides of every catalog instance at n <= 3, over each full
+    grid, ``is_wc_admissible`` spells nothing and answers as
+    ``boson_strings() is not None`` does."""
+    spell = OperatorExpr.boson_strings
+
+    def refuse(self, *args):
+        raise AssertionError("is_wc_admissible spelled a string")
+
+    counts = [0, 0]
+    for tid in TEMPLATE_ORDER:
+        template = TEMPLATES[tid]
+        n_values = range(template.n_min, 4) if template.uses_n else [N_DEFAULT]
+        sides = [side for cell in template.grid() for n in n_values
+                 for inst in template.build(cell, n) for side in (inst.lhs, inst.rhs)]
+        with monkeypatch.context() as patch:
+            patch.setattr(OperatorExpr, "boson_strings", refuse)
+            admissible = [side.is_wc_admissible() for side in sides]
+        assert admissible == [spell(side) is not None for side in sides], tid
+        counts[0] += len(sides)
+        counts[1] += sum(admissible)
+    assert counts == [27746, 18986]
+
+
+def test_each_template_certifies_its_pinned_action_degree():
+    """The highest ``s``-degree each template's full grid certifies, read
+    off the packed certificates: 1 for ``otherpair.*``, 6 elsewhere."""
+    degrees = {tid: verify_identity(TEMPLATES[tid]).action_degree for tid in TEMPLATE_ORDER}
+    assert degrees == {tid: 1 if tid.startswith("otherpair.") else 6 for tid in TEMPLATE_ORDER}
+    assert sum(degrees.values()) == 242
 
 
 def test_verify_report_times_each_channel():
@@ -698,7 +750,7 @@ def test_the_string_channel_never_spells_a_string_over_the_guard(monkeypatch):
     ``MAX_STRING_LENGTH`` letters at three of its seven powers: those sides
     are neither spelled nor normal-ordered, and the other four are probed."""
     spelled, ordered = [], []
-    boson_strings, oracle = OperatorExpr.boson_strings, identities.normal_order_oracle
+    boson_strings, oracle = OperatorExpr.boson_strings, identities.packed_normal_order
 
     def recording_boson_strings(self, *args):
         strings = boson_strings(self, *args)
@@ -710,7 +762,7 @@ def test_the_string_channel_never_spells_a_string_over_the_guard(monkeypatch):
         return oracle(string, *args)
 
     monkeypatch.setattr(OperatorExpr, "boson_strings", recording_boson_strings)
-    monkeypatch.setattr(identities, "normal_order_oracle", recording_oracle)
+    monkeypatch.setattr(identities, "packed_normal_order", recording_oracle)
     rep = verify_identity(TEMPLATES["sampleeulerian"])
     assert rep.ok and (rep.instances, rep.string_probes) == (7, 4)
     assert ordered and set(ordered) <= set(spelled)

@@ -114,6 +114,25 @@ def test_admissibility_and_string_length():
     assert not bad_word.is_wc_admissible()
 
 
+def test_admissibility_is_read_off_the_exponents(monkeypatch):
+    """Each pure power and each ``L``, ``R`` must be a natural number, a
+    zero word power's included; nothing is spelled, so a power of 10^9
+    letters answers at once."""
+
+    def refuse(self, *args):
+        raise AssertionError("is_wc_admissible spelled a string")
+
+    monkeypatch.setattr(OperatorExpr, "boson_strings", refuse)
+    assert _expr(XPower(F(10**9)), WordPower(Word(F(10**9), F(0)), 10**6)).is_wc_admissible()
+    # per factor, although the product is x^2
+    assert not _expr(XPower(F(1, 2)), XPower(F(3, 2))).is_wc_admissible()
+    assert OperatorExpr.zero().is_wc_admissible()
+    for bad in (_expr(XPower(F(-1))), _expr(XPower(F(1, 2))),
+                _expr(XPower(F(1)), WordPower(Word(F(-1), F(2)), 0)),
+                _expr(WordPower(Word(F(2), F(3, 2)), 1))):
+        assert not bad.is_wc_admissible()
+
+
 def test_boson_strings_is_none_unless_admissible():
     e = OperatorExpr([(F(3), (XPower(F(1)), WordPower(Word(F(0), F(2)), 2))),
                       (F(-1, 2), (WordPower(Word(F(1), F(0)), 0),))])
@@ -254,6 +273,26 @@ def test_certificate_equality_on_one_q_and_across_q():
             mutant = Certificate(twin.q, twin.shift, twin.denom, poly)
             assert mutant != cert and cert != mutant
             assert mutant.action() != cert.action()
+
+
+def test_the_degree_is_read_off_the_packed_size():
+    """A nonzero packed int whose top digit sits at ``t`` has
+    ``W t <= bit_length < W t + W``, at the extreme digits too."""
+    for poly, degree, packed in [
+        ([], 0, 0), ([5], 0, 5), ([-1, 1], 1, 2**64 - 1), ([1, -1], 1, 1 - 2**64),
+        ([0, 0, 0, 1], 3, 2**192), ([-1, 0, 0, 1], 3, 2**192 - 1),
+    ]:
+        cert = Certificate(1, 0, 1, poly)
+        assert (cert.degree, cert.packed, cert.W, cert.poly) == (degree, packed, 64, poly)
+    top = 2**63 - 1  # the largest digit of size below 2^63
+    for poly in ([-top, 1], [top, -1], [top, top], [-top, -top], [top, 0, -top]):
+        packed = sum(a << (64 * k) for k, a in enumerate(poly))
+        cert = Certificate(1, 0, 1, packed, 64, top)
+        assert (cert.degree, cert.poly) == (len(poly) - 1, poly)
+    # a list with a digit of 2^62 or more packs at a wider W
+    for poly in ([2**62, -(2**62)], [1, 2**100], [-(2**200)]):
+        cert = Certificate(1, 0, 1, poly)
+        assert cert.W > 64 and (cert.degree, cert.poly) == (len(poly) - 1, poly)
 
 
 def test_integer_exponents_round_trip():

@@ -29,7 +29,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from weylstir.egf import egf_coefficients  # noqa: E402
-from weylstir.operators import MixedExcessError, OperatorExpr  # noqa: E402
+from weylstir.identities import _normal_form, _orders_to_zero  # noqa: E402
+from weylstir.operators import Certificate, MixedExcessError, OperatorExpr  # noqa: E402
 from weylstir.triangles import (  # noqa: E402
     Triangle,
     build_recurrence,
@@ -223,6 +224,135 @@ def test_the_special_certificates():
     cert = _WIDE.certificate()
     assert max(abs(c) for c in cert.poly).bit_length() > 64
     assert (cert.q, cert.shift, cert.denom, cert.poly) == _list_certificate(_WIDE)
+
+
+# coefficients small, past 2^63 (a wide W, and digits near the cross-multiplied
+# bound) and over large denominators
+_big = st.integers(-(2**70), 2**70)
+_weights = st.one_of(
+    st.integers(-9, 9), _big, st.builds(F, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(F, _big, st.integers(1, 2**66)),
+)
+
+
+@st.composite
+def certificate_pairs(draw):
+    """A certificate of a random expression scaled by a random weight, and
+    one of: the same action summed from thirds over another denominator,
+    over twice the ``q``, repacked from its list (another ``W`` when it is
+    wide), after one more pure power (another shift, the same polynomial),
+    a twin off by one in one digit (packed at the same ``W``, or repacked
+    from its list), or a certificate of another expression."""
+    expr = draw(expressions())
+    try:
+        expr.certificate()
+    except MixedExcessError:  # keep the first term, of one excess
+        expr = OperatorExpr.over(expr.q, expr._terms[:1])
+    expr = expr.scaled(draw(_weights.filter(bool)))
+    a = expr.certificate()
+    how = draw(st.sampled_from(
+        ["thirds", "double q", "relisted", "shifted", "twin", "relisted twin", "other"]
+    ))
+    if how == "thirds":
+        b = OperatorExpr.over(expr.q, [(c / 3, f) for c, f in expr._terms] * 3).certificate()
+    elif how == "double q":
+        b = OperatorExpr.over(2 * expr.q, [
+            (c, tuple(2 * f if isinstance(f, int) else (2 * f[0], 2 * f[1], f[2]) for f in fs))
+            for c, fs in expr._terms
+        ]).certificate()
+    elif how == "relisted":
+        b = Certificate(a.q, a.shift, a.denom, a.poly)
+    elif how == "shifted":
+        k = draw(st.integers(1, 3))
+        b = OperatorExpr.over(expr.q, [(c, (k, *f)) for c, f in expr._terms]).certificate()
+    elif how == "other":
+        other = draw(expressions())
+        try:
+            b = other.scaled(draw(_weights)).certificate()
+        except MixedExcessError:
+            b = a
+    else:
+        k = draw(st.integers(0, a.degree + 1))
+        poly = a.poly + [0] * (k + 1 - len(a.poly))
+        poly[k] += 1
+        while poly and not poly[-1]:
+            poly.pop()
+        shift = 0 if a.shift is None else a.shift
+        if how == "twin" and a.bound + 1 < 1 << (a.W - 1):
+            b = Certificate(a.q, shift, a.denom, a.packed + (1 << (a.W * k)), a.W, a.bound + 1)
+        else:
+            b = Certificate(a.q, shift, a.denom, poly)
+    return a, b
+
+
+_WIDE_CERT = _WIDE.certificate()
+_WIDE_TWIN = Certificate(_WIDE_CERT.q, _WIDE_CERT.shift, _WIDE_CERT.denom,
+                         _WIDE_CERT.packed + (1 << _WIDE_CERT.W), _WIDE_CERT.W,
+                         _WIDE_CERT.bound + 1)
+
+
+@SETTINGS
+@given(certificate_pairs())
+@example((_WIDE_CERT, _WIDE.certificate()))  # packed at W > 64
+@example((_WIDE_CERT, _WIDE_TWIN))
+@example((Certificate(1, 0, 1, 5 + (7 << 100), 100, 7), Certificate(1, 0, 1, [5, 7])))  # W 100, 64
+@example((OperatorExpr.over(1, [(F(1, 3), (1,))]).certificate(),  # denominators 3 and 2
+          OperatorExpr.over(1, [(F(1, 2), (1,))]).certificate()))
+@example((OperatorExpr.over(1, [(1, (1,))]).certificate(),  # x and x^2 act with one poly
+          OperatorExpr.over(1, [(1, (2,))]).certificate()))
+# 3 * 2^62 is -2^62 + 2^64: times the other denominator the digits overflow,
+# and the packed ints agree although the actions differ
+@example((Certificate(1, 0, 1, 2**62, 64, 2**62), Certificate(1, 0, 3, 2**64 - 2**62, 64, 2**62)))
+def test_packed_certificates_compare_as_their_actions(pair):
+    """``Certificate ==`` on the packed ints, or through its fallback,
+    agrees with comparing the ``Fraction`` actions, both ways round."""
+    a, b = pair
+    assert (a == b) == (b == a) == (a.action() == b.action())
+
+
+@st.composite
+def weighted_string_pairs(draw):
+    """Two sums of weighted strings of up to 8 letters: the right one the
+    left reversed, the left in thirds (another denominator), the left with
+    one more normally ordered monomial (one digit off), the left behind one
+    more '+' (another ``delta``, the same packed int), the left times
+    ``2^64`` against the left inside ``+`` and ``-`` (the same packed int,
+    by a carry past a digit), or another sum.  Half the time every string
+    is a permutation of one word, so that all share one ``delta``."""
+    base = draw(st.text("+-", max_size=8))
+    if draw(st.booleans()):
+        word = st.permutations(base).map("".join)
+    else:
+        word = st.text("+-", max_size=8)
+    left = draw(st.lists(st.tuples(_weights, word), max_size=5))
+    how = draw(st.sampled_from(["reversed", "thirds", "twin", "prefixed", "carried", "other"]))
+    if how == "reversed":
+        right = left[::-1]
+    elif how == "thirds":
+        right = [(F(c) / 3, s) for c, s in left] * 3
+    elif how == "twin":
+        delta = base.count("+") - base.count("-")
+        q = draw(st.integers(max(0, -delta), 4))
+        right = left + [(1, "+" * (q + delta) + "-" * q)]
+    elif how == "prefixed":
+        right = [(c, "+" + s) for c, s in left]
+    elif how == "carried":
+        left, right = [(c, "+" + s + "-") for c, s in left], [(c * 2**64, s) for c, s in left]
+    else:
+        right = draw(st.lists(st.tuples(_weights, word), max_size=5))
+    return left, right
+
+
+@SETTINGS
+@given(weighted_string_pairs())
+@example(([(1, "+")], [(1, "")]))  # packed 1 on both sides, at delta 1 and 0
+@example(([(1, "+-")], [(2**64, "")]))  # packed 2^64 on both sides, at delta 0
+def test_the_packed_string_sum_agrees_with_the_merged_normal_forms(pair):
+    """The string channel's packed sum of the difference is 0 exactly when
+    the merged normal forms of the difference cancel."""
+    left, right = pair
+    strings = left + [(-c, s) for c, s in right]
+    assert _orders_to_zero(strings) == (not _normal_form(strings)[1])
 
 
 def test_a_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
