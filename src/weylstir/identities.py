@@ -10,7 +10,7 @@ semantic and exact, through two independent channels:
 1. *monomial action*: one integer walk per side (:meth:`OperatorExpr.certificate`)
    checks that its terms share one excess and packs its action on ``x^s``,
    a polynomial in ``s``, into one int; the two ints compare, cross-multiplied
-   by the denominators, which certifies the identity at every ``s`` and degree;
+   by the denominators, which certifies the identity at every ``s``, any degree;
 2. *string rewriting*: whenever both sides live in the creation/annihilation
    dialect (all exponents natural) and every term is at most
    ``MAX_STRING_LENGTH`` letters long, counted from its exponents before
