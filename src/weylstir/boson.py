@@ -20,27 +20,30 @@ and in every cell, so each letter of a prefix is folded once while the
 prefix stays cached.  Past ``MAX_STRING_LENGTH`` letters the fold goes on
 in a loop, so the memo's recursion depth stays bounded whatever the length.
 Each entry also holds the form packed into one int, the coefficient of
-``a†^(q + delta) a^q`` as digit ``q`` in base ``2^DIGIT_BITS``, with ``delta``
-and the coefficient sum, a digit bound: the verifier sums these ints and
-takes the oracle's dicts past a bound of ``2^(DIGIT_BITS - 1)`` or across
-two ``delta`` (:func:`packed_normal_order`).
+``a†^(q + delta) a^q`` as digit ``q`` in base ``2^64``, with ``delta`` and
+the coefficient sum, a digit bound: :func:`same_normal_form` sums these ints
+per ``delta`` over the weighted strings of two sides, and merges the
+oracle's dicts (``_normal_form``) only past a summed bound of ``2^63``.
 :func:`normal_order_oracle` returns a fresh dict on every call, so a caller
 may change what it gets.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Tuple
+from math import lcm
+from typing import Dict, Sequence, Tuple, Union
 
 # the longest string normal-ordered: the oracle's guard, and the length up
 # to which the verifier's string channel runs
 MAX_STRING_LENGTH = 20
-DIGIT_BITS = 64  # the digit width of a packed normal form
+_DIGIT_BITS = 64  # the digit width of a packed normal form
 
-__all__ = ["DIGIT_BITS", "MAX_STRING_LENGTH", "normal_order_oracle", "packed_normal_order"]
+__all__ = ["MAX_STRING_LENGTH", "normal_order_oracle", "same_normal_form"]
 
 NormalForm = Dict[Tuple[int, int], int]
+WeightedStrings = Sequence[Tuple[Union[int, Fraction], str]]
 
 
 def normal_order_oracle(string: str, max_len: int = MAX_STRING_LENGTH) -> NormalForm:
@@ -59,10 +62,32 @@ def normal_order_oracle(string: str, max_len: int = MAX_STRING_LENGTH) -> Normal
     return {(q + delta, q): c for q, c in zip(range(top, top - len(coeffs), -1), coeffs)}
 
 
-def packed_normal_order(string: str) -> Tuple[int, int, int]:
-    """``(packed, delta, bound)`` of a string's normal form, as the memo
-    holds it: ``delta`` is the number of '+' less the number of '-'."""
-    return _normal_order(string)[2]
+def same_normal_form(lhs: WeightedStrings, rhs: WeightedStrings) -> bool:
+    """Whether two sums of weighted strings have one normal form: over the
+    lcm of the weights' denominators, ``sum lift * packed`` of the
+    difference is 0 at every ``delta`` while ``sum |lift| * bound <
+    2^(_DIGIT_BITS - 1)``, else :func:`_normal_form` decides."""
+    d = lcm(*(coeff.denominator for coeff, _ in lhs), *(coeff.denominator for coeff, _ in rhs))
+    sums: Dict[int, int] = {}
+    size = 0
+    for scale, side in ((d, lhs), (-d, rhs)):
+        for coeff, string in side:
+            packed, delta, bound = _normal_order(string)[2]
+            lift = coeff.numerator * (scale // coeff.denominator)
+            sums[delta] = sums.get(delta, 0) + lift * packed
+            size += abs(lift) * bound
+    if size >> (_DIGIT_BITS - 1):
+        return _normal_form(lhs) == _normal_form(rhs)
+    return not any(sums.values())
+
+
+def _normal_form(strings: WeightedStrings) -> Dict[Tuple[int, int], Fraction]:
+    """The merged normal form of weighted strings by the oracle, zeros dropped."""
+    out: Dict[Tuple[int, int], Fraction] = {}
+    for coeff, string in strings:
+        for key, count in normal_order_oracle(string).items():
+            out[key] = out.get(key, Fraction(0)) + coeff * count
+    return {key: value for key, value in out.items() if value}
 
 
 @lru_cache(maxsize=1 << 10)
@@ -94,5 +119,5 @@ def _normal_order(string: str) -> Tuple[Tuple[int, ...], int, Tuple[int, int, in
             raise ValueError(f"invalid letter {ch!r}; expected '+' or '-'")
     packed = 0
     for c in coeffs:
-        packed = (packed << DIGIT_BITS) + c
-    return coeffs, top, (packed << (DIGIT_BITS * (top + 1 - len(coeffs))), delta, sum(coeffs))
+        packed = (packed << _DIGIT_BITS) + c
+    return coeffs, top, (packed << (_DIGIT_BITS * (top + 1 - len(coeffs))), delta, sum(coeffs))

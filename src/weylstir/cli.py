@@ -103,11 +103,15 @@ def _int_range(text: str) -> Tuple[int, int]:
 
 
 def cmd_triangle(args) -> int:
+    params = (args.alpha, args.beta, args.r)
+    if args.symbolic and params != (None, None, None):
+        raise ValueError("--symbolic takes no --alpha, --beta or --r")
     _check_n(args.n, _SYMBOLIC_CAP if args.symbolic else _TRIANGLE_CAP)
     if args.symbolic:
         tri = symbolic_triangle(args.kind, args.n)
     else:
-        tri = build_recurrence(args.kind, args.alpha, args.beta, args.r, args.n)
+        a, b, r = (d if v is None else v for v, d in zip(params, map(Fraction, (0, 1, 0))))
+        tri = build_recurrence(args.kind, a, b, r, args.n)
     print(getattr(tri, f"to_{args.format}")())  # to_text, to_json, to_csv or to_latex
     return 0
 
@@ -358,9 +362,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tri = sub.add_parser("triangle", help="compute and export one triangle")
     p_tri.add_argument("--kind", choices=KINDS, default="S")
-    p_tri.add_argument("--alpha", type=_rational, default=Fraction(0))
-    p_tri.add_argument("--beta", type=_rational, default=Fraction(1))
-    p_tri.add_argument("--r", type=_rational, default=Fraction(0))
+    p_tri.add_argument("--alpha", type=_rational, default=None)
+    p_tri.add_argument("--beta", type=_rational, default=None)
+    p_tri.add_argument("--r", type=_rational, default=None)
     p_tri.add_argument("--n", type=int, required=True)
     p_tri.add_argument("--symbolic", action="store_true",
                        help="entries as polynomials in alpha, beta, r")

@@ -14,12 +14,12 @@ semantic and exact, through two independent channels:
 2. *string rewriting*: whenever both sides live in the creation/annihilation
    dialect (all exponents natural) and every term is at most
    ``MAX_STRING_LENGTH`` letters long, counted from its exponents before
-   anything is spelled, both sides are spelled as boson strings, and the
-   weighted sum of the packed normal forms (the independent rewriting
-   oracle's, ``boson.packed_normal_order``) of their difference is 0.
+   anything is spelled, both sides are spelled as boson strings and the
+   independent rewriting oracle finds one normal form for both
+   (:func:`boson.same_normal_form`, summing packed normal forms per ``delta``).
 
 Each int compare stands while a bound on its ``W``-bit digits stays below
-``2^(W-1)`` and the ints share one layout (``q`` and ``W``; ``delta``), else
+``2^(W-1)`` and the action ints share one layout (``q`` and ``W``), else
 the exact coefficients compare.  The string channel memoizes normal forms.
 Builders write integral coefficients as ``int``;
 :meth:`IdentityTemplate.run_powers` refuses a run outside the domain or one
@@ -59,12 +59,11 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from math import factorial, lcm, prod
+from math import factorial, prod
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .boson import DIGIT_BITS, MAX_STRING_LENGTH, NormalForm, normal_order_oracle
-from .boson import packed_normal_order
+from .boson import MAX_STRING_LENGTH, _normal_form, same_normal_form
 from .kernels import _exact_quotient, as_rational, binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
 from .triangles import _closed_form_ints, _degree_scales, _integer_rows, _recurrence_rows
@@ -623,40 +622,7 @@ def normal_form(expr: OperatorExpr) -> Dict[Tuple[int, int], Fraction]:
     strings = expr.boson_strings(MAX_STRING_LENGTH)
     if strings is None:
         raise ValueError(f"a term's string exceeds the guard ({MAX_STRING_LENGTH})")
-    d, counts = _normal_form(strings)
-    return {key: Fraction(value, d) for key, value in counts.items()}
-
-
-def _normal_form(strings: Sequence[Tuple[Coefficient, str]]) -> Tuple[int, NormalForm]:
-    """Sum of the oracle's normal forms of weighted strings, in integers:
-    ``(d, counts)`` with ``d`` the lcm of the weights' denominators and the
-    form ``counts / d``, zeros dropped."""
-    d = lcm(*(coeff.denominator for coeff, _ in strings))
-    out: NormalForm = {}
-    for coeff, string in strings:
-        c = coeff.numerator * (d // coeff.denominator)
-        for key, count in normal_order_oracle(string).items():
-            out[key] = out.get(key, 0) + c * count
-    return d, {key: value for key, value in out.items() if value}
-
-
-def _orders_to_zero(strings: List[Tuple[Coefficient, str]]) -> bool:
-    """Whether weighted strings sum to the zero normal form: ``sum lift *
-    packed`` is 0 (:func:`boson.packed_normal_order`) while all share one
-    ``delta`` and ``sum |lift| * bound < 2^(DIGIT_BITS - 1)``, else as
-    :func:`_normal_form` says."""
-    d = lcm(*(coeff.denominator for coeff, _ in strings))
-    total = size = 0
-    deltas = set()
-    for coeff, string in strings:
-        packed, delta, bound = packed_normal_order(string)
-        c = coeff.numerator * (d // coeff.denominator)
-        total += c * packed
-        size += abs(c) * bound
-        deltas.add(delta)
-    if len(deltas) <= 1 and not size >> (DIGIT_BITS - 1):
-        return not total
-    return not _normal_form(strings)[1]
+    return _normal_form(strings)
 
 
 @dataclass
@@ -752,7 +718,7 @@ def verify_identity(
                 rstr = inst.rhs.boson_strings(MAX_STRING_LENGTH) if lstr is not None else None
                 if rstr is not None:
                     report.string_probes += 1
-                    if not _orders_to_zero(lstr + [(-c, s) for c, s in rstr]):
+                    if not same_normal_form(lstr, rstr):
                         fail(cell, n, inst, "normal forms differ")
                 report.string_s += perf_counter() - t0
     if not report.instances:

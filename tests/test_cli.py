@@ -132,6 +132,18 @@ def test_symbolic_triangle_cap_and_override(capsys, monkeypatch):
     assert len(out.splitlines()) == 34
 
 
+@pytest.mark.parametrize("option", ["--alpha=5", "--beta=2", "--r=-1"])
+def test_symbolic_triangle_refuses_numeric_parameters(capsys, option):
+    """A symbolic triangle has no numeric parameters: one passed beside
+    ``--symbolic`` is a usage error, not dropped; without ``--symbolic``
+    the parameters default to (0, 1; 0)."""
+    code, out, err = run(capsys, "triangle", "--symbolic", "--n", "3", option)
+    assert (code, out, err) == (2, "", "error: --symbolic takes no --alpha, --beta or --r\n")
+    _, default, _ = run(capsys, "triangle", "--n", "4")
+    _, explicit, _ = run(capsys, "triangle", "--n", "4", "--alpha=0", "--beta=1", "--r=0")
+    assert default == explicit
+
+
 def test_verify_pass_and_exit_zero(capsys):
     code, out, _ = run(capsys, "verify", "--template", "ttv", "--n", "6")
     assert code == 0

@@ -750,19 +750,19 @@ def test_the_string_channel_never_spells_a_string_over_the_guard(monkeypatch):
     ``MAX_STRING_LENGTH`` letters at three of its seven powers: those sides
     are neither spelled nor normal-ordered, and the other four are probed."""
     spelled, ordered = [], []
-    boson_strings, oracle = OperatorExpr.boson_strings, identities.packed_normal_order
+    boson_strings, oracle = OperatorExpr.boson_strings, identities.same_normal_form
 
     def recording_boson_strings(self, *args):
         strings = boson_strings(self, *args)
         spelled.extend(string for _, string in strings or ())
         return strings
 
-    def recording_oracle(string, *args):
-        ordered.append(string)
-        return oracle(string, *args)
+    def recording_oracle(lhs, rhs):
+        ordered.extend(string for _, string in lhs + rhs)
+        return oracle(lhs, rhs)
 
     monkeypatch.setattr(OperatorExpr, "boson_strings", recording_boson_strings)
-    monkeypatch.setattr(identities, "packed_normal_order", recording_oracle)
+    monkeypatch.setattr(identities, "same_normal_form", recording_oracle)
     rep = verify_identity(TEMPLATES["sampleeulerian"])
     assert rep.ok and (rep.instances, rep.string_probes) == (7, 4)
     assert ordered and set(ordered) <= set(spelled)

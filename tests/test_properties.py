@@ -15,6 +15,7 @@ import textwrap
 from fractions import Fraction as F
 from math import lcm
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -28,8 +29,9 @@ os.environ.setdefault(
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from weylstir import boson  # noqa: E402
+from weylstir.boson import _normal_form, same_normal_form  # noqa: E402
 from weylstir.egf import egf_coefficients  # noqa: E402
-from weylstir.identities import _normal_form, _orders_to_zero  # noqa: E402
 from weylstir.operators import Certificate, MixedExcessError, OperatorExpr  # noqa: E402
 from weylstir.triangles import (  # noqa: E402
     Triangle,
@@ -310,36 +312,41 @@ def test_packed_certificates_compare_as_their_actions(pair):
     assert (a == b) == (b == a) == (a.action() == b.action())
 
 
+_small_weights = st.one_of(st.integers(-9, 9), st.builds(F, st.integers(-9, 9), st.integers(1, 9)))
+
+
 @st.composite
-def weighted_string_pairs(draw):
+def weighted_string_pairs(draw, hows=("reversed", "thirds", "twin", "prefixed", "carried", "other"),
+                          weights=_weights):
     """Two sums of weighted strings of up to 8 letters: the right one the
     left reversed, the left in thirds (another denominator), the left with
     one more normally ordered monomial (one digit off), the left behind one
     more '+' (another ``delta``, the same packed int), the left times
     ``2^64`` against the left inside ``+`` and ``-`` (the same packed int,
     by a carry past a digit), or another sum.  Half the time every string
-    is a permutation of one word, so that all share one ``delta``."""
+    is a permutation of one word, so that all share one ``delta``.  ``hows``
+    and ``weights`` narrow the draw."""
     base = draw(st.text("+-", max_size=8))
     if draw(st.booleans()):
         word = st.permutations(base).map("".join)
     else:
         word = st.text("+-", max_size=8)
-    left = draw(st.lists(st.tuples(_weights, word), max_size=5))
-    how = draw(st.sampled_from(["reversed", "thirds", "twin", "prefixed", "carried", "other"]))
+    left = draw(st.lists(st.tuples(weights, word), max_size=5))
+    how = draw(st.sampled_from(hows))
     if how == "reversed":
         right = left[::-1]
     elif how == "thirds":
         right = [(F(c) / 3, s) for c, s in left] * 3
     elif how == "twin":
         delta = base.count("+") - base.count("-")
-        q = draw(st.integers(max(0, -delta), 4))
+        q = draw(st.integers(max(0, -delta), max(0, -delta) + 4))
         right = left + [(1, "+" * (q + delta) + "-" * q)]
     elif how == "prefixed":
         right = [(c, "+" + s) for c, s in left]
     elif how == "carried":
         left, right = [(c, "+" + s + "-") for c, s in left], [(c * 2**64, s) for c, s in left]
     else:
-        right = draw(st.lists(st.tuples(_weights, word), max_size=5))
+        right = draw(st.lists(st.tuples(weights, word), max_size=5))
     return left, right
 
 
@@ -348,11 +355,24 @@ def weighted_string_pairs(draw):
 @example(([(1, "+")], [(1, "")]))  # packed 1 on both sides, at delta 1 and 0
 @example(([(1, "+-")], [(2**64, "")]))  # packed 2^64 on both sides, at delta 0
 def test_the_packed_string_sum_agrees_with_the_merged_normal_forms(pair):
-    """The string channel's packed sum of the difference is 0 exactly when
-    the merged normal forms of the difference cancel."""
+    """``same_normal_form`` holds exactly when the merged normal forms of
+    the difference cancel."""
     left, right = pair
     strings = left + [(-c, s) for c, s in right]
-    assert _orders_to_zero(strings) == (not _normal_form(strings)[1])
+    assert same_normal_form(left, right) == (not _normal_form(strings))
+
+
+@SETTINGS
+@given(weighted_string_pairs(hows=("prefixed",), weights=_small_weights))
+@example(([(1, "+")], [(1, "")]))  # packed 1 on both sides, at delta 1 and 0
+def test_mixed_delta_is_decided_by_the_packed_sums(pair):
+    """Strings of different ``delta`` share no monomial, so the packed sums
+    per ``delta`` decide the left against the left behind one more '+'
+    (packed alike, ``delta`` one up) without merging the oracle's dicts."""
+    left, right = pair
+    expected = not _normal_form(left + [(-c, s) for c, s in right])
+    with mock.patch.object(boson, "_normal_form", side_effect=AssertionError("merged")):
+        assert same_normal_form(left, right) == expected
 
 
 def test_a_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
