@@ -39,10 +39,10 @@ case) and ``euleriank.1``/``2`` (E, a, at ``(1, 0, 0, 0)``/``(0, 1, 0, 0)``);
 ``major.1a``/``1b`` are the direct form of ``_b_major`` at ``r = 0``, and
 ``katriel.norm``/``anti`` are ``_b_katrielplus`` at ``alpha = 0``.
 
-Coefficient rows come from the triangle module's memo of integer
-recurrence rows (``triangles._integer_rows``), read at the integers of the
-scaled cell; each entry is divided once, by ``q`` to the entry's degree in
-the parameters (``triangles._degree_scales``), into the exact coefficient.
+Coefficient rows come from the triangle module
+(``triangles._coefficient_row``): its memo of integer recurrence rows,
+read at the integers of the scaled cell, with each entry divided once, by
+``q`` to the entry's degree in the parameters, into the exact coefficient.
 So does the polynomial ``prod_{j<n} (w + r - j alpha)`` in the word ``w``
 on the left of ``major.*`` and ``katriel*``: row ``n`` of S at
 ``(alpha, 0; r)``.  That memo grows a triangle from its last row when a
@@ -58,6 +58,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial, prod
 from time import perf_counter
@@ -66,7 +67,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 from .boson import MAX_STRING_LENGTH, _normal_form, same_normal_form
 from .kernels import _exact_quotient, as_rational, binomial, rising, scale_params
 from .operators import MixedExcessError, OperatorExpr
-from .triangles import _closed_form_ints, _degree_scales, _integer_rows, _recurrence_rows
+from .triangles import _coefficient_row, _recurrence_rows, closed_form
 from .triangles import build_recurrence  # noqa: F401  (perfbench looks it up here)
 
 F = Fraction
@@ -100,21 +101,10 @@ def _one(q: int, *factors) -> OperatorExpr:
     return OperatorExpr.over(q, [(1, factors)])
 
 
-def _row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Coefficient]:
-    """Row ``n`` of the recurrence triangle ``kind`` at ``(A, B, R) / q``:
-    the integer row at ``(A, B, R)`` (``triangles._integer_rows``), each
-    entry divided by ``q`` to its degree (``triangles._degree_scales``), an
-    int where that is integral."""
-    row = _integer_rows(kind, A, B, R, n)[n]
-    if q == 1:
-        return row
-    return list(map(_exact_quotient, row, _degree_scales(kind, [q**i for i in range(n + 1)], n)))
-
-
 def _word_poly(q: int, word: Tuple[int, int], a: int, r: int, n: int) -> OperatorExpr:
     """``prod_{j<n} (w + (r - j a) / q)`` in powers of the word ``w = (L, R)``:
     row ``n`` of the S recurrence at ``(a, 0; r) / q``."""
-    row = _row("S", q, a, 0, r, n)
+    row = _coefficient_row("S", q, a, 0, r, n)
     return OperatorExpr.over(q, [(c, ((*word, m),)) for m, c in enumerate(row)])
 
 
@@ -249,14 +239,20 @@ def _grid(names: Sequence[str], axes) -> Callable[[], List[Dict[str, Fraction]]]
     return make
 
 
+@cache
+def _wtc4_cells() -> Tuple[Tuple[Fraction, ...], ...]:
+    """The cells of :func:`_grid_wtc4` as value tuples, drawn once."""
+    rng = random.Random(97531)
+    sample = rng.sample(list(product(_Q7, repeat=4)), 48)
+    return tuple(dict.fromkeys([*product(_Q3, repeat=4), *sample]))
+
+
 def _grid_wtc4() -> List[Dict[str, Fraction]]:
     """The grid of four rational words: the cross product of a 3-value core
     plus a seeded sample of the full 7-value rational set, deduplicated, in
-    deterministic order."""
-    rng = random.Random(97531)
-    sample = rng.sample(list(product(_Q7, repeat=4)), 48)
-    cells = dict.fromkeys([*product(_Q3, repeat=4), *sample])
-    return [dict(zip(_WORDS, combo)) for combo in cells]
+    deterministic order.  Each call builds fresh cells, which its caller
+    may change."""
+    return [dict(zip(_WORDS, combo)) for combo in _wtc4_cells()]
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +338,7 @@ def _b_katrielplus(anti: bool, strided: bool) -> Builder:
     def build(p, n):
         q, (a,) = scale_params(p["alpha"] if strided else 0)
         lhs = _word_poly(q, (0, q) if anti else (q, 0), a, 0, n)
-        return _expansion(lhs, _row("S", q, a, q, q if anti else 0, n), _normal(q))
+        return _expansion(lhs, _coefficient_row("S", q, a, q, q if anti else 0, n), _normal(q))
 
     return build
 
@@ -350,14 +346,14 @@ def _b_katrielplus(anti: bool, strided: bool) -> Builder:
 def _b_cor1(p, n):
     q, (L, R) = scale_params(p["L"], p["R"])
     e = L + R - q
-    return _expansion(_one(q, (L, R, n)), _row("S", q, -e, q, R, n), _normal(q, e * n))
+    return _expansion(_one(q, (L, R, n)), _coefficient_row("S", q, -e, q, R, n), _normal(q, e * n))
 
 
 def _b_special_corollary(p, n):
     q, (L, R) = scale_params(p["L"], p["R"])
     lhs = OperatorExpr.over(q, [(1, combo) for combo in product(((L, R, 1), (R, L, 1)), repeat=n)])
     s = L + R
-    row = _row("S", q, 2 * q - 2 * s, 2 * q, s, n)
+    row = _coefficient_row("S", q, 2 * q - 2 * s, 2 * q, s, n)
     coeffs = [2**k * c for k, c in enumerate(row)]
     return _expansion(lhs, coeffs, _normal(q, (s - q) * n))
 
@@ -420,7 +416,7 @@ def _reexpansion(
     alpha = -e if lhs_left else e
     beta = -ep if twist_left else ep
     r = R - Rp + (0 if twist_left else ep) - (0 if lhs_left else e)
-    coeffs = _row(kind, q, alpha, beta, r, n)
+    coeffs = _coefficient_row(kind, q, alpha, beta, r, n)
     S = kind == "S"
     scale = 1 if S else _exact_quotient(factorial(n) * beta**n, q**n)
     xl, xr = (EL - e, ER) if lhs_left else (EL, ER - e)
@@ -459,7 +455,8 @@ def _b_reexpansion(kind: str, variant: str, prefactored: bool, words=_cell_words
 
 
 def _b_proposition(p, n):
-    coeffs = [_exact_quotient(*_closed_form_ints("S_4F_vi", n, k, 0, 1)) for k in range(n + 1)]
+    values = (closed_form("S_4F_vi", n, k) for k in range(n + 1))
+    coeffs = [v.numerator if v.denominator == 1 else v for v in values]
     return _expansion(_one(1, (3, 0, n)), coeffs, _normal(1, 2 * n))
 
 

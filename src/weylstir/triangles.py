@@ -41,13 +41,14 @@ integers.  The ``q^degree`` denominator rows are memoized per
 triangles compare their numerators alone.  The recurrence cache holds the
 tallest triangle built at each parameter point and serves a shorter one as
 its prefix.  Consumers that need only integer rows (the classical Stirling
-tables and the identity catalog) read one memo of them instead,
-:func:`_integer_rows`.  The symbolic recurrence runs at linear-form
-parameters and packs each entry into one ``int``, its coefficients as
-fixed-width digits (a Kronecker substitution, :func:`_packed_rows`): a
-product by a factor of the recurrence is two shifts and three small
-multiples, the exports are written from the digits, and the ``ParamPoly``
-rows are built the same lazy way, only when ``rows`` is first read.
+tables, and the identity catalog through :func:`_coefficient_row`) read
+one memo of them instead, :func:`_integer_rows`.  The symbolic recurrence
+runs at linear-form parameters and packs each entry into one ``int``, its
+coefficients as fixed-width digits (a Kronecker substitution,
+:func:`_packed_rows`): a product by a factor of the recurrence is two
+shifts and three small multiples, the exports are written from the digits,
+and the ``ParamPoly`` rows are built the same lazy way, only when ``rows``
+is first read.
 :meth:`Triangle.to_json` joins the entry texts directly, and a read
 triangle writes back the text it read.
 """
@@ -671,6 +672,17 @@ def _integer_rows(kind: str, A: int, B: int, R: int, N: int) -> Tuple[Tuple[int,
     return rows[: N + 1]
 
 
+def _coefficient_row(kind: str, q: int, A: int, B: int, R: int, n: int) -> Sequence[Any]:
+    """Row ``n`` of the recurrence triangle ``kind`` at ``(A, B, R) / q``:
+    the integer row at ``(A, B, R)`` (:func:`_integer_rows`), each entry
+    divided by ``q`` to its degree (:func:`_degree_scales`), an int where
+    that is integral.  The identity catalog reads its coefficients here."""
+    row = _integer_rows(kind, A, B, R, n)[n]
+    if q == 1:
+        return row
+    return list(map(_exact_quotient, row, _degree_scales(kind, [q**i for i in range(n + 1)], n)))
+
+
 def symbolic_triangle(kind: str, N: int) -> Triangle:
     """Triangle with fully symbolic parameters; entries are ParamPoly."""
     return build_recurrence(kind, ParamPoly.alpha(), ParamPoly.beta(), ParamPoly.r(), N)
@@ -941,7 +953,7 @@ def triangle_by_decomposition(alpha, beta, r, N: int) -> Triangle:
 
 def _e_vi(n: int, k: int, d: int, q: int, R: int, B: int) -> int:
     """The (zeta, p) Eulerian family: r = 2 - zeta + 2 p with zeta in {0, 1}
-    and p natural, i.e. an integer r >= 1 (checked by _check_e_vi)."""
+    and p natural, i.e. an integer r >= 1 (checked by closed_form)."""
     rint = R // q
     zeta = rint % 2
     p = (rint - 2 + zeta) // 2
@@ -1027,19 +1039,11 @@ _CLOSED_FORMS = {
 CLOSED_FORM_FAMILIES = tuple(_CLOSED_FORMS)
 
 
-def _check_e_vi(rr: Fraction) -> None:
-    if rr.denominator != 1 or rr < 1:
-        raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
-
-
 def closed_form_params(family: str, r=0, beta=1):
     """The (kind, alpha, beta, r) tuple a family's closed form evaluates."""
     rr = as_rational(r)
     b = as_rational(beta)
-    if family not in _CLOSED_FORMS:
-        raise ValueError(f"unknown closed-form family {family!r}")
-    if family == "E_vi":
-        _check_e_vi(rr)
+    closed_form(family, 0, -1, rr)  # its family lookup and E_vi check; 0 off the triangle
     free = {"r": rr, "b": b, "-b": -b}
     kind, *params = _CLOSED_FORMS[family][0]
     return (kind, *(free[p] if isinstance(p, str) else p for p in params))
@@ -1052,35 +1056,29 @@ def closed_form(family: str, n: int, k: int, r=0, beta=1) -> Fraction:
     fixed-parameter ones; ``beta`` is honored only by the four families with
     a free stride (S_8F_iprime, S_8F_iiprime, E_i, E_ii).  The (zeta, p)
     Eulerian family ``E_vi`` requires an integer ``r >= 1``, at every
-    ``(n, k)``.
+    ``(n, k)``: it checks its ``r`` once per call, before the triangle
+    bounds.  Outside the triangle the value is 0.
 
     Every family computes one integer numerator at ``(R, B) = q (r, beta)``
     in O(n) steps and divides it once, by ``q^d`` (``d = n - k``),
-    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1: this function is that
-    unreduced pair (:func:`_closed_form_ints`) made one ``Fraction``.
-    ``E_vi`` checks its ``r`` once per call, before the triangle bounds.  A
-    sweep over ``(n, k)`` that passes the same ``r`` and ``beta`` objects
+    ``(2q)^d``, ``(-2q)^d``, ``q^n``, ``2^d`` or 1, into one ``Fraction``.
+    A sweep over ``(n, k)`` that passes the same ``r`` and ``beta`` objects
     each time scales them once: :func:`kernels.scale_params` keeps its last
     result.
     """
-    return Fraction(*_closed_form_ints(family, n, k, r, beta))
-
-
-def _closed_form_ints(family: str, n: int, k: int, r, beta) -> Tuple[int, int]:
-    """The value of :func:`closed_form` as one integer numerator over one
-    nonzero integer denominator, unreduced; ``(0, 1)`` outside the
-    triangle."""
     spec = _CLOSED_FORMS.get(family)
     if spec is None:
         raise ValueError(f"unknown closed-form family {family!r}")
     if family == "E_vi":
-        _check_e_vi(as_rational(r))  # before the triangle bounds
+        rr = as_rational(r)
+        if rr.denominator != 1 or rr < 1:
+            raise ValueError("the (zeta, p) Eulerian family needs an integer r >= 1")
     if k < 0 or k > n:
-        return 0, 1
+        return _F0
     q, (R, B) = scale_params(r, beta)
     _, numerator, denominator = spec
     d = n - k
-    return numerator(n, k, d, q, R, B), denominator(n, d, q)
+    return Fraction(numerator(n, k, d, q, R, B), denominator(n, d, q))
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,8 @@ def test_prefix_matching():
 
 
 def test_every_grid_is_deterministic_and_nonempty():
+    """Each call gives equal, fresh cells: changing one call's grid leaves
+    the next call's grid unchanged."""
     for tid in TEMPLATE_ORDER:
         g1 = TEMPLATES[tid].grid()
         g2 = TEMPLATES[tid].grid()
@@ -72,6 +74,32 @@ def test_every_grid_is_deterministic_and_nonempty():
         assert g1
         for cell in g1:
             assert set(cell) == set(TEMPLATES[tid].params)
+        kept = [dict(cell) for cell in g2]
+        for cell in g1:
+            cell.update((name, value + 1) for name, value in cell.items())
+            cell["extra"] = F(0)
+        g1.append({})
+        assert TEMPLATES[tid].grid() == kept
+
+
+def test_integral_coefficients_are_ints():
+    """Builders write every integral coefficient, of the expansion row and
+    of each term, as an ``int``: over the first grid cells of every
+    template at n <= 4."""
+    checked, fractions = 0, []
+    for tid in TEMPLATE_ORDER:
+        template = TEMPLATES[tid]
+        for cell in template.grid()[:8]:
+            for n in template.run_powers([cell], 4):
+                for inst in template.build(cell, n):
+                    terms = (c for side in (inst.lhs, inst.rhs) for c, _ in side.terms)
+                    for c in [*(inst.row or ()), *terms]:
+                        if c.denominator == 1:
+                            checked += 1
+                            if type(c) is not int:
+                                fractions.append((tid, n, c))
+    assert checked > 5000
+    assert fractions == []
 
 
 def test_verify_identity_counts_probes():
